@@ -31,6 +31,7 @@ from .errors import (
 from .fields import FieldElement, FieldSpec
 from .recurrence import (
     RecurrenceCase,
+    _binom2_mod4,
     fit_closed_form,
     recurrence_status,
     select_case,
@@ -45,10 +46,6 @@ class Family(Enum):
     F2_BETA2 = "F2"
     F3_BETA_MINUS2 = "F3"
     F4_BETA0_CHAR2 = "F4"
-
-
-def _binom2_mod4(i: int) -> int:
-    return 0 if i % 4 in (0, 1) else 1
 
 
 @dataclass(frozen=True)

@@ -95,11 +95,12 @@ class Matrix:
     __slots__ = ("spec", "nrows", "ncols", "rows")
 
     def __init__(self, spec: FieldSpec, rows):
+        # tuple() returns a tuple argument as is, so finished rows cost nothing
         self.spec = spec
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
+        self.rows = rows = tuple(map(tuple, rows))
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        if len(set(map(len, rows))) > 1:
             raise DimensionMismatchError("ragged rows")
 
     # --- constructors -----------------------------------------------------
@@ -159,8 +160,9 @@ class Matrix:
         return self.nrows == self.ncols
 
     def is_zero(self) -> bool:
-        s = self.spec
-        return all(s.is_zero(x) for r in self.rows for x in r)
+        # payloads are canonical, so equality with zero is exactly is_zero
+        zero_row = (self.spec.zero,) * self.ncols
+        return all(r == zero_row for r in self.rows)
 
     def trace(self) -> FieldElement:
         s = self.spec
@@ -174,7 +176,7 @@ class Matrix:
 
     # --- arithmetic -----------------------------------------------------------
     def _check(self, other: "Matrix", same_shape: bool):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise MixedFieldsError("matrices over different fields")
         if same_shape and (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatchError(
@@ -183,51 +185,45 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other, True)
-        s = self.spec
+        add = self.spec.add
         return Matrix(
-            s,
-            (
-                (s.add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
+            self.spec,
+            [tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check(other, True)
-        s = self.spec
+        sub = self.spec.sub
         return Matrix(
-            s,
-            (
-                (s.sub(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
+            self.spec,
+            [tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
         )
 
     def __neg__(self) -> "Matrix":
-        s = self.spec
-        return Matrix(s, ((s.neg(a) for a in r) for r in self.rows))
+        neg = self.spec.neg
+        return Matrix(self.spec, [tuple(map(neg, r)) for r in self.rows])
 
     def __mul__(self, other):
+        s = self.spec
         if isinstance(other, Matrix):
             self._check(other, False)
             if self.ncols != other.nrows:
                 raise DimensionMismatchError(
                     f"{self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}"
                 )
-            s = self.spec
-            cols = list(zip(*other.rows))
-            return Matrix(s, ((s.dot(r, c) for c in cols) for r in self.rows))
+            dot = s.dot
+            cols = tuple(zip(*other.rows))
+            return Matrix(s, [tuple([dot(r, c) for c in cols]) for r in self.rows])
         if isinstance(other, Vector):
-            if self.spec != other.spec:
+            if s is not other.spec and s != other.spec:
                 raise MixedFieldsError("matrix and vector over different fields")
             if self.ncols != other.n:
                 raise DimensionMismatchError("matrix-vector size mismatch")
-            s = self.spec
-            return Vector(s, (s.dot(r, other.payloads) for r in self.rows))
+            return Vector(s, [s.dot(r, other.payloads) for r in self.rows])
         # scalar
-        s = self.spec
+        mul = s.mul
         c = s.element(other).payload
-        return Matrix(s, ((s.mul(c, a) for a in r) for r in self.rows))
+        return Matrix(s, [tuple([mul(c, a) for a in r]) for r in self.rows])
 
     def __rmul__(self, other):
         # scalar * matrix (scalars commute with everything here)
@@ -239,7 +235,7 @@ class Matrix:
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and self.spec == other.spec
+            and (self.spec is other.spec or self.spec == other.spec)
             and self.rows == other.rows
         )
 
@@ -377,44 +373,6 @@ def rank(a: Matrix) -> int:
     return rnk
 
 
-def nullspace_basis(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel, via reduced row echelon form."""
-    s = a.spec
-    m = [list(r) for r in a.rows]
-    nr, nc = a.nrows, a.ncols
-    pivots = []
-    row = 0
-    for col in range(nc):
-        piv = None
-        for r in range(row, nr):
-            if not s.is_zero(m[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        c = s.inv(m[row][col])
-        m[row] = [s.mul(c, x) for x in m[row]]
-        for r in range(nr):
-            if r == row or s.is_zero(m[r][col]):
-                continue
-            f = m[r][col]
-            m[r] = [s.sub(x, s.mul(f, y)) for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nr:
-            break
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [s.zero] * nc
-        v[fc] = s.one
-        for r, pc in enumerate(pivots):
-            v[pc] = s.neg(m[r][fc])
-        basis.append(Vector(s, v))
-    return basis
-
-
 # --- shape predicates -----------------------------------------------------
 
 class ShapeClass(Enum):
@@ -505,10 +463,18 @@ def shape_classify(a: Matrix) -> ShapeClass:
 def primitive_idempotents(a: Matrix, eigenvalues) -> list[Matrix]:
     """Spectral projectors E_i = prod_{j != i} (a - theta_j I)/(theta_i - theta_j).
 
-    Requires a multiplicity-free split spectrum: the eigenvalues are mutually
-    distinct, cover the size, and annihilate the matrix as prod (a - theta_j I).
-    The identities E_i E_j = delta_ij E_i, sum E_i = I, and a E_i = theta_i E_i
-    are all verified before returning.
+    Checks that the eigenvalues are mutually distinct and as many as the
+    size, that prod_j (a - theta_j I) = 0, and that a E_i = theta_i E_i.
+    The Lagrange identities sum E_i = I and E_i E_j = delta_ij E_i then hold
+    as theorems: with distinct nodes, 1 - sum L_i and L_i L_j - delta_ij L_i
+    vanish at every theta_k, so they are multiples of the annihilating
+    polynomial prod (x - theta_j).  They are not re-checked here;
+    verify_ch_axioms checks them on every stored family.
+
+    The numerator of E_i is prefix[i-1] * suffix[i+1], where prefix[k] and
+    suffix[k] are the products of the factors (a - theta_j I) with j <= k
+    and j >= k; the annihilator is the last prefix.  That is 3d - 2 matrix
+    products for size d + 1.
     """
     if not a.is_square():
         raise DimensionMismatchError("idempotents of a non-square matrix")
@@ -525,40 +491,32 @@ def primitive_idempotents(a: Matrix, eigenvalues) -> list[Matrix]:
                 )
     ident = Matrix.identity(s, n)
     factors = [a - ident.scale(e) for e in evs]
-    ann = factors[0]
+    prefix = [factors[0]]
     for f in factors[1:]:
-        ann = ann * f
-    if not ann.is_zero():
+        prefix.append(prefix[-1] * f)
+    if not prefix[-1].is_zero():
         raise NotMultiplicityFreeError(
             "matrix is not annihilated by prod (a - theta_j I)"
         )
+    suffix = [None] * (n - 1) + [factors[-1]]
+    for k in range(n - 2, 0, -1):
+        suffix[k] = factors[k] * suffix[k + 1]
     out = []
     for i in range(n):
-        prod = None
+        if i == 0:
+            num = suffix[1] if n > 1 else ident
+        elif i == n - 1:
+            num = prefix[n - 2]
+        else:
+            num = prefix[i - 1] * suffix[i + 1]
         denom = s.one_element()
         for j in range(n):
-            if j == i:
-                continue
-            prod = factors[j] if prod is None else prod * factors[j]
-            denom = denom * (evs[i] - evs[j])
-        e_i = prod.scale(denom.inverse())
-        out.append(e_i)
-    # verify the idempotent algebra exactly
-    total = out[0]
-    for e in out[1:]:
-        total = total + e
-    if total != ident:
-        raise NotMultiplicityFreeError("sum of idempotents is not the identity")
-    for i in range(n):
-        if a * out[i] != out[i].scale(evs[i]):
+            if j != i:
+                denom = denom * (evs[i] - evs[j])
+        e_i = num.scale(denom.inverse())
+        if a * e_i != e_i.scale(evs[i]):
             raise NotMultiplicityFreeError("a E_i != theta_i E_i")
-        for j in range(n):
-            prod = out[i] * out[j]
-            if i == j:
-                if prod != out[i]:
-                    raise NotMultiplicityFreeError("E_i^2 != E_i")
-            elif not prod.is_zero():
-                raise NotMultiplicityFreeError("E_i E_j != 0 for i != j")
+        out.append(e_i)
     return out
 
 

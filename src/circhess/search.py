@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import BudgetExceededError, DimensionMismatchError, UnsupportedFieldError
-from .fields import FieldSpec, field_to_string
+from .fields import FieldElement, FieldSpec, field_to_string
 from .recurrence import recurrence_status, td_witness, vartheta_from_array
 from .systems import (
     ParameterArray,
@@ -185,20 +185,22 @@ def _candidates(cfg: SearchConfig):
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
     n = cfg.d + 1
+    if cfg.mode not in ("exhaustive", "random"):
+        raise ValueError(f"unknown search mode {cfg.mode!r}")
+    if spec.order < n:
+        return  # no d + 1 distinct eigenvalues exist: both spaces are empty
     if cfg.mode == "exhaustive":
         for th in itertools.permutations(elems, n):
             for ths in itertools.permutations(elems, n):
                 for ph in itertools.product(nonzero, repeat=cfg.d):
                     yield th, ths, ph
-    elif cfg.mode == "random":
+    else:
         rng = random.Random(cfg.seed)
         for _ in range(cfg.trials):
             th = tuple(rng.sample(elems, n))
             ths = tuple(rng.sample(elems, n))
             ph = tuple(rng.choice(nonzero) for _ in range(cfg.d))
             yield th, ths, ph
-    else:
-        raise ValueError(f"unknown search mode {cfg.mode!r}")
 
 
 def search(cfg: SearchConfig) -> SearchReport:
@@ -224,7 +226,13 @@ def search(cfg: SearchConfig) -> SearchReport:
         report.candidates_examined += 1
         if not _split_pattern_probe(spec, th, ths, ph, cfg.d):
             continue
-        params = ParameterArray.make(spec, th, ths, ph)
+        params = ParameterArray(
+            spec,
+            cfg.d,
+            tuple(FieldElement(spec, x) for x in th),
+            tuple(FieldElement(spec, x) for x in ths),
+            tuple(FieldElement(spec, x) for x in ph),
+        )
         system = split_form_build(params)
         if not verify_ch_axioms(system).is_ch:
             continue

@@ -208,7 +208,10 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     """Evaluate every product E_i A* E_j and E*_i A E*_j and compare the
     zero/nonzero pattern with the circular Hessenberg axioms.
 
-    Sets the system's sticky `verified` flag when the pattern holds.
+    First checks the idempotent algebra of both stored families, which may
+    come from anywhere; this is the one place it is checked (see
+    primitive_idempotents).  Sets the system's sticky `verified` flag when
+    the pattern holds.
     """
     ident = Matrix.identity(s.spec, s.d + 1)
     if not _check_idempotent_family(s.E, ident) or not _check_idempotent_family(

@@ -1,16 +1,19 @@
 """Exact matrices: arithmetic oracle checks, shapes, spectral machinery."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from circhess import (
+    FieldElement,
     Matrix,
     ShapeClass,
     Vector,
     commutator,
     determinant,
     eigenvalues_bruteforce,
+    field_from_string,
     matrix_inverse,
     prime_field,
     primitive_idempotents,
@@ -18,8 +21,10 @@ from circhess import (
     shape_classify,
     split_form_build,
 )
+from circhess.fields import QuotientExtension
 from circhess.errors import (
     DimensionMismatchError,
+    NotMultiplicityFreeError,
     RepeatedEigenvalueError,
     SingularError,
     UnsupportedFieldError,
@@ -47,6 +52,37 @@ def _schoolbook(a, b):
     return Matrix.from_elements(s, rows)
 
 
+def _schoolbook_matvec(a, v):
+    s = a.spec
+    out = []
+    for i in range(a.nrows):
+        acc = s.zero_element()
+        for k in range(a.ncols):
+            acc = acc + a.entry(i, k) * v.entry(k)
+        out.append(acc)
+    return Vector.from_elements(s, out)
+
+
+# one field of each kind: prime, extension of a prime field, rationals and a
+# cyclotomic extension of the rationals
+KERNEL_FIELDS = ("gf:5", "ext:gf:3:1,0,1", "rat", "cyclo:4")
+
+
+def _random_element(spec, rng):
+    if spec.order is not None:
+        return FieldElement(spec, rng.choice(list(spec.element_payloads())))
+    if isinstance(spec, QuotientExtension):
+        coeffs = [_random_element(spec.base, rng) for _ in range(spec.deg)]
+        return FieldElement(spec, tuple(c.payload for c in coeffs))
+    return spec.element(Fraction(rng.randint(-5, 5), rng.randint(1, 2)))
+
+
+def _random_rect(spec, n, m, rng):
+    return Matrix.from_elements(
+        spec, [[_random_element(spec, rng) for _ in range(m)] for _ in range(n)]
+    )
+
+
 def test_matmul_matches_schoolbook_oracle():
     g5 = prime_field(5)
     rng = random.Random(11)
@@ -54,6 +90,33 @@ def test_matmul_matches_schoolbook_oracle():
         a = _random_matrix(g5, 4, rng)
         b = _random_matrix(g5, 4, rng)
         assert a * b == _schoolbook(a, b)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_matmul_matches_schoolbook_every_field_kind(field):
+    """Square, non-square and matrix-vector products against the triple loop."""
+    spec = field_from_string(field)
+    rng = random.Random(field)
+    for n, k, m in ((4, 4, 4), (2, 3, 5), (5, 1, 3), (1, 4, 1)):
+        a = _random_rect(spec, n, k, rng)
+        b = _random_rect(spec, k, m, rng)
+        prod = a * b
+        assert (prod.nrows, prod.ncols) == (n, m)
+        assert prod == _schoolbook(a, b)
+        v = Vector.from_elements(spec, [_random_element(spec, rng) for _ in range(k)])
+        assert a * v == _schoolbook_matvec(a, v)
+    with pytest.raises(DimensionMismatchError):
+        _random_rect(spec, 2, 3, rng) * _random_rect(spec, 2, 3, rng)
+
+
+def test_ragged_rows_raise():
+    g5 = prime_field(5)
+    with pytest.raises(DimensionMismatchError):
+        Matrix(g5, [(1, 2), (3,)])
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_elements(g5, [[1, 2, 3], [4, 0, 1], [2, 2]])
+    with pytest.raises(DimensionMismatchError):
+        Matrix(g5, [(1,), (2, 3)])
 
 
 def test_commutator_identity_matrix():
@@ -211,6 +274,73 @@ def test_idempotents_split_form(w5_array):
     assert total == ident
     for e in s.E:
         assert e * e == e
+
+
+def _naive_lagrange(a, evs):
+    """E_i as the plain product over j != i, with every factor multiplied in
+    from the left, scaled by the product of eigenvalue differences."""
+    s = a.spec
+    n = a.nrows
+    ident = Matrix.identity(s, n)
+    out = []
+    for i in range(n):
+        num = ident
+        den = s.one_element()
+        for j in range(n):
+            if j != i:
+                num = num * (a - ident.scale(evs[j]))
+                den = den * (evs[i] - evs[j])
+        out.append(num.scale(den.inverse()))
+    return out
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_idempotents_match_naive_lagrange(field):
+    """A random multiplicity-free matrix (lower bidiagonal with random
+    distinct eigenvalues, conjugated by a random invertible matrix):
+    the prefix/suffix idempotents equal the naive Lagrange product and obey
+    the Lagrange identities that primitive_idempotents leaves unchecked."""
+    spec = field_from_string(field)
+    rng = random.Random(field)
+    for d in range(3, 7):
+        n = d + 1
+        if spec.order is not None and spec.order < n:
+            continue
+        evs = []
+        while len(evs) < n:
+            e = _random_element(spec, rng)
+            if e not in evs:
+                evs.append(e)
+        rows = [[evs[i] if c == i else spec.element(int(c == i - 1))
+                 for c in range(n)] for i in range(n)]
+        # unit lower times unit upper triangular: invertible by construction
+        lower = [[_random_element(spec, rng) if c < r else spec.element(int(c == r))
+                  for c in range(n)] for r in range(n)]
+        upper = [[_random_element(spec, rng) if c > r else spec.element(int(c == r))
+                  for c in range(n)] for r in range(n)]
+        sigma = Matrix.from_elements(spec, lower) * Matrix.from_elements(spec, upper)
+        a = sigma * Matrix.from_elements(spec, rows) * matrix_inverse(sigma)
+        rng.shuffle(evs)
+        es = primitive_idempotents(a, evs)
+        assert es == _naive_lagrange(a, evs)
+        ident = Matrix.identity(spec, n)
+        total = es[0]
+        for e in es[1:]:
+            total = total + e
+        assert total == ident
+        for i, ei in enumerate(es):
+            assert a * ei == ei.scale(evs[i])
+            for j, ej in enumerate(es):
+                assert ei * ej == (ei if i == j else Matrix.zero(spec, n))
+
+
+def test_idempotents_not_annihilated():
+    g5 = prime_field(5)
+    m = Matrix.from_elements(
+        g5, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]
+    )
+    with pytest.raises(NotMultiplicityFreeError):
+        primitive_idempotents(m, [g5.element(x) for x in (1, 4, 2, 3)])
 
 
 def test_idempotents_repeated_eigenvalue():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from circhess import (
+    FieldElement,
     ParameterArray,
     SearchConfig,
     prime_field,
@@ -45,6 +46,66 @@ def test_probe_equals_oracle_d4(gf7):
         p = ParameterArray.make(gf7, th, ths, ph)
         full = verify_ch_axioms(split_form_build(p)).is_ch
         assert probe == full
+
+
+def _payload_array(spec, th, ths, ph):
+    """A parameter array from raw payloads, as the search enumerates them."""
+    return ParameterArray(
+        spec,
+        len(th) - 1,
+        tuple(FieldElement(spec, x) for x in th),
+        tuple(FieldElement(spec, x) for x in ths),
+        tuple(FieldElement(spec, x) for x in ph),
+    )
+
+
+@pytest.mark.parametrize("field", ["gf4", "gf9"])
+def test_probe_equals_oracle_extension_fields(request, field):
+    """Probe and oracle agree on tuple payloads: on an unbiased random batch,
+    then on further probe hits until a few of them were confirmed."""
+    spec = request.getfixturevalue(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    rng = random.Random(17)
+    checked = hits = 0
+    while checked < 150 or hits < 5:
+        th = tuple(rng.sample(elems, 4))
+        ths = tuple(rng.sample(elems, 4))
+        ph = tuple(rng.choice(nonzero) for _ in range(3))
+        probe = _split_pattern_probe(spec, th, ths, ph, 3)
+        if checked >= 150 and not probe:
+            continue
+        system = split_form_build(_payload_array(spec, th, ths, ph))
+        full = verify_ch_axioms(system).is_ch
+        assert probe == full
+        checked += 1
+        hits += full
+
+
+def test_search_extension_field_completes(gf4):
+    """Random search over GF(4) reaches the oracle and finishes."""
+    cfg = SearchConfig(gf4, 3, "random", seed=3, trials=300)
+    rep = search(cfg)
+    assert rep.candidates_examined == 300
+    assert rep.ch_systems_found == rep.recurrent_count > 0
+    assert rep.counterexamples == []
+    assert search(cfg).to_bytes() == rep.to_bytes()
+
+
+def test_small_field_random_matches_exhaustive(gf4):
+    """With |F| < d + 1 no eigenvalue sequence has d + 1 distinct entries:
+    random and exhaustive mode return the same empty report."""
+    for spec, d in ((prime_field(2), 3), (prime_field(3), 3), (gf4, 4)):
+        ex = search(SearchConfig(spec, d, "exhaustive")).to_json()
+        rnd = search(SearchConfig(spec, d, "random", seed=1, trials=50)).to_json()
+        del ex["config"], rnd["config"]
+        assert rnd == ex == {
+            "candidates_examined": 0,
+            "ch_systems_found": 0,
+            "recurrent_count": 0,
+            "beta_histogram": {},
+            "counterexamples": [],
+        }
 
 
 def test_search_deterministic(gf5):

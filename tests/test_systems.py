@@ -18,6 +18,7 @@ from circhess import (
     verify_ch_axioms,
 )
 from circhess.errors import (
+    CorruptIdempotentsError,
     DimensionMismatchError,
     MixedFieldsError,
     NotInE0StarVError,
@@ -252,3 +253,16 @@ def test_identity_in_place_of_a_fails(w5_array, gf5):
     out = verify_ch_axioms(sys)
     assert not out.is_ch
     assert any(cond == "v" for cond, _, _ in out.failures)
+
+
+@pytest.mark.parametrize("side", ["E", "E_star"])
+def test_tampered_idempotents_raise(w5_array, side):
+    """verify_ch_axioms is where the idempotent algebra is checked: a family
+    with E_0 replaced by E_0 + E_1 no longer sums to I and is rejected."""
+    s = split_form_build(w5_array)
+    family = list(getattr(s, side))
+    family[0] = family[0] + family[1]
+    setattr(s, side, tuple(family))
+    with pytest.raises(CorruptIdempotentsError):
+        verify_ch_axioms(s)
+    assert not s.verified
