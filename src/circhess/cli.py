@@ -30,6 +30,7 @@ from .recurrence import recurrence_status
 from .search import (
     DEFAULT_EXHAUSTIVE_CAP,
     DEFAULT_RANDOM_TRIALS,
+    SEARCH_MODES,
     SearchConfig,
     replay,
     search,
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fuzz", help="search for non-recurrent systems")
     f.add_argument("--field", required=True, help=field_help)
     f.add_argument("--d", type=int, required=True)
-    f.add_argument("--mode", choices=("exhaustive", "random"), default="random")
+    f.add_argument("--mode", choices=SEARCH_MODES, default="random")
     f.add_argument("--seed", type=int, default=0, help="random-mode seed (default 0)")
     f.add_argument("--trials", type=int, default=DEFAULT_RANDOM_TRIALS,
                    help=f"random-mode trials (default {DEFAULT_RANDOM_TRIALS})")

@@ -68,7 +68,8 @@ class NotInE0StarVError(CircHessError):
 
 
 class CorruptIdempotentsError(CircHessError):
-    """Stored idempotents fail E_i E_j = delta_ij E_i."""
+    """Stored idempotents fail E_i E_j = delta_ij E_i, sum E_i = I or
+    E_i != 0, or lack one distinct eigenvalue label each."""
 
 
 class UnverifiedSystemError(CircHessError):
@@ -134,3 +135,7 @@ class IdentityCheckError(CircHessError):
 
 class BudgetExceededError(CircHessError):
     """Exhaustive candidate count exceeds the configured budget."""
+
+
+class UnknownSearchModeError(CircHessError):
+    """Search mode not among the supported ones."""

@@ -877,13 +877,17 @@ def primitive_root_of_unity(
 
 
 def _generator_order(spec: QuotientExtension) -> int | None:
-    """Order of the generator when it is a root of unity (None otherwise)."""
-    g = spec.generator_payload
-    acc = g
-    for k in range(1, 4 * spec.deg + 16):
-        if acc == spec.one:
-            return k
-        acc = spec.mul(acc, g)
+    """Order of the generator when it is a root of unity (None otherwise).
+
+    For an extension of QQ of degree deg: a generator of order m has the
+    cyclotomic polynomial Phi_m as its minimal polynomial, so
+    euler_phi(m) = deg, and euler_phi(m) >= sqrt(m / 2) bounds m by
+    2 deg^2.  Only those m are tested, each by fast exponentiation.
+    """
+    g = spec.generator()
+    for m in range(1, 2 * spec.deg**2 + 1):
+        if euler_phi(m) == spec.deg and (g**m).payload == spec.one:
+            return m
     return None
 
 

@@ -20,7 +20,12 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import BudgetExceededError, DimensionMismatchError, UnsupportedFieldError
+from .errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    UnknownSearchModeError,
+    UnsupportedFieldError,
+)
 from .fields import FieldElement, FieldSpec, field_to_string
 from .recurrence import recurrence_status, td_witness, vartheta_from_array
 from .systems import (
@@ -33,6 +38,7 @@ from .linalg import Vector
 
 DEFAULT_EXHAUSTIVE_CAP = 10_000_000
 DEFAULT_RANDOM_TRIALS = 100_000
+SEARCH_MODES = ("exhaustive", "random")
 
 
 @dataclass
@@ -185,8 +191,6 @@ def _candidates(cfg: SearchConfig):
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
     n = cfg.d + 1
-    if cfg.mode not in ("exhaustive", "random"):
-        raise ValueError(f"unknown search mode {cfg.mode!r}")
     if spec.order < n:
         return  # no d + 1 distinct eigenvalues exist: both spaces are empty
     if cfg.mode == "exhaustive":
@@ -210,6 +214,10 @@ def search(cfg: SearchConfig) -> SearchReport:
     a mathematical finding, not an artifact failure.
     """
     spec = cfg.spec
+    if cfg.mode not in SEARCH_MODES:
+        raise UnknownSearchModeError(
+            f"unknown search mode {cfg.mode!r} (expected one of {SEARCH_MODES})"
+        )
     if spec.order is None:
         raise UnsupportedFieldError("search requires a finite field")
     if cfg.d < 3:

@@ -187,50 +187,76 @@ def split_form_build(p: ParameterArray) -> CHSystem:
     return CHSystem(s, d, A, A_star, E, E_star, p.theta, p.theta_star, params=p)
 
 
-def _check_idempotent_family(E, ident) -> bool:
-    total = None
-    for e in E:
-        total = e if total is None else total + e
+def _check_idempotent_family(E, labels, ident) -> None:
+    """Raise CorruptIdempotentsError unless E_0..E_d carry one distinct
+    label each, are nonzero, sum to I and satisfy E_i E_j = delta_ij E_i.
+
+    The products E_i E_j are not formed.  With M = sum_i lambda_i E_i for
+    the mutually distinct labels lambda_i, it is checked that
+    M E_i = lambda_i E_i for every i; that is d + 1 products instead of
+    (d + 1)^2.  This is exact:
+
+    * If sum E_i = I and M E_i = lambda_i E_i, every column of E_i lies in
+      V_i = ker(M - lambda_i I).  Eigenspaces for distinct eigenvalues are
+      independent, and v = sum_i E_i v puts every v in sum_i V_i, so
+      V = V_0 (+) ... (+) V_d.  For v in V_j, the decomposition
+      v = sum_i E_i v with E_i v in V_i is unique, so E_i v = delta_ij v:
+      E_i is the projection onto V_i along the others, which is
+      E_i E_j = delta_ij E_i.
+    * Conversely, orthogonal idempotents summing to I give
+      M E_i = sum_j lambda_j E_j E_i = lambda_i E_i.
+
+    Nonzero members are checked separately: d + 1 of them in dimension
+    d + 1 are then exactly the rank-one primitive idempotents.
+    """
+    if len(labels) != len(E) or len({lam.payload for lam in labels}) != len(E):
+        raise CorruptIdempotentsError("need one distinct label per idempotent")
+    if any(e.is_zero() for e in E):
+        raise CorruptIdempotentsError("stored idempotent family has a zero member")
+    total = E[0]
+    spectral = E[0].scale(labels[0])
+    for e, lam in zip(E[1:], labels[1:]):
+        total = total + e
+        spectral = spectral + e.scale(lam)
     if total != ident:
-        return False
-    for i, ei in enumerate(E):
-        for j, ej in enumerate(E):
-            prod = ei * ej
-            if i == j:
-                if prod != ei:
-                    return False
-            elif not prod.is_zero():
-                return False
-    return True
+        raise CorruptIdempotentsError("stored idempotents do not sum to I")
+    for e, lam in zip(E, labels):
+        if spectral * e != e.scale(lam):
+            raise CorruptIdempotentsError(
+                "stored idempotents fail E_i E_j = delta_ij E_i"
+            )
 
 
 def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
-    """Evaluate every product E_i A* E_j and E*_i A E*_j and compare the
-    zero/nonzero pattern with the circular Hessenberg axioms.
+    """Evaluate every product E_i A* E_j and E*_i A E*_j that the circular
+    Hessenberg pattern constrains, and compare its zero/nonzero pattern
+    with the axioms.
+
+    The pattern leaves the diagonal (j = i) and superdiagonal (j = i + 1)
+    free, so those products are not formed; for d >= 3 the corner (0, d)
+    is never one of them.  Every other product is a full matrix product,
+    independent of the search probe.
 
     First checks the idempotent algebra of both stored families, which may
-    come from anywhere; this is the one place it is checked (see
+    come from anywhere, against their labels theta and theta* (see
+    _check_idempotent_family); this is the one place it is checked (see
     primitive_idempotents).  Sets the system's sticky `verified` flag when
     the pattern holds.
     """
     ident = Matrix.identity(s.spec, s.d + 1)
-    if not _check_idempotent_family(s.E, ident) or not _check_idempotent_family(
-        s.E_star, ident
-    ):
-        raise CorruptIdempotentsError("stored idempotents fail E_i E_j = delta_ij E_i")
+    _check_idempotent_family(s.E, s.theta, ident)
+    _check_idempotent_family(s.E_star, s.theta_star, ident)
     failures = []
     d = s.d
     for cond, family, middle in (("iv", s.E, s.A_star), ("v", s.E_star, s.A)):
         for i in range(d + 1):
             left = family[i] * middle
             for j in range(d + 1):
-                prod = left * family[j]
                 must_zero = (i - j > 1) or (1 < j - i < d)
                 must_nonzero = (i - j == 1) or (j - i == d)
-                if must_zero and not prod.is_zero():
-                    failures.append((cond, i, j))
-                elif must_nonzero and prod.is_zero():
-                    failures.append((cond, i, j))
+                if must_zero or must_nonzero:
+                    if (left * family[j]).is_zero() != must_zero:
+                        failures.append((cond, i, j))
     outcome = VerificationOutcome(not failures, failures)
     if outcome.is_ch:
         s.verified = True

@@ -10,6 +10,7 @@ from circhess import (
     cyclotomic_field,
     field_from_json,
     field_from_string,
+    field_to_string,
     prime_field,
     primitive_root_of_unity,
     quotient_extension,
@@ -255,3 +256,12 @@ def test_root_of_unity_inside_cyclotomic_extension():
     assert (q**4) == 1
     for k in range(1, 4):
         assert (q**k) != 1
+
+
+@pytest.mark.parametrize("n", [105, 120, 210])
+def test_cyclotomic_descriptor_roundtrip_large(n):
+    """The generator's order is found from euler_phi(n) = deg, not from a
+    fixed step count (cyclo:210 has order 210 and degree 48)."""
+    spec = field_from_string(f"cyclo:{n}")
+    assert field_to_string(spec) == f"cyclo:{n}"
+    assert field_from_string(field_to_string(spec)) == spec

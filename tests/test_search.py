@@ -15,7 +15,11 @@ from circhess import (
     split_form_build,
     verify_ch_axioms,
 )
-from circhess.errors import BudgetExceededError, UnsupportedFieldError
+from circhess.errors import (
+    BudgetExceededError,
+    UnknownSearchModeError,
+    UnsupportedFieldError,
+)
 from circhess.search import _split_pattern_probe
 
 
@@ -220,3 +224,8 @@ def test_replay_surfaces_internal_contradiction(monkeypatch, w5_array):
     assert not bundle["ok"]
     assert bundle["classification"]["error"] == "InternalContradiction"
     assert "simulated contradiction" in bundle["classification"]["detail"]
+
+
+def test_unknown_mode_is_typed_error(gf5):
+    with pytest.raises(UnknownSearchModeError):
+        search(SearchConfig(gf5, 3, "bogus"))

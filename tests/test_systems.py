@@ -1,14 +1,20 @@
 """System construction, axiom verification, extraction, duality, ingest."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from circhess import (
+    FieldElement,
     Matrix,
     ParameterArray,
     Vector,
     cyclic_irreducibility_check,
+    determinant,
     dual_system,
     extract_parameter_array,
+    field_from_string,
     ingest_pair,
     isomorphic,
     isomorphism_witness,
@@ -25,6 +31,7 @@ from circhess.errors import (
     UnverifiedSystemError,
     ZeroVectorError,
 )
+from circhess.systems import _check_idempotent_family
 
 
 def test_split_form_matrices(w5_array, gf5):
@@ -266,3 +273,178 @@ def test_tampered_idempotents_raise(w5_array, side):
     with pytest.raises(CorruptIdempotentsError):
         verify_ch_axioms(s)
     assert not s.verified
+
+
+@pytest.mark.parametrize("side", ["E", "E_star"])
+def test_zero_idempotent_member_raises(w5_array, side):
+    """E_0 -> E_0 + E_1 and E_1 -> 0 keeps sum E_i = I and every relation
+    E_i E_j = delta_ij E_i, but a zero member is not a primitive idempotent."""
+    s = split_form_build(w5_array)
+    family = list(getattr(s, side))
+    family[0] = family[0] + family[1]
+    family[1] = Matrix.zero(s.spec, 4)
+    setattr(s, side, tuple(family))
+    with pytest.raises(CorruptIdempotentsError):
+        verify_ch_axioms(s)
+    assert not s.verified
+
+
+# --- the oracle against its definition ---------------------------------------
+
+def _random_element(spec, rng):
+    if spec.order is not None:
+        return FieldElement(spec, rng.choice(list(spec.element_payloads())))
+    return FieldElement(
+        spec, tuple(Fraction(rng.randint(-3, 3)) for _ in range(spec.deg))
+    )
+
+
+def _random_square(spec, n, rng):
+    return Matrix.from_elements(
+        spec, [[_random_element(spec, rng) for _ in range(n)] for _ in range(n)]
+    )
+
+
+def _pairwise_family_ok(E, ident) -> bool:
+    """The definition: sum E_i = I and E_i E_j = delta_ij E_i, every pair."""
+    total = E[0]
+    for e in E[1:]:
+        total = total + e
+    if total != ident:
+        return False
+    for i, ei in enumerate(E):
+        for j, ej in enumerate(E):
+            prod = ei * ej
+            if prod != (ei if i == j else Matrix.zero(ei.spec, ei.nrows)):
+                return False
+    return True
+
+
+def _spectral_family_ok(E, labels, ident) -> bool:
+    try:
+        _check_idempotent_family(E, labels, ident)
+    except CorruptIdempotentsError:
+        return False
+    return True
+
+
+def _cases(fields, ds):
+    """(field, d) pairs whose field has at least d + 1 elements."""
+    out = []
+    for f in fields:
+        order = field_from_string(f).order
+        out += [(f, d) for d in ds if order is None or order > d]
+    return out
+
+
+@pytest.mark.parametrize(
+    "field, d", _cases(("gf:5", "gf:7", "ext:gf:3:1,0,1", "cyclo:4"), (3, 4, 5))
+)
+def test_spectral_family_check_matches_pairwise_definition(field, d):
+    """A valid family is P diag(e_i) P^-1 for a random invertible P, with
+    random distinct labels (GF(5) has no 6 distinct labels, so d = 5 is
+    skipped there).  Sum-preserving tamperings E_0 + X, E_1 - X are invalid
+    for a generic X and valid for X = E_0 N E_1; both checks must agree on
+    all three.  The spectral check alone also rejects a zero member and a
+    repeated label, which the pairwise definition does not look at."""
+    spec = field_from_string(field)
+    n = d + 1
+    rng = random.Random(f"{field}/{d}")
+    ident = Matrix.identity(spec, n)
+    for _ in range(2):
+        while True:
+            p = _random_square(spec, n, rng)
+            if not determinant(p).is_zero():
+                break
+        p_inv = matrix_inverse(p)
+        E = [p * Matrix.diagonal(spec, [int(k == i) for k in range(n)]) * p_inv
+             for i in range(n)]
+        labels = []
+        while len(labels) < n:
+            x = _random_element(spec, rng)
+            if x not in labels:
+                labels.append(x)
+        assert _pairwise_family_ok(E, ident)
+        assert _spectral_family_ok(E, labels, ident)
+
+        x = _random_square(spec, n, rng)
+        generic = [E[0] + x, E[1] - x] + E[2:]
+        assert not _pairwise_family_ok(generic, ident)
+        assert not _spectral_family_ok(generic, labels, ident)
+
+        x = Matrix.zero(spec, n)
+        while x.is_zero():
+            x = E[0] * _random_square(spec, n, rng) * E[1]
+        shifted = [E[0] + x, E[1] - x] + E[2:]
+        assert _pairwise_family_ok(shifted, ident)
+        assert _spectral_family_ok(shifted, labels, ident)
+
+        zero_member = [E[0] + E[1], Matrix.zero(spec, n)] + E[2:]
+        assert _pairwise_family_ok(zero_member, ident)
+        assert not _spectral_family_ok(zero_member, labels, ident)
+
+        repeated = [labels[0]] + labels[1:-1] + [labels[0]]
+        assert not _spectral_family_ok(E, repeated, ident)
+
+
+def _all_products_failures(s):
+    """Reference pattern check that forms all (d + 1)^2 products per side."""
+    d = s.d
+    failures = []
+    for cond, family, middle in (("iv", s.E, s.A_star), ("v", s.E_star, s.A)):
+        for i in range(d + 1):
+            for j in range(d + 1):
+                zero = (family[i] * middle * family[j]).is_zero()
+                if ((i - j > 1) or (1 < j - i < d)) and not zero:
+                    failures.append((cond, i, j))
+                elif ((i - j == 1) or (j - i == d)) and zero:
+                    failures.append((cond, i, j))
+    return failures
+
+
+@pytest.mark.parametrize(
+    "field, d", _cases(("gf:5", "gf:7", "ext:gf:2:1,1,1"), (3, 4, 5))
+)
+def test_failures_match_all_products_reference(field, d):
+    """Skipping the pairs the pattern leaves free changes no failure list."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    rng = random.Random(f"{field}/{d}")
+    non_ch = 0
+    for _ in range(6):
+        p = ParameterArray(
+            spec, d,
+            tuple(FieldElement(spec, x) for x in rng.sample(elems, d + 1)),
+            tuple(FieldElement(spec, x) for x in rng.sample(elems, d + 1)),
+            tuple(FieldElement(spec, rng.choice(nonzero)) for _ in range(d)),
+        )
+        s = split_form_build(p)
+        out = verify_ch_axioms(s)
+        assert out.failures == _all_products_failures(s)
+        assert out.is_ch == (not out.failures)
+        non_ch += not out.is_ch
+    assert non_ch > 0
+
+
+@pytest.mark.parametrize("theta, phi, expected", [
+    ([1, 2, 4, 3], [3, 2, 4], 48),
+    ([0, 1, 2, 3, 4], [1, 2, 3, 4], 72),
+])
+def test_oracle_matrix_product_count(monkeypatch, gf5, theta, phi, expected):
+    """Matrix x Matrix products in one split_form_build + verify_ch_axioms
+    on a GF(5) hit (theta* = theta): 2 d^2 + 10 d."""
+    d = len(phi)
+    assert expected == 2 * d * d + 10 * d
+    p = ParameterArray.make(gf5, theta, theta, phi)
+    mul = Matrix.__mul__
+    count = 0
+
+    def counted(self, other):
+        nonlocal count
+        count += isinstance(other, Matrix)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    assert verify_ch_axioms(split_form_build(p)).is_ch
+    assert count == expected
