@@ -26,6 +26,7 @@ from .errors import (
     IdentityCheckError,
     NotInE0StarVError,
     NotRecurrentError,
+    SingularError,
     UnknownBasisError,
     ZeroVectorError,
 )
@@ -582,18 +583,20 @@ def standard_basis_characterize(s: CHSystem, candidate: list[Vector]) -> bool:
             total = total + v
         crit = (not total.is_zero()) and (s.E_star[0] * total) == total
     x = Matrix.from_columns(candidate)
-    if rank(x) == s.d + 1:
+    try:
         xi = matrix_inverse(x)
-        b = xi * s.A * x
-        b_star = xi * s.A_star * x
-        by_rep = b == Matrix.diagonal(s.spec, s.theta)
-        if by_rep:
-            try:
-                _assert_row_sums(b_star, s.theta_star[0])
-            except IdentityCheckError:
-                by_rep = False
-        if by_rep != crit:
-            raise IdentityCheckError(
-                "eigenspace criterion and representation criterion disagree"
-            )
+    except SingularError:
+        return crit  # not a basis, so there is no representation to compare
+    b = xi * s.A * x
+    b_star = xi * s.A_star * x
+    by_rep = b == Matrix.diagonal(s.spec, s.theta)
+    if by_rep:
+        try:
+            _assert_row_sums(b_star, s.theta_star[0])
+        except IdentityCheckError:
+            by_rep = False
+    if by_rep != crit:
+        raise IdentityCheckError(
+            "eigenspace criterion and representation criterion disagree"
+        )
     return crit

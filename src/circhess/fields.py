@@ -780,18 +780,36 @@ def euler_phi(n: int) -> int:
 
 
 def cyclotomic_polynomial(n: int) -> list[Fraction]:
-    """Coefficients (low-to-high) of the n-th cyclotomic polynomial,
-    computed by the recursive quotient of x^n - 1."""
+    """Coefficients (low-to-high) of the n-th cyclotomic polynomial.
+
+    Built from Phi_1 = x - 1 by Phi_kp(x) = Phi_k(x^p) / Phi_k(x) for each
+    prime p dividing n (p not dividing k), which gives Phi_r for the
+    product r of those primes; then Phi_n(x) = Phi_r(x^(n/r)).
+    """
     b = Rationals()
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    den = [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(d), b)
-    quot, rem = _poly_divmod(num, den, b)
-    if rem:
-        raise ReducibleModulusError(f"cyclotomic division left a remainder for n={n}")
-    return quot
+    poly = [Fraction(-1), Fraction(1)]
+    r = 1
+    for p in _prime_divisors(n):
+        stretched = [Fraction(0)] * ((len(poly) - 1) * p + 1)
+        stretched[::p] = poly
+        poly, _ = _poly_divmod(stretched, poly, b)
+        r *= p
+    out = [Fraction(0)] * ((len(poly) - 1) * (n // r) + 1)
+    out[:: n // r] = poly
+    return out
+
+
+def _cyclotomic_index(modulus) -> int | None:
+    """The m with modulus = Phi_m (coefficients low to high), or None.
+
+    Phi_m has degree euler_phi(m), so only those m are tested; they are at
+    most 2 deg^2 (see _generator_order).
+    """
+    n = len(modulus) - 1
+    for m in range(1, 2 * n * n + 1):
+        if euler_phi(m) == n and tuple(cyclotomic_polynomial(m)) == tuple(modulus):
+            return m
+    return None
 
 
 def cyclotomic_field(n: int, gen: str = "t") -> QuotientExtension:
@@ -933,9 +951,8 @@ def field_to_string(spec: FieldSpec) -> str:
             coeffs = ",".join(spec.base.render(c) for c in spec.modulus)
             return f"ext:gf:{spec.base.p}:{coeffs}"
         if isinstance(spec.base, Rationals):
-            # recognize cyclotomic by generator order
-            m = _generator_order(spec)
-            if m is not None and list(spec.modulus) == cyclotomic_polynomial(m):
+            m = _cyclotomic_index(spec.modulus)
+            if m is not None:
                 return f"cyclo:{m}"
     raise ParseError(f"no string form for {spec}")
 
@@ -949,14 +966,8 @@ def field_from_json(d: dict) -> FieldSpec:
     if kind == "extension":
         base = field_from_json(d["base"])
         coeffs = tuple(base.parse(c) for c in d["modulus"])
-        known_cyclo = False
-        if isinstance(base, Rationals):
-            n = len(coeffs) - 1
-            # accept cyclotomic moduli of any degree by recomputing them
-            for cand in range(3, 4 * n + 20):
-                if euler_phi(cand) == n and tuple(cyclotomic_polynomial(cand)) == coeffs:
-                    known_cyclo = True
-                    break
+        # cyclotomic moduli of any degree are known to be irreducible
+        known_cyclo = isinstance(base, Rationals) and bool(_cyclotomic_index(coeffs))
         return QuotientExtension(
             base, coeffs, d.get("generator", "t"), assume_irreducible=known_cyclo
         )

@@ -281,8 +281,48 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a * b - b * a
 
 
+def _gauss_jordan(spec: FieldSpec, rows, width: int):
+    """Reduce payload rows to reduced row echelon form, pivoting on the
+    first `width` columns; the one elimination loop of the library.
+
+    Returns (rows, pivots, det).  The reduced rows come first in pivot
+    order, each scaled so its pivot is one; the pivot columns are
+    increasing.  det is the product of the pivots with a sign flip for
+    each row swap, and zero once a column has no pivot: for a square
+    block of the first `width` columns, that is its determinant.
+    Elimination stops once every row holds a pivot.
+    """
+    zero = spec.zero
+    mul, sub = spec.mul, spec.sub
+    m = [list(r) for r in rows]
+    pivots = []
+    det = spec.one
+    for col in range(width):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((k for k in range(r, len(m)) if m[k][col] != zero), None)
+        if piv is None:
+            det = zero
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = spec.neg(det)
+        # the pivot row is zero left of col, so only its tail does work
+        det = mul(det, m[r][col])
+        c = spec.inv(m[r][col])
+        tail = [mul(c, x) for x in m[r][col:]]
+        m[r] = m[r][:col] + tail
+        for k, row in enumerate(m):
+            f = row[col]
+            if k != r and f != zero:
+                m[k] = row[:col] + [sub(x, mul(f, y)) for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+    return m, pivots, det
+
+
 def matrix_inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination.
+    """Exact inverse: Gauss-Jordan elimination of [a | I].
 
     Rational payloads stay reduced automatically, which bounds intermediate
     growth; finite-field payloads are already canonical residues.
@@ -291,86 +331,21 @@ def matrix_inverse(a: Matrix) -> Matrix:
         raise DimensionMismatchError("inverse of a non-square matrix")
     s = a.spec
     n = a.nrows
-    m = [list(r) for r in a.rows]
-    inv = [
-        [s.one if i == j else s.zero for j in range(n)] for i in range(n)
-    ]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not s.is_zero(m[r][col]):
-                piv = r
-                break
-        if piv is None:
-            raise SingularError("matrix is singular")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        c = s.inv(m[col][col])
-        m[col] = [s.mul(c, x) for x in m[col]]
-        inv[col] = [s.mul(c, x) for x in inv[col]]
-        for r in range(n):
-            if r == col or s.is_zero(m[r][col]):
-                continue
-            f = m[r][col]
-            m[r] = [s.sub(x, s.mul(f, y)) for x, y in zip(m[r], m[col])]
-            inv[r] = [s.sub(x, s.mul(f, y)) for x, y in zip(inv[r], inv[col])]
-    return Matrix(s, inv)
+    ident = Matrix.identity(s, n).rows
+    rows, pivots, _ = _gauss_jordan(s, [r + e for r, e in zip(a.rows, ident)], n)
+    if len(pivots) < n:
+        raise SingularError("matrix is singular")
+    return Matrix(s, [r[n:] for r in rows])
 
 
 def determinant(a: Matrix) -> FieldElement:
     if not a.is_square():
         raise DimensionMismatchError("determinant of a non-square matrix")
-    s = a.spec
-    n = a.nrows
-    m = [list(r) for r in a.rows]
-    det = s.one
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not s.is_zero(m[r][col]):
-                piv = r
-                break
-        if piv is None:
-            return FieldElement(s, s.zero)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = s.neg(det)
-        det = s.mul(det, m[col][col])
-        c = s.inv(m[col][col])
-        for r in range(col + 1, n):
-            if s.is_zero(m[r][col]):
-                continue
-            f = s.mul(m[r][col], c)
-            m[r] = [s.sub(x, s.mul(f, y)) for x, y in zip(m[r], m[col])]
-    return FieldElement(s, det)
+    return FieldElement(a.spec, _gauss_jordan(a.spec, a.rows, a.ncols)[2])
 
 
 def rank(a: Matrix) -> int:
-    s = a.spec
-    m = [list(r) for r in a.rows]
-    nr, nc = a.nrows, a.ncols
-    rnk = 0
-    for col in range(nc):
-        piv = None
-        for r in range(rnk, nr):
-            if not s.is_zero(m[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rnk], m[piv] = m[piv], m[rnk]
-        c = s.inv(m[rnk][col])
-        m[rnk] = [s.mul(c, x) for x in m[rnk]]
-        for r in range(nr):
-            if r == rnk or s.is_zero(m[r][col]):
-                continue
-            f = m[r][col]
-            m[r] = [s.sub(x, s.mul(f, y)) for x, y in zip(m[r], m[rnk])]
-        rnk += 1
-        if rnk == nr:
-            break
-    return rnk
+    return len(_gauss_jordan(a.spec, a.rows, a.ncols)[1])
 
 
 # --- shape predicates -----------------------------------------------------

@@ -26,6 +26,7 @@ from .errors import (
     PreconditionViolatedError,
     ReducibleModulusError,
     SingularBasisError,
+    SingularError,
     TooShortError,
 )
 from .fields import (
@@ -340,7 +341,7 @@ def fit_closed_form(seq, beta, q=None) -> RecurrenceClosedForm:
         alpha_vec = matrix_inverse(m) * Vector.from_elements(
             fit_spec, [vals[0], vals[1], vals[2]]
         )
-    except Exception as e:
+    except SingularError as e:
         raise SingularBasisError(f"fit basis is singular: {e}") from e
     form = RecurrenceClosedForm(
         case, tuple(alpha_vec.entries()), q, fit_spec, lifted

@@ -30,6 +30,7 @@ from .fields import FieldElement, FieldSpec, field_from_json
 from .linalg import (
     Matrix,
     Vector,
+    _gauss_jordan,
     eigenvalues_bruteforce,
     matrix_inverse,
     primitive_idempotents,
@@ -383,36 +384,17 @@ def cyclic_irreducibility_check(s: CHSystem, w_seed: Vector) -> bool:
     s.require_verified("irreducibility check")
     if w_seed.is_zero():
         raise ZeroVectorError("seed vector is zero")
-    sp = s.spec
     n = s.d + 1
-    basis: list[list] = []  # echelonized rows
-    pivots: list[int] = []
-
-    def reduce_insert(vec) -> bool:
-        v = list(vec.payloads)
-        for row, piv in zip(basis, pivots):
-            if not sp.is_zero(v[piv]):
-                c = v[piv]
-                v = [sp.sub(x, sp.mul(c, y)) for x, y in zip(v, row)]
-        for k in range(n):
-            if not sp.is_zero(v[k]):
-                inv = sp.inv(v[k])
-                basis.append([sp.mul(inv, x) for x in v])
-                pivots.append(k)
-                return True
-        return False
-
-    frontier = [w_seed]
-    reduce_insert(w_seed)
-    while frontier and len(basis) < n:
-        nxt = []
-        for v in frontier:
-            for m in (s.A, s.A_star):
-                w = m * v
-                if reduce_insert(w):
-                    nxt.append(w)
-        frontier = nxt
-    return len(basis) == n
+    a_t, b_t = s.A.transpose(), s.A_star.transpose()
+    w = Matrix(s.spec, [w_seed.payloads])
+    while w.nrows < n:
+        # the rows of w span W; the rows of w * M^T are their images M v
+        stack = w.rows + (w * a_t).rows + (w * b_t).rows
+        rows, pivots, _ = _gauss_jordan(s.spec, stack, n)
+        if len(pivots) == w.nrows:
+            return False  # W is invariant under A and A*, and proper
+        w = Matrix(s.spec, rows[: len(pivots)])
+    return True
 
 
 # --- ingesting raw pairs ---------------------------------------------------
@@ -437,16 +419,13 @@ def ingest_pair(A: Matrix, A_star: Matrix) -> CHSystem | None:
     evs_b = eigenvalues_bruteforce(A_star)
     if evs_a is None or evs_b is None:
         return None
-    order_a = _find_ordering(A, evs_a, A_star)
-    if order_a is None:
+    found_a = _find_ordering(A, evs_a, A_star)
+    if found_a is None:
         return None
-    order_b = _find_ordering(A_star, evs_b, A)
-    if order_b is None:
+    found_b = _find_ordering(A_star, evs_b, A)
+    if found_b is None:
         return None
-    theta = tuple(evs_a[i] for i in order_a)
-    theta_star = tuple(evs_b[i] for i in order_b)
-    E = primitive_idempotents(A, theta)
-    E_star = primitive_idempotents(A_star, theta_star)
+    (theta, E), (theta_star, E_star) = found_a, found_b
     sys = CHSystem(A.spec, n - 1, A, A_star, E, E_star, theta, theta_star)
     if not verify_ch_axioms(sys).is_ch:
         return None
@@ -456,12 +435,13 @@ def ingest_pair(A: Matrix, A_star: Matrix) -> CHSystem | None:
 
 
 def _find_ordering(M: Matrix, evs, other: Matrix):
-    """An ordering of M's idempotents making `other` act in circular
-    Hessenberg fashion, or None."""
+    """An ordering of M's eigenvalues and idempotents making `other` act in
+    circular Hessenberg fashion, as (theta, E) in that order, or None."""
     n = len(evs)
     d = n - 1
     E = primitive_idempotents(M, evs)
-    prods = [[not (E[i] * other * E[j]).is_zero() for j in range(n)] for i in range(n)]
+    lefts = [e * other for e in E]
+    prods = [[not (left * f).is_zero() for f in E] for left in lefts]
     succ = [[i for i in range(n) if i != j and prods[i][j]] for j in range(n)]
     for cycle in _hamiltonian_cycles(succ, n):
         for ordering in _cycle_orderings(cycle):
@@ -478,7 +458,7 @@ def _find_ordering(M: Matrix, evs, other: Matrix):
                 if not ok:
                     break
             if ok:
-                return ordering
+                return tuple(evs[k] for k in ordering), [E[k] for k in ordering]
     return None
 
 

@@ -258,10 +258,21 @@ def test_root_of_unity_inside_cyclotomic_extension():
         assert (q**k) != 1
 
 
-@pytest.mark.parametrize("n", [105, 120, 210])
+@pytest.mark.parametrize("n", [105, 120, 210, 420])
 def test_cyclotomic_descriptor_roundtrip_large(n):
     """The generator's order is found from euler_phi(n) = deg, not from a
     fixed step count (cyclo:210 has order 210 and degree 48)."""
     spec = field_from_string(f"cyclo:{n}")
     assert field_to_string(spec) == f"cyclo:{n}"
     assert field_from_string(field_to_string(spec)) == spec
+
+
+@pytest.mark.parametrize("n", [105, 120, 210, 420])
+def test_cyclotomic_json_roundtrip_large(n):
+    """A cyclotomic modulus is recognized among the m with euler_phi(m) =
+    deg, so its irreducibility need not be certified (cyclo:420 has degree
+    96, beyond any fixed scan of 4 deg + 20 indices)."""
+    spec = cyclotomic_field(n)
+    back = field_from_json(spec.to_json())
+    assert back == spec
+    assert field_to_string(back) == f"cyclo:{n}"

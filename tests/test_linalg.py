@@ -1,5 +1,6 @@
 """Exact matrices: arithmetic oracle checks, shapes, spectral machinery."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from circhess import (
     split_form_build,
 )
 from circhess.fields import QuotientExtension
+from circhess.linalg import rank
 from circhess.errors import (
     DimensionMismatchError,
     NotMultiplicityFreeError,
@@ -389,3 +391,84 @@ def test_matvec_and_vectors():
     v = Vector.from_elements(g5, [1, 1])
     assert (m * v) == Vector.from_elements(g5, [3, 2])
     assert Vector.unit(g5, 3, 1).entries()[1] == g5.one_element()
+
+
+# --- the elimination kernel's callers against test-only references -------------
+
+def _leibniz(a):
+    """Determinant by the permutation expansion; independent of elimination."""
+    s = a.spec
+    n = a.nrows
+    total = s.zero_element()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = s.one_element()
+        for i, j in enumerate(perm):
+            term = term * a.entry(i, j)
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _minor_rank(a):
+    """Size of the largest nonzero minor."""
+    for r in range(min(a.nrows, a.ncols), 0, -1):
+        for rows in itertools.combinations(range(a.nrows), r):
+            for cols in itertools.combinations(range(a.ncols), r):
+                sub = Matrix(a.spec, [[a.rows[i][j] for j in cols] for i in rows])
+                if not _leibniz(sub).is_zero():
+                    return r
+    return 0
+
+
+def _random_of_rank_at_most(spec, n, m, r, rng):
+    if r == 0:
+        return Matrix.zero(spec, n, m)
+    return _random_rect(spec, n, r, rng) * _random_rect(spec, r, m, rng)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_determinant_matches_leibniz(field):
+    spec = field_from_string(field)
+    rng = random.Random(f"det/{field}")
+    for n in range(1, 6):
+        for _ in range(3 if n < 5 else 1):
+            a = _random_rect(spec, n, n, rng)
+            assert determinant(a) == _leibniz(a)
+        singular = _random_of_rank_at_most(spec, n, n, n - 1, rng)
+        assert determinant(singular).is_zero()
+    with pytest.raises(DimensionMismatchError):
+        determinant(_random_rect(spec, 2, 3, rng))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_rank_matches_largest_nonzero_minor(field):
+    """Square, non-square and rank-deficient matrices, and the zero matrix."""
+    spec = field_from_string(field)
+    rng = random.Random(f"rank/{field}")
+    seen = set()
+    for n, m in ((3, 3), (4, 4), (2, 5), (5, 2), (3, 4), (4, 1)):
+        for r in range(0, min(n, m) + 1):
+            a = _random_of_rank_at_most(spec, n, m, r, rng)
+            expected = _minor_rank(a)
+            assert rank(a) == expected
+            assert rank(a.transpose()) == expected
+            seen.add((n == m, expected < min(n, m)))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_inverse_is_two_sided_and_singular_raises(field):
+    spec = field_from_string(field)
+    rng = random.Random(f"inv/{field}")
+    for n in range(1, 6):
+        ident = Matrix.identity(spec, n)
+        a = _random_rect(spec, n, n, rng)
+        while _leibniz(a).is_zero():
+            a = _random_rect(spec, n, n, rng)
+        inv = matrix_inverse(a)
+        assert a * inv == ident and inv * a == ident
+        if n > 1:
+            with pytest.raises(SingularError):
+                matrix_inverse(_random_of_rank_at_most(spec, n, n, n - 1, rng))
+    with pytest.raises(DimensionMismatchError):
+        matrix_inverse(_random_rect(spec, 3, 2, rng))

@@ -21,8 +21,11 @@ from circhess import (
     verify_ch_axioms,
 )
 from circhess.errors import (
+    MixedFieldsError,
     NotRecurrentAtBetaError,
     PreconditionViolatedError,
+    SingularBasisError,
+    SingularError,
     TooShortError,
 )
 
@@ -313,3 +316,22 @@ def test_status_inconsistent_windows_over_rationals():
     p = ParameterArray.make(q, [0, 1, 3, 4], [0, 1, 2, 5], [1, 1, 1])
     st = recurrence_status(p)
     assert not st.recurrent and st.betas == []
+
+
+@pytest.mark.parametrize("raised, expected", [
+    (SingularError, SingularBasisError),
+    (MixedFieldsError, MixedFieldsError),
+])
+def test_fit_maps_only_a_singular_basis(monkeypatch, gf5, raised, expected):
+    """Only a singular fit basis becomes SingularBasisError; any other error
+    from the solve keeps its own type."""
+    import circhess.recurrence as rec
+
+    def failing_inverse(m):
+        raise raised("injected")
+
+    monkeypatch.setattr(rec, "matrix_inverse", failing_inverse)
+    th = [gf5.element(x) for x in (1, 2, 4, 3)]
+    with pytest.raises(expected) as info:
+        fit_closed_form(th, gf5.element(0))
+    assert type(info.value) is expected

@@ -448,3 +448,130 @@ def test_oracle_matrix_product_count(monkeypatch, gf5, theta, phi, expected):
     monkeypatch.setattr(Matrix, "__mul__", counted)
     assert verify_ch_axioms(split_form_build(p)).is_ch
     assert count == expected
+
+
+def _brute_closure_is_everything(spec, mats, seed):
+    """Enumerate the closure of span{seed} under mats as a set of vectors,
+    widening it by one vector at a time; independent of elimination."""
+    scalars = [FieldElement(spec, c) for c in spec.element_payloads()]
+    span = {Vector.zero(spec, seed.n)}
+    todo = [seed]  # every vector of span has its images queued once
+    while todo:
+        u = todo.pop()
+        if u in span:
+            continue
+        added = {v + u.scale(c) for v in span for c in scalars} - span
+        span |= added
+        todo += [m * v for v in added for m in mats]
+    return len(span) == spec.order ** seed.n
+
+
+def _random_split_hit(spec, d, rng):
+    """A random verified split system: a sampled array at d = 3, where hits
+    are common; at d = 4 an affine image theta -> a theta + b,
+    theta* -> a* theta* + b*, phi -> a a* phi of a known GF(5) hit, which
+    keeps the axioms."""
+    elems = [FieldElement(spec, x) for x in spec.element_payloads()]
+    nonzero = [e for e in elems if not e.is_zero()]
+    while True:
+        if d == 4:
+            a, a_star = rng.choice(nonzero), rng.choice(nonzero)
+            b, b_star = rng.choice(elems), rng.choice(elems)
+            p = ParameterArray.make(
+                spec, [a * spec.element(x) + b for x in range(5)],
+                [a_star * spec.element(x) + b_star for x in range(5)],
+                [a * a_star * spec.element(x) for x in range(1, 5)],
+            )
+        else:
+            p = ParameterArray(
+                spec, d, tuple(rng.sample(elems, d + 1)),
+                tuple(rng.sample(elems, d + 1)),
+                tuple(rng.choice(nonzero) for _ in range(d)),
+            )
+        s = split_form_build(p)
+        if verify_ch_axioms(s).is_ch:
+            return s
+
+
+@pytest.mark.parametrize(
+    "field, d", [("gf:5", 3), ("gf:5", 4), ("ext:gf:2:1,1,1", 3), ("gf:7", 3)]
+)
+def test_cyclic_irreducibility_matches_brute_closure(field, d):
+    """Verified split systems: every nonzero seed generates everything."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    rng = random.Random(f"closure/{field}/{d}")
+    for _ in range(2):
+        s = _random_split_hit(spec, d, rng)
+        for _ in range(2):
+            w = Vector(spec, [rng.choice(elems) for _ in range(d + 1)])
+            if w.is_zero():
+                continue
+            assert cyclic_irreducibility_check(s, w)
+            assert _brute_closure_is_everything(spec, (s.A, s.A_star), w)
+
+
+def test_cyclic_irreducibility_on_hidden_block_diagonal_pair(gf5):
+    """A block-diagonal pair conjugated by a random sigma has the invariant
+    subspaces sigma(F^2 + 0) and sigma(0 + F^2); seeds inside one stay in it,
+    and the kernel agrees with the enumerated closure on every seed tried."""
+    from circhess.systems import CHSystem
+
+    rng = random.Random(17)
+    while True:
+        sigma = Matrix(gf5, [[rng.randrange(5) for _ in range(4)] for _ in range(4)])
+        if not determinant(sigma).is_zero():
+            break
+    sigma_inv = matrix_inverse(sigma)
+    blocks = []
+    for _ in range(2):
+        m = [[rng.randrange(5) for _ in range(4)] for _ in range(4)]
+        for i in range(4):
+            for j in range(4):
+                if (i < 2) != (j < 2):
+                    m[i][j] = 0
+        blocks.append(sigma * Matrix(gf5, m) * sigma_inv)
+    a, b = blocks
+    sys = CHSystem(gf5, 3, a, b, [], [], [], [])
+    sys.verified = True  # force the gate to exercise the closure computation
+    outcomes = set()
+    for k in range(12):
+        coeffs = [rng.randrange(5) for _ in range(4)]
+        if k % 3 == 0:
+            coeffs[2:] = [0, 0]  # a seed in sigma(F^2 + 0)
+        elif k % 3 == 1:
+            coeffs[:2] = [0, 0]  # a seed in sigma(0 + F^2)
+        w = sigma * Vector(gf5, coeffs)
+        if w.is_zero():
+            continue
+        got = cyclic_irreducibility_check(sys, w)
+        assert got == _brute_closure_is_everything(gf5, (a, b), w)
+        outcomes.add(got)
+        if k % 3 != 2:
+            assert not got
+    assert outcomes == {True, False}
+
+
+def test_ingest_matrix_product_count(monkeypatch, w5_array, gf5):
+    """Matrix x Matrix products in one d = 3 GF(5) ingest: per side, 7 for
+    the idempotents, 4 left products E_i M and 16 products E_i M E_j; then
+    34 in verify_ch_axioms."""
+    s = split_form_build(w5_array)
+    sigma = Matrix.from_elements(
+        gf5, [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, 4], [1, 0, 0, 1]]
+    )
+    sigma_inv = matrix_inverse(sigma)
+    a = sigma * s.A * sigma_inv
+    b = sigma * s.A_star * sigma_inv
+    mul = Matrix.__mul__
+    count = 0
+
+    def counted(self, other):
+        nonlocal count
+        count += isinstance(other, Matrix)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    got = ingest_pair(a, b)
+    assert got is not None and got.verified and isomorphic(got.params, w5_array)
+    assert count == 2 * (7 + 4 + 16) + 34 == 88
