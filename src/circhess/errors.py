@@ -59,6 +59,11 @@ class UnsupportedFieldError(CircHessError):
 
 # --- systems -----------------------------------------------------------------
 
+class InvalidParameterArrayError(CircHessError, ValueError):
+    """Parameter array with a repeated theta or theta* value, or a zero
+    phi entry."""
+
+
 class ZeroVectorError(CircHessError):
     """A nonzero vector was required."""
 

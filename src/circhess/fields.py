@@ -802,8 +802,12 @@ def cyclotomic_polynomial(n: int) -> list[Fraction]:
 def _cyclotomic_index(modulus) -> int | None:
     """The m with modulus = Phi_m (coefficients low to high), or None.
 
-    Phi_m has degree euler_phi(m), so only those m are tested; they are at
-    most 2 deg^2 (see _generator_order).
+    Phi_m has degree euler_phi(m), so only the m with euler_phi(m) = deg
+    are tested; euler_phi(m) >= sqrt(m / 2) bounds them by 2 deg^2.
+
+    For an extension of QQ this is also the order of the generator as a
+    root of unity: a generator of order m has Phi_m as its minimal
+    polynomial, which is the modulus, and conversely.
     """
     n = len(modulus) - 1
     for m in range(1, 2 * n * n + 1):
@@ -862,10 +866,9 @@ def primitive_root_of_unity(
     if spec.order is None:
         # infinite extension (cyclotomic over QQ): look among generator powers
         if isinstance(spec, QuotientExtension):
-            g = spec.generator()
-            m = _generator_order(spec)
+            m = _cyclotomic_index(spec.modulus)
             if m is not None and m % n == 0:
-                return g ** (m // n)
+                return spec.generator() ** (m // n)
         raise NoSuchRootError(f"no primitive {n}-th root found in {spec}")
     group = spec.order - 1
     if group % n == 0:
@@ -892,21 +895,6 @@ def primitive_root_of_unity(
             ext = _find_extension_field(spec, k)
             return primitive_root_of_unity(ext, n)
     raise NoSuchRootError(f"no GF({p}^k) with k <= 8 contains an order-{n} root")
-
-
-def _generator_order(spec: QuotientExtension) -> int | None:
-    """Order of the generator when it is a root of unity (None otherwise).
-
-    For an extension of QQ of degree deg: a generator of order m has the
-    cyclotomic polynomial Phi_m as its minimal polynomial, so
-    euler_phi(m) = deg, and euler_phi(m) >= sqrt(m / 2) bounds m by
-    2 deg^2.  Only those m are tested, each by fast exponentiation.
-    """
-    g = spec.generator()
-    for m in range(1, 2 * spec.deg**2 + 1):
-        if euler_phi(m) == spec.deg and (g**m).payload == spec.one:
-            return m
-    return None
 
 
 def _find_extension_field(base: PrimeField, k: int) -> QuotientExtension:

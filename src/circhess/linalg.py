@@ -9,6 +9,7 @@ brute-force eigenvalue scan for finite fields.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 
 from .errors import (
@@ -370,20 +371,35 @@ def is_hessenberg(a: Matrix) -> bool:
     return all(not s.is_zero(a.rows[i + 1][i]) for i in range(n - 1))
 
 
+@functools.cache
+def _circular_hessenberg_pattern(n: int) -> tuple:
+    """The one definition of the circular Hessenberg shape on n x n
+    matrices: the constrained entries as (i, j, must_be_zero), row-major.
+
+    Nonzero on the subdiagonal (i - j = 1) and at the corner (0, n - 1);
+    zero at every other entry with |i - j| > 1; the diagonal and the
+    superdiagonal are free.  For n <= 3 the corner lies on the diagonal,
+    the superdiagonal or the band, and is still required nonzero.  The
+    axiom oracle, the ingest ordering search and the search probe all read
+    this table.
+    """
+    nonzero = {(i + 1, i) for i in range(n - 1)} | {(0, n - 1)}
+    return tuple(
+        (i, j, (i, j) not in nonzero)
+        for i in range(n)
+        for j in range(n)
+        if (i, j) in nonzero or abs(i - j) > 1
+    )
+
+
 def is_circular_hessenberg(a: Matrix) -> bool:
     """Hessenberg, corner (0, d) nonzero, zeros elsewhere above the
-    superdiagonal."""
-    if not is_hessenberg(a):
-        return False
-    s = a.spec
-    n = a.nrows
-    if s.is_zero(a.rows[0][n - 1]):
-        return False
-    for i in range(n):
-        for j in range(n):
-            if j - i > 1 and (i, j) != (0, n - 1) and not s.is_zero(a.rows[i][j]):
-                return False
-    return True
+    superdiagonal (see _circular_hessenberg_pattern)."""
+    is_zero, rows = a.spec.is_zero, a.rows
+    return all(
+        is_zero(rows[i][j]) == zero
+        for i, j, zero in _circular_hessenberg_pattern(a.nrows)
+    )
 
 
 def is_tridiagonal(a: Matrix) -> bool:

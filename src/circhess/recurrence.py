@@ -34,7 +34,7 @@ from .fields import (
     FieldSpec,
     QuotientExtension,
     Rationals,
-    _generator_order,
+    _cyclotomic_index,
     quotient_extension,
 )
 from .linalg import Matrix, Vector, commutator, matrix_inverse
@@ -236,7 +236,7 @@ def solve_unit_root(spec: FieldSpec, beta):
                     return q, spec, False
     elif isinstance(spec, QuotientExtension):
         g = spec.generator()
-        bound = _generator_order(spec) or 4 * spec.deg + 8
+        bound = _cyclotomic_index(spec.modulus) or 4 * spec.deg + 8
         cand = spec.one_element()
         for _ in range(bound):
             for e in (cand, -cand):

@@ -3,10 +3,13 @@
 The search space is parameter-array data (distinct eigenvalue tuples plus a
 nonzero split tuple): every system has a split form, so this space is
 complete up to isomorphism.  Candidates are screened by an exact
-division-free probe that evaluates the same zero/nonzero pattern the axioms
-demand (through the rank-one spectral decomposition of the bidiagonal split
-matrices); every probe hit is then re-verified by the full idempotent-product
-oracle, which is authoritative.  Hits that fail to be recurrent are
+division-free probe that reads the one circular Hessenberg pattern
+(linalg._circular_hessenberg_pattern) the axiom oracle reads, and evaluates
+it through the rank-one spectral decomposition of the bidiagonal split
+matrices.  The probe has one set of eigenvector loops: its E* side is its
+E side run on the dual array (theta*, theta, phi reversed).  Every probe
+hit is then re-verified by the full idempotent-product oracle, which is
+authoritative and shares only the pattern's specification with the probe.  Hits that fail to be recurrent are
 counterexamples to the open conjecture that all such systems are recurrent:
 they are persisted as replayable JSON before any post-processing.
 """
@@ -34,7 +37,7 @@ from .systems import (
     verify_ch_axioms,
     cyclic_irreducibility_check,
 )
-from .linalg import Vector
+from .linalg import Vector, _circular_hessenberg_pattern
 
 DEFAULT_EXHAUSTIVE_CAP = 10_000_000
 DEFAULT_RANDOM_TRIALS = 100_000
@@ -88,13 +91,33 @@ class SearchReport:
 def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
     """Exact screen for the circular Hessenberg pattern of a split-form pair.
 
-    E_i A* E_j equals a nonzero outer product scaled by r_i . (A* s_j), with
+    The E side (E_i A* E_j) is evaluated by _probe_side on the array itself;
+    the E* side (E*_i A E*_j) is the E side of the dual array
+    (theta*, theta, phi reversed).  That is exact for every candidate, not
+    only for systems: with J the reversal matrix and D the diagonal matrix
+    with D_{t+1} / D_t = 1 / phi_{d-t} (which exists because every phi_i is
+    nonzero), conjugation by D J maps A* of split(theta, theta*, phi) onto
+    A of split(theta*, theta, phi reversed) and A onto its A*, and carries
+    E*_i to the dual's E_i (both belong to theta*_i).  Conjugation keeps
+    every product zero or nonzero, so the two patterns agree entry by entry.
+    """
+    return _probe_side(spec, theta, theta_star, phi, d) and _probe_side(
+        spec, theta_star, theta, phi[::-1], d
+    )
+
+
+def _probe_side(spec, theta, theta_star, phi, d) -> bool:
+    """The pattern of E_i A* E_j for split(theta, theta*, phi), by scalars.
+
+    E_i A* E_j is a nonzero outer product scaled by r_i . (A* s_j), with
     r_i, s_j the (unnormalized) left/right eigenvectors of the bidiagonal
-    matrices, so the pattern reduces to scalar tests.  Of the axiom pattern,
-    only the strictly-upper zeros (1 < j - i < d) and the corner can fail
-    for split-form data; the subdiagonal and lower-zero conditions hold
-    identically and are left to the authoritative re-verification of hits.
-    All arithmetic is division-free (global eigenvector rescaling).
+    A, so the pattern reduces to scalar tests.  Of the pattern, only the
+    entries above the superdiagonal (zeros, and the nonzero corner) can
+    fail for split-form data; the subdiagonal and lower-zero conditions
+    hold identically and are left to the authoritative re-verification of
+    hits.  Those entries are tested in pattern order, stopping at the first
+    violation.  All arithmetic is division-free (global eigenvector
+    rescaling).
     """
     add, sub, mul, is_zero = spec.add, spec.sub, spec.mul, spec.is_zero
     one, zero = spec.one, spec.zero
@@ -115,7 +138,10 @@ def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
             y[j + 1] = mul(sub(theta[i], theta[d - j]), y[j])
         return y
 
-    def probe_iv(i, j):
+    # A*: upper bidiagonal, diagonal theta_star[t] at t, phi above
+    for i, j, must_zero in _circular_hessenberg_pattern(n):
+        if j <= i:
+            continue
         r, s = left_a(i), right_a(j)
         acc = zero
         for t in range(n):
@@ -123,58 +149,8 @@ def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
             if t < d:
                 v = add(v, mul(phi[t], s[t + 1]))
             acc = add(acc, mul(r[t], v))
-        return acc
-
-    # A*: upper bidiagonal, diagonal theta_star[t] at t, phi above
-    def right_astar(k):
-        x = [zero] * n
-        prefix = one
-        phiprod = one
-        vals = [None] * (k + 1)
-        for i in range(k, -1, -1):
-            vals[i] = phiprod
-            if i > 0:
-                phiprod = mul(phiprod, phi[i - 1])  # phi_{i} for descending i
-        # multiply in the (theta*_k - theta*_s) prefixes, ascending
-        for i in range(k + 1):
-            x[i] = mul(vals[i], prefix)
-            prefix = mul(prefix, sub(theta_star[k], theta_star[i]))
-        return x
-
-    def left_astar(i):
-        y = [zero] * n
-        suffix = [one] * (n + 1)
-        for j in range(d, i - 1, -1):
-            suffix[j] = mul(suffix[j + 1], sub(theta_star[i], theta_star[j]))
-        phiprod = one
-        for j in range(i, n):
-            if j > i:
-                phiprod = mul(phiprod, phi[j - 1])
-            y[j] = mul(phiprod, suffix[j + 1])
-        return y
-
-    def probe_v(i, j):
-        r, s = left_astar(i), right_astar(j)
-        acc = zero
-        for t in range(n):
-            v = mul(theta[d - t], s[t])
-            if t > 0:
-                v = add(v, s[t - 1])
-            acc = add(acc, mul(r[t], v))
-        return acc
-
-    for off in range(2, d):
-        for i in range(0, n - off):
-            if not is_zero(probe_iv(i, i + off)):
-                return False
-    if is_zero(probe_iv(0, d)):
-        return False
-    for off in range(2, d):
-        for i in range(0, n - off):
-            if not is_zero(probe_v(i, i + off)):
-                return False
-    if is_zero(probe_v(0, d)):
-        return False
+        if is_zero(acc) != must_zero:
+            return False
     return True
 
 

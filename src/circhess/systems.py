@@ -7,6 +7,8 @@ circular Hessenberg fashion on the other's eigenspace ordering:
     E_i A* E_j  is  0 if 1 < i - j or 1 < j - i < d,  nonzero if
     i - j = 1 or j - i = d   (and symmetrically with E*_i A E*_j).
 
+That shape is defined once, as linalg._circular_hessenberg_pattern.
+
 The complete isomorphism invariant is the parameter array
 (eigenvalue sequence theta, dual eigenvalue sequence theta*, split
 sequence phi); split_form_build realizes any valid array as a concrete
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from .errors import (
     CorruptIdempotentsError,
     DimensionMismatchError,
+    InvalidParameterArrayError,
     MixedFieldsError,
     NotInE0StarVError,
     UnsupportedFieldError,
@@ -30,6 +33,7 @@ from .fields import FieldElement, FieldSpec, field_from_json
 from .linalg import (
     Matrix,
     Vector,
+    _circular_hessenberg_pattern,
     _gauss_jordan,
     eigenvalues_bruteforce,
     matrix_inverse,
@@ -69,10 +73,12 @@ class ParameterArray:
             seen = set()
             for e in seq:
                 if e.payload in seen:
-                    raise ValueError(f"{name} values must be mutually distinct")
+                    raise InvalidParameterArrayError(
+                        f"{name} values must be mutually distinct"
+                    )
                 seen.add(e.payload)
         if any(e.is_zero() for e in self.phi):
-            raise ValueError("split sequence entries must be nonzero")
+            raise InvalidParameterArrayError("split sequence entries must be nonzero")
 
     @classmethod
     def make(cls, spec: FieldSpec, theta, theta_star, phi) -> "ParameterArray":
@@ -233,10 +239,12 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     Hessenberg pattern constrains, and compare its zero/nonzero pattern
     with the axioms.
 
-    The pattern leaves the diagonal (j = i) and superdiagonal (j = i + 1)
-    free, so those products are not formed; for d >= 3 the corner (0, d)
-    is never one of them.  Every other product is a full matrix product,
-    independent of the search probe.
+    The pattern is the one table linalg._circular_hessenberg_pattern(d + 1),
+    which the search probe and the ingest ordering search read too; only
+    the specification is shared.  It leaves the diagonal (j = i) and
+    superdiagonal (j = i + 1) free, so those products are not formed; for
+    d >= 3 the corner (0, d) is never one of them.  Every constrained
+    product is a full matrix product, independent of the search probe.
 
     First checks the idempotent algebra of both stored families, which may
     come from anywhere, against their labels theta and theta* (see
@@ -248,16 +256,12 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     _check_idempotent_family(s.E, s.theta, ident)
     _check_idempotent_family(s.E_star, s.theta_star, ident)
     failures = []
-    d = s.d
+    pattern = _circular_hessenberg_pattern(s.d + 1)
     for cond, family, middle in (("iv", s.E, s.A_star), ("v", s.E_star, s.A)):
-        for i in range(d + 1):
-            left = family[i] * middle
-            for j in range(d + 1):
-                must_zero = (i - j > 1) or (1 < j - i < d)
-                must_nonzero = (i - j == 1) or (j - i == d)
-                if must_zero or must_nonzero:
-                    if (left * family[j]).is_zero() != must_zero:
-                        failures.append((cond, i, j))
+        lefts = [e * middle for e in family]
+        for i, j, zero in pattern:
+            if (lefts[i] * family[j]).is_zero() != zero:
+                failures.append((cond, i, j))
     outcome = VerificationOutcome(not failures, failures)
     if outcome.is_ch:
         s.verified = True
@@ -438,27 +442,15 @@ def _find_ordering(M: Matrix, evs, other: Matrix):
     """An ordering of M's eigenvalues and idempotents making `other` act in
     circular Hessenberg fashion, as (theta, E) in that order, or None."""
     n = len(evs)
-    d = n - 1
     E = primitive_idempotents(M, evs)
     lefts = [e * other for e in E]
     prods = [[not (left * f).is_zero() for f in E] for left in lefts]
     succ = [[i for i in range(n) if i != j and prods[i][j]] for j in range(n)]
+    pattern = _circular_hessenberg_pattern(n)
     for cycle in _hamiltonian_cycles(succ, n):
-        for ordering in _cycle_orderings(cycle):
-            pos = {v: k for k, v in enumerate(ordering)}
-            ok = True
-            for a in range(n):
-                for b in range(n):
-                    i, j = pos[a], pos[b]
-                    have = prods[a][b]
-                    if (i - j > 1) or (1 < j - i < d):
-                        ok &= not have
-                    elif (i - j == 1) or (j - i == d):
-                        ok &= have
-                if not ok:
-                    break
-            if ok:
-                return tuple(evs[k] for k in ordering), [E[k] for k in ordering]
+        for o in _cycle_orderings(cycle):
+            if all(prods[o[i]][o[j]] != zero for i, j, zero in pattern):
+                return tuple(evs[k] for k in o), [E[k] for k in o]
     return None
 
 

@@ -51,6 +51,21 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert {"condition": "iv", "i": 0, "j": 3} in payload["failures"]
 
 
+def test_verify_invalid_array_is_usage_error(tmp_path, capsys):
+    """A repeated theta value is a malformed input: exit 2 with an error
+    line, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "field": {"kind": "prime", "p": 5}, "d": 3,
+        "theta": ["1", "1", "4", "3"], "theta_star": ["1", "2", "4", "3"],
+        "phi": ["3", "1", "3"],
+    }))
+    code, stdout, err = run(capsys, "verify", "--in", str(bad))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "mutually distinct" in err
+
+
 def test_verify_matrix_pair(tmp_path, capsys, w5_system):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({

@@ -24,7 +24,7 @@ from circhess.errors import (
     ParseError,
     ReducibleModulusError,
 )
-from circhess.fields import cyclotomic_polynomial, euler_phi
+from circhess.fields import _cyclotomic_index, cyclotomic_polynomial, euler_phi
 
 
 def all_specs():
@@ -276,3 +276,36 @@ def test_cyclotomic_json_roundtrip_large(n):
     back = field_from_json(spec.to_json())
     assert back == spec
     assert field_to_string(back) == f"cyclo:{n}"
+
+
+def _generator_power_order(spec):
+    """Test-only reference: the least k <= 2 deg^2 with g^k = 1, by
+    successive powers of the generator, or None."""
+    g = spec.generator()
+    power = g
+    for k in range(1, 2 * spec.deg**2 + 1):
+        if power == 1:
+            return k
+        power = power * g
+    return None
+
+
+def test_cyclotomic_index_is_the_generator_order():
+    """Over QQ the generator has order m exactly when the modulus is Phi_m;
+    other moduli give None."""
+    specs = [cyclotomic_field(m) for m in range(3, 31)]
+    specs += [quotient_extension(rationals(), c) for c in
+              ([-2, 0, 1], [2, 0, 1], [3, -1, 0, 1])]
+    found = 0
+    for spec in specs:
+        m = _generator_power_order(spec)
+        assert _cyclotomic_index(spec.modulus) == m
+        found += m is not None
+    assert found == 28
+
+
+def test_root_of_unity_of_large_cyclotomic_order():
+    spec = cyclotomic_field(420)
+    assert primitive_root_of_unity(spec, 420) == spec.generator()
+    q = primitive_root_of_unity(spec, 105)
+    assert q == spec.generator() ** 4

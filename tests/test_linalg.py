@@ -23,7 +23,7 @@ from circhess import (
     split_form_build,
 )
 from circhess.fields import QuotientExtension
-from circhess.linalg import rank
+from circhess.linalg import is_circular_hessenberg, rank
 from circhess.errors import (
     DimensionMismatchError,
     NotMultiplicityFreeError,
@@ -254,6 +254,39 @@ def test_shape_classify_exhaustive_gf2_4x4():
             assert hess
         if irred:
             assert tri
+
+
+def test_circular_hessenberg_other_sizes():
+    """is_circular_hessenberg against the independent predicate on every
+    0/1 matrix over GF(2) at n = 1, 2, 3, where the corner (0, n - 1)
+    falls on the diagonal, the superdiagonal or the band, and on random
+    0/1 matrices at n = 5, 6."""
+    g2 = prime_field(2)
+    cases = []
+    for n in (1, 2, 3):
+        for bits in range(1 << (n * n)):
+            cases.append([[(bits >> (n * i + j)) & 1 for j in range(n)]
+                          for i in range(n)])
+    rng = random.Random(23)
+    for n in (5, 6):
+        for k in range(1000):
+            # a third start from a circular Hessenberg pattern, so both
+            # verdicts occur; the rest are uniform
+            rows = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+            if k % 3 == 0:
+                rows = [[int(i - j == 1 or (i, j) == (0, n - 1)
+                             or (abs(i - j) <= 1 and rows[i][j]))
+                         for j in range(n)] for i in range(n)]
+                if k % 2:
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    rows[i][j] ^= 1
+            cases.append(rows)
+    verdicts = set()
+    for rows in cases:
+        expected = _oracle_flags(rows)[3]
+        assert is_circular_hessenberg(Matrix.from_elements(g2, rows)) == expected
+        verdicts.add((len(rows), expected))
+    assert verdicts == {(n, v) for n in (1, 2, 3, 5, 6) for v in (True, False)}
 
 
 # --- idempotents ---------------------------------------------------------------

@@ -6,9 +6,13 @@ import random
 import pytest
 
 from circhess import (
+    Family,
     FieldElement,
     ParameterArray,
     SearchConfig,
+    family_generate,
+    field_from_string,
+    iter_family_instances,
     prime_field,
     replay,
     search,
@@ -50,6 +54,38 @@ def test_probe_equals_oracle_d4(gf7):
         p = ParameterArray.make(gf7, th, ths, ph)
         full = verify_ch_axioms(split_form_build(p)).is_ch
         assert probe == full
+
+
+@pytest.mark.parametrize("family, field, d", [
+    ("F1", "gf:11", 4),
+    ("F1", "gf:7", 5),
+    ("F2", "gf:5", 4),
+    ("F3", "ext:gf:3:1,0,1", 5),
+])
+def test_probe_equals_oracle_near_family_systems(family, field, d):
+    """Random d >= 4 candidates are almost never systems, so start from
+    family systems: each array, its one-entry phi perturbations, its
+    rotated theta* and its reversed theta, probe == oracle on every one."""
+    spec = field_from_string(field)
+    nonzero = [e for e in spec.element_payloads() if not spec.is_zero(e)]
+    rng = random.Random(f"{family}/{field}/{d}")
+    hits = misses = 0
+    for fp in iter_family_instances(Family(family), spec, d, 3):
+        p = family_generate(fp)
+        th = tuple(e.payload for e in p.theta)
+        ths = tuple(e.payload for e in p.theta_star)
+        ph = tuple(e.payload for e in p.phi)
+        variants = [(th, ths, ph), (th, ths[1:] + ths[:1], ph), (th[::-1], ths, ph)]
+        for k in range(d):
+            other = rng.choice([x for x in nonzero if x != ph[k]])
+            variants.append((th, ths, ph[:k] + (other,) + ph[k + 1:]))
+        for v in variants:
+            probe = _split_pattern_probe(spec, *v, d)
+            full = verify_ch_axioms(split_form_build(_payload_array(spec, *v))).is_ch
+            assert probe == full
+            hits += full
+            misses += not full
+    assert hits >= 3 and misses > 0
 
 
 def _payload_array(spec, th, ths, ph):

@@ -24,8 +24,10 @@ from circhess import (
     verify_ch_axioms,
 )
 from circhess.errors import (
+    CircHessError,
     CorruptIdempotentsError,
     DimensionMismatchError,
+    InvalidParameterArrayError,
     MixedFieldsError,
     NotInE0StarVError,
     UnverifiedSystemError,
@@ -226,6 +228,20 @@ def test_parameter_array_validation(gf5):
         ParameterArray.make(gf5, [1, 2, 4, 3], [1, 2, 4, 3], [0, 1, 1])
     with pytest.raises(DimensionMismatchError):
         ParameterArray.make(gf5, [1, 2, 4], [1, 2, 4], [1, 1])
+
+
+def test_parameter_array_errors_are_typed(gf5):
+    """A repeated theta or theta* value and a zero phi entry raise one typed
+    error, which is still a ValueError."""
+    for theta, theta_star, phi in (
+        ([1, 1, 2, 3], [1, 2, 4, 3], [1, 1, 1]),
+        ([1, 2, 4, 3], [0, 2, 0, 3], [1, 1, 1]),
+        ([1, 2, 4, 3], [1, 2, 4, 3], [1, 0, 1]),
+    ):
+        with pytest.raises(InvalidParameterArrayError) as info:
+            ParameterArray.make(gf5, theta, theta_star, phi)
+        assert isinstance(info.value, CircHessError)
+        assert isinstance(info.value, ValueError)
 
 
 def test_parameter_array_json_roundtrip(w5_array):
@@ -575,3 +591,41 @@ def test_ingest_matrix_product_count(monkeypatch, w5_array, gf5):
     got = ingest_pair(a, b)
     assert got is not None and got.verified and isomorphic(got.params, w5_array)
     assert count == 2 * (7 + 4 + 16) + 34 == 88
+
+
+@pytest.mark.parametrize(
+    "field, d",
+    _cases(("gf:5", "gf:7", "ext:gf:2:1,1,1", "ext:gf:3:1,0,1"), (3, 4, 5)),
+)
+def test_dual_split_form_carries_the_e_star_pattern(field, d):
+    """split(theta*, theta, phi reversed) is split(theta, theta*, phi) with
+    A and A* swapped, conjugated by D J (J the reversal, D diagonal with
+    D_{t+1} / D_t = 1 / phi_{d-t}); so every E*_i A E*_j of the array is
+    zero exactly when E_i A* E_j of the dual array is.  Checked on random
+    arrays, systems or not."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    rng = random.Random(f"dual/{field}/{d}")
+    patterns = set()
+    for _ in range(8):
+        th = tuple(FieldElement(spec, x) for x in rng.sample(elems, d + 1))
+        ths = tuple(FieldElement(spec, x) for x in rng.sample(elems, d + 1))
+        ph = tuple(FieldElement(spec, rng.choice(nonzero)) for _ in range(d))
+        s = split_form_build(ParameterArray(spec, d, th, ths, ph))
+        t = split_form_build(ParameterArray(spec, d, ths, th, ph[::-1]))
+        diag = [spec.one_element()]
+        for k in range(d):
+            diag.append(diag[-1] / ph[d - 1 - k])
+        dj = Matrix.diagonal(spec, diag) * Matrix.reversal(spec, d + 1)
+        dj_inv = matrix_inverse(dj)
+        assert dj * s.A_star * dj_inv == t.A
+        assert dj * s.A * dj_inv == t.A_star
+        pattern = []
+        for i in range(d + 1):
+            for j in range(d + 1):
+                zero = (s.E_star[i] * s.A * s.E_star[j]).is_zero()
+                assert zero == (t.E[i] * t.A_star * t.E[j]).is_zero()
+                pattern.append(zero)
+        patterns.add(tuple(pattern))
+    assert len(patterns) > 1
