@@ -138,16 +138,16 @@ def build_basis_catalog(s: CHSystem, u_star: Vector | None = None):
     if u.is_zero():
         raise IdentityCheckError("E_0 u* vanished on a verified system")
 
+    def split_vectors(a, theta, v):
+        vecs = [v]
+        for i in range(1, d + 1):
+            vecs.append((a - ident.scale(theta[d - i + 1])) * vecs[-1])
+        return vecs
+
     standard = [e * seed for e in s.E]
-    split = [seed]
-    for i in range(1, d + 1):
-        split.append((s.A - ident.scale(s.theta[d - i + 1])) * split[-1])
+    split = split_vectors(s.A, s.theta, seed)
     dual_standard = [e * u for e in s.E_star]
-    dual_split = [u]
-    for i in range(1, d + 1):
-        dual_split.append(
-            (s.A_star - ident.scale(s.theta_star[d - i + 1])) * dual_split[-1]
-        )
+    dual_split = split_vectors(s.A_star, s.theta_star, u)
     vectors = {
         "standard": standard,
         "split": split,
@@ -313,34 +313,32 @@ def _bidiagonal(spec, diag, off, upper: bool) -> Matrix:
     return Matrix.from_elements(spec, rows)
 
 
+def _split_representation(spec, theta, theta_star, phi):
+    """(A, A*) in the split basis of the array (theta, theta*, phi)."""
+    ones = [spec.one_element()] * (len(theta) - 1)
+    return (
+        _bidiagonal(spec, list(theta[::-1]), ones, upper=False),
+        _bidiagonal(spec, list(theta_star), list(phi), upper=True),
+    )
+
+
 def _closed_representation(catalog: BasisCatalog, name: str):
-    s = catalog.system
-    spec = s.spec
-    d = s.d
-    p = s.params
-    ones = [spec.one_element()] * d
-    th, ths, phi = p.theta, p.theta_star, p.phi
-    if name == "split":
-        return (
-            _bidiagonal(spec, list(th[::-1]), ones, upper=False),
-            _bidiagonal(spec, list(ths), list(phi), upper=True),
-        )
-    if name == "dual_split":
-        return (
-            _bidiagonal(spec, list(th), list(phi[::-1]), upper=True),
-            _bidiagonal(spec, list(ths[::-1]), ones, upper=False),
-        )
-    if name == "inv_split":
-        return (
-            _bidiagonal(spec, list(th), ones, upper=True),
-            _bidiagonal(spec, list(ths[::-1]), list(phi[::-1]), upper=False),
-        )
-    if name == "inv_dual_split":
-        return (
-            _bidiagonal(spec, list(th[::-1]), list(phi), upper=False),
-            _bidiagonal(spec, list(ths), ones, upper=True),
-        )
-    return None  # standard bases handled by shape + entry assertions
+    """The displayed (A, A*) of a split-type basis, from the array alone.
+
+    dual_split is the split basis of the dual array (theta*, theta, phi
+    reversed) with the pair swapped; an inv_ basis lists its vectors in
+    reverse order, so its matrices are J B J, B with rows and columns
+    reversed."""
+    if name.endswith("standard"):
+        return None  # standard bases handled by shape + entry assertions
+    spec, p = catalog.system.spec, catalog.system.params
+    if "dual" in name:
+        b_star, b = _split_representation(spec, p.theta_star, p.theta, p.phi[::-1])
+    else:
+        b, b_star = _split_representation(spec, p.theta, p.theta_star, p.phi)
+    if name.startswith("inv_"):
+        return tuple(Matrix(spec, (r[::-1] for r in m.rows[::-1])) for m in (b, b_star))
+    return b, b_star
 
 
 def represent(catalog: BasisCatalog, name: str) -> RepresentationPair:
@@ -360,18 +358,20 @@ def represent(catalog: BasisCatalog, name: str) -> RepresentationPair:
             raise IdentityCheckError(
                 f"representation in {name} basis disagrees with its closed form"
             )
-    elif name == "standard":
-        if b != Matrix.diagonal(s.spec, s.theta):
-            raise IdentityCheckError("standard-basis A is not diag(theta)")
-        if shape_classify(b_star) is not ShapeClass.CIRCULAR_HESSENBERG:
-            raise IdentityCheckError("standard-basis A* is not circular Hessenberg")
-        _assert_row_sums(b_star, s.theta_star[0])
-    else:  # dual_standard
-        if b_star != Matrix.diagonal(s.spec, s.theta_star):
-            raise IdentityCheckError("dual-standard-basis A* is not diag(theta*)")
-        if shape_classify(b) is not ShapeClass.CIRCULAR_HESSENBERG:
-            raise IdentityCheckError("dual-standard-basis A is not circular Hessenberg")
-        _assert_row_sums(b, s.theta[0])
+    else:
+        # the dual-standard basis is the standard basis of the pair (A*, A)
+        dual = name == "dual_standard"
+        diag, circ = (b_star, b) if dual else (b, b_star)
+        th, th_circ = (s.theta_star, s.theta) if dual else (s.theta, s.theta_star)
+        st, st_circ = ("*", "") if dual else ("", "*")
+        where = name.replace("_", "-")
+        if diag != Matrix.diagonal(s.spec, th):
+            raise IdentityCheckError(f"{where}-basis A{st} is not diag(theta{st})")
+        if shape_classify(circ) is not ShapeClass.CIRCULAR_HESSENBERG:
+            raise IdentityCheckError(
+                f"{where}-basis A{st_circ} is not circular Hessenberg"
+            )
+        _assert_row_sums(circ, th_circ[0])
     return RepresentationPair(name, b, b_star)
 
 

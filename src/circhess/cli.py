@@ -80,7 +80,13 @@ def _emit(payload: dict, out_path: str | None):
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}: {e}") from e
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _array_from_input(data: dict) -> ParameterArray:

@@ -7,12 +7,20 @@ Each family realizes one closed-form case of beta-recurrence:
     F3  beta = -2, d odd >= 5, characteristic (d+1)/2
     F4  beta = 0,  characteristic 2, d = 3
 
+The closed form of each case is defined once, by recurrence._case_basis:
+a family's theta, theta* and wrap scalars vartheta are three combinations
+of its case's basis, with coefficients (a, b, c), (a*, b*, c*) and (x, y, z),
+where vartheta_0 = 0 fixes x.  Only the split sequence phi has a displayed
+formula of its own in each family.
+
 family_generate builds a parameter array from family data after checking
 every hypothesis (the generator rejects invalid data; validity is never
-assumed).  classify_family inverts it: every recurrent array lands in
-exactly one family, and the recovered data regenerates an equal array.
-A recurrent array failing every case would contradict the classification
-and is reported as InternalContradictionError, never swallowed.
+assumed).  classify_family inverts it along one path for all four
+families: the recurrence case of beta names the family, closed-form fits
+in that case's basis recover the data, and the recovered data must pass
+the same hypotheses and regenerate an equal array.  A recurrent array
+failing that would contradict the classification and is reported as
+InternalContradictionError, never swallowed.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .fields import FieldElement, FieldSpec
 from .recurrence import (
     RecurrenceCase,
     _binom2_mod4,
+    _case_basis,
     fit_closed_form,
     recurrence_status,
     select_case,
@@ -46,6 +55,16 @@ class Family(Enum):
     F2_BETA2 = "F2"
     F3_BETA_MINUS2 = "F3"
     F4_BETA0_CHAR2 = "F4"
+
+
+# each family realizes exactly one closed-form case of beta-recurrence
+_FAMILY_CASE = {
+    Family.F1_GENERIC_Q: RecurrenceCase.GENERIC_Q,
+    Family.F2_BETA2: RecurrenceCase.BETA2,
+    Family.F3_BETA_MINUS2: RecurrenceCase.BETA_MINUS2,
+    Family.F4_BETA0_CHAR2: RecurrenceCase.BETA0_CHAR2,
+}
+_CASE_FAMILY = {case: fam for fam, case in _FAMILY_CASE.items()}
 
 
 @dataclass(frozen=True)
@@ -93,6 +112,8 @@ def _validate(fp: FamilyParameters):
     if d < 3:
         raise InvalidFamilyParametersError("d >= 3")
     fam = fp.family
+    # the unstarred and starred (b, c) pairs obey the same hypotheses
+    pairs = (("", fp.b, fp.c), ("*", fp.b_star, fp.c_star))
     if fam is Family.F1_GENERIC_Q:
         q = fp.q
         if q is None or q.is_zero():
@@ -105,14 +126,11 @@ def _validate(fp: FamilyParameters):
                     "q^i != 1 for 1 <= i <= d", f"fails at i={i}"
                 )
         for k in range(1, 2 * d):
-            if fp.c == fp.b * q**k:
-                raise InvalidFamilyParametersError(
-                    "c != b q^i for 1 <= i <= 2d-1", f"fails at i={k}"
-                )
-            if fp.c_star == fp.b_star * q**k:
-                raise InvalidFamilyParametersError(
-                    "c* != b* q^i for 1 <= i <= 2d-1", f"fails at i={k}"
-                )
+            for s, b, c in pairs:
+                if c == b * q**k:
+                    raise InvalidFamilyParametersError(
+                        f"c{s} != b{s} q^i for 1 <= i <= 2d-1", f"fails at i={k}"
+                    )
         if fp.y == fp.z:
             raise InvalidFamilyParametersError("y,z distinct")
     elif fam is Family.F2_BETA2:
@@ -121,14 +139,11 @@ def _validate(fp: FamilyParameters):
                 "Char(F) = d+1", f"char {spec.characteristic} != {d + 1}"
             )
         for k in range(1, 2 * d):
-            if 2 * fp.b == fp.c * (1 - k):
-                raise InvalidFamilyParametersError(
-                    "2b != c(1-i) for 1 <= i <= 2d-1", f"fails at i={k}"
-                )
-            if 2 * fp.b_star == fp.c_star * (1 - k):
-                raise InvalidFamilyParametersError(
-                    "2b* != c*(1-i) for 1 <= i <= 2d-1", f"fails at i={k}"
-                )
+            for s, b, c in pairs:
+                if 2 * b == c * (1 - k):
+                    raise InvalidFamilyParametersError(
+                        f"2b{s} != c{s}(1-i) for 1 <= i <= 2d-1", f"fails at i={k}"
+                    )
         if 2 * fp.y == fp.z:
             raise InvalidFamilyParametersError("2y != z")
     elif fam is Family.F3_BETA_MINUS2:
@@ -142,14 +157,11 @@ def _validate(fp: FamilyParameters):
             if v.is_zero():
                 raise InvalidFamilyParametersError("b, b*, c, c* nonzero", name)
         for k in range(1, 2 * d, 2):
-            if 2 * fp.b == -k * fp.c:
-                raise InvalidFamilyParametersError(
-                    "2b != -ic for odd 1 <= i <= 2d-1", f"fails at i={k}"
-                )
-            if 2 * fp.b_star == -k * fp.c_star:
-                raise InvalidFamilyParametersError(
-                    "2b* != -ic* for odd 1 <= i <= 2d-1", f"fails at i={k}"
-                )
+            for s, b, c in pairs:
+                if 2 * b == -k * c:
+                    raise InvalidFamilyParametersError(
+                        f"2b{s} != -ic{s} for odd 1 <= i <= 2d-1", f"fails at i={k}"
+                    )
         if fp.z.is_zero():
             raise InvalidFamilyParametersError("z != 0")
     elif fam is Family.F4_BETA0_CHAR2:
@@ -160,10 +172,9 @@ def _validate(fp: FamilyParameters):
         for name, v in (("b", fp.b), ("b*", fp.b_star), ("c", fp.c), ("c*", fp.c_star)):
             if v.is_zero():
                 raise InvalidFamilyParametersError("b, b*, c, c* nonzero", name)
-        if fp.b == fp.c:
-            raise InvalidFamilyParametersError("b != c")
-        if fp.b_star == fp.c_star:
-            raise InvalidFamilyParametersError("b* != c*")
+        for s, b, c in pairs:
+            if b == c:
+                raise InvalidFamilyParametersError(f"b{s} != c{s}")
         if fp.z.is_zero():
             raise InvalidFamilyParametersError("z != 0")
 
@@ -179,80 +190,55 @@ def family_beta(fp: FamilyParameters) -> FieldElement:
 
 
 def _closed_forms(fp: FamilyParameters):
-    """(theta_i, theta*_i, phi_i, vartheta_i) as functions of the index."""
+    """(theta, theta*, phi, vartheta) as lists over the index.  theta,
+    theta* and vartheta (i = 0..d) combine the basis (f1, f2, f3) of the
+    family's recurrence case; phi_i (i = 1..d) is the family's displayed
+    formula, so the wrap-scalar check of family_generate tests it."""
     e = fp.spec.element
-    a, b, c = fp.a, fp.b, fp.c
-    as_, bs, cs = fp.a_star, fp.b_star, fp.c_star
+    b, c, bs, cs = fp.b, fp.c, fp.b_star, fp.c_star
     y, z, d = fp.y, fp.z, fp.d
+    basis = _case_basis(_FAMILY_CASE[fp.family], fp.spec, fp.q)
+    rows = [basis(i) for i in range(d + 1)]
+    # vartheta_0 = 0 fixes the constant coefficient
+    x = -(y * rows[0][1] + z * rows[0][2])
+
+    def combine(a1, a2, a3):
+        return [a1 * f1 + a2 * f2 + a3 * f3 for f1, f2, f3 in rows]
+
+    theta = combine(fp.a, b, c)
+    theta_star = combine(fp.a_star, bs, cs)
+    vth = combine(x, y, z)
     if fp.family is Family.F1_GENERIC_Q:
         q = fp.q
 
-        def theta(i):
-            return a + b * q**i + c * q**-i
-
-        def theta_star(i):
-            return as_ + bs * q**i + cs * q**-i
-
-        def vth(i):
-            return (q**i - 1) * (y - z * q**-i)
-
-        def phi(i):
-            return vth(i) + (q**i - 1) * (q**-i - 1) * (b - c * q**i) * (
+        def phi_f(i, vth_i):
+            return vth_i + (q**i - 1) * (q**-i - 1) * (b - c * q**i) * (
                 bs - cs * q**-i
             )
 
     elif fp.family is Family.F2_BETA2:
-
-        def theta(i):
-            return a + i * b + e(i * (i - 1) // 2) * c
-
-        def theta_star(i):
-            return as_ + i * bs + e(i * (i - 1) // 2) * cs
-
-        def vth(i):
-            return i * y + e(i * (i - 1) // 2) * z
-
         half = e(2) ** -1
 
-        def phi(i):
+        def phi_f(i, vth_i):
             return i * (y + (i - 1) * half * z) - e(i * i) * (
                 b + (d - i) * half * c
             ) * (bs + (i - 1) * half * cs)
 
     elif fp.family is Family.F3_BETA_MINUS2:
 
-        def theta(i):
-            sg = e((-1) ** i)
-            return a + sg * b + e(i * (-1) ** i) * c
-
-        def theta_star(i):
-            sg = e((-1) ** i)
-            return as_ + sg * bs + e(i * (-1) ** i) * cs
-
-        def vth(i):
-            return e((-1) ** i - 1) * y + e(i * (-1) ** i) * z
-
-        def phi(i):
+        def phi_f(i, vth_i):
             sgm = e((-1) ** i - 1)
             isg = e(i * (-1) ** i)
-            return vth(i) + (sgm * b - isg * c) * (sgm * bs + isg * cs)
+            return vth_i + (sgm * b - isg * c) * (sgm * bs + isg * cs)
 
     else:  # F4, characteristic 2 with the mod-4 binomial convention
 
-        def theta(i):
-            return a + i * b + e(_binom2_mod4(i)) * c
-
-        def theta_star(i):
-            return as_ + i * bs + e(_binom2_mod4(i)) * cs
-
-        def vth(i):
-            return i * y + e(_binom2_mod4(i)) * z
-
-        def phi(i):
-            return vth(i) + (i * b + e(_binom2_mod4(i + 1)) * c) * (
+        def phi_f(i, vth_i):
+            return vth_i + (i * b + e(_binom2_mod4(i + 1)) * c) * (
                 i * bs + e(_binom2_mod4(i)) * cs
             )
 
+    phi = [phi_f(i, vth[i]) for i in range(1, d + 1)]
     return theta, theta_star, phi, vth
 
 
@@ -263,23 +249,16 @@ def family_generate(fp: FamilyParameters) -> ParameterArray:
     displayed form, and unequal first/last wrap scalars."""
     _validate(fp)
     d = fp.d
-    theta_f, theta_star_f, phi_f, vth_f = _closed_forms(fp)
-    phi = [phi_f(i) for i in range(1, d + 1)]
+    theta, theta_star, phi, vth_f = _closed_forms(fp)
     for i, v in enumerate(phi, start=1):
         if v.is_zero():
             raise InvalidFamilyParametersError(
                 "phi_i != 0 for 1 <= i <= d", f"phi_{i} = 0 for this y,z choice"
             )
-    p = ParameterArray(
-        fp.spec,
-        d,
-        tuple(theta_f(i) for i in range(d + 1)),
-        tuple(theta_star_f(i) for i in range(d + 1)),
-        tuple(phi),
-    )
+    p = ParameterArray(fp.spec, d, tuple(theta), tuple(theta_star), tuple(phi))
     vth = vartheta_from_array(p)
     for i in range(1, d + 1):
-        if vth[i] != vth_f(i):
+        if vth[i] != vth_f[i]:
             raise IdentityCheckError(
                 f"generated wrap scalar {i} disagrees with the family closed form"
             )
@@ -308,10 +287,13 @@ def classify_family(p: ParameterArray) -> Classification:
     """Identify the unique family a recurrent array belongs to and recover
     generating data that regenerates an equal array.
 
-    The additive gauge (a is a free shift absorbed into theta_0) is fixed by
-    the closed-form fit from the first three terms; for the generic case both
+    The family is the one realizing the recurrence case of beta.  The
+    additive gauge (a is a free shift absorbed into theta_0) is fixed by the
+    closed-form fit from the first three terms; for the generic case both
     roots q, 1/q are acceptable and the first that regenerates the array under
-    the fixed enumeration order is kept.
+    the fixed enumeration order is kept.  Recovered data that violates its
+    family's hypotheses or fails to regenerate the array is an internal
+    contradiction.
     """
     st = recurrence_status(p)
     if not st.recurrent:
@@ -323,80 +305,30 @@ def classify_family(p: ParameterArray) -> Classification:
             "vartheta_1 = vartheta_d: not the array of a circular system"
         )
     case = select_case(p.spec, beta)
+    fam = _CASE_FAMILY[case]
     if case is RecurrenceCase.GENERIC_Q:
-        return _classify_generic(p, beta)
-    if case is RecurrenceCase.BETA2:
-        if p.spec.characteristic != p.d + 1:
-            raise InternalContradictionError(
-                f"beta = 2 but characteristic {p.spec.characteristic} != d+1"
-            )
-        fam = Family.F2_BETA2
-    elif case is RecurrenceCase.BETA_MINUS2:
-        if p.d % 2 == 0 or p.d < 5 or p.spec.characteristic != (p.d + 1) // 2:
-            raise InternalContradictionError(
-                "beta = -2 but d/characteristic fail the classification case"
-            )
-        fam = Family.F3_BETA_MINUS2
+        q0, fit_spec, lifted = solve_unit_root(p.spec, beta)
+        roots = (q0, q0**-1)
     else:
-        if p.d != 3:
-            raise InternalContradictionError("beta = 0 in characteristic 2 but d != 3")
-        fam = Family.F4_BETA0_CHAR2
-    ft = fit_closed_form(p.theta, beta)
-    fts = fit_closed_form(p.theta_star, beta)
-    ftv = fit_closed_form(vartheta_from_array(p), beta)
-    # the zero endpoint vartheta_0 = 0 pins the fit's constant term
-    if fam is Family.F3_BETA_MINUS2:
-        if ftv.alpha[0] != -ftv.alpha[1]:
-            raise InternalContradictionError(
-                "wrap-scalar fit violates the zero-endpoint elimination"
-            )
-    elif not ftv.alpha[0].is_zero():
-        raise InternalContradictionError("wrap-scalar fit has nonzero constant term")
-    fp = FamilyParameters(
-        fam, p.spec, p.d,
-        ft.alpha[0], ft.alpha[1], ft.alpha[2],
-        fts.alpha[0], fts.alpha[1], fts.alpha[2],
-        ftv.alpha[1], ftv.alpha[2],
-    )
-    _regenerate_and_compare(fp, p)
-    return Classification(fam, fp, beta, False)
-
-
-def _classify_generic(p: ParameterArray, beta) -> Classification:
-    q0, fit_spec, lifted = solve_unit_root(p.spec, beta)
-    target = p.lift(fit_spec) if lifted else p
-    beta_l = beta.lift(fit_spec) if lifted else beta
-    # the classification case forces q to be a primitive (d+1)-th root
-    if (q0 ** (p.d + 1)) != 1:
-        raise InternalContradictionError(
-            "beta != +-2 and recurrent, but q is not a (d+1)-th root of unity"
-        )
-    for k in range(1, p.d + 1):
-        if (q0**k) == 1:
-            raise InternalContradictionError(
-                f"q has order {k} <= d; eigenvalues could not be distinct"
-            )
+        fit_spec, lifted, roots = p.spec, False, (None,)
+    target = p.lift(fit_spec)
+    beta_l = beta.lift(fit_spec)
     last_error = None
-    for q in (q0, q0**-1):
+    for q in roots:
         ft = fit_closed_form(target.theta, beta_l, q=q)
         fts = fit_closed_form(target.theta_star, beta_l, q=q)
+        # the fit reproduces vartheta_0 = 0, so its constant term is implied
         ftv = fit_closed_form(vartheta_from_array(target), beta_l, q=q)
-        x, y, z = ftv.alpha
-        if x != -(y + z):
-            raise InternalContradictionError(
-                "wrap-scalar fit violates the zero-endpoint elimination"
-            )
         fp = FamilyParameters(
-            Family.F1_GENERIC_Q, fit_spec, p.d,
-            ft.alpha[0], ft.alpha[1], ft.alpha[2],
-            fts.alpha[0], fts.alpha[1], fts.alpha[2],
-            y, z, q,
+            fam, fit_spec, p.d, *ft.alpha, *fts.alpha, *ftv.alpha[1:], q
         )
         try:
             _regenerate_and_compare(fp, target)
-            return Classification(Family.F1_GENERIC_Q, fp, beta, lifted)
-        except (InvalidFamilyParametersError, InternalContradictionError) as e:
+            return Classification(fam, fp, beta, lifted)
+        except InternalContradictionError as e:
             last_error = e
+    if len(roots) == 1:
+        raise last_error
     raise InternalContradictionError(
         f"no unit root regenerates the array: {last_error}"
     )
@@ -428,17 +360,15 @@ def vartheta_combination(p: ParameterArray, beta):
     case = select_case(p.spec, beta)
     rows = []
     if case is RecurrenceCase.GENERIC_Q:
-        q, fit_spec, lifted = solve_unit_root(p.spec, beta)
-        v1 = vth[1].lift(fit_spec) if lifted else vth[1]
-        vd = vth[d].lift(fit_spec) if lifted else vth[d]
+        q, fit_spec, _ = solve_unit_root(p.spec, beta)
+        v1, vd = vth[1].lift(fit_spec), vth[d].lift(fit_spec)
         den = (q - 1) * (q ** (d - 1) - 1)
         for i in range(1, d + 1):
             claimed = (
                 (q**i - 1) * (q ** (d - i) - 1) * v1
                 + (q ** (i - 1) - 1) * (q ** (d - i + 1) - 1) * vd
             ) / den
-            computed = vth[i].lift(fit_spec) if lifted else vth[i]
-            rows.append((i, claimed, computed))
+            rows.append((i, claimed, vth[i].lift(fit_spec)))
     elif case is RecurrenceCase.BETA2:
         e = p.spec.element
         den = e(d - 1)

@@ -733,9 +733,12 @@ class FieldElement:
     def __repr__(self):
         return f"<{self.spec.render(self.payload)} in {self.spec}>"
 
-    def lift(self, ext: QuotientExtension) -> "FieldElement":
-        """Embed this element into a quotient extension of its own field."""
-        if ext.base != self.spec:
+    def lift(self, ext: FieldSpec) -> "FieldElement":
+        """Embed this element into `ext`, which is its own field (the element
+        is returned unchanged) or a quotient extension of it."""
+        if ext == self.spec:
+            return self
+        if not isinstance(ext, QuotientExtension) or ext.base != self.spec:
             raise MixedFieldsError(f"{ext} does not extend {self.spec}")
         return FieldElement(ext, ext.embed(self.payload))
 
@@ -945,18 +948,36 @@ def field_to_string(spec: FieldSpec) -> str:
     raise ParseError(f"no string form for {spec}")
 
 
+def _json_fields(d, *keys) -> list:
+    """The values under `keys` of the JSON object `d`, or ParseError when
+    `d` is not an object or lacks one of them."""
+    if not isinstance(d, dict):
+        raise ParseError(f"expected a JSON object, got {type(d).__name__}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ParseError(f"JSON object lacks {', '.join(map(repr, missing))}")
+    return [d[k] for k in keys]
+
+
 def field_from_json(d: dict) -> FieldSpec:
-    kind = d.get("kind")
-    if kind == "rationals":
-        return Rationals()
-    if kind == "prime":
-        return PrimeField(int(d["p"]))
-    if kind == "extension":
-        base = field_from_json(d["base"])
-        coeffs = tuple(base.parse(c) for c in d["modulus"])
-        # cyclotomic moduli of any degree are known to be irreducible
-        known_cyclo = isinstance(base, Rationals) and bool(_cyclotomic_index(coeffs))
-        return QuotientExtension(
-            base, coeffs, d.get("generator", "t"), assume_irreducible=known_cyclo
-        )
+    (kind,) = _json_fields(d, "kind")
+    try:
+        if kind == "rationals":
+            return Rationals()
+        if kind == "prime":
+            (p,) = _json_fields(d, "p")
+            return PrimeField(int(p))
+        if kind == "extension":
+            base_json, modulus = _json_fields(d, "base", "modulus")
+            base = field_from_json(base_json)
+            coeffs = tuple(base.parse(c) for c in modulus)
+            # cyclotomic moduli of any degree are known to be irreducible
+            known_cyclo = isinstance(base, Rationals) and bool(
+                _cyclotomic_index(coeffs)
+            )
+            return QuotientExtension(
+                base, coeffs, d.get("generator", "t"), assume_irreducible=known_cyclo
+            )
+    except (TypeError, ValueError, NotPrimeError, ReducibleModulusError) as e:
+        raise ParseError(f"bad field JSON {d!r}: {e}") from e
     raise ParseError(f"bad field JSON {d!r}")

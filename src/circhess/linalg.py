@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatchError,
     MixedFieldsError,
     NotMultiplicityFreeError,
+    ParseError,
     RepeatedEigenvalueError,
     SingularError,
     UnsupportedFieldError,
@@ -268,11 +269,17 @@ class Matrix:
 
     @classmethod
     def from_json(cls, d: dict) -> "Matrix":
-        from .fields import field_from_json
+        from .fields import _json_fields, field_from_json
 
-        spec = field_from_json(d["field"])
-        m = cls(spec, ((spec.parse(x) for x in row) for row in d["entries"]))
-        if (m.nrows, m.ncols) != (d["rows"], d["cols"]):
+        field, entries, nrows, ncols = _json_fields(
+            d, "field", "entries", "rows", "cols"
+        )
+        spec = field_from_json(field)
+        try:
+            m = cls(spec, ((spec.parse(x) for x in row) for row in entries))
+        except TypeError as e:
+            raise ParseError(f"bad matrix entries: {e}") from e
+        if (m.nrows, m.ncols) != (nrows, ncols):
             raise DimensionMismatchError("matrix JSON shape mismatch")
         return m
 

@@ -324,13 +324,10 @@ def fit_closed_form(seq, beta, q=None) -> RecurrenceClosedForm:
         else:
             fit_spec = q.spec
             lifted = fit_spec != spec
-            beta_f = spec.element(beta)
-            if lifted:
-                beta_f = beta_f.lift(fit_spec)
+            beta_f = spec.element(beta).lift(fit_spec)
             if not (q * q - beta_f * q + fit_spec.one_element()).is_zero():
                 raise NoSuchRootError("supplied q does not satisfy q + 1/q = beta")
-        if lifted:
-            vals = [v.lift(fit_spec) for v in vals]
+        vals = [v.lift(fit_spec) for v in vals]
     else:
         q = None
         fit_spec = spec
@@ -374,10 +371,9 @@ def recurrent_quotient(seq, beta, i: int, j: int, r: int, s: int) -> FieldElemen
     lhs = (vals[i] - vals[j]) / (vals[r] - vals[s])
     case = select_case(spec, spec.element(beta))
     if case is RecurrenceCase.GENERIC_Q:
-        q, fit_spec, lifted = solve_unit_root(spec, spec.element(beta))
+        q, fit_spec, _ = solve_unit_root(spec, spec.element(beta))
         rhs = (q**i - q**j) / (q**r - q**s)
-        cmp_lhs = lhs.lift(fit_spec) if lifted else lhs
-        if rhs != cmp_lhs:
+        if rhs != lhs.lift(fit_spec):
             raise IdentityCheckError("quotient identity failed in the generic case")
         return lhs
     if case is RecurrenceCase.BETA2:

@@ -25,11 +25,12 @@ from .errors import (
     InvalidParameterArrayError,
     MixedFieldsError,
     NotInE0StarVError,
+    ParseError,
     UnsupportedFieldError,
     UnverifiedSystemError,
     ZeroVectorError,
 )
-from .fields import FieldElement, FieldSpec, field_from_json
+from .fields import FieldElement, FieldSpec, _json_fields, field_from_json
 from .linalg import (
     Matrix,
     Vector,
@@ -88,7 +89,10 @@ class ParameterArray:
         return cls(spec, len(th) - 1, th, ths, ph)
 
     def lift(self, ext) -> "ParameterArray":
-        """Embed the array into a quotient extension of its field."""
+        """Embed the array into `ext`, which is its own field (the array is
+        returned unchanged) or a quotient extension of it."""
+        if ext == self.spec:
+            return self
         return ParameterArray(
             ext,
             self.d,
@@ -108,8 +112,10 @@ class ParameterArray:
 
     @classmethod
     def from_json(cls, d: dict) -> "ParameterArray":
-        spec = field_from_json(d["field"])
-        return cls.make(spec, d["theta"], d["theta_star"], d["phi"])
+        field, *seqs = _json_fields(d, "field", "theta", "theta_star", "phi")
+        if not all(isinstance(seq, list) for seq in seqs):
+            raise ParseError("theta, theta_star and phi must be JSON lists")
+        return cls.make(field_from_json(field), *seqs)
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from circhess.cli import main
 
 
@@ -172,3 +174,48 @@ def test_cyclotomic_gen_defaults_generator(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["is_ch"]
     assert data["family_parameters"]["q"] == "0+1*t"
+
+
+_W5_SEQS = {"theta": ["1", "2", "4", "3"], "theta_star": ["1", "2", "4", "3"],
+            "phi": ["3", "2", "4"]}
+_GF5 = {"kind": "prime", "p": 5}
+_MALFORMED = {
+    "array without field": _W5_SEQS,
+    "top-level list": [1, 2, 3],
+    "top-level string": "theta",
+    "field not an object": {**_W5_SEQS, "field": "gf:5"},
+    "prime field without p": {**_W5_SEQS, "field": {"kind": "prime"}},
+    "composite p": {**_W5_SEQS, "field": {"kind": "prime", "p": 4}},
+    "modulus not a list": {**_W5_SEQS, "field": {
+        "kind": "extension", "base": _GF5, "modulus": 7}},
+    "theta not a list": {**_W5_SEQS, "field": _GF5, "theta": 5},
+    "array not an object": {"parameter_array": [1, 2]},
+    "matrix without entries": {
+        "A": {"field": _GF5, "rows": 2, "cols": 2},
+        "A_star": {"field": _GF5, "rows": 2, "cols": 2}},
+    "matrix entries not lists": {
+        "A": {"field": _GF5, "rows": 2, "cols": 2, "entries": 3},
+        "A_star": {"field": _GF5, "rows": 2, "cols": 2, "entries": 3}},
+    "bare matrix without field": {"entries": [["1"]], "rows": 1, "cols": 1},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "bases", "replay", "dump"])
+@pytest.mark.parametrize("doc", sorted(_MALFORMED))
+def test_malformed_json_is_usage_error(tmp_path, capsys, command, doc):
+    """A document that is valid JSON but not a well-formed array, pair or
+    matrix exits 2 with an error line, not with a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_MALFORMED[doc]))
+    code, _, err = run(capsys, command, "--in", str(bad))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_invalid_json_text_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, _, err = run(capsys, "verify", "--in", str(bad))
+    assert code == 2
+    assert err.startswith("error:")

@@ -309,3 +309,23 @@ def test_root_of_unity_of_large_cyclotomic_order():
     assert primitive_root_of_unity(spec, 420) == spec.generator()
     q = primitive_root_of_unity(spec, 105)
     assert q == spec.generator() ** 4
+
+
+def test_lift_into_own_field_or_extension_only(gf5, gf7, w5_array):
+    """Lifting into the element's own field is the identity; lifting into a
+    quadratic extension embeds; any other target is a MixedFieldsError,
+    never a bare AttributeError."""
+    one = gf5.element(1)
+    assert one.lift(gf5) is one
+    assert w5_array.lift(gf5) is w5_array
+    ext = primitive_root_of_unity(gf5, 8, allow_extension=True).spec
+    assert one.lift(ext) == ext.one_element()
+    assert w5_array.lift(ext).theta[2] == ext.element(4)
+    gf9 = quotient_extension(prime_field(3), [1, 0, 1], gen="w")
+    for target in (gf7, gf9, rationals()):
+        with pytest.raises(MixedFieldsError):
+            one.lift(target)
+        with pytest.raises(MixedFieldsError):
+            w5_array.lift(target)
+    with pytest.raises(MixedFieldsError):
+        ext.one_element().lift(gf5)
