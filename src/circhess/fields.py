@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -244,7 +245,7 @@ class PrimeField(FieldSpec):
         return pow(a, -1, self.p)
 
     def dot(self, xs, ys):
-        return sum(map(int.__mul__, xs, ys)) % self.p
+        return sum(map(operator.mul, xs, ys)) % self.p
 
     def element_payloads(self):
         return iter(range(self.p))
@@ -966,7 +967,9 @@ def field_from_json(d: dict) -> FieldSpec:
             return Rationals()
         if kind == "prime":
             (p,) = _json_fields(d, "p")
-            return PrimeField(int(p))
+            if type(p) is not int:
+                raise ParseError(f"prime field p must be a JSON integer, got {p!r}")
+            return PrimeField(p)
         if kind == "extension":
             base_json, modulus = _json_fields(d, "base", "modulus")
             base = field_from_json(base_json)

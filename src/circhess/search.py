@@ -6,16 +6,23 @@ complete up to isomorphism.  Candidates are screened by an exact
 division-free probe that reads the one circular Hessenberg pattern
 (linalg._circular_hessenberg_pattern) the axiom oracle reads, and evaluates
 it through the rank-one spectral decomposition of the bidiagonal split
-matrices.  The probe has one set of eigenvector loops: its E* side is its
-E side run on the dual array (theta*, theta, phi reversed).  Every probe
-hit is then re-verified by the full idempotent-product oracle, which is
-authoritative and shares only the pattern's specification with the probe.  Hits that fail to be recurrent are
-counterexamples to the open conjecture that all such systems are recurrent:
-they are persisted as replayable JSON before any post-processing.
+matrices.  Each entry the probe tests is an affine form in phi, built in one
+place (_probe_forms); the E* side is the E side of the dual array
+(theta*, theta, phi reversed).  Random mode evaluates the forms at each
+candidate.  Exhaustive mode solves for phi instead of enumerating it: per
+(theta, theta*) pair, the zero entries are linear equations in phi, solved
+by exact elimination, and their solutions are filtered for nonzero phi and
+nonzero corners.  Every probe hit, in either mode, is then re-verified by
+the full idempotent-product oracle, which is authoritative and shares only
+the pattern's specification with the probe.  Hits that fail to be
+recurrent are counterexamples to the open conjecture that all such systems
+are recurrent: they are persisted as replayable JSON before any
+post-processing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -37,7 +44,7 @@ from .systems import (
     verify_ch_axioms,
     cyclic_irreducibility_check,
 )
-from .linalg import Vector, _circular_hessenberg_pattern
+from .linalg import Vector, _circular_hessenberg_pattern, _gauss_jordan
 
 DEFAULT_EXHAUSTIVE_CAP = 10_000_000
 DEFAULT_RANDOM_TRIALS = 100_000
@@ -107,51 +114,92 @@ def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
 
 
 def _probe_side(spec, theta, theta_star, phi, d) -> bool:
-    """The pattern of E_i A* E_j for split(theta, theta*, phi), by scalars.
+    """The pattern of E_i A* E_j for split(theta, theta*, phi): its affine
+    forms evaluated at phi in pattern order, stopping at the first
+    violation."""
+    add, dot, is_zero = spec.add, spec.dot, spec.is_zero
+    for must_zero, const, coeffs in _probe_forms(spec, theta, theta_star, d):
+        if is_zero(add(const, dot(coeffs, phi))) != must_zero:
+            return False
+    return True
+
+
+def _probe_forms(spec, theta, theta_star, d):
+    """The probe's scalars for split(theta, theta*, phi) as affine forms in
+    phi: (must_zero, const, coeffs) per pattern entry (i, j) with j > i,
+    computed lazily in pattern order.
 
     E_i A* E_j is a nonzero outer product scaled by r_i . (A* s_j), with
     r_i, s_j the (unnormalized) left/right eigenvectors of the bidiagonal
-    A, so the pattern reduces to scalar tests.  Of the pattern, only the
-    entries above the superdiagonal (zeros, and the nonzero corner) can
-    fail for split-form data; the subdiagonal and lower-zero conditions
-    hold identically and are left to the authoritative re-verification of
-    hits.  Those entries are tested in pattern order, stopping at the first
-    violation.  All arithmetic is division-free (global eigenvector
-    rescaling).
+    A, so the pattern reduces to scalar tests.  A depends on theta alone,
+    and A* is upper bidiagonal with theta* on the diagonal and phi above
+    it, so r_i . (A* s_j) = const + sum_t coeffs[t] phi_t with
+    const = sum_t r_i[t] theta*_t s_j[t] and coeffs[t] = r_i[t] s_j[t+1].
+    Of the pattern, only the entries above the superdiagonal (zeros, and
+    the nonzero corner) can fail for split-form data; the subdiagonal and
+    lower-zero conditions hold identically and are left to the
+    authoritative re-verification of hits.  All arithmetic is
+    division-free (global eigenvector rescaling).
     """
-    add, sub, mul, is_zero = spec.add, spec.sub, spec.mul, spec.is_zero
-    one, zero = spec.one, spec.zero
-    n = d + 1
+    sub, mul, dot, one, zero = spec.sub, spec.mul, spec.dot, spec.one, spec.zero
+    for i, j, must_zero in _upper_pattern(d + 1):
+        ti, tj = theta[i], theta[j]
+        # A: lower bidiagonal, diagonal theta[d-t] at t, ones below; r_i
+        # vanishes past t = d - i and s_j before t = d - j
+        r, s = [zero] * (d + 1), [zero] * (d + 1)
+        r[0] = s[d] = one
+        for t in range(d - i):
+            r[t + 1] = mul(sub(ti, theta[d - t]), r[t])
+        for t in range(j):
+            s[d - t - 1] = mul(sub(tj, theta[t]), s[d - t])
+        yield must_zero, dot(list(map(mul, r, theta_star)), s), list(map(mul, r, s[1:]))
 
-    # A: lower bidiagonal, diagonal theta[d-t] at t, ones below
-    def right_a(k):
-        x = [zero] * n
-        x[d] = one
-        for t in range(d, 0, -1):
-            x[t - 1] = mul(sub(theta[k], theta[d - t]), x[t])
-        return x
 
-    def left_a(i):
-        y = [zero] * n
-        y[0] = one
-        for j in range(d):
-            y[j + 1] = mul(sub(theta[i], theta[d - j]), y[j])
-        return y
+@functools.cache
+def _upper_pattern(n: int) -> tuple:
+    """The entries (i, j, must_be_zero) of the circular Hessenberg pattern
+    above the diagonal, in pattern order."""
+    return tuple(e for e in _circular_hessenberg_pattern(n) if e[1] > e[0])
 
-    # A*: upper bidiagonal, diagonal theta_star[t] at t, phi above
-    for i, j, must_zero in _circular_hessenberg_pattern(n):
-        if j <= i:
-            continue
-        r, s = left_a(i), right_a(j)
-        acc = zero
-        for t in range(n):
-            v = mul(theta_star[t], s[t])
-            if t < d:
-                v = add(v, mul(phi[t], s[t + 1]))
-            acc = add(acc, mul(r[t], v))
-        if is_zero(acc) != must_zero:
-            return False
-    return True
+
+def _solve_pair(spec, theta, theta_star, d, nonzero) -> list:
+    """The probe hits split(theta, theta*, phi) over every nonzero phi, in
+    the order of phi's indices in `nonzero`, without enumerating phi.
+
+    Both sides' forms are affine in phi (the E* side's through the dual
+    array, whose phi'_t is phi_{d-1-t}), so the zero entries of the pattern
+    are linear equations.  Their solution set is walked through its free
+    coordinates, and a solution is a hit when every phi_t and both corner
+    forms are nonzero.
+    """
+    add, sub, dot, is_zero = spec.add, spec.sub, spec.dot, spec.is_zero
+    forms = list(_probe_forms(spec, theta, theta_star, d)) + [
+        (must_zero, const, coeffs[::-1])
+        for must_zero, const, coeffs in _probe_forms(spec, theta_star, theta, d)
+    ]
+    rows, pivots, _ = _gauss_jordan(
+        spec,
+        [coeffs + [spec.neg(const)] for must_zero, const, coeffs in forms if must_zero],
+        d,
+    )
+    # rows past the pivots are zero in phi: each must have a zero constant
+    if not all(is_zero(row[d]) for row in rows[len(pivots):]):
+        return []
+    corners = [(const, coeffs) for must_zero, const, coeffs in forms if not must_zero]
+    free = [t for t in range(d) if t not in pivots]
+    hits = []
+    for values in itertools.product(nonzero, repeat=len(free)):
+        phi = [None] * d
+        for t, v in zip(free, values):
+            phi[t] = v
+        for row, t in zip(rows, pivots):
+            phi[t] = sub(row[d], dot([row[f] for f in free], values))
+        if not any(is_zero(v) for v in phi) and not any(
+            is_zero(add(const, dot(coeffs, phi))) for const, coeffs in corners
+        ):
+            hits.append(tuple(phi))
+    hits.sort(key=lambda phi: [nonzero.index(v) for v in phi])
+    return hits
 
 
 def _exhaustive_count(order: int, d: int) -> int:
@@ -162,25 +210,32 @@ def _exhaustive_count(order: int, d: int) -> int:
     return perms * perms * (order - 1) ** d
 
 
-def _candidates(cfg: SearchConfig):
+def _probe_hits(cfg: SearchConfig):
+    """The search space as (candidates examined, probe hits among them):
+    one (theta, theta*) pair at a time in exhaustive mode, in lexicographic
+    (theta, theta*, phi) order; one seeded candidate at a time in random
+    mode."""
     spec = cfg.spec
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
-    n = cfg.d + 1
-    if spec.order < n:
+    d = cfg.d
+    if spec.order < d + 1:
         return  # no d + 1 distinct eigenvalues exist: both spaces are empty
     if cfg.mode == "exhaustive":
-        for th in itertools.permutations(elems, n):
-            for ths in itertools.permutations(elems, n):
-                for ph in itertools.product(nonzero, repeat=cfg.d):
-                    yield th, ths, ph
+        per_pair = len(nonzero) ** d
+        for th in itertools.permutations(elems, d + 1):
+            for ths in itertools.permutations(elems, d + 1):
+                yield per_pair, [
+                    (th, ths, ph) for ph in _solve_pair(spec, th, ths, d, nonzero)
+                ]
     else:
         rng = random.Random(cfg.seed)
+        sample, choice = rng.sample, rng.choice
         for _ in range(cfg.trials):
-            th = tuple(rng.sample(elems, n))
-            ths = tuple(rng.sample(elems, n))
-            ph = tuple(rng.choice(nonzero) for _ in range(cfg.d))
-            yield th, ths, ph
+            th = tuple(sample(elems, d + 1))
+            ths = tuple(sample(elems, d + 1))
+            ph = tuple([choice(nonzero) for _ in range(d)])
+            yield 1, [(th, ths, ph)] if _split_pattern_probe(spec, th, ths, ph, d) else ()
 
 
 def search(cfg: SearchConfig) -> SearchReport:
@@ -206,35 +261,34 @@ def search(cfg: SearchConfig) -> SearchReport:
             )
     report = SearchReport(config=cfg.to_json())
     histogram: dict[str, int] = {}
-    for th, ths, ph in _candidates(cfg):
-        report.candidates_examined += 1
-        if not _split_pattern_probe(spec, th, ths, ph, cfg.d):
-            continue
-        params = ParameterArray(
-            spec,
-            cfg.d,
-            tuple(FieldElement(spec, x) for x in th),
-            tuple(FieldElement(spec, x) for x in ths),
-            tuple(FieldElement(spec, x) for x in ph),
-        )
-        system = split_form_build(params)
-        if not verify_ch_axioms(system).is_ch:
-            continue
-        report.ch_systems_found += 1
-        status = recurrence_status(params)
-        if status.recurrent:
-            report.recurrent_count += 1
-            for b in status.betas:
-                key = str(b)
-                histogram[key] = histogram.get(key, 0) + 1
-        else:
-            entry = params.to_json()
-            report.counterexamples.append(entry)
-            if cfg.report_path:
-                path = Path(cfg.report_path).with_suffix(".counterexamples.json")
-                path.write_text(
-                    json.dumps(report.counterexamples, sort_keys=True, indent=2)
-                )
+    for examined, hits in _probe_hits(cfg):
+        report.candidates_examined += examined
+        for th, ths, ph in hits:
+            params = ParameterArray(
+                spec,
+                cfg.d,
+                tuple(FieldElement(spec, x) for x in th),
+                tuple(FieldElement(spec, x) for x in ths),
+                tuple(FieldElement(spec, x) for x in ph),
+            )
+            system = split_form_build(params)
+            if not verify_ch_axioms(system).is_ch:
+                continue
+            report.ch_systems_found += 1
+            status = recurrence_status(params)
+            if status.recurrent:
+                report.recurrent_count += 1
+                for b in status.betas:
+                    key = str(b)
+                    histogram[key] = histogram.get(key, 0) + 1
+            else:
+                entry = params.to_json()
+                report.counterexamples.append(entry)
+                if cfg.report_path:
+                    path = Path(cfg.report_path).with_suffix(".counterexamples.json")
+                    path.write_text(
+                        json.dumps(report.counterexamples, sort_keys=True, indent=2)
+                    )
     report.beta_histogram = dict(sorted(histogram.items()))
     if cfg.report_path:
         Path(cfg.report_path).write_bytes(report.to_bytes())

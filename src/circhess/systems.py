@@ -115,6 +115,11 @@ class ParameterArray:
         field, *seqs = _json_fields(d, "field", "theta", "theta_star", "phi")
         if not all(isinstance(seq, list) for seq in seqs):
             raise ParseError("theta, theta_star and phi must be JSON lists")
+        theta, theta_star, phi = seqs
+        if len(theta) < 4:
+            raise ParseError("theta must have d + 1 >= 4 entries")
+        if len(theta_star) != len(theta) or len(phi) != len(theta) - 1:
+            raise ParseError("theta_star must have d + 1 entries and phi d")
         return cls.make(field_from_json(field), *seqs)
 
 

@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, and JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +201,11 @@ _MALFORMED = {
         "A": {"field": _GF5, "rows": 2, "cols": 2, "entries": 3},
         "A_star": {"field": _GF5, "rows": 2, "cols": 2, "entries": 3}},
     "bare matrix without field": {"entries": [["1"]], "rows": 1, "cols": 1},
+    "three theta values": {**_W5_SEQS, "field": _GF5, "theta": ["1", "2", "4"],
+                           "theta_star": ["1", "2", "4"], "phi": ["3", "2"]},
+    "phi one entry short": {**_W5_SEQS, "field": _GF5, "phi": ["3", "2"]},
+    "theta_star one entry long": {**_W5_SEQS, "field": _GF5,
+                                  "theta_star": ["1", "2", "4", "3", "0"]},
 }
 
 
@@ -219,3 +228,15 @@ def test_invalid_json_text_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--in", str(bad))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_python_m_circhess():
+    """`python -m circhess` runs the CLI from a checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "circhess", "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0
+    assert "fuzz" in done.stdout

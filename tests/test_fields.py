@@ -75,6 +75,12 @@ def test_field_json_roundtrip():
         assert field_from_json(spec.to_json()) == spec
 
 
+@pytest.mark.parametrize("p", [5.9, 5.0, "5", True])
+def test_field_json_prime_needs_integer(p):
+    with pytest.raises(ParseError):
+        field_from_json({"kind": "prime", "p": p})
+
+
 # --- arithmetic -------------------------------------------------------------
 
 def test_arith_examples():

@@ -1,5 +1,7 @@
 """Conjecture search: probe equivalence, determinism, exhaustive runs, replay."""
 
+import importlib
+import itertools
 import json
 import random
 
@@ -10,10 +12,12 @@ from circhess import (
     FieldElement,
     ParameterArray,
     SearchConfig,
+    SearchReport,
     family_generate,
     field_from_string,
     iter_family_instances,
     prime_field,
+    recurrence_status,
     replay,
     search,
     split_form_build,
@@ -24,7 +28,7 @@ from circhess.errors import (
     UnknownSearchModeError,
     UnsupportedFieldError,
 )
-from circhess.search import _split_pattern_probe
+from circhess.search import _probe_hits, _solve_pair, _split_pattern_probe
 
 
 def test_probe_equals_full_oracle(gf5):
@@ -212,6 +216,116 @@ def test_exhaustive_gf5_slice_contains_w5(gf5, w5_array):
                 assert classify_family(p).family is Family.F1_GENERIC_Q
                 hits.append(ph)
     assert (3, 2, 4) in hits
+
+
+def _reference_candidates(spec, d, pairs=None):
+    """Every candidate of the exhaustive space, phi enumerated in full, in
+    the search's lexicographic (theta, theta*, phi) order; with `pairs`,
+    only those (theta, theta*) pairs.  The reference for the solver."""
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    if pairs is None:
+        perms = list(itertools.permutations(elems, d + 1))
+        pairs = itertools.product(perms, perms)
+    for th, ths in pairs:
+        for ph in itertools.product(nonzero, repeat=d):
+            yield th, ths, ph
+
+
+def _reference_hits(spec, d, pairs=None):
+    return [c for c in _reference_candidates(spec, d, pairs)
+            if _split_pattern_probe(spec, *c, d)]
+
+
+@pytest.mark.parametrize("field", ["gf:5", "ext:gf:2:1,1,1"])
+def test_solver_hits_equal_probe_hits_full_space(field):
+    """Over the whole d = 3 space, the per-pair solve yields exactly the
+    probe's hits, in the same order, and counts every candidate."""
+    spec = field_from_string(field)
+    examined, hits = 0, []
+    for n, pair_hits in _probe_hits(SearchConfig(spec, 3, "exhaustive")):
+        examined += n
+        hits += pair_hits
+    assert examined == sum(1 for _ in _reference_candidates(spec, 3))
+    assert hits == _reference_hits(spec, 3)
+    assert len(hits) == {"gf:5": 15_200, "ext:gf:2:1,1,1": 2_304}[field]
+
+
+@pytest.mark.parametrize("field, d, family", [
+    ("gf:7", 4, None),
+    ("ext:gf:3:1,0,1", 3, None),
+    ("ext:gf:3:1,0,1", 3, "F1"),
+    ("gf:5", 4, "F2"),
+])
+def test_solver_hits_equal_probe_hits_per_pair(field, d, family):
+    """Per (theta, theta*) pair, the solve equals the probe over all phi:
+    on seeded random pairs, and on the pairs of family systems (with their
+    rotations of theta*), where the hit sets are not empty."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    rng = random.Random(f"{field}/{d}/{family}")
+    if family is None:
+        pairs = [(tuple(rng.sample(elems, d + 1)), tuple(rng.sample(elems, d + 1)))
+                 for _ in range(12)]
+    else:
+        pairs = []
+        for fp in iter_family_instances(Family(family), spec, d, 4):
+            p = family_generate(fp)
+            th = tuple(e.payload for e in p.theta)
+            ths = tuple(e.payload for e in p.theta_star)
+            pairs += [(th, ths), (th, ths[1:] + ths[:1])]
+    total = 0
+    for th, ths in pairs:
+        want = [ph for _, _, ph in _reference_hits(spec, d, [(th, ths)])]
+        assert _solve_pair(spec, th, ths, d, nonzero) == want
+        total += len(want)
+    assert total > 0 or family is None
+
+
+def test_exhaustive_report_bytes_match_reference_loop(tmp_path, monkeypatch, gf4):
+    """search() writes the report bytes of a plain loop that enumerates
+    every candidate, probes it and sends each hit to the oracle.  An
+    oracle verdict depends on the array alone, so the two loops share one
+    memo of split_form_build and verify_ch_axioms."""
+    search_mod = importlib.import_module("circhess.search")
+    built, verified = {}, {}
+
+    def build(params):
+        if params not in built:
+            built[params] = split_form_build(params)
+        return built[params]
+
+    def verify(system):
+        if id(system) not in verified:
+            verified[id(system)] = verify_ch_axioms(system)
+        return verified[id(system)]
+
+    cfg = SearchConfig(gf4, 3, "exhaustive", report_path=str(tmp_path / "rep.json"))
+    ref = SearchReport(config=cfg.to_json())
+    histogram = {}
+    for c in _reference_candidates(gf4, 3):
+        ref.candidates_examined += 1
+        if not _split_pattern_probe(gf4, *c, 3):
+            continue
+        params = _payload_array(gf4, *c)
+        if not verify(build(params)).is_ch:
+            continue
+        ref.ch_systems_found += 1
+        status = recurrence_status(params)
+        if status.recurrent:
+            ref.recurrent_count += 1
+            for b in status.betas:
+                histogram[str(b)] = histogram.get(str(b), 0) + 1
+        else:
+            ref.counterexamples.append(params.to_json())
+    ref.beta_histogram = dict(sorted(histogram.items()))
+
+    monkeypatch.setattr(search_mod, "split_form_build", build)
+    monkeypatch.setattr(search_mod, "verify_ch_axioms", verify)
+    search(cfg)
+    assert (tmp_path / "rep.json").read_bytes() == ref.to_bytes()
+    assert ref.ch_systems_found == 2_304 and len(built) == 2_304
 
 
 def test_exhaustive_gf5_full():
