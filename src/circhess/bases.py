@@ -13,6 +13,11 @@ Every closed-form transition matrix and representation matrix is
 cross-checked against an independent definitional linear solve; verifying
 those formulas is the point of this module, so nothing is trusted.
 
+Each dual-side basis is the primal one for the pair (A*, A), whose array is
+ParameterArray.dual() = (theta*; theta; phi reversed).  So every dual-side
+closed form (transition, representation, corner xi, psi*) is the primal
+formula evaluated on the dual array; only the primal ones are written out.
+
 The seed normalization u := E_0 u* fixes the gauge epsilon = 1; only the
 product epsilon * epsilon* is intrinsic, and it is asserted against its
 closed product formula.
@@ -28,13 +33,12 @@ from .errors import (
     NotRecurrentError,
     SingularError,
     UnknownBasisError,
-    ZeroVectorError,
 )
 from .fields import FieldElement
 from .linalg import Matrix, Vector, matrix_inverse, rank, shape_classify, ShapeClass
 from .recurrence import recurrence_status, vartheta_from_array
 from .systems import CHSystem, ParameterArray, _proportionality, _default_seed, \
-    split_form_build, verify_ch_axioms
+    _split_form, _split_vectors
 
 BASIS_NAMES = (
     "standard",
@@ -44,6 +48,9 @@ BASIS_NAMES = (
     "dual_split",
     "inv_dual_split",
 )
+
+# each basis and the basis of the dual pair (A*, A) that it is
+_DUAL = dict(zip(BASIS_NAMES, BASIS_NAMES[3:] + BASIS_NAMES[:3]))
 
 # edges of the transition diagram; non-adjacent pairs compose along it
 _DIAGRAM_EDGES = (
@@ -124,30 +131,17 @@ def build_basis_catalog(s: CHSystem, u_star: Vector | None = None):
     (BasisCatalog, NormalizationScalars).
     """
     s.require_verified("basis catalog")
-    if u_star is None:
-        seed = _default_seed(s)
-    else:
-        if u_star.is_zero():
-            raise ZeroVectorError("seed vector is zero")
-        seed = s.E_star[0] * u_star
-        if seed.is_zero():
-            raise NotInE0StarVError("seed has zero projection onto E*_0 V")
     d = s.d
-    ident = Matrix.identity(s.spec, d + 1)
-    u = s.E[0] * seed
-    if u.is_zero():
-        raise IdentityCheckError("E_0 u* vanished on a verified system")
-
-    def split_vectors(a, theta, v):
-        vecs = [v]
-        for i in range(1, d + 1):
-            vecs.append((a - ident.scale(theta[d - i + 1])) * vecs[-1])
-        return vecs
-
+    split = _split_vectors(s.A, s.theta, s.E_star[0],
+                           _default_seed(s) if u_star is None else u_star)
+    seed = split[0]
+    try:
+        dual_split = _split_vectors(s.A_star, s.theta_star, s.E[0], seed)
+    except NotInE0StarVError:
+        raise IdentityCheckError("E_0 u* vanished on a verified system") from None
+    u = dual_split[0]
     standard = [e * seed for e in s.E]
-    split = split_vectors(s.A, s.theta, seed)
     dual_standard = [e * u for e in s.E_star]
-    dual_split = split_vectors(s.A_star, s.theta_star, u)
     vectors = {
         "standard": standard,
         "split": split,
@@ -215,34 +209,31 @@ def _upper_inverse_matrix(spec, theta):
 
 
 def _closed_transition(catalog: BasisCatalog, a: str, b: str) -> Matrix:
-    s = catalog.system
-    spec = s.spec
-    d = s.d
-    p = s.params
-    eps = catalog.scalars.epsilon
-    eps_star = catalog.scalars.epsilon_star
+    """A diagram edge.  Every edge meets inv_split or inv_dual_split; one at
+    inv_dual_split is the matching inv_split edge of the dual array, where
+    epsilon plays the part of epsilon*."""
+    p = catalog.system.params
+    scalars = catalog.scalars
+    if "inv_dual_split" in (a, b):
+        return _inv_split_edge(p.dual(), scalars.epsilon, _DUAL[a], _DUAL[b])
+    return _inv_split_edge(p, scalars.epsilon_star, a, b)
+
+
+def _inv_split_edge(p: ParameterArray, eps_star, a: str, b: str) -> Matrix:
+    spec = p.spec
+    d = p.d
     if (a, b) == ("standard", "inv_split"):
         return _upper_product_matrix(spec, p.theta)
     if (a, b) == ("inv_split", "standard"):
         return _upper_inverse_matrix(spec, p.theta)
-    if (a, b) == ("dual_standard", "inv_dual_split"):
-        return _upper_product_matrix(spec, p.theta_star)
-    if (a, b) == ("inv_dual_split", "dual_standard"):
-        return _upper_inverse_matrix(spec, p.theta_star)
-    if {a, b} == {"split", "inv_split"} or {a, b} == {"dual_split", "inv_dual_split"}:
+    if {a, b} == {"split", "inv_split"}:
         return Matrix.reversal(spec, d + 1)
-    if (a, b) == ("inv_split", "dual_split") or (a, b) == ("dual_split", "inv_split"):
+    if {a, b} == {"inv_split", "dual_split"}:
         num = eps_star * _prod(
             spec, (p.theta_star[0] - p.theta_star[l] for l in range(1, d + 1))
         )
         diag = [num / _prod(spec, p.phi[: d - i]) for i in range(d + 1)]
-        if (a, b) == ("dual_split", "inv_split"):
-            diag = [x.inverse() for x in diag]
-        return Matrix.diagonal(spec, diag)
-    if (a, b) == ("inv_dual_split", "split") or (a, b) == ("split", "inv_dual_split"):
-        num = eps * _prod(spec, (p.theta[0] - p.theta[l] for l in range(1, d + 1)))
-        diag = [num / _prod(spec, p.phi[i:]) for i in range(d + 1)]
-        if (a, b) == ("split", "inv_dual_split"):
+        if b == "inv_split":
             diag = [x.inverse() for x in diag]
         return Matrix.diagonal(spec, diag)
     raise UnknownBasisError(f"no closed form for edge {a} -> {b}")
@@ -300,51 +291,26 @@ def transition(catalog: BasisCatalog, from_name: str, to_name: str) -> Transitio
 
 # --- representations ----------------------------------------------------------
 
-def _bidiagonal(spec, diag, off, upper: bool) -> Matrix:
-    n = len(diag)
-    rows = [[spec.zero_element()] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = diag[i]
-    for i in range(n - 1):
-        if upper:
-            rows[i][i + 1] = off[i]
-        else:
-            rows[i + 1][i] = off[i]
-    return Matrix.from_elements(spec, rows)
-
-
-def _split_representation(spec, theta, theta_star, phi):
-    """(A, A*) in the split basis of the array (theta, theta*, phi)."""
-    ones = [spec.one_element()] * (len(theta) - 1)
-    return (
-        _bidiagonal(spec, list(theta[::-1]), ones, upper=False),
-        _bidiagonal(spec, list(theta_star), list(phi), upper=True),
-    )
-
-
-def _closed_representation(catalog: BasisCatalog, name: str):
-    """The displayed (A, A*) of a split-type basis, from the array alone.
-
-    dual_split is the split basis of the dual array (theta*, theta, phi
-    reversed) with the pair swapped; an inv_ basis lists its vectors in
-    reverse order, so its matrices are J B J, B with rows and columns
-    reversed."""
-    if name.endswith("standard"):
-        return None  # standard bases handled by shape + entry assertions
-    spec, p = catalog.system.spec, catalog.system.params
-    if "dual" in name:
-        b_star, b = _split_representation(spec, p.theta_star, p.theta, p.phi[::-1])
-    else:
-        b, b_star = _split_representation(spec, p.theta, p.theta_star, p.phi)
-    if name.startswith("inv_"):
-        return tuple(Matrix(spec, (r[::-1] for r in m.rows[::-1])) for m in (b, b_star))
+def _closed_representation(p: ParameterArray, name: str):
+    """The displayed (A, A*) of a primal basis, from the array alone:
+    diag(theta) and the circular matrix in the standard basis, the split
+    form in the split basis, and in inv_split, which lists the split vectors
+    in reverse order, J B J: B with rows and columns reversed."""
+    if name == "standard":
+        return Matrix.diagonal(p.spec, p.theta), _circular_matrix(p)
+    b, b_star = _split_form(p)
+    if name == "inv_split":
+        return tuple(Matrix(p.spec, (r[::-1] for r in m.rows[::-1]))
+                     for m in (b, b_star))
     return b, b_star
 
 
 def represent(catalog: BasisCatalog, name: str) -> RepresentationPair:
     """Matrices representing A and A* in the named basis, by definitional
-    solve, asserted against the displayed closed forms (split-type bases)
-    or the diagonal + circular Hessenberg shape (standard-type bases)."""
+    solve, asserted against the displayed closed forms.  A dual-side basis
+    is the primal one of the dual array with the pair swapped.  In the
+    standard-type bases the circular side is also asserted circular
+    Hessenberg with constant row sums."""
     if name not in BASIS_NAMES:
         raise UnknownBasisError(f"unknown basis {name!r}")
     s = catalog.system
@@ -352,26 +318,21 @@ def represent(catalog: BasisCatalog, name: str) -> RepresentationPair:
     xi = matrix_inverse(x)
     b = xi * s.A * x
     b_star = xi * s.A_star * x
-    closed = _closed_representation(catalog, name)
-    if closed is not None:
-        if (b, b_star) != closed:
-            raise IdentityCheckError(
-                f"representation in {name} basis disagrees with its closed form"
-            )
-    else:
-        # the dual-standard basis is the standard basis of the pair (A*, A)
-        dual = name == "dual_standard"
-        diag, circ = (b_star, b) if dual else (b, b_star)
-        th, th_circ = (s.theta_star, s.theta) if dual else (s.theta, s.theta_star)
-        st, st_circ = ("*", "") if dual else ("", "*")
+    dual = "dual" in name
+    p, primal, pair = s.params, name, (b, b_star)
+    if dual:
+        p, primal, pair = p.dual(), _DUAL[name], (b_star, b)
+    if primal == "standard":
         where = name.replace("_", "-")
-        if diag != Matrix.diagonal(s.spec, th):
-            raise IdentityCheckError(f"{where}-basis A{st} is not diag(theta{st})")
-        if shape_classify(circ) is not ShapeClass.CIRCULAR_HESSENBERG:
+        if shape_classify(pair[1]) is not ShapeClass.CIRCULAR_HESSENBERG:
             raise IdentityCheckError(
-                f"{where}-basis A{st_circ} is not circular Hessenberg"
+                f"{where}-basis A{'' if dual else '*'} is not circular Hessenberg"
             )
-        _assert_row_sums(circ, th_circ[0])
+        _assert_row_sums(pair[1], p.theta_star[0])
+    if pair != _closed_representation(p, primal):
+        raise IdentityCheckError(
+            f"representation in {name} basis disagrees with its closed form"
+        )
     return RepresentationPair(name, b, b_star)
 
 
@@ -422,11 +383,13 @@ class StandardFormEntries:
         }
 
 
-def _circular_entries(spec, theta, theta_star, phi):
-    """Diagonal a_i, superdiagonal b_i, subdiagonal c_i, and corner of the
-    matrix representing the second operator in the first operator's
-    standard basis.  Index conventions follow the starred case."""
-    d = len(theta) - 1
+def _circular_matrix(p: ParameterArray) -> Matrix:
+    """A* in the standard basis of the array p, entry by entry: diagonal
+    a*_i, superdiagonal b*_i, subdiagonal c*_i, and the corner, which is
+    fixed by the row sum theta*_0."""
+    spec = p.spec
+    d = p.d
+    theta, theta_star, phi = p.theta, p.theta_star, p.phi
 
     def pr(vals):
         return _prod(spec, vals)
@@ -477,68 +440,58 @@ def _circular_entries(spec, theta, theta_star, phi):
         + phi[0] / (theta[d] - theta[d - 1])
         + phi[1] / (theta[d - 2] - theta[d])
     )
-    corner = theta_star[0] - a[0] - b[0]
-    return a, b, c, corner
-
-
-def _assemble_circular(spec, a, b, c, corner) -> Matrix:
-    n = len(a)
-    rows = [[spec.zero_element()] * n for _ in range(n)]
-    for i in range(n):
+    rows = [[spec.zero_element()] * (d + 1) for _ in range(d + 1)]
+    for i in range(d + 1):
         rows[i][i] = a[i]
-    for i in range(n - 1):
+    for i in range(d):
         rows[i][i + 1] = b[i]
         rows[i + 1][i] = c[i]
-    rows[0][n - 1] = corner
+    rows[0][d] = theta_star[0] - a[0] - b[0]
     return Matrix.from_elements(spec, rows)
 
 
-def standard_form_entries(p: ParameterArray) -> StandardFormEntries:
-    """Evaluate every closed-form entry of the two standard-basis
-    representations, assemble the circular matrices, and assert equality
-    with the conjugation-computed representations.
+def _circular_entries(m: Matrix):
+    """Diagonal, superdiagonal, subdiagonal and corner of a circular matrix."""
+    n = m.nrows
+    return (
+        [m.entry(i, i) for i in range(n)],
+        [m.entry(i, i + 1) for i in range(n - 1)],
+        [m.entry(i + 1, i) for i in range(n - 1)],
+        m.entry(0, n - 1),
+    )
+
+
+def _corner_derivations(p: ParameterArray):
+    """The corner of A* in the standard basis of a recurrent array p, from
+    the split data and as a wrap-scalar quotient."""
+    d = p.d
+    th, ths, phi = p.theta, p.theta_star, p.phi
+    vth = vartheta_from_array(p)
+    quot = (vth[d] - vth[1]) / (th[1] - th[d])
+    split = (phi[d - 1] - phi[0]) / (th[1] - th[d]) + (
+        (ths[1] - ths[0]) * (th[d] - th[0]) - (ths[d] - ths[0]) * (th[1] - th[0])
+    ) / (th[1] - th[d])
+    return split, quot
+
+
+def standard_form_entries(catalog: BasisCatalog) -> StandardFormEntries:
+    """The entries of the two standard-basis representations, read off the
+    matrices that represent asserted against their closed forms.
 
     For recurrent arrays the corner entries are additionally re-derived two
     more ways (the split-data formula and the wrap-scalar quotient) and all
-    three values must agree."""
-    spec = p.spec
-    d = p.d
-    th, ths, phi = list(p.theta), list(p.theta_star), list(p.phi)
-    a_star, b_star, c_star, xi_star = _circular_entries(spec, th, ths, phi)
-    a, b, c, xi = _circular_entries(spec, ths, th, phi[::-1])
-    a_star_matrix = _assemble_circular(spec, a_star, b_star, c_star, xi_star)
-    a_matrix = _assemble_circular(spec, a, b, c, xi)
-
-    s = split_form_build(p)
-    if not verify_ch_axioms(s).is_ch:
-        raise IdentityCheckError("array does not build a verified system")
-    catalog, _ = build_basis_catalog(s)
-    rep_std = represent(catalog, "standard")
-    rep_dual = represent(catalog, "dual_standard")
-    if rep_std.B_star != a_star_matrix:
-        raise IdentityCheckError(
-            "closed-form standard-basis entries disagree with the solve"
-        )
-    if rep_dual.B != a_matrix:
-        raise IdentityCheckError(
-            "closed-form dual-standard-basis entries disagree with the solve"
-        )
-
+    three values must agree; xi is xi* of the dual array."""
+    p = catalog.system.params
+    a_star_matrix = represent(catalog, "standard").B_star
+    a_matrix = represent(catalog, "dual_standard").B
+    a, b, c, xi = _circular_entries(a_matrix)
+    a_star, b_star, c_star, xi_star = _circular_entries(a_star_matrix)
     recurrent = recurrence_status(p).recurrent
     if recurrent:
-        vth = vartheta_from_array(p)
-        xi_quot = (vth[1] - vth[d]) / (ths[1] - ths[d])
-        xi_star_quot = (vth[d] - vth[1]) / (th[1] - th[d])
-        xi_split = (phi[0] - phi[d - 1]) / (ths[1] - ths[d]) + (
-            (th[1] - th[0]) * (ths[d] - ths[0]) - (th[d] - th[0]) * (ths[1] - ths[0])
-        ) / (ths[1] - ths[d])
-        xi_star_split = (phi[d - 1] - phi[0]) / (th[1] - th[d]) + (
-            (ths[1] - ths[0]) * (th[d] - th[0]) - (ths[d] - ths[0]) * (th[1] - th[0])
-        ) / (th[1] - th[d])
-        if not (xi == xi_split == xi_quot):
-            raise IdentityCheckError("three derivations of xi disagree")
-        if not (xi_star == xi_star_split == xi_star_quot):
-            raise IdentityCheckError("three derivations of xi* disagree")
+        for corner, q, label in ((xi, p.dual(), "xi"), (xi_star, p, "xi*")):
+            split, quot = _corner_derivations(q)
+            if not (corner == split == quot):
+                raise IdentityCheckError(f"three derivations of {label} disagree")
         if xi.is_zero() or xi_star.is_zero():
             raise IdentityCheckError("corner entries must be nonzero when recurrent")
     return StandardFormEntries(
@@ -547,22 +500,19 @@ def standard_form_entries(p: ParameterArray) -> StandardFormEntries:
     )
 
 
+def _psi(p: ParameterArray) -> FieldElement:
+    d = p.d
+    th = p.theta
+    return _prod(p.spec, ((th[0] - th[i + 1]) / (th[1] - th[i]) for i in range(2, d)))
+
+
 def psi_check(p: ParameterArray):
     """The telescoping eigenvalue products, each asserted equal to 1 for
-    recurrent arrays; returns (psi, psi_star)."""
+    recurrent arrays; returns (psi, psi_star), psi* being psi of the dual
+    array."""
     if not recurrence_status(p).recurrent:
         raise NotRecurrentError("psi products are only asserted for recurrent arrays")
-    spec = p.spec
-    d = p.d
-    psi = _prod(
-        spec, ((p.theta[0] - p.theta[i + 1]) / (p.theta[1] - p.theta[i])
-               for i in range(2, d))
-    )
-    psi_star = _prod(
-        spec,
-        ((p.theta_star[0] - p.theta_star[i + 1]) / (p.theta_star[1] - p.theta_star[i])
-         for i in range(2, d)),
-    )
+    psi, psi_star = _psi(p), _psi(p.dual())
     if psi != 1 or psi_star != 1:
         raise IdentityCheckError(f"psi products differ from 1: {psi}, {psi_star}")
     return psi, psi_star

@@ -183,7 +183,7 @@ def cmd_bases(args) -> int:
                 bases_mod.transition(catalog, src, dst).to_json()
             )
     if args.check_all:
-        ledger, failed = _bases_ledger(params, system, catalog)
+        ledger, failed = _bases_ledger(params, catalog)
         payload["checks"] = ledger
         for line in ledger:
             print(("PASS " if line["passed"] else "FAIL ") + line["check"],
@@ -194,7 +194,7 @@ def cmd_bases(args) -> int:
     return EXIT_OK
 
 
-def _bases_ledger(params, system, catalog):
+def _bases_ledger(params, catalog):
     from .families import vartheta_combination
 
     checks = []
@@ -216,7 +216,7 @@ def _bases_ledger(params, system, catalog):
     for name in bases_mod.BASIS_NAMES:
         run(f"representation {name}",
             lambda name=name: bases_mod.represent(catalog, name))
-    run("standard form entries", lambda: bases_mod.standard_form_entries(params))
+    run("standard form entries", lambda: bases_mod.standard_form_entries(catalog))
     status = recurrence_status(params)
     if status.recurrent:
         run("psi products", lambda: bases_mod.psi_check(params))

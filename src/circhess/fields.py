@@ -32,19 +32,23 @@ from .errors import (
 )
 
 
+def _prime_divisors(n: int) -> list[int]:
+    out = []
+    m = n
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_divisors(n) == [n]
 
 
 class FieldSpec:
@@ -770,16 +774,8 @@ def quotient_extension(base: FieldSpec, modulus, gen: str = "t") -> QuotientExte
 
 def euler_phi(n: int) -> int:
     out = n
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out -= out // f
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out -= out // m
+    for p in _prime_divisors(n):
+        out -= out // p
     return out
 
 
@@ -835,21 +831,6 @@ def cyclotomic_field(n: int, gen: str = "t") -> QuotientExtension:
     if _rational_root_exists(phi):
         raise ReducibleModulusError(f"Phi_{n} unexpectedly has a rational root")
     return QuotientExtension(Rationals(), tuple(phi), gen, assume_irreducible=True)
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def primitive_root_of_unity(

@@ -75,7 +75,7 @@ def vartheta_from_array(p: ParameterArray) -> VarthetaSequence:
 
 def is_beta_recurrent(seq, beta) -> bool:
     """Exact window test over 2 <= i <= len - 2."""
-    vals = list(seq.values) if isinstance(seq, VarthetaSequence) else list(seq)
+    vals = list(seq)
     if len(vals) < 4:
         raise TooShortError("beta-recurrence needs at least 4 terms")
     b1 = beta + 1
@@ -310,7 +310,7 @@ def fit_closed_form(seq, beta, q=None) -> RecurrenceClosedForm:
     x^2 - beta x + 1 is found (or supplied); if none exists in the field the
     sequence is lifted into the quadratic extension.
     """
-    vals = list(seq.values) if isinstance(seq, VarthetaSequence) else list(seq)
+    vals = list(seq)
     if len(vals) < 3:
         raise TooShortError("closed-form fit needs at least 3 terms")
     if len(vals) >= 4 and not is_beta_recurrent(vals, beta):
@@ -354,7 +354,7 @@ def fit_closed_form(seq, beta, q=None) -> RecurrenceClosedForm:
 def recurrent_quotient(seq, beta, i: int, j: int, r: int, s: int) -> FieldElement:
     """(seq_i - seq_j)/(seq_r - seq_s) for i + j = r + s, r != s, with the
     case formula re-derived independently and compared exactly."""
-    vals = list(seq.values) if isinstance(seq, VarthetaSequence) else list(seq)
+    vals = list(seq)
     n = len(vals)
     for k in (i, j, r, s):
         if not 0 <= k < n:

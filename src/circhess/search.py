@@ -332,7 +332,7 @@ def replay(params: ParameterArray) -> dict:
     try:
         catalog, scalars = build_basis_catalog(system)
         bases_info = {"normalization": scalars.to_json()}
-        entries = standard_form_entries(params)
+        entries = standard_form_entries(catalog)
         bases_info["standard_form"] = entries.to_json()
         if status.recurrent:
             psi, psi_star = psi_check(params)

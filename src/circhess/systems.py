@@ -13,6 +13,7 @@ The complete isomorphism invariant is the parameter array
 (eigenvalue sequence theta, dual eigenvalue sequence theta*, split
 sequence phi); split_form_build realizes any valid array as a concrete
 system on F^(d+1), and extract_parameter_array inverts it.
+ParameterArray.dual() is the array of the pair (A*, A).
 """
 
 from __future__ import annotations
@@ -110,9 +111,14 @@ class ParameterArray:
             "phi": [str(e) for e in self.phi],
         }
 
+    def dual(self) -> "ParameterArray":
+        """The array of the pair (A*, A): (theta*; theta; phi reversed)."""
+        return ParameterArray(self.spec, self.d, self.theta_star, self.theta,
+                              self.phi[::-1])
+
     @classmethod
-    def from_json(cls, d: dict) -> "ParameterArray":
-        field, *seqs = _json_fields(d, "field", "theta", "theta_star", "phi")
+    def from_json(cls, doc: dict) -> "ParameterArray":
+        field, *seqs = _json_fields(doc, "field", "theta", "theta_star", "phi")
         if not all(isinstance(seq, list) for seq in seqs):
             raise ParseError("theta, theta_star and phi must be JSON lists")
         theta, theta_star, phi = seqs
@@ -120,6 +126,9 @@ class ParameterArray:
             raise ParseError("theta must have d + 1 >= 4 entries")
         if len(theta_star) != len(theta) or len(phi) != len(theta) - 1:
             raise ParseError("theta_star must have d + 1 entries and phi d")
+        if "d" in doc and (type(doc["d"]) is not int or doc["d"] != len(theta) - 1):
+            raise ParseError(f"d must be the JSON integer {len(theta) - 1}, "
+                             f"got {doc['d']!r}")
         return cls.make(field_from_json(field), *seqs)
 
 
@@ -187,6 +196,17 @@ def split_form_build(p: ParameterArray) -> CHSystem:
 
     The returned system is unverified; run verify_ch_axioms on it.
     """
+    A, A_star = _split_form(p)
+    E = primitive_idempotents(A, p.theta)
+    E_star = primitive_idempotents(A_star, p.theta_star)
+    return CHSystem(p.spec, p.d, A, A_star, E, E_star, p.theta, p.theta_star,
+                    params=p)
+
+
+def _split_form(p: ParameterArray) -> tuple[Matrix, Matrix]:
+    """The bidiagonal pair (A, A*) that split_form_build realizes; it is
+    also what both operators are in the split basis of any system with
+    array p."""
     s = p.spec
     d = p.d
     n = d + 1
@@ -198,11 +218,28 @@ def split_form_build(p: ParameterArray) -> CHSystem:
     for i in range(d):
         a_rows[i + 1][i] = s.one
         b_rows[i][i + 1] = p.phi[i].payload
-    A = Matrix(s, a_rows)
-    A_star = Matrix(s, b_rows)
-    E = primitive_idempotents(A, p.theta)
-    E_star = primitive_idempotents(A_star, p.theta_star)
-    return CHSystem(s, d, A, A_star, E, E_star, p.theta, p.theta_star, params=p)
+    return Matrix(s, a_rows), Matrix(s, b_rows)
+
+
+def _split_vectors(a: Matrix, theta, e0: Matrix, u_star: Vector) -> list[Vector]:
+    """The split vectors v_0 = e0 u* and v_i = (a - theta_{d-i+1} I) v_{i-1}
+    for i = 1..d.
+
+    With (a, theta, e0) = (A, theta, E*_0) they are the split basis; with
+    (A*, theta*, E_0) the dual split basis.  Raises ZeroVectorError for a
+    zero seed and NotInE0StarVError when its projection e0 u* is zero.
+    """
+    if u_star.is_zero():
+        raise ZeroVectorError("seed vector is zero")
+    seed = e0 * u_star
+    if seed.is_zero():
+        raise NotInE0StarVError("seed has zero projection onto E*_0 V")
+    d = len(theta) - 1
+    ident = Matrix.identity(a.spec, d + 1)
+    vs = [seed]
+    for i in range(1, d + 1):
+        vs.append((a - ident.scale(theta[d - i + 1])) * vs[-1])
+    return vs
 
 
 def _check_idempotent_family(E, labels, ident) -> None:
@@ -303,17 +340,9 @@ def extract_parameter_array(s: CHSystem, u_star: Vector):
     independent of the seed choice.
     """
     s.require_verified("parameter array extraction")
-    if u_star.is_zero():
-        raise ZeroVectorError("seed vector is zero")
-    seed = s.E_star[0] * u_star
-    if seed.is_zero():
-        raise NotInE0StarVError("seed has zero projection onto E*_0 V")
+    vs = _split_vectors(s.A, s.theta, s.E_star[0], u_star)
     d = s.d
     ident = Matrix.identity(s.spec, d + 1)
-    vs = [seed]
-    for i in range(1, d + 1):
-        factor = s.A - ident.scale(s.theta[d - i + 1])
-        vs.append(factor * vs[-1])
     if rank(Matrix.from_columns(vs)) != d + 1:
         raise ZeroVectorError("split vectors are not independent")
     phi = []
@@ -326,16 +355,11 @@ def extract_parameter_array(s: CHSystem, u_star: Vector):
 
 def dual_system(s: CHSystem) -> CHSystem:
     """Swap the roles of A and A*.  The dual's parameter array is
-    (theta*; theta; phi reversed)."""
+    s.params.dual(), which is (theta*; theta; phi reversed)."""
     s.require_verified("dual")
-    dual_params = None
-    if s.params is not None:
-        dual_params = ParameterArray(
-            s.spec, s.d, s.params.theta_star, s.params.theta, s.params.phi[::-1]
-        )
     out = CHSystem(
         s.spec, s.d, s.A_star, s.A, s.E_star, s.E, s.theta_star, s.theta,
-        params=dual_params,
+        params=s.params.dual() if s.params is not None else None,
     )
     verify_ch_axioms(out)
     return out

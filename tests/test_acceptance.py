@@ -186,7 +186,7 @@ def test_criterion_3():
     catalog, scalars = build_basis_catalog(s)
     assert scalars.epsilon * scalars.epsilon_star == e(4)
     assert (s.E[0] * s.E_star[0]).trace() == e(4)
-    sfe = standard_form_entries(W5)
+    sfe = standard_form_entries(catalog)
     assert sfe.xi == e(1) and sfe.xi_star == e(4)
     psi, psi_star = psi_check(W5)
     assert psi == e(1) and psi_star == e(1)
@@ -243,7 +243,10 @@ def test_criterion_5():
             cases.append(family_generate(fp))
     for p in cases:
         assert recurrence_status(p).recurrent
-        sfe = standard_form_entries(p)  # asserts the three-way agreement
+        s = split_form_build(p)
+        verify_ch_axioms(s)
+        catalog, _ = build_basis_catalog(s)
+        sfe = standard_form_entries(catalog)  # asserts the three-way agreement
         assert sfe.recurrent
         assert not sfe.xi.is_zero() and not sfe.xi_star.is_zero()
 

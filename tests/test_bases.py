@@ -7,8 +7,10 @@ import pytest
 from circhess import (
     BASIS_NAMES,
     Matrix,
+    ParameterArray,
     Vector,
     build_basis_catalog,
+    dual_system,
     psi_check,
     represent,
     standard_basis_characterize,
@@ -16,7 +18,7 @@ from circhess import (
     transition,
     vartheta_from_array,
 )
-from circhess.errors import NotRecurrentError, UnknownBasisError
+from circhess.errors import IdentityCheckError, NotRecurrentError, UnknownBasisError
 
 
 @pytest.fixture()
@@ -104,6 +106,48 @@ def test_representations_all_bases(w5_catalog):
         represent(catalog, name)  # closed-form assertions run inside
 
 
+def test_dual_array_and_dual_representations(w5_system, gf9):
+    """The dual array is an involution, it is the dual system's array, and
+    each basis of the dual system is the dual-named basis of the original
+    with the roles of A and A* swapped (W5, and an F3 array over GF(9)
+    whose theta and theta* differ)."""
+    from circhess import Family, family_generate, iter_family_instances, \
+        split_form_build, verify_ch_axioms
+
+    f3 = split_form_build(family_generate(
+        next(iter_family_instances(Family.F3_BETA_MINUS2, gf9, 5, 1))))
+    assert verify_ch_axioms(f3).is_ch
+    assert f3.params.theta != f3.params.theta_star
+    for s in (w5_system, f3):
+        p = s.params
+        assert p.dual() != p
+        assert p.dual().dual() == p
+        dual = dual_system(s)
+        assert dual.params == p.dual()
+        catalog, _ = build_basis_catalog(s)
+        dual_catalog, _ = build_basis_catalog(dual)
+        for name in BASIS_NAMES:
+            swapped = BASIS_NAMES[(BASIS_NAMES.index(name) + 3) % 6]
+            rp = represent(dual_catalog, name)
+            original = represent(catalog, swapped)
+            assert (rp.B, rp.B_star) == (original.B_star, original.B)
+
+
+def test_represent_checks_every_basis_against_the_array(w5_system, w5_array, gf5):
+    """With a stored array whose phi_1 differs from the system's, every
+    representation, the standard-type ones included, disagrees with its
+    closed form."""
+    catalog, _ = build_basis_catalog(w5_system)
+    w5_system.params = ParameterArray(
+        gf5, 3, w5_array.theta, w5_array.theta_star,
+        (gf5.element(1),) + w5_array.phi[1:],
+    )
+    assert w5_system.params.phi[0] != w5_array.phi[0]
+    for name in BASIS_NAMES:
+        with pytest.raises(IdentityCheckError):
+            represent(catalog, name)
+
+
 def test_split_representation_is_build_matrix(w5_catalog, w5_system):
     catalog, _ = w5_catalog
     rp = represent(catalog, "split")
@@ -157,8 +201,8 @@ def test_split_dual_split_vector_identities(w5_catalog, w5_array, gf5):
         assert vs[i] == v[d - i].scale(coeff / den)
 
 
-def test_standard_form_entries_w5(w5_array, gf5):
-    sfe = standard_form_entries(w5_array)
+def test_standard_form_entries_w5(w5_catalog, w5_array, gf5):
+    sfe = standard_form_entries(w5_catalog[0])
     assert sfe.recurrent
     assert sfe.xi == gf5.element(1)
     assert sfe.xi_star == gf5.element(4)
@@ -169,7 +213,10 @@ def test_standard_form_entries_w5(w5_array, gf5):
 
 
 def test_standard_form_entries_families(gf5, gf9, gf4):
-    from circhess import Family, family_generate, iter_family_instances
+    from circhess import (
+        Family, family_generate, iter_family_instances, split_form_build,
+        verify_ch_axioms,
+    )
 
     for fam, spec, d in (
         (Family.F1_GENERIC_Q, gf5, 3),
@@ -178,8 +225,9 @@ def test_standard_form_entries_families(gf5, gf9, gf4):
         (Family.F4_BETA0_CHAR2, gf4, 3),
     ):
         fp = next(iter_family_instances(fam, spec, d, 1))
-        p = family_generate(fp)
-        sfe = standard_form_entries(p)
+        s = split_form_build(family_generate(fp))
+        verify_ch_axioms(s)
+        sfe = standard_form_entries(build_basis_catalog(s)[0])
         assert sfe.recurrent
         assert not sfe.xi.is_zero() and not sfe.xi_star.is_zero()
 

@@ -206,6 +206,8 @@ _MALFORMED = {
     "phi one entry short": {**_W5_SEQS, "field": _GF5, "phi": ["3", "2"]},
     "theta_star one entry long": {**_W5_SEQS, "field": _GF5,
                                   "theta_star": ["1", "2", "4", "3", "0"]},
+    "d not the theta count": {**_W5_SEQS, "field": _GF5, "d": 7},
+    "d not an integer": {**_W5_SEQS, "field": _GF5, "d": "3"},
 }
 
 
