@@ -474,16 +474,21 @@ def _corner_derivations(p: ParameterArray):
     return split, quot
 
 
-def standard_form_entries(catalog: BasisCatalog) -> StandardFormEntries:
+def standard_form_entries(catalog: BasisCatalog,
+                          reps: dict | None = None) -> StandardFormEntries:
     """The entries of the two standard-basis representations, read off the
-    matrices that represent asserted against their closed forms.
+    matrices that represent asserted against their closed forms.  `reps`,
+    when given, maps basis names to what represent already returned for
+    this catalog, so "standard" and "dual_standard" are not solved again.
 
     For recurrent arrays the corner entries are additionally re-derived two
     more ways (the split-data formula and the wrap-scalar quotient) and all
     three values must agree; xi is xi* of the dual array."""
     p = catalog.system.params
-    a_star_matrix = represent(catalog, "standard").B_star
-    a_matrix = represent(catalog, "dual_standard").B
+    if reps is None:
+        reps = {n: represent(catalog, n) for n in ("standard", "dual_standard")}
+    a_star_matrix = reps["standard"].B_star
+    a_matrix = reps["dual_standard"].B
     a, b, c, xi = _circular_entries(a_matrix)
     a_star, b_star, c_star, xi_star = _circular_entries(a_star_matrix)
     recurrent = recurrence_status(p).recurrent

@@ -474,6 +474,10 @@ def primitive_idempotents(a: Matrix, eigenvalues) -> list[Matrix]:
       prod (x - theta_j).  verify_ch_axioms checks the idempotent algebra
       on every stored family.
 
+    This is the generic path, for ingest and the tests; split_form_build
+    writes its bidiagonal matrices' projectors in closed form instead
+    (systems._bidiagonal_idempotents), and they are equal to these.
+
     The numerator of E_i is prefix[i-1] * suffix[i+1], where prefix[k] and
     suffix[k] are the products of the factors (a - theta_j I) with j <= k
     and j >= k; the annihilator is the last prefix.  That is 3d - 2 matrix

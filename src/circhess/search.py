@@ -13,11 +13,13 @@ candidate.  Exhaustive mode solves for phi instead of enumerating it: per
 (theta, theta*) pair, the zero entries are linear equations in phi, solved
 by exact elimination, and their solutions are filtered for nonzero phi and
 nonzero corners.  Every probe hit, in either mode, is then re-verified by
-the full idempotent-product oracle, which is authoritative and shares only
-the pattern's specification with the probe.  Hits that fail to be
-recurrent are counterexamples to the open conjecture that all such systems
-are recurrent: they are persisted as replayable JSON before any
-post-processing.
+the axiom oracle (split_form_build, then verify_ch_axioms), which is
+authoritative and shares only the pattern's specification with the probe:
+it checks each idempotent family against its matrix and its algebra
+before it decides every constrained product E_i A* E_j and E*_i A E*_j.
+Hits that fail to be recurrent are counterexamples to the open conjecture
+that all such systems are recurrent: they are persisted as replayable JSON
+before any post-processing.
 """
 
 from __future__ import annotations

@@ -14,11 +14,18 @@ The complete isomorphism invariant is the parameter array
 sequence phi); split_form_build realizes any valid array as a concrete
 system on F^(d+1), and extract_parameter_array inverts it.
 ParameterArray.dual() is the array of the pair (A*, A).
+
+Primitive idempotents have rank one, and both halves of the axiom oracle
+use it: split_form_build writes each E_i and E*_i as an outer product of
+eigenvectors of the bidiagonal A and A*, and verify_ch_axioms decides each
+constrained E_i A* E_j by matrix-vector products, after checking the
+families' algebra.  Each idempotent costs O(d^2) field operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, product
 
 from .errors import (
     CorruptIdempotentsError,
@@ -190,17 +197,73 @@ def split_form_build(p: ParameterArray) -> CHSystem:
 
     A is lower bidiagonal with diagonal theta_d, ..., theta_0 and ones on the
     subdiagonal; A* is upper bidiagonal with diagonal theta*_0, ..., theta*_d
-    and superdiagonal phi_1, ..., phi_d.  Idempotents are computed in the
-    eigenvalue orders theta_0..theta_d and theta*_0..theta*_d (note A's
-    diagonal lists theta reversed; E_i still pairs with theta_i).
+    and superdiagonal phi_1, ..., phi_d.  Idempotents are in the eigenvalue
+    orders theta_0..theta_d and theta*_0..theta*_d (note A's diagonal lists
+    theta reversed; E_i still pairs with theta_i).
+
+    Both families are the closed-form rank-one projectors of
+    _bidiagonal_idempotents; A*'s are the transposes of those of the lower
+    bidiagonal A*^T.  Instead of an annihilator check, each family must
+    recombine to its matrix, sum theta_i E_i = A and sum theta*_i E*_i = A*,
+    else CorruptIdempotentsError; verify_ch_axioms checks their algebra.
 
     The returned system is unverified; run verify_ch_axioms on it.
     """
     A, A_star = _split_form(p)
-    E = primitive_idempotents(A, p.theta)
-    E_star = primitive_idempotents(A_star, p.theta_star)
+    E = _bidiagonal_idempotents(A)[::-1]
+    E_star = [e.transpose() for e in _bidiagonal_idempotents(A_star.transpose())]
+    if _spectral_sum(E, p.theta) != A or _spectral_sum(E_star, p.theta_star) != A_star:
+        raise CorruptIdempotentsError(
+            "closed-form idempotents do not recombine to A and A*"
+        )
     return CHSystem(p.spec, p.d, A, A_star, E, E_star, p.theta, p.theta_star,
                     params=p)
+
+
+def _bidiagonal_idempotents(low: Matrix) -> list[Matrix]:
+    """The primitive idempotents of a lower-bidiagonal matrix whose diagonal
+    entries l_0..l_d are mutually distinct, E_k paired with l_k.
+
+    With c_i = low[i][i - 1], the column r_k and the row s_k given by
+
+        r_k[i] = c_{k+1} ... c_i * prod_{m > i} (l_k - l_m)    for i >= k,
+        s_k[j] = c_{j+1} ... c_k * prod_{m < j} (l_k - l_m)    for j <= k,
+
+    and zero elsewhere, satisfy low r_k = l_k r_k and s_k low = l_k s_k
+    (each is the division-free form of the two-term recurrence that the
+    bidiagonal rows impose).  They overlap only at index k, so s_k r_k is
+    prod_{m != k} (l_k - l_m), the Lagrange denominator, and nonzero.  Left
+    and right eigenvectors of distinct eigenvalues are orthogonal, so the
+    E_k = r_k s_k / (s_k r_k) are the spectral projectors of low.  Each
+    costs O(d^2) field operations from prefix and suffix products and one
+    field inverse, which scales r_k.
+    """
+    s = low.spec
+    mul, sub, one, zero = s.mul, s.sub, s.one, s.zero
+    n = low.nrows
+    diag = [low.rows[i][i] for i in range(n)]
+    c = [None] + [low.rows[i][i - 1] for i in range(1, n)]
+    zero_row = (zero,) * n
+    out = []
+    for k, lk in enumerate(diag):
+        diffs = [sub(lk, lm) for lm in diag]
+        after = list(accumulate(reversed(diffs[k + 1:]), mul, initial=one))[::-1]
+        before = list(accumulate(diffs[:k], mul, initial=one))
+        inv = s.inv(mul(after[0], before[-1]))
+        r_k = map(mul, accumulate(c[k + 1:], mul, initial=inv), after)
+        chain = list(accumulate(reversed(c[1:k + 1]), mul, initial=one))[::-1]
+        s_k = [mul(x, y) for x, y in zip(before, chain)] + [zero] * (n - 1 - k)
+        out.append(Matrix(s, [zero_row] * k
+                          + [[mul(x, y) for y in s_k] for x in r_k]))
+    return out
+
+
+def _spectral_sum(E, labels) -> Matrix:
+    """sum_i labels_i E_i, one dot product per entry."""
+    s = E[0].spec
+    lam = [x.payload for x in labels]
+    return Matrix(s, [[s.dot(lam, col) for col in zip(*rows)]
+                      for rows in zip(*(e.rows for e in E))])
 
 
 def _split_form(p: ParameterArray) -> tuple[Matrix, Matrix]:
@@ -269,12 +332,11 @@ def _check_idempotent_family(E, labels, ident) -> None:
     if any(e.is_zero() for e in E):
         raise CorruptIdempotentsError("stored idempotent family has a zero member")
     total = E[0]
-    spectral = E[0].scale(labels[0])
-    for e, lam in zip(E[1:], labels[1:]):
+    for e in E[1:]:
         total = total + e
-        spectral = spectral + e.scale(lam)
     if total != ident:
         raise CorruptIdempotentsError("stored idempotents do not sum to I")
+    spectral = _spectral_sum(E, labels)
     for e, lam in zip(E, labels):
         if spectral * e != e.scale(lam):
             raise CorruptIdempotentsError(
@@ -283,22 +345,25 @@ def _check_idempotent_family(E, labels, ident) -> None:
 
 
 def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
-    """Evaluate every product E_i A* E_j and E*_i A E*_j that the circular
+    """Decide every product E_i A* E_j and E*_i A E*_j that the circular
     Hessenberg pattern constrains, and compare its zero/nonzero pattern
     with the axioms.
 
     The pattern is the one table linalg._circular_hessenberg_pattern(d + 1),
     which the search probe and the ingest ordering search read too; only
     the specification is shared.  It leaves the diagonal (j = i) and
-    superdiagonal (j = i + 1) free, so those products are not formed; for
-    d >= 3 the corner (0, d) is never one of them.  Every constrained
-    product is a full matrix product, independent of the search probe.
+    superdiagonal (j = i + 1) free, so those products are not decided; for
+    d >= 3 the corner (0, d) is never one of them.
 
     First checks the idempotent algebra of both stored families, which may
     come from anywhere, against their labels theta and theta* (see
     _check_idempotent_family); this is the one place it is checked (see
-    primitive_idempotents).  Sets the system's sticky `verified` flag when
-    the pattern holds.
+    primitive_idempotents).  Once that passes, V = E_0 V (+) ... (+) E_d V
+    with every E_i V nonzero, and d + 1 nonzero dimensions summing to d + 1
+    are all one: every E_j has rank one.  So each product is decided
+    exactly by two matrix-vector products (see _zero_products), independent
+    of the search probe.  Sets the system's sticky `verified` flag when the
+    pattern holds.
     """
     ident = Matrix.identity(s.spec, s.d + 1)
     _check_idempotent_family(s.E, s.theta, ident)
@@ -306,14 +371,27 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     failures = []
     pattern = _circular_hessenberg_pattern(s.d + 1)
     for cond, family, middle in (("iv", s.E, s.A_star), ("v", s.E_star, s.A)):
-        lefts = [e * middle for e in family]
-        for i, j, zero in pattern:
-            if (lefts[i] * family[j]).is_zero() != zero:
-                failures.append((cond, i, j))
+        zeros = _zero_products(family, middle, [(i, j) for i, j, _ in pattern])
+        failures += [(cond, i, j) for i, j, zero in pattern if zeros[i, j] != zero]
     outcome = VerificationOutcome(not failures, failures)
     if outcome.is_ch:
         s.verified = True
     return outcome
+
+
+def _zero_products(E, M: Matrix, pairs) -> dict:
+    """{(i, j): whether E_i M E_j = 0} over `pairs`, for a family whose
+    members all have rank one.
+
+    A rank-one E_j is u_j w_j^T for any nonzero column u_j of E_j and some
+    nonzero row w_j, so E_i M E_j = (E_i (M u_j)) w_j^T is zero exactly when
+    the vector E_i (M u_j) is.  That is two matrix-vector products per
+    pair, M u_j shared by each j.
+    """
+    zero_col = (M.spec.zero,) * M.nrows
+    images = [M * Vector(M.spec, next(u for u in zip(*e.rows) if u != zero_col))
+              for e in E]
+    return {(i, j): (E[i] * images[j]).is_zero() for i, j in pairs}
 
 
 def _proportionality(w: Vector, v: Vector) -> FieldElement:
@@ -477,14 +555,13 @@ def _find_ordering(M: Matrix, evs, other: Matrix):
     """An ordering of M's eigenvalues and idempotents making `other` act in
     circular Hessenberg fashion, as (theta, E) in that order, or None."""
     n = len(evs)
-    E = primitive_idempotents(M, evs)
-    lefts = [e * other for e in E]
-    prods = [[not (left * f).is_zero() for f in E] for left in lefts]
-    succ = [[i for i in range(n) if i != j and prods[i][j]] for j in range(n)]
+    E = primitive_idempotents(M, evs)  # rank one each: M is multiplicity-free
+    zeros = _zero_products(E, other, product(range(n), repeat=2))
+    succ = [[i for i in range(n) if i != j and not zeros[i, j]] for j in range(n)]
     pattern = _circular_hessenberg_pattern(n)
     for cycle in _hamiltonian_cycles(succ, n):
         for o in _cycle_orderings(cycle):
-            if all(prods[o[i]][o[j]] != zero for i, j, zero in pattern):
+            if all(zeros[o[i], o[j]] == zero for i, j, zero in pattern):
                 return tuple(evs[k] for k in o), [E[k] for k in o]
     return None
 

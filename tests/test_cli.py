@@ -123,6 +123,31 @@ def test_bases_cli_check_all(tmp_path, capsys, w5_array):
     assert "PASS" in err and "FAIL" not in err
 
 
+def test_bases_check_all_solves_each_once(tmp_path, capsys, monkeypatch, w5_array):
+    """One `bases --check-all` solves each of the 6 representations and each
+    of the 36 ordered transitions once: the ledger and the standard-form
+    entries reuse what the payload computed."""
+    from circhess import bases
+
+    calls = {"represent": [], "transition": []}
+    for name in calls:
+        fn = getattr(bases, name)
+
+        def counted(catalog, *args, _fn=fn, _seen=calls[name]):
+            _seen.append(args)
+            return _fn(catalog, *args)
+
+        monkeypatch.setattr(bases, name, counted)
+    f = tmp_path / "w5.json"
+    f.write_text(json.dumps(w5_array.to_json()))
+    code, _, _ = run(capsys, "bases", "--in", str(f), "--check-all")
+    assert code == 0
+    assert sorted(calls["represent"]) == sorted((n,) for n in bases.BASIS_NAMES)
+    assert sorted(calls["transition"]) == sorted(
+        (a, b) for a in bases.BASIS_NAMES for b in bases.BASIS_NAMES
+    )
+
+
 def test_fuzz_cli(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code, stdout, _ = run(

@@ -444,14 +444,15 @@ def test_failures_match_all_products_reference(field, d):
 
 
 @pytest.mark.parametrize("theta, phi, expected", [
-    ([1, 2, 4, 3], [3, 2, 4], 48),
-    ([0, 1, 2, 3, 4], [1, 2, 3, 4], 72),
+    ([1, 2, 4, 3], [3, 2, 4], 8),
+    ([0, 1, 2, 3, 4], [1, 2, 3, 4], 10),
 ])
 def test_oracle_matrix_product_count(monkeypatch, gf5, theta, phi, expected):
     """Matrix x Matrix products in one split_form_build + verify_ch_axioms
-    on a GF(5) hit (theta* = theta): 2 d^2 + 10 d."""
+    on a GF(5) hit (theta* = theta): 2 (d + 1), the two idempotent-family
+    checks; the closed-form build and the rank-one pattern test form none."""
     d = len(phi)
-    assert expected == 2 * d * d + 10 * d
+    assert expected == 2 * (d + 1)
     p = ParameterArray.make(gf5, theta, theta, phi)
     mul = Matrix.__mul__
     count = 0
@@ -464,6 +465,111 @@ def test_oracle_matrix_product_count(monkeypatch, gf5, theta, phi, expected):
     monkeypatch.setattr(Matrix, "__mul__", counted)
     assert verify_ch_axioms(split_form_build(p)).is_ch
     assert count == expected
+
+
+def _pool(spec):
+    """Elements to sample arrays from: the whole field when it is finite."""
+    if spec.order is not None:
+        return list(spec.elements())
+    e = spec.element
+    if getattr(spec, "deg", 1) == 1:
+        return [e(x) for x in range(-6, 7)]
+    t = spec.generator()
+    return [e(x) + e(y) * t for x in range(-2, 3) for y in range(-2, 3)]
+
+
+def _random_array(spec, d, rng):
+    pool = _pool(spec)
+    nonzero = [x for x in pool if not x.is_zero()]
+    return ParameterArray(spec, d, tuple(rng.sample(pool, d + 1)),
+                          tuple(rng.sample(pool, d + 1)),
+                          tuple(rng.choice(nonzero) for _ in range(d)))
+
+
+@pytest.mark.parametrize("field, d", _cases(
+    ("gf:5", "gf:7", "ext:gf:2:1,1,1", "ext:gf:3:1,0,1", "cyclo:4", "rat"),
+    (3, 4, 5, 6),
+))
+def test_closed_form_idempotents_match_lagrange(field, d):
+    """split_form_build's closed-form rank-one families are exactly the
+    Lagrange projectors of A and A*, on seeded arrays, systems or not."""
+    from circhess.linalg import primitive_idempotents
+
+    spec = field_from_string(field)
+    rng = random.Random(f"closed/{field}/{d}")
+    non_ch = 0
+    for _ in range(10):
+        p = _random_array(spec, d, rng)
+        s = split_form_build(p)
+        assert list(s.E) == primitive_idempotents(s.A, p.theta)
+        assert list(s.E_star) == primitive_idempotents(s.A_star, p.theta_star)
+        non_ch += not verify_ch_axioms(s).is_ch
+    assert non_ch > 0
+
+
+@pytest.mark.parametrize("call", [0, 1])
+@pytest.mark.parametrize("corrupt", ["swap", "shift"])
+def test_corrupt_closed_form_raises(monkeypatch, w5_array, call, corrupt):
+    """A closed-form family that does not recombine to its matrix (A on the
+    first call, A*^T on the second) is rejected by split_form_build."""
+    from circhess import systems
+
+    helper = systems._bidiagonal_idempotents
+    calls = []
+
+    def corrupted(low):
+        family = helper(low)
+        if len(calls) == call:
+            if corrupt == "swap":
+                family[0], family[1] = family[1], family[0]
+            else:
+                family[0] = family[0] + family[1]
+        calls.append(low)
+        return family
+
+    monkeypatch.setattr(systems, "_bidiagonal_idempotents", corrupted)
+    with pytest.raises(CorruptIdempotentsError):
+        split_form_build(w5_array)
+
+
+@pytest.mark.parametrize("field, d", _cases(
+    ("gf:5", "gf:7", "ext:gf:2:1,1,1", "ext:gf:3:1,0,1"), (3, 4, 5)
+) + [("cyclo:4", 3)])
+def test_rank_one_pattern_test_matches_all_products_on_conjugated_pairs(field, d):
+    """Systems whose idempotents are not the split form's: the pair
+    conjugated by a seeded sigma, with both families from
+    primitive_idempotents.  The rank-one pattern test of verify_ch_axioms
+    gives the failure list of the all-products reference, hits or not."""
+    from circhess.linalg import primitive_idempotents
+    from circhess.systems import CHSystem
+
+    spec = field_from_string(field)
+    n = d + 1
+    rng = random.Random(f"conjugated/{field}/{d}")
+    outcomes = set()
+    for k in range(6):
+        if d == 3 and k < 2 and spec.order is not None:
+            p = _random_split_hit(spec, d, rng).params
+        else:
+            p = _random_array(spec, d, rng)
+        base = split_form_build(p)
+        while True:
+            sigma = _random_square(spec, n, rng)
+            if not determinant(sigma).is_zero():
+                break
+        sigma_inv = matrix_inverse(sigma)
+        a = sigma * base.A * sigma_inv
+        b = sigma * base.A_star * sigma_inv
+        s = CHSystem(spec, d, a, b, primitive_idempotents(a, p.theta),
+                     primitive_idempotents(b, p.theta_star), p.theta, p.theta_star)
+        assert s.E != base.E
+        out = verify_ch_axioms(s)
+        assert out.failures == _all_products_failures(s)
+        assert out.is_ch == (not out.failures)
+        outcomes.add(out.is_ch)
+    assert False in outcomes
+    if d == 3 and spec.order is not None:
+        assert True in outcomes
 
 
 def _brute_closure_is_everything(spec, mats, seed):
@@ -570,8 +676,8 @@ def test_cyclic_irreducibility_on_hidden_block_diagonal_pair(gf5):
 
 def test_ingest_matrix_product_count(monkeypatch, w5_array, gf5):
     """Matrix x Matrix products in one d = 3 GF(5) ingest: per side, 7 for
-    the idempotents, 4 left products E_i M and 16 products E_i M E_j; then
-    34 in verify_ch_axioms."""
+    the idempotents (the table of zero products E_i M E_j forms none); then
+    8 in verify_ch_axioms."""
     s = split_form_build(w5_array)
     sigma = Matrix.from_elements(
         gf5, [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, 4], [1, 0, 0, 1]]
@@ -590,7 +696,7 @@ def test_ingest_matrix_product_count(monkeypatch, w5_array, gf5):
     monkeypatch.setattr(Matrix, "__mul__", counted)
     got = ingest_pair(a, b)
     assert got is not None and got.verified and isomorphic(got.params, w5_array)
-    assert count == 2 * (7 + 4 + 16) + 34 == 88
+    assert count == 2 * 7 + 8 == 22
 
 
 @pytest.mark.parametrize(
