@@ -31,6 +31,9 @@ from .errors import (
     ReducibleModulusError,
 )
 
+# monic factors a finite-field modulus's irreducibility certificate may try
+FACTOR_SEARCH_BUDGET = 200_000
+
 
 def _prime_divisors(n: int) -> list[int]:
     out = []
@@ -499,7 +502,7 @@ class QuotientExtension(FieldSpec):
                         f"modulus {self._modulus_str()} has root {b.render(x)}"
                     )
             for degf in range(2, self.deg // 2 + 1):
-                if b.order ** degf > 200_000:
+                if b.order ** degf > FACTOR_SEARCH_BUDGET:
                     raise ReducibleModulusError(
                         "factor search budget exceeded; cannot certify modulus"
                     )
@@ -875,15 +878,31 @@ def primitive_root_of_unity(
     if not isinstance(spec, PrimeField):
         raise NoSuchRootError("extension search supported over prime fields only")
     p = spec.p
-    for k in range(2, 9):
-        if (p**k - 1) % n == 0:
-            ext = _find_extension_field(spec, k)
-            return primitive_root_of_unity(ext, n)
-    raise NoSuchRootError(f"no GF({p}^k) with k <= 8 contains an order-{n} root")
+    if n % p == 0:
+        raise NoSuchRootError(
+            f"no extension of GF({p}) has an element of order {n}: "
+            f"the characteristic {p} divides {n}"
+        )
+    # GF(p^k)^x is cyclic of order p^k - 1, so the least such k is the
+    # multiplicative order of p modulo n
+    k, power = 1, p % n
+    while power != 1:
+        k, power = k + 1, power * p % n
+    return primitive_root_of_unity(_find_extension_field(spec, k), n)
 
 
 def _find_extension_field(base: PrimeField, k: int) -> QuotientExtension:
-    """Smallest-lexicographic monic irreducible of degree k over GF(p)."""
+    """Smallest-lexicographic monic irreducible of degree k over GF(p).
+
+    A modulus of degree k >= 4 is certified by trying every monic factor of
+    degree up to k // 2, so none can be once p^(k // 2) exceeds the factor
+    search budget; that is refused at once rather than after p^k candidates.
+    """
+    if k >= 4 and base.p ** (k // 2) > FACTOR_SEARCH_BUDGET:
+        raise NoSuchRootError(
+            f"cannot certify a degree-{k} modulus over {base}: "
+            f"{base.p}^{k // 2} monic factors exceed the search budget"
+        )
     for tail in itertools.product(range(base.p), repeat=k):
         coeffs = tuple(tail) + (1,)
         try:

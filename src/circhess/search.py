@@ -15,8 +15,10 @@ by exact elimination, and their solutions are filtered for nonzero phi and
 nonzero corners.  Every probe hit, in either mode, is then re-verified by
 the axiom oracle (split_form_build, then verify_ch_axioms), which is
 authoritative and shares only the pattern's specification with the probe:
-it checks each idempotent family against its matrix and its algebra
-before it decides every constrained product E_i A* E_j and E*_i A E*_j.
+split_form_build checks each closed-form idempotent family against its
+matrix, and verify_ch_axioms factors every member as a rank-one outer
+product, checks each family's algebra on the factors and decides every
+constrained product E_i A* E_j and E*_i A E*_j as one dot product.
 Hits that fail to be recurrent are counterexamples to the open conjecture
 that all such systems are recurrent: they are persisted as replayable JSON
 before any post-processing.

@@ -17,9 +17,11 @@ ParameterArray.dual() is the array of the pair (A*, A).
 
 Primitive idempotents have rank one, and both halves of the axiom oracle
 use it: split_form_build writes each E_i and E*_i as an outer product of
-eigenvectors of the bidiagonal A and A*, and verify_ch_axioms decides each
-constrained E_i A* E_j by matrix-vector products, after checking the
-families' algebra.  Each idempotent costs O(d^2) field operations.
+eigenvectors of the bidiagonal A and A*, and verify_ch_axioms factors each
+stored E_i as u_i w_i^T / p_i once, checks the families' algebra on the
+factors (rank one and sum E_i = I) and decides each constrained
+E_i A* E_j as the scalar w_i . (A* u_j).  Each idempotent costs O(d^2)
+field operations, and the oracle forms no product of two matrices.
 """
 
 from __future__ import annotations
@@ -305,43 +307,76 @@ def _split_vectors(a: Matrix, theta, e0: Matrix, u_star: Vector) -> list[Vector]
     return vs
 
 
-def _check_idempotent_family(E, labels, ident) -> None:
+def _rank_one_factors(e: Matrix):
+    """(u, w, pivot) with e = u w^T / pivot when e has rank one, as payload
+    tuples and a payload; None when e is zero or has higher rank.
+
+    w is the first nonzero row of e (row r), pivot = w[q] for the first q
+    with w[q] != 0, and u = e[:, q].  A rank-one e = x y^T has w = x_r y^T
+    and u = y_q x, so pivot e[a][b] = u[a] w[b] for every entry.
+    Conversely, these (d + 1)^2 identities write e as u w^T / pivot with
+    u[r] = pivot != 0, which has rank one.  O(d^2) field operations.
+    """
+    s = e.spec
+    zero_row = (s.zero,) * e.ncols
+    w = next((r for r in e.rows if r != zero_row), None)
+    if w is None:
+        return None
+    q = next(b for b, x in enumerate(w) if not s.is_zero(x))
+    pivot = w[q]
+    u = tuple(r[q] for r in e.rows)
+    mul = s.mul
+    for ua, row in zip(u, e.rows):
+        # pivot != 0, so a zero u[a] needs a zero row; row r holds trivially
+        if s.is_zero(ua):
+            if row != zero_row:
+                return None
+        elif row is not w and [mul(x, pivot) for x in row] != [mul(ua, y) for y in w]:
+            return None
+    return u, w, pivot
+
+
+def _family_factors(E) -> list:
+    """_rank_one_factors of every member, or CorruptIdempotentsError when
+    one of them is zero or not of rank one."""
+    factors = [_rank_one_factors(e) for e in E]
+    if any(f is None for f in factors):
+        raise CorruptIdempotentsError(
+            "stored idempotent family has a member that is zero or not of rank one"
+        )
+    return factors
+
+
+def _check_idempotent_family(E, labels, ident) -> list:
     """Raise CorruptIdempotentsError unless E_0..E_d carry one distinct
-    label each, are nonzero, sum to I and satisfy E_i E_j = delta_ij E_i.
+    label each, have rank one, sum to I and satisfy E_i E_j = delta_ij E_i;
+    return the members' rank-one factors (see _rank_one_factors).
 
-    The products E_i E_j are not formed.  With M = sum_i lambda_i E_i for
-    the mutually distinct labels lambda_i, it is checked that
-    M E_i = lambda_i E_i for every i; that is d + 1 products instead of
-    (d + 1)^2.  This is exact:
+    No product of two members is formed.  Write E_i = u_i w_i^T / p_i,
+    let U be the square matrix with columns u_i and W the one with columns
+    w_i / p_i.  Then sum_i E_i = U W^T, and the check sum_i E_i = I says
+    U W^T = I.  A square matrix with a right inverse is invertible and
+    that inverse is also a left one, so W^T U = I: w_i . u_j / p_i is
+    delta_ij.  Hence
 
-    * If sum E_i = I and M E_i = lambda_i E_i, every column of E_i lies in
-      V_i = ker(M - lambda_i I).  Eigenspaces for distinct eigenvalues are
-      independent, and v = sum_i E_i v puts every v in sum_i V_i, so
-      V = V_0 (+) ... (+) V_d.  For v in V_j, the decomposition
-      v = sum_i E_i v with E_i v in V_i is unique, so E_i v = delta_ij v:
-      E_i is the projection onto V_i along the others, which is
-      E_i E_j = delta_ij E_i.
-    * Conversely, orthogonal idempotents summing to I give
-      M E_i = sum_j lambda_j E_j E_i = lambda_i E_i.
+        E_i E_j = u_i (w_i . u_j / p_i) w_j^T / p_j = delta_ij E_i.
 
-    Nonzero members are checked separately: d + 1 of them in dimension
-    d + 1 are then exactly the rank-one primitive idempotents.
+    This accepts exactly the valid families: d + 1 nonzero orthogonal
+    idempotents summing to I give V = E_0 V (+) ... (+) E_d V, and d + 1
+    nonzero dimensions summing to d + 1 are all one.  A zero member or one
+    of higher rank is therefore rejected without loss.  The labels are
+    only required to be distinct; verify_ch_axioms relies on nothing else
+    about them.
     """
     if len(labels) != len(E) or len({lam.payload for lam in labels}) != len(E):
         raise CorruptIdempotentsError("need one distinct label per idempotent")
-    if any(e.is_zero() for e in E):
-        raise CorruptIdempotentsError("stored idempotent family has a zero member")
+    factors = _family_factors(E)
     total = E[0]
     for e in E[1:]:
         total = total + e
     if total != ident:
         raise CorruptIdempotentsError("stored idempotents do not sum to I")
-    spectral = _spectral_sum(E, labels)
-    for e, lam in zip(E, labels):
-        if spectral * e != e.scale(lam):
-            raise CorruptIdempotentsError(
-                "stored idempotents fail E_i E_j = delta_ij E_i"
-            )
+    return factors
 
 
 def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
@@ -355,22 +390,23 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     superdiagonal (j = i + 1) free, so those products are not decided; for
     d >= 3 the corner (0, d) is never one of them.
 
-    First checks the idempotent algebra of both stored families, which may
-    come from anywhere, against their labels theta and theta* (see
-    _check_idempotent_family); this is the one place it is checked (see
-    primitive_idempotents).  Once that passes, V = E_0 V (+) ... (+) E_d V
-    with every E_i V nonzero, and d + 1 nonzero dimensions summing to d + 1
-    are all one: every E_j has rank one.  So each product is decided
-    exactly by two matrix-vector products (see _zero_products), independent
-    of the search probe.  Sets the system's sticky `verified` flag when the
-    pattern holds.
+    First checks both stored families, which may come from anywhere: each
+    member has rank one, the labels theta and theta* are distinct, and the
+    members sum to I, which with rank-one members is the whole idempotent
+    algebra (see _check_idempotent_family); this is the one place it is
+    checked (see primitive_idempotents).  The check returns each member's
+    factors E_j = u_j w_j^T / p_j, and every product is decided from them
+    exactly, by one matrix-vector product per j and one dot product per
+    pair (see _zero_products), independent of the search probe.  No
+    product of two matrices is formed.  Sets the system's sticky
+    `verified` flag when the pattern holds.
     """
     ident = Matrix.identity(s.spec, s.d + 1)
-    _check_idempotent_family(s.E, s.theta, ident)
-    _check_idempotent_family(s.E_star, s.theta_star, ident)
+    factors = _check_idempotent_family(s.E, s.theta, ident)
+    factors_star = _check_idempotent_family(s.E_star, s.theta_star, ident)
     failures = []
     pattern = _circular_hessenberg_pattern(s.d + 1)
-    for cond, family, middle in (("iv", s.E, s.A_star), ("v", s.E_star, s.A)):
+    for cond, family, middle in (("iv", factors, s.A_star), ("v", factors_star, s.A)):
         zeros = _zero_products(family, middle, [(i, j) for i, j, _ in pattern])
         failures += [(cond, i, j) for i, j, zero in pattern if zeros[i, j] != zero]
     outcome = VerificationOutcome(not failures, failures)
@@ -379,19 +415,18 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     return outcome
 
 
-def _zero_products(E, M: Matrix, pairs) -> dict:
-    """{(i, j): whether E_i M E_j = 0} over `pairs`, for a family whose
-    members all have rank one.
+def _zero_products(factors, M: Matrix, pairs) -> dict:
+    """{(i, j): whether E_i M E_j = 0} over `pairs`, for the rank-one
+    factors E_i = u_i w_i^T / p_i of a family (see _rank_one_factors).
 
-    A rank-one E_j is u_j w_j^T for any nonzero column u_j of E_j and some
-    nonzero row w_j, so E_i M E_j = (E_i (M u_j)) w_j^T is zero exactly when
-    the vector E_i (M u_j) is.  That is two matrix-vector products per
-    pair, M u_j shared by each j.
+    E_i M E_j = u_i (w_i . M u_j) w_j^T / (p_i p_j), and u_i, w_j are
+    nonzero, so it is zero exactly when the scalar w_i . (M u_j) is.  That
+    is one matrix-vector product per j and one dot product per pair.
     """
-    zero_col = (M.spec.zero,) * M.nrows
-    images = [M * Vector(M.spec, next(u for u in zip(*e.rows) if u != zero_col))
-              for e in E]
-    return {(i, j): (E[i] * images[j]).is_zero() for i, j in pairs}
+    s = M.spec
+    dot, is_zero = s.dot, s.is_zero
+    images = [[dot(r, u) for r in M.rows] for u, _, _ in factors]
+    return {(i, j): is_zero(dot(factors[i][1], images[j])) for i, j in pairs}
 
 
 def _proportionality(w: Vector, v: Vector) -> FieldElement:
@@ -556,7 +591,7 @@ def _find_ordering(M: Matrix, evs, other: Matrix):
     circular Hessenberg fashion, as (theta, E) in that order, or None."""
     n = len(evs)
     E = primitive_idempotents(M, evs)  # rank one each: M is multiplicity-free
-    zeros = _zero_products(E, other, product(range(n), repeat=2))
+    zeros = _zero_products(_family_factors(E), other, product(range(n), repeat=2))
     succ = [[i for i in range(n) if i != j and not zeros[i, j]] for j in range(n)]
     pattern = _circular_hessenberg_pattern(n)
     for cycle in _hamiltonian_cycles(succ, n):

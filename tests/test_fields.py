@@ -187,6 +187,35 @@ def test_root_of_unity_extension_search():
     assert q**3 == 1 and q != 1 and q**2 != 1
 
 
+def test_root_of_unity_extension_degree_is_the_multiplicative_order():
+    """The extension has degree k = the least k with n | p^k - 1: for
+    (p, n) = (2, 11) that is 10, so GF(2^10) holds the root.  The smallest
+    extensions for (2, 7) and (5, 6), and the roots found in them, are as
+    before."""
+    q = primitive_root_of_unity(prime_field(2), 11, allow_extension=True)
+    assert q.spec.order == 2**10
+    assert q**11 == 1 and q != 1
+    q = primitive_root_of_unity(prime_field(2), 7, allow_extension=True)
+    assert (q.spec.modulus, q.payload) == ((1, 0, 1, 1), (0, 0, 1))
+    q = primitive_root_of_unity(prime_field(5), 6, allow_extension=True)
+    assert (q.spec.modulus, q.payload) == ((1, 1, 1), (0, 4))
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (2, 6), (5, 10)])
+def test_root_of_unity_refused_when_the_characteristic_divides_n(p, n):
+    """x^n - 1 = (x^(n/p) - 1)^p in characteristic p, so no extension of
+    GF(p) has an element of order n."""
+    with pytest.raises(NoSuchRootError, match="characteristic"):
+        primitive_root_of_unity(prime_field(p), n, allow_extension=True)
+
+
+def test_root_of_unity_refused_when_the_modulus_cannot_be_certified():
+    """(5, 17) needs GF(5^16); certifying a degree-16 modulus would try
+    5^8 monic factors, beyond the search budget, so it is refused at once."""
+    with pytest.raises(NoSuchRootError, match="certify"):
+        primitive_root_of_unity(prime_field(5), 17, allow_extension=True)
+
+
 def test_root_of_unity_order_property():
     for spec, n in ((prime_field(5), 4), (prime_field(7), 6),
                     (field_from_string("ext:gf:2:1,1,1"), 3)):

@@ -33,7 +33,8 @@ from circhess.errors import (
     UnverifiedSystemError,
     ZeroVectorError,
 )
-from circhess.systems import _check_idempotent_family
+from circhess.linalg import rank
+from circhess.systems import _check_idempotent_family, _rank_one_factors
 
 
 def test_split_form_matrices(w5_array, gf5):
@@ -403,6 +404,64 @@ def test_spectral_family_check_matches_pairwise_definition(field, d):
         assert not _spectral_family_ok(E, repeated, ident)
 
 
+@pytest.mark.parametrize("side", ["E", "E_star"])
+def test_rank_one_family_that_is_not_idempotent_raises(w5_array, side):
+    """Families whose members all have rank one but which are not families
+    of idempotents: E_0 doubled, E_0 in place of E_1, and E_0 replaced by
+    u_0 w_1^T (a column of E_0 times a row of E_1).  None sums to I."""
+    s = split_form_build(w5_array)
+    family = list(getattr(s, side))
+    ident = Matrix.identity(s.spec, 4)
+    column = Matrix(s.spec, [[x] for x in family[0].column(0).payloads])
+    row = Matrix(s.spec, [next(r for r in family[1].rows if any(r))])
+    for tampered in ([family[0].scale(2)] + family[1:],
+                     family[:1] + family[:1] + family[2:],
+                     [column * row] + family[1:]):
+        assert all(rank(e) == 1 for e in tampered)
+        assert not _pairwise_family_ok(tampered, ident)
+        setattr(s, side, tuple(tampered))
+        with pytest.raises(CorruptIdempotentsError):
+            verify_ch_axioms(s)
+        assert not s.verified
+
+
+def _rank_r_matrix(spec, n, r, rng, lead=0):
+    """A seeded n x n matrix of rank r, a sum of r outer products x y^T
+    whose first `lead` coordinates are zero; redrawn until the rank is r."""
+    pool = _pool(spec)
+
+    def vec():
+        return [spec.zero_element()] * lead + [rng.choice(pool)
+                                               for _ in range(n - lead)]
+
+    while True:
+        m = Matrix.zero(spec, n)
+        for _ in range(r):
+            x = Matrix.from_elements(spec, [[c] for c in vec()])
+            m = m + x * Matrix.from_elements(spec, [vec()])
+        if rank(m) == r:
+            return m
+
+
+@pytest.mark.parametrize("field", ["gf:5", "ext:gf:3:1,0,1", "cyclo:4", "rat"])
+def test_rank_one_factors_exactly_on_rank_one_matrices(field):
+    """_rank_one_factors returns factors exactly when the rank is one, and
+    then u w^T / pivot is the matrix.  Seeded matrices of rank 0, 1, 2 and
+    full; the rank-one ones include zero leading rows and columns."""
+    spec = field_from_string(field)
+    n = 4
+    rng = random.Random(f"factors/{field}")
+    for r in (0, 1, 2, n):
+        for lead in range(n - 1):
+            m = _rank_r_matrix(spec, n, r, rng, lead if r == 1 else 0)
+            got = _rank_one_factors(m)
+            assert (got is not None) == (rank(m) == 1)
+            if got is not None:
+                u, w, pivot = got
+                outer = Matrix(spec, [[spec.mul(a, b) for b in w] for a in u])
+                assert outer.scale(FieldElement(spec, spec.inv(pivot))) == m
+
+
 def _all_products_failures(s):
     """Reference pattern check that forms all (d + 1)^2 products per side."""
     d = s.d
@@ -444,15 +503,13 @@ def test_failures_match_all_products_reference(field, d):
 
 
 @pytest.mark.parametrize("theta, phi, expected", [
-    ([1, 2, 4, 3], [3, 2, 4], 8),
-    ([0, 1, 2, 3, 4], [1, 2, 3, 4], 10),
+    ([1, 2, 4, 3], [3, 2, 4], 0),
+    ([0, 1, 2, 3, 4], [1, 2, 3, 4], 0),
 ])
 def test_oracle_matrix_product_count(monkeypatch, gf5, theta, phi, expected):
     """Matrix x Matrix products in one split_form_build + verify_ch_axioms
-    on a GF(5) hit (theta* = theta): 2 (d + 1), the two idempotent-family
-    checks; the closed-form build and the rank-one pattern test form none."""
-    d = len(phi)
-    assert expected == 2 * (d + 1)
+    on a GF(5) hit (theta* = theta): none.  The closed-form build, the
+    rank-one family checks and the pattern test work on factors."""
     p = ParameterArray.make(gf5, theta, theta, phi)
     mul = Matrix.__mul__
     count = 0
@@ -676,8 +733,8 @@ def test_cyclic_irreducibility_on_hidden_block_diagonal_pair(gf5):
 
 def test_ingest_matrix_product_count(monkeypatch, w5_array, gf5):
     """Matrix x Matrix products in one d = 3 GF(5) ingest: per side, 7 for
-    the idempotents (the table of zero products E_i M E_j forms none); then
-    8 in verify_ch_axioms."""
+    the idempotents; the table of zero products E_i M E_j and
+    verify_ch_axioms form none."""
     s = split_form_build(w5_array)
     sigma = Matrix.from_elements(
         gf5, [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, 4], [1, 0, 0, 1]]
@@ -696,7 +753,7 @@ def test_ingest_matrix_product_count(monkeypatch, w5_array, gf5):
     monkeypatch.setattr(Matrix, "__mul__", counted)
     got = ingest_pair(a, b)
     assert got is not None and got.verified and isomorphic(got.params, w5_array)
-    assert count == 2 * 7 + 8 == 22
+    assert count == 2 * 7 == 14
 
 
 @pytest.mark.parametrize(
