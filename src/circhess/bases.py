@@ -11,7 +11,10 @@ For a verified system with seed u* (nonzero in E*_0 V) and u := E_0 u*:
 
 Every closed-form transition matrix and representation matrix is
 cross-checked against an independent definitional linear solve; verifying
-those formulas is the point of this module, so nothing is trusted.
+those formulas is the point of this module, so nothing is trusted.  The
+displayed standard <-> inv_split transitions are the left and right
+eigenvectors of the split form's A (systems._bidiagonal_eigenvectors), the
+same vectors whose outer products are the split form's idempotents.
 
 Each dual-side basis is the primal one for the pair (A*, A), whose array is
 ParameterArray.dual() = (theta*; theta; phi reversed).  So every dual-side
@@ -37,8 +40,8 @@ from .errors import (
 from .fields import FieldElement
 from .linalg import Matrix, Vector, matrix_inverse, rank, shape_classify, ShapeClass
 from .recurrence import recurrence_status, vartheta_from_array
-from .systems import CHSystem, ParameterArray, _proportionality, _default_seed, \
-    _split_form, _split_vectors
+from .systems import CHSystem, ParameterArray, _bidiagonal_eigenvectors, \
+    _default_seed, _proportionality, _split_form, _split_vectors
 
 BASIS_NAMES = (
     "standard",
@@ -174,40 +177,6 @@ def build_basis_catalog(s: CHSystem, u_star: Vector | None = None):
 
 # --- closed-form transitions -----------------------------------------------
 
-def _upper_product_matrix(spec, theta):
-    """Entries prod_{l=j+1}^{d} (theta_i - theta_l) for i <= j, else 0."""
-    d = len(theta) - 1
-    rows = []
-    for i in range(d + 1):
-        row = []
-        for j in range(d + 1):
-            if i > j:
-                row.append(spec.zero_element())
-            else:
-                row.append(_prod(spec, (theta[i] - theta[l] for l in range(j + 1, d + 1))))
-        rows.append(row)
-    return Matrix.from_elements(spec, rows)
-
-
-def _upper_inverse_matrix(spec, theta):
-    """Entries 1 / prod_{l=i, l != j}^{d} (theta_j - theta_l) for i <= j."""
-    d = len(theta) - 1
-    rows = []
-    for i in range(d + 1):
-        row = []
-        for j in range(d + 1):
-            if i > j:
-                row.append(spec.zero_element())
-            else:
-                den = _prod(
-                    spec,
-                    (theta[j] - theta[l] for l in range(i, d + 1) if l != j),
-                )
-                row.append(den.inverse())
-        rows.append(row)
-    return Matrix.from_elements(spec, rows)
-
-
 def _closed_transition(catalog: BasisCatalog, a: str, b: str) -> Matrix:
     """A diagram edge.  Every edge meets inv_split or inv_dual_split; one at
     inv_dual_split is the matching inv_split edge of the dual array, where
@@ -220,12 +189,21 @@ def _closed_transition(catalog: BasisCatalog, a: str, b: str) -> Matrix:
 
 
 def _inv_split_edge(p: ParameterArray, eps_star, a: str, b: str) -> Matrix:
+    """An edge at inv_split.  Between it and standard, the transitions are
+    read off the eigenvectors (r_k, s_k) of the split form's A, whose
+    diagonal lists theta reversed: standard -> inv_split has rows s_k and
+    inv_split -> standard has columns r_k, in theta_0..theta_d order and
+    each read backwards.  Their entries are
+
+        prod_{l=j+1}^{d} (theta_i - theta_l)   and
+        1 / prod_{l=i, l != j}^{d} (theta_j - theta_l)   for i <= j."""
     spec = p.spec
     d = p.d
-    if (a, b) == ("standard", "inv_split"):
-        return _upper_product_matrix(spec, p.theta)
-    if (a, b) == ("inv_split", "standard"):
-        return _upper_inverse_matrix(spec, p.theta)
+    if {a, b} == {"standard", "inv_split"}:
+        vecs = _bidiagonal_eigenvectors(_split_form(p)[0])[::-1]
+        if b == "inv_split":
+            return Matrix(spec, [s_k[::-1] for _, s_k in vecs])
+        return Matrix(spec, [r_k[::-1] for r_k, _ in vecs]).transpose()
     if {a, b} == {"split", "inv_split"}:
         return Matrix.reversal(spec, d + 1)
     if {a, b} == {"inv_split", "dual_split"}:

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import bases as bases_mod
 from .errors import (
@@ -23,7 +24,13 @@ from .errors import (
     NotRecurrentError,
     ParseError,
 )
-from .families import Family, FamilyParameters, classify_family, family_generate
+from .families import (
+    Family,
+    FamilyParameters,
+    classify_family,
+    family_generate,
+    vartheta_combination,
+)
 from .fields import FieldSpec, QuotientExtension, field_from_string
 from .linalg import Matrix
 from .recurrence import recurrence_status
@@ -61,8 +68,6 @@ def _parse_scalar(spec: FieldSpec, text: str):
         return spec.element(text)
     except ParseError:
         pass
-    from fractions import Fraction
-
     try:
         return spec.element(Fraction(text))
     except (ValueError, ZeroDivisionError, CircHessError) as e:
@@ -201,8 +206,6 @@ def _bases_ledger(params, catalog, reps, transitions):
     """The --check-all ledger.  `reps` (every basis) and `transitions` (the
     diagram edges) already passed their assertions for the payload, so
     only the other transitions are solved here."""
-    from .families import vartheta_combination
-
     checks = []
     failed = False
 

@@ -35,8 +35,9 @@ from .errors import (
     NotCircularError,
     NotRecurrentAtBetaError,
     NotRecurrentError,
+    UnsupportedFieldError,
 )
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, primitive_root_of_unity
 from .recurrence import (
     RecurrenceCase,
     _binom2_mod4,
@@ -401,15 +402,11 @@ def iter_family_instances(family: Family, spec: FieldSpec, d: int, limit: int,
     """Deterministically yield up to `limit` valid FamilyParameters over a
     finite field by scanning small parameter combinations."""
     if spec.order is None:
-        from .errors import UnsupportedFieldError
-
         raise UnsupportedFieldError("instance scanning needs a finite field")
     elems = list(spec.elements())
     nonzero = [e for e in elems if not e.is_zero()]
     count = 0
     if family is Family.F1_GENERIC_Q and q is None:
-        from .fields import primitive_root_of_unity
-
         q = primitive_root_of_unity(spec, d + 1)
     pool_bc = elems[: min(len(elems), 6)]
     pool_yz = elems[: min(len(elems), 8)]

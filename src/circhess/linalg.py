@@ -21,7 +21,7 @@ from .errors import (
     SingularError,
     UnsupportedFieldError,
 )
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, _json_fields, field_from_json
 
 BRUTEFORCE_FIELD_CAP = 1 << 16
 
@@ -269,8 +269,6 @@ class Matrix:
 
     @classmethod
     def from_json(cls, d: dict) -> "Matrix":
-        from .fields import _json_fields, field_from_json
-
         field, entries, nrows, ncols = _json_fields(
             d, "field", "entries", "rows", "cols"
         )
@@ -475,8 +473,9 @@ def primitive_idempotents(a: Matrix, eigenvalues) -> list[Matrix]:
       on every stored family.
 
     This is the generic path, for ingest and the tests; split_form_build
-    writes its bidiagonal matrices' projectors in closed form instead
-    (systems._bidiagonal_idempotents), and they are equal to these.
+    writes its bidiagonal matrices' projectors in closed form instead, as
+    outer products of the eigenvectors of systems._bidiagonal_eigenvectors,
+    and they are equal to these.
 
     The numerator of E_i is prefix[i-1] * suffix[i+1], where prefix[k] and
     suffix[k] are the products of the factors (a - theta_j I) with j <= k

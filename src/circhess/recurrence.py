@@ -15,8 +15,10 @@ root in the field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .errors import (
     IdentityCheckError,
@@ -228,8 +230,6 @@ def solve_unit_root(spec: FieldSpec, beta):
             num, den = disc.numerator, disc.denominator
             rn, rd = _isqrt_exact(num), _isqrt_exact(den)
             if rn is not None and rd is not None:
-                from fractions import Fraction
-
                 root = spec.element(Fraction(rn, rd))
                 q = (beta + root) / 2
                 if is_root(q):
@@ -254,8 +254,6 @@ def solve_unit_root(spec: FieldSpec, beta):
 
 
 def _isqrt_exact(n: int):
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 

@@ -34,9 +34,14 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import bases, families
 from .errors import (
     BudgetExceededError,
+    CircHessError,
     DimensionMismatchError,
+    InternalContradictionError,
+    NotCircularError,
+    NotRecurrentError,
     UnknownSearchModeError,
     UnsupportedFieldError,
 )
@@ -144,6 +149,13 @@ def _probe_forms(spec, theta, theta_star, d):
     lower-zero conditions hold identically and are left to the
     authoritative re-verification of hits.  All arithmetic is
     division-free (global eigenvector rescaling).
+
+    These are the vectors of systems._bidiagonal_eigenvectors up to scale
+    (its s_k and r_k are r_i and s_j here), but the recurrence is kept
+    here and run lazily per entry: random mode stops at the first violated
+    entry, so most vectors are never needed.  On random GF(5), d = 4
+    searches, shared per-vector helpers cost 3-5% more time (10-14% with
+    one helper for both sides) and an eager per-theta table 32-34% more.
     """
     sub, mul, dot, one, zero = spec.sub, spec.mul, spec.dot, spec.one, spec.zero
     for i, j, must_zero in _upper_pattern(d + 1):
@@ -304,15 +316,6 @@ def replay(params: ParameterArray) -> dict:
     axiom verification, recurrence, tridiagonal witness, family
     classification, basis identities, and the invariant-subspace check.
     Classification contradictions are surfaced verbatim, never swallowed."""
-    from .bases import build_basis_catalog, psi_check, standard_form_entries
-    from .errors import (
-        CircHessError,
-        InternalContradictionError,
-        NotCircularError,
-        NotRecurrentError,
-    )
-    from .families import classify_family
-
     bundle: dict = {"parameter_array": params.to_json(), "ok": True}
     system = split_form_build(params)
     outcome = verify_ch_axioms(system)
@@ -326,7 +329,7 @@ def replay(params: ParameterArray) -> dict:
     if status.recurrent:
         bundle["tridiagonal_witness"] = td_witness(system, status.betas[0]).to_json()
     try:
-        cls = classify_family(params)
+        cls = families.classify_family(params)
         bundle["classification"] = cls.to_json()
     except InternalContradictionError as e:
         bundle["classification"] = {"error": "InternalContradiction", "detail": str(e)}
@@ -334,12 +337,12 @@ def replay(params: ParameterArray) -> dict:
     except (NotRecurrentError, NotCircularError) as e:
         bundle["classification"] = {"error": type(e).__name__, "detail": str(e)}
     try:
-        catalog, scalars = build_basis_catalog(system)
+        catalog, scalars = bases.build_basis_catalog(system)
         bases_info = {"normalization": scalars.to_json()}
-        entries = standard_form_entries(catalog)
+        entries = bases.standard_form_entries(catalog)
         bases_info["standard_form"] = entries.to_json()
         if status.recurrent:
-            psi, psi_star = psi_check(params)
+            psi, psi_star = bases.psi_check(params)
             bases_info["psi"] = str(psi)
             bases_info["psi_star"] = str(psi_star)
         bundle["bases"] = bases_info

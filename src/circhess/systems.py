@@ -16,12 +16,15 @@ system on F^(d+1), and extract_parameter_array inverts it.
 ParameterArray.dual() is the array of the pair (A*, A).
 
 Primitive idempotents have rank one, and both halves of the axiom oracle
-use it: split_form_build writes each E_i and E*_i as an outer product of
-eigenvectors of the bidiagonal A and A*, and verify_ch_axioms factors each
-stored E_i as u_i w_i^T / p_i once, checks the families' algebra on the
-factors (rank one and sum E_i = I) and decides each constrained
-E_i A* E_j as the scalar w_i . (A* u_j).  Each idempotent costs O(d^2)
-field operations, and the oracle forms no product of two matrices.
+use it.  split_form_build writes each E_k and E*_k as an outer product of
+the right and left eigenvectors (r_k, s_k) that _bidiagonal_eigenvectors
+gives in closed form for the bidiagonal A and A*^T; bases reads the
+standard <-> inv_split transitions off the same vectors.  verify_ch_axioms
+factors each stored E_i as u_i w_i^T / p_i once, checks the families'
+algebra on the factors (rank one and sum E_i = I) and decides each
+constrained E_i A* E_j as the scalar w_i . (A* u_j).  Each idempotent
+costs O(d^2) field operations, and the oracle forms no product of two
+matrices.
 """
 
 from __future__ import annotations
@@ -185,13 +188,11 @@ class CHSystem:
         if not self.verified:
             raise UnverifiedSystemError(f"{what} requires a verified system")
 
-    def to_json(self, include_matrices: bool = True) -> dict:
-        out = {"parameter_array": self.params.to_json() if self.params else None,
-               "verified": self.verified}
-        if include_matrices:
-            out["A"] = self.A.to_json()
-            out["A_star"] = self.A_star.to_json()
-        return out
+    def to_json(self) -> dict:
+        return {"parameter_array": self.params.to_json() if self.params else None,
+                "verified": self.verified,
+                "A": self.A.to_json(),
+                "A_star": self.A_star.to_json()}
 
 
 def split_form_build(p: ParameterArray) -> CHSystem:
@@ -203,17 +204,20 @@ def split_form_build(p: ParameterArray) -> CHSystem:
     orders theta_0..theta_d and theta*_0..theta*_d (note A's diagonal lists
     theta reversed; E_i still pairs with theta_i).
 
-    Both families are the closed-form rank-one projectors of
-    _bidiagonal_idempotents; A*'s are the transposes of those of the lower
-    bidiagonal A*^T.  Instead of an annihilator check, each family must
+    Both families are rank-one outer products of the eigenvectors of
+    _bidiagonal_eigenvectors: E_k = r_k s_k^T for A, and E*_k = s_k r_k^T
+    for the pairs of the lower bidiagonal A*^T, which is the transpose of
+    A*^T's family.  Instead of an annihilator check, each family must
     recombine to its matrix, sum theta_i E_i = A and sum theta*_i E*_i = A*,
     else CorruptIdempotentsError; verify_ch_axioms checks their algebra.
 
     The returned system is unverified; run verify_ch_axioms on it.
     """
     A, A_star = _split_form(p)
-    E = _bidiagonal_idempotents(A)[::-1]
-    E_star = [e.transpose() for e in _bidiagonal_idempotents(A_star.transpose())]
+    spec = p.spec
+    E = [_outer(spec, r, s) for r, s in _bidiagonal_eigenvectors(A)[::-1]]
+    E_star = [_outer(spec, s, r)
+              for r, s in _bidiagonal_eigenvectors(A_star.transpose())]
     if _spectral_sum(E, p.theta) != A or _spectral_sum(E_star, p.theta_star) != A_star:
         raise CorruptIdempotentsError(
             "closed-form idempotents do not recombine to A and A*"
@@ -222,42 +226,51 @@ def split_form_build(p: ParameterArray) -> CHSystem:
                     params=p)
 
 
-def _bidiagonal_idempotents(low: Matrix) -> list[Matrix]:
-    """The primitive idempotents of a lower-bidiagonal matrix whose diagonal
-    entries l_0..l_d are mutually distinct, E_k paired with l_k.
+def _bidiagonal_eigenvectors(low: Matrix) -> list[tuple[list, list]]:
+    """(r_k, s_k) for each diagonal entry l_k of a lower-bidiagonal matrix
+    whose diagonal entries l_0..l_d are mutually distinct: a right column
+    and a left row of l_k, as payload lists, with s_k . r_j = delta_kj.
 
-    With c_i = low[i][i - 1], the column r_k and the row s_k given by
+    With c_i = low[i][i - 1] and D_k = prod_{m != k} (l_k - l_m), the
+    Lagrange denominator, the vectors
 
-        r_k[i] = c_{k+1} ... c_i * prod_{m > i} (l_k - l_m)    for i >= k,
-        s_k[j] = c_{j+1} ... c_k * prod_{m < j} (l_k - l_m)    for j <= k,
+        r_k[i] = c_{k+1} ... c_i * prod_{m > i} (l_k - l_m) / D_k   for i >= k,
+        s_k[j] = c_{j+1} ... c_k * prod_{m < j} (l_k - l_m)         for j <= k,
 
     and zero elsewhere, satisfy low r_k = l_k r_k and s_k low = l_k s_k
     (each is the division-free form of the two-term recurrence that the
-    bidiagonal rows impose).  They overlap only at index k, so s_k r_k is
-    prod_{m != k} (l_k - l_m), the Lagrange denominator, and nonzero.  Left
-    and right eigenvectors of distinct eigenvalues are orthogonal, so the
-    E_k = r_k s_k / (s_k r_k) are the spectral projectors of low.  Each
-    costs O(d^2) field operations from prefix and suffix products and one
-    field inverse, which scales r_k.
+    bidiagonal rows impose, and D_k != 0 scales r_k).  They overlap only
+    at index k, so s_k . r_k = 1.  Left and right eigenvectors of distinct
+    eigenvalues are orthogonal, so s_k . r_j = 0 for j != k, and the
+    r_k s_k^T are the spectral projectors of low.  Each pair costs O(d)
+    field operations from prefix and suffix products and one field
+    inverse, which scales r_k.
     """
     s = low.spec
     mul, sub, one, zero = s.mul, s.sub, s.one, s.zero
     n = low.nrows
     diag = [low.rows[i][i] for i in range(n)]
     c = [None] + [low.rows[i][i - 1] for i in range(1, n)]
-    zero_row = (zero,) * n
     out = []
     for k, lk in enumerate(diag):
         diffs = [sub(lk, lm) for lm in diag]
         after = list(accumulate(reversed(diffs[k + 1:]), mul, initial=one))[::-1]
         before = list(accumulate(diffs[:k], mul, initial=one))
         inv = s.inv(mul(after[0], before[-1]))
-        r_k = map(mul, accumulate(c[k + 1:], mul, initial=inv), after)
+        r_k = [zero] * k + list(map(mul, accumulate(c[k + 1:], mul, initial=inv), after))
         chain = list(accumulate(reversed(c[1:k + 1]), mul, initial=one))[::-1]
-        s_k = [mul(x, y) for x, y in zip(before, chain)] + [zero] * (n - 1 - k)
-        out.append(Matrix(s, [zero_row] * k
-                          + [[mul(x, y) for y in s_k] for x in r_k]))
+        s_k = list(map(mul, before, chain)) + [zero] * (n - 1 - k)
+        out.append((r_k, s_k))
     return out
+
+
+def _outer(spec, col, row) -> Matrix:
+    """The rank-one matrix col row^T; a zero entry of col gives a zero row
+    without multiplying."""
+    mul, is_zero = spec.mul, spec.is_zero
+    zero_row = (spec.zero,) * len(row)
+    return Matrix(spec, [zero_row if is_zero(x) else [mul(x, y) for y in row]
+                         for x in col])
 
 
 def _spectral_sum(E, labels) -> Matrix:

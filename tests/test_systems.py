@@ -567,26 +567,76 @@ def test_closed_form_idempotents_match_lagrange(field, d):
 @pytest.mark.parametrize("call", [0, 1])
 @pytest.mark.parametrize("corrupt", ["swap", "shift"])
 def test_corrupt_closed_form_raises(monkeypatch, w5_array, call, corrupt):
-    """A closed-form family that does not recombine to its matrix (A on the
-    first call, A*^T on the second) is rejected by split_form_build."""
+    """Closed-form eigenvectors whose family does not recombine to its
+    matrix (A on the first call, A*^T on the second) are rejected by
+    split_form_build: two (r, s) pairs swapped, or r_0 replaced by
+    r_0 + r_1."""
     from circhess import systems
 
-    helper = systems._bidiagonal_idempotents
+    helper = systems._bidiagonal_eigenvectors
     calls = []
 
     def corrupted(low):
-        family = helper(low)
+        pairs = helper(low)
         if len(calls) == call:
             if corrupt == "swap":
-                family[0], family[1] = family[1], family[0]
+                pairs[0], pairs[1] = pairs[1], pairs[0]
             else:
-                family[0] = family[0] + family[1]
+                (r0, s0), (r1, _) = pairs[0], pairs[1]
+                pairs[0] = ([low.spec.add(x, y) for x, y in zip(r0, r1)], s0)
         calls.append(low)
-        return family
+        return pairs
 
-    monkeypatch.setattr(systems, "_bidiagonal_idempotents", corrupted)
+    monkeypatch.setattr(systems, "_bidiagonal_eigenvectors", corrupted)
     with pytest.raises(CorruptIdempotentsError):
         split_form_build(w5_array)
+
+
+@pytest.mark.parametrize("field, d", _cases(
+    ("gf:5", "ext:gf:3:1,0,1", "cyclo:4", "rat"), (3, 4, 5, 6)
+))
+def test_bidiagonal_eigenvectors_and_displayed_transitions(field, d):
+    """_bidiagonal_eigenvectors gives, for A and for A*^T, right and left
+    eigenvectors with s_k . r_j = delta_kj, and the standard <-> inv_split
+    transitions read off them equal their displayed entries on p and on
+    p.dual(), on seeded arrays, systems or not."""
+    from circhess.bases import _inv_split_edge
+    from circhess.systems import _bidiagonal_eigenvectors, _split_form
+
+    spec = field_from_string(field)
+    rng = random.Random(f"eigenvectors/{field}/{d}")
+    one, zero = spec.one_element(), spec.zero_element()
+    n = d + 1
+
+    def prod(elems):
+        acc = one
+        for e in elems:
+            acc = acc * e
+        return acc
+
+    for _ in range(5):
+        p = _random_array(spec, d, rng)
+        a, a_star = _split_form(p)
+        for low in (a, a_star.transpose()):
+            pairs = _bidiagonal_eigenvectors(low)
+            for k, (r_k, s_k) in enumerate(pairs):
+                lk = low.entry(k, k)
+                r, s = Vector(spec, r_k), Vector(spec, s_k)
+                assert low * r == r.scale(lk)
+                assert low.transpose() * s == s.scale(lk)
+                for j, (r_j, _) in enumerate(pairs):
+                    dot = FieldElement(spec, spec.dot(s_k, r_j))
+                    assert dot == (one if j == k else zero)
+        for q in (p, p.dual()):
+            th = q.theta
+            upper = [[prod(th[i] - th[l] for l in range(j + 1, n)) if i <= j
+                      else zero for j in range(n)] for i in range(n)]
+            inverse = [[prod(th[j] - th[l] for l in range(i, n) if l != j).inverse()
+                        if i <= j else zero for j in range(n)] for i in range(n)]
+            assert _inv_split_edge(q, None, "standard", "inv_split") == \
+                Matrix.from_elements(spec, upper)
+            assert _inv_split_edge(q, None, "inv_split", "standard") == \
+                Matrix.from_elements(spec, inverse)
 
 
 @pytest.mark.parametrize("field, d", _cases(
@@ -652,7 +702,7 @@ def _random_split_hit(spec, d, rng):
     keeps the axioms."""
     elems = [FieldElement(spec, x) for x in spec.element_payloads()]
     nonzero = [e for e in elems if not e.is_zero()]
-    while True:
+    for _ in range(1000):
         if d == 4:
             a, a_star = rng.choice(nonzero), rng.choice(nonzero)
             b, b_star = rng.choice(elems), rng.choice(elems)
@@ -670,6 +720,7 @@ def _random_split_hit(spec, d, rng):
         s = split_form_build(p)
         if verify_ch_axioms(s).is_ch:
             return s
+    raise AssertionError(f"no verified split system in 1000 draws over {spec}, d = {d}")
 
 
 @pytest.mark.parametrize(
