@@ -10,6 +10,13 @@ FieldElement is a thin wrapper pairing a payload with its spec.  Elements of
 different fields never mix (MixedFieldsError); there is no coercion between
 fields, only embedding of plain integers.  All arithmetic is exact; equality
 is structural equality of canonical payloads.
+
+A finite quotient extension (GF(p^k), towers included) computes by table
+lookup: Zech logarithms over a primitive element turn a product into an
+exponent sum and a sum into one lookup, with O(q) memory.  The tables are
+built lazily from the coefficient arithmetic, which stays the definition and
+the live path for extensions of QQ and for fields above FACTOR_SEARCH_BUDGET.
+Payloads are the same tuples on both paths.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     DivisionByZeroError,
@@ -279,6 +286,20 @@ class PrimeField(FieldSpec):
         return {"kind": "prime", "p": self.p}
 
 
+class _ZechTables(NamedTuple):
+    """Log tables of a finite field F over a generator g of F^x, q = |F|.
+
+    Every table has q - 1 entries (O(q) memory, no q x q addition table):
+    a + b for nonzero a = g^i, b = g^j is g^i (1 + g^(j - i)), so one row
+    of Zech logarithms zech[k] = log(1 + g^k) serves all sums.
+    """
+
+    exp: tuple  # exp[k] = g^k as a payload tuple
+    log: dict  # nonzero payload -> k; the zero payload is absent
+    zech: tuple  # zech[k] = log(1 + g^k), or None when 1 + g^k = 0
+    log_minus_one: int  # log(-1): (q - 1)/2, or 0 in characteristic 2
+
+
 @dataclass(frozen=True)
 class QuotientExtension(FieldSpec):
     """base[x]/(m(x)) for a monic irreducible m of degree >= 2.
@@ -288,6 +309,17 @@ class QuotientExtension(FieldSpec):
     exhaustive root/factor search over finite bases and by a rational-root
     test over QQ; degree >= 4 moduli over QQ are accepted only on the
     documented cyclotomic path (cyclotomic polynomials are irreducible).
+
+    Arithmetic has two paths with the same payloads and results.  The
+    coefficient path (`_coeff_*`: convolution, then reduction by the
+    modulus) defines it and serves extensions of QQ.  Over a finite base,
+    the first operation builds `_tables`, Zech logarithms over a primitive
+    element, and from then on mul and inv are exponent arithmetic mod
+    q - 1, add, sub and neg are one Zech lookup each, and dot sums in the
+    log domain.  The tables hold three rows of q - 1 entries, never a q x q
+    grid, and are built only when q <= FACTOR_SEARCH_BUDGET: the budget that
+    bounds certifying the modulus also bounds the table, and a larger field
+    keeps the coefficient path.
     """
 
     base: FieldSpec
@@ -370,19 +402,139 @@ class QuotientExtension(FieldSpec):
             out = [b.add(o, b.mul(c, r)) for o, r in zip(out, row)]
         return tuple(out)
 
+    # table path: Zech logarithms over a primitive element -----------------
+    @cached_property
+    def _tables(self) -> _ZechTables | None:
+        """The Zech-logarithm tables, or None to stay on the coefficient path.
+
+        Built on first use, only for a certified modulus over a finite base
+        with q <= FACTOR_SEARCH_BUDGET, from the coefficient arithmetic below:
+        q - 1 steps of the base-linear map a -> g a, whose rows are
+        coefficient products, and q - 1 coefficient sums with 1.  g is the
+        first nonzero payload in element order whose (q - 1)/r-th power is
+        not 1 for any prime r dividing q - 1, i.e. a generator of the cyclic
+        group F^x.
+        """
+        q = self.order
+        if self.assume_irreducible or q is None or q > FACTOR_SEARCH_BUDGET:
+            return None
+        n, one, zero = q - 1, self._one_payload, self._zero_payload
+        pds = _prime_divisors(n)
+        g = next(
+            a for a in self.element_payloads()
+            if a != zero and all(self._coeff_pow(a, n // r) != one for r in pds)
+        )
+        # a -> g a is base-linear; row j holds coefficient j of g x^i, i < k
+        b, k = self.base, self.deg
+        xs = [zero[:i] + (b.one,) + zero[i + 1:] for i in range(k)]
+        rows = list(zip(*(self._coeff_mul(g, x) for x in xs)))
+        exp = [one]
+        for _ in range(n - 1):
+            a = exp[-1]
+            exp.append(tuple(b.dot(r, a) for r in rows))
+        log = {a: e for e, a in enumerate(exp)}
+        zech = tuple(log.get(self._coeff_add(one, a)) for a in exp)
+        return _ZechTables(tuple(exp), log, zech, log[self._coeff_neg(one)])
+
     def add(self, a, b):
+        t = self._tables
+        if t is None:
+            return self._coeff_add(a, b)
+        exp, log, zech, _ = t
+        i = log.get(a)
+        if i is None:
+            return b
+        j = log.get(b)
+        if j is None:
+            return a
+        # g^i + g^j = g^i (1 + g^(j - i))
+        n = len(exp)
+        z = zech[(j - i) % n]
+        return self._zero_payload if z is None else exp[(i + z) % n]
+
+    def sub(self, a, b):
+        t = self._tables
+        if t is None:
+            return self._coeff_sub(a, b)
+        exp, log, zech, log_minus_one = t
+        n = len(exp)
+        j = log.get(b)
+        if j is None:
+            return a
+        j = (j + log_minus_one) % n
+        i = log.get(a)
+        if i is None:
+            return exp[j]
+        z = zech[(j - i) % n]
+        return self._zero_payload if z is None else exp[(i + z) % n]
+
+    def neg(self, a):
+        t = self._tables
+        if t is None:
+            return self._coeff_neg(a)
+        exp, log, _, log_minus_one = t
+        i = log.get(a)
+        return a if i is None else exp[(i + log_minus_one) % len(exp)]
+
+    def mul(self, a, b):
+        t = self._tables
+        if t is None:
+            return self._coeff_mul(a, b)
+        exp, log, _, _ = t
+        i = log.get(a)
+        j = log.get(b)
+        if i is None or j is None:
+            return self._zero_payload
+        return exp[(i + j) % len(exp)]
+
+    def dot(self, xs, ys):
+        t = self._tables
+        if t is None:
+            return self._coeff_dot(xs, ys)
+        exp, log, zech, _ = t
+        n = len(exp)
+        acc = None  # log of the running sum; None while it is zero
+        for x, y in zip(xs, ys):
+            i = log.get(x)
+            if i is None:
+                continue
+            j = log.get(y)
+            if j is None:
+                continue
+            if acc is None:
+                acc = (i + j) % n
+            else:
+                z = zech[(i + j - acc) % n]
+                acc = None if z is None else (acc + z) % n
+        return self._zero_payload if acc is None else exp[acc]
+
+    def inv(self, a):
+        t = self._tables
+        if t is None:
+            return self._coeff_inv(a)
+        i = t.log.get(a)
+        if i is None:
+            raise DivisionByZeroError(f"inverse of 0 in {self}")
+        return t.exp[-i]  # g^(q - 1 - i); exp[-0] is exp[0] = 1
+
+    def is_zero(self, a) -> bool:
+        # payloads are canonical, so zero is exactly the zero tuple
+        return a == self._zero_payload
+
+    # coefficient path: the definition of the arithmetic ------------------
+    def _coeff_add(self, a, b):
         ba = self.base
         return tuple(ba.add(x, y) for x, y in zip(a, b))
 
-    def sub(self, a, b):
+    def _coeff_sub(self, a, b):
         ba = self.base
         return tuple(ba.sub(x, y) for x, y in zip(a, b))
 
-    def neg(self, a):
+    def _coeff_neg(self, a):
         ba = self.base
         return tuple(ba.neg(x) for x in a)
 
-    def mul(self, a, b):
+    def _coeff_mul(self, a, b):
         ba = self.base
         k = self.deg
         conv = [ba.zero] * (2 * k - 1)
@@ -393,7 +545,16 @@ class QuotientExtension(FieldSpec):
                 conv[i + j] = ba.add(conv[i + j], ba.mul(x, y))
         return self._reduce(conv)
 
-    def dot(self, xs, ys):
+    def _coeff_pow(self, a, e: int):
+        acc = self._one_payload
+        while e:
+            if e & 1:
+                acc = self._coeff_mul(a, acc)
+            a = self._coeff_mul(a, a)
+            e >>= 1
+        return acc
+
+    def _coeff_dot(self, xs, ys):
         ba = self.base
         k = self.deg
         conv = [ba.zero] * (2 * k - 1)
@@ -405,7 +566,7 @@ class QuotientExtension(FieldSpec):
                     conv[i + j] = ba.add(conv[i + j], ba.mul(xi, yj))
         return self._reduce(conv)
 
-    def inv(self, a):
+    def _coeff_inv(self, a):
         if self.is_zero(a):
             raise DivisionByZeroError(f"inverse of 0 in {self}")
         # extended Euclid over base[x]: g = s*a + t*m with g constant
@@ -424,10 +585,6 @@ class QuotientExtension(FieldSpec):
         s1 = [b.mul(c, x) for x in s1]
         s1 = s1[: self.deg] + [b.zero] * max(0, self.deg - len(s1))
         return tuple(s1)
-
-    def is_zero(self, a) -> bool:
-        ba = self.base
-        return all(ba.is_zero(x) for x in a)
 
     def element_payloads(self):
         base_payloads = list(self.base.element_payloads())
@@ -645,7 +802,8 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            # identity first: fields are compared by value only when distinct
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise MixedFieldsError(
                     f"cannot mix elements of {self.spec} and {other.spec}"
                 )
@@ -727,7 +885,9 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.payload == other.payload
+            return (
+                self.spec is other.spec or self.spec == other.spec
+            ) and self.payload == other.payload
         if isinstance(other, int) and not isinstance(other, bool):
             return self.payload == self.spec.from_int(other)
         return NotImplemented
@@ -744,7 +904,7 @@ class FieldElement:
     def lift(self, ext: FieldSpec) -> "FieldElement":
         """Embed this element into `ext`, which is its own field (the element
         is returned unchanged) or a quotient extension of it."""
-        if ext == self.spec:
+        if ext is self.spec or ext == self.spec:
             return self
         if not isinstance(ext, QuotientExtension) or ext.base != self.spec:
             raise MixedFieldsError(f"{ext} does not extend {self.spec}")
