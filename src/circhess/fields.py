@@ -12,11 +12,12 @@ fields, only embedding of plain integers.  All arithmetic is exact; equality
 is structural equality of canonical payloads.
 
 A finite quotient extension (GF(p^k), towers included) computes by table
-lookup: Zech logarithms over a primitive element turn a product into an
-exponent sum and a sum into one lookup, with O(q) memory.  The tables are
-built lazily from the coefficient arithmetic, which stays the definition and
-the live path for extensions of QQ and for fields above FACTOR_SEARCH_BUDGET.
-Payloads are the same tuples on both paths.
+lookup once it has run q - 1 operations: Zech logarithms over a primitive
+element turn a product into an exponent sum and a sum into one lookup, with
+O(q) memory.  The tables are built from the coefficient arithmetic, which
+stays the definition and the live path for extensions of QQ, for fields above
+FACTOR_SEARCH_BUDGET and for a field's first q - 2 operations.  Payloads are
+the same tuples on both paths.
 """
 
 from __future__ import annotations
@@ -313,13 +314,14 @@ class QuotientExtension(FieldSpec):
     Arithmetic has two paths with the same payloads and results.  The
     coefficient path (`_coeff_*`: convolution, then reduction by the
     modulus) defines it and serves extensions of QQ.  Over a finite base,
-    the first operation builds `_tables`, Zech logarithms over a primitive
-    element, and from then on mul and inv are exponent arithmetic mod
-    q - 1, add, sub and neg are one Zech lookup each, and dot sums in the
-    log domain.  The tables hold three rows of q - 1 entries, never a q x q
-    grid, and are built only when q <= FACTOR_SEARCH_BUDGET: the budget that
-    bounds certifying the modulus also bounds the table, and a larger field
-    keeps the coefficient path.
+    the (q - 1)-th operation builds `_tables`, Zech logarithms over a
+    primitive element, and from then on mul and inv are exponent arithmetic
+    mod q - 1, add, sub and neg are one Zech lookup each, and dot sums in
+    the log domain.  The tables hold three rows of q - 1 entries, never a
+    q x q grid: about 250 bytes per element, 44 MB at q = 3^11.  A field
+    with more than FACTOR_SEARCH_BUDGET elements never builds them, so the
+    constant that bounds certifying a modulus is reused as a cap of about
+    50 MB on the tables.
     """
 
     base: FieldSpec
@@ -403,38 +405,61 @@ class QuotientExtension(FieldSpec):
         return tuple(out)
 
     # table path: Zech logarithms over a primitive element -----------------
-    @cached_property
-    def _tables(self) -> _ZechTables | None:
-        """The Zech-logarithm tables, or None to stay on the coefficient path.
+    def __getattr__(self, name):
+        """Resolve `_tables` (None means the coefficient path) until it is
+        fixed in the instance dict.
 
-        Built on first use, only for a certified modulus over a finite base
-        with q <= FACTOR_SEARCH_BUDGET, from the coefficient arithmetic below:
-        q - 1 steps of the base-linear map a -> g a, whose rows are
-        coefficient products, and q - 1 coefficient sums with 1.  g is the
-        first nonzero payload in element order whose (q - 1)/r-th power is
-        not 1 for any prime r dividing q - 1, i.e. a generator of the cyclic
-        group F^x.
+        None is fixed at once for an extension of QQ, an uncertified modulus
+        or q > FACTOR_SEARCH_BUDGET.  Otherwise each lookup is one operation
+        about to run on the coefficient path, and the (q - 1)-th builds the
+        tables.  The build is q - 1 table rows, each (from q of a few hundred
+        up) cheaper than one coefficient product, so a field pays for its
+        tables only after it has spent about as much without them, and a
+        short computation in a large field never builds them.
         """
-        q = self.order
+        if name != "_tables":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        d, q = self.__dict__, self.order
         if self.assume_irreducible or q is None or q > FACTOR_SEARCH_BUDGET:
+            d["_tables"] = None
             return None
-        n, one, zero = q - 1, self._one_payload, self._zero_payload
-        pds = _prime_divisors(n)
+        used = d.get("_coeff_ops", 0) + 1
+        if used < q - 1:
+            d["_coeff_ops"] = used
+            return None
+        d["_tables"] = None  # the build's own operations take the coefficient path
+        t = d["_tables"] = self._build_tables()
+        return t
+
+    def _build_tables(self) -> _ZechTables:
+        """Zech-logarithm tables over g, the first nonzero payload in element
+        order whose (q - 1)/r-th power is not 1 for any prime r dividing
+        q - 1, i.e. a generator of the cyclic group F^x.
+
+        Built from the coefficient arithmetic: a -> g a is base-linear, so
+        each of the q - 1 powers of g is k base dots against rows read off
+        k products, and each Zech entry is one sum with 1.
+        """
+        n, one, zero = self.order - 1, self._one_payload, self._zero_payload
         g = next(
-            a for a in self.element_payloads()
-            if a != zero and all(self._coeff_pow(a, n // r) != one for r in pds)
+            a for a in self.element_payloads() if a != zero and all(
+                (FieldElement(self, a) ** (n // r)).payload != one
+                for r in _prime_divisors(n)
+            )
         )
-        # a -> g a is base-linear; row j holds coefficient j of g x^i, i < k
+        # row j holds coefficient j of g x^i, i < k
         b, k = self.base, self.deg
         xs = [zero[:i] + (b.one,) + zero[i + 1:] for i in range(k)]
-        rows = list(zip(*(self._coeff_mul(g, x) for x in xs)))
+        rows = list(zip(*(self.mul(g, x) for x in xs)))
         exp = [one]
         for _ in range(n - 1):
             a = exp[-1]
             exp.append(tuple(b.dot(r, a) for r in rows))
         log = {a: e for e, a in enumerate(exp)}
-        zech = tuple(log.get(self._coeff_add(one, a)) for a in exp)
-        return _ZechTables(tuple(exp), log, zech, log[self._coeff_neg(one)])
+        zech = tuple(log.get(self.add(one, a)) for a in exp)
+        return _ZechTables(tuple(exp), log, zech, log[self.neg(one)])
 
     def add(self, a, b):
         t = self._tables
@@ -544,15 +569,6 @@ class QuotientExtension(FieldSpec):
             for j, y in enumerate(b):
                 conv[i + j] = ba.add(conv[i + j], ba.mul(x, y))
         return self._reduce(conv)
-
-    def _coeff_pow(self, a, e: int):
-        acc = self._one_payload
-        while e:
-            if e & 1:
-                acc = self._coeff_mul(a, acc)
-            a = self._coeff_mul(a, a)
-            e >>= 1
-        return acc
 
     def _coeff_dot(self, xs, ys):
         ba = self.base

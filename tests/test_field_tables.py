@@ -1,5 +1,5 @@
 """Table arithmetic of finite quotient extensions (Zech logarithms) against a
-test-local schoolbook reference, and the laziness and budget of the tables."""
+test-local schoolbook reference, and when the tables are built."""
 
 import itertools
 import random
@@ -141,7 +141,9 @@ def test_table_ops_match_schoolbook_on_a_sample(make):
 @pytest.mark.parametrize("desc", FULL_PAIR_FIELDS.values(), ids=FULL_PAIR_FIELDS.keys())
 def test_inverse_of_zero_still_raises(desc):
     spec = field_from_string(desc)
-    spec.mul(spec.one, spec.one)  # build the tables first
+    for _ in range(spec.order - 1):  # build the tables first
+        spec.mul(spec.one, spec.one)
+    assert vars(spec)["_tables"] is not None
     with pytest.raises(DivisionByZeroError):
         spec.inv(spec.zero)
     with pytest.raises(DivisionByZeroError):
@@ -150,13 +152,35 @@ def test_inverse_of_zero_still_raises(desc):
         spec.zero_element() ** -1
 
 
-def test_tables_are_built_lazily():
-    spec = field_from_string("ext:gf:3:1,0,1")
+def test_tables_are_built_on_the_q_minus_1st_operation():
+    spec = field_from_string("ext:gf:3:1,0,1")  # q = 9
     assert "_tables" not in vars(spec)
     w = spec.generator()
     assert "_tables" not in vars(spec)
+    for _ in range(7):
+        assert w * w == -1
+    assert "_tables" not in vars(spec)  # 7 products on the coefficient path
     assert w * w == -1
     assert vars(spec)["_tables"] is not None
+
+
+def test_short_computation_in_a_large_field_builds_no_tables():
+    # x^17 + x^3 + 1 over GF(2): q = 2^17 is within the budget, but a few
+    # hundred operations cost far less than the 2^17 - 1 table rows
+    spec = quotient_extension(prime_field(2), [1, 0, 0, 1] + [0] * 13 + [1])
+    assert spec.order == 131_072 <= FACTOR_SEARCH_BUDGET
+    ref = Schoolbook(spec)
+    rng = random.Random(1204)
+
+    def draw():
+        return tuple(rng.randrange(2) for _ in range(spec.deg))
+
+    for _ in range(10):
+        _check_unary(spec, ref, draw())
+    for _ in range(100):
+        _check_pair(spec, ref, draw(), draw())
+    assert "_tables" not in vars(spec)
+    assert 0 < vars(spec)["_coeff_ops"] < spec.order - 1
 
 
 def test_cyclotomic_field_never_builds_tables():
