@@ -9,12 +9,16 @@ For a verified system with seed u* (nonzero in E*_0 V) and u := E_0 u*:
     dual_split       v*_i  = (A* - theta*_{d-i+1} I) ... (A* - theta*_d I) u
     inv_dual_split   v*_{d-i}
 
-Every closed-form transition matrix and representation matrix is
-cross-checked against an independent definitional linear solve; verifying
-those formulas is the point of this module, so nothing is trusted.  The
-displayed standard <-> inv_split transitions are the left and right
-eigenvectors of the split form's A (systems._bidiagonal_eigenvectors), the
-same vectors whose outer products are the split form's idempotents.
+Every closed-form transition matrix and representation matrix is checked
+against the identity that defines it, on the actual basis vectors:
+X_a T = X_b for a transition, X B = A X and X B* = A* X for a
+representation.  build_basis_catalog rank-checks all six bases, so each
+identity holds exactly when the closed form equals the definitional solve
+X_a^-1 X_b or X^-1 A X, and no inverse is formed.  Verifying those formulas
+is the point of this module, so nothing is trusted.  The displayed
+standard <-> inv_split transitions are the left and right eigenvectors of
+the split form's A (systems._bidiagonal_eigenvectors), the same vectors
+whose outer products are the split form's idempotents.
 
 Each dual-side basis is the primal one for the pair (A*, A), whose array is
 ParameterArray.dual() = (theta*; theta; phi reversed).  So every dual-side
@@ -34,11 +38,10 @@ from .errors import (
     IdentityCheckError,
     NotInE0StarVError,
     NotRecurrentError,
-    SingularError,
     UnknownBasisError,
 )
 from .fields import FieldElement
-from .linalg import Matrix, Vector, matrix_inverse, rank, shape_classify, ShapeClass
+from .linalg import Matrix, Vector, rank, shape_classify, ShapeClass
 from .recurrence import recurrence_status, vartheta_from_array
 from .systems import CHSystem, ParameterArray, _bidiagonal_eigenvectors, \
     _default_seed, _proportionality, _split_form, _split_vectors
@@ -243,26 +246,24 @@ def transition(catalog: BasisCatalog, from_name: str, to_name: str) -> Transitio
     """Transition matrix T with (to)_j = sum_i T_ij (from)_i.
 
     Adjacent pairs use the closed forms; other pairs compose along the
-    diagram.  Every result is cross-checked against the definitional solve
-    from the actual basis vectors.
+    diagram.  Every result is checked against its defining identity
+    X_from T = X_to on the actual basis vectors.
     """
     for n in (from_name, to_name):
         if n not in BASIS_NAMES:
             raise UnknownBasisError(f"unknown basis {n!r}")
     x = catalog.basis_matrix(from_name)
-    y = catalog.basis_matrix(to_name)
-    definitional = matrix_inverse(x) * y
     if from_name == to_name:
-        return TransitionMatrix(from_name, to_name, definitional)
+        return TransitionMatrix(from_name, to_name, Matrix.identity(x.spec, x.ncols))
     path = _diagram_path(from_name, to_name)
     t = None
     for a, b in zip(path, path[1:]):
         step = _closed_transition(catalog, a, b)
         t = step if t is None else t * step
-    if t != definitional:
+    if x * t != catalog.basis_matrix(to_name):
         raise IdentityCheckError(
             f"closed-form transition {from_name} -> {to_name} "
-            "disagrees with the definitional solve"
+            "disagrees with the basis vectors"
         )
     return TransitionMatrix(from_name, to_name, t)
 
@@ -284,22 +285,23 @@ def _closed_representation(p: ParameterArray, name: str):
 
 
 def represent(catalog: BasisCatalog, name: str) -> RepresentationPair:
-    """Matrices representing A and A* in the named basis, by definitional
-    solve, asserted against the displayed closed forms.  A dual-side basis
-    is the primal one of the dual array with the pair swapped.  In the
-    standard-type bases the circular side is also asserted circular
-    Hessenberg with constant row sums."""
+    """Matrices representing A and A* in the named basis: the displayed
+    closed forms, checked against the defining identities X B = A X and
+    X B* = A* X.  A dual-side basis is the primal one of the dual array with
+    the pair swapped.  In the standard-type bases the circular side is also
+    asserted circular Hessenberg with constant row sums."""
     if name not in BASIS_NAMES:
         raise UnknownBasisError(f"unknown basis {name!r}")
     s = catalog.system
-    x = catalog.basis_matrix(name)
-    xi = matrix_inverse(x)
-    b = xi * s.A * x
-    b_star = xi * s.A_star * x
     dual = "dual" in name
-    p, primal, pair = s.params, name, (b, b_star)
-    if dual:
-        p, primal, pair = p.dual(), _DUAL[name], (b_star, b)
+    p, primal = (s.params.dual(), _DUAL[name]) if dual else (s.params, name)
+    pair = _closed_representation(p, primal)
+    b, b_star = pair[::-1] if dual else pair
+    x = catalog.basis_matrix(name)
+    if x * b != s.A * x or x * b_star != s.A_star * x:
+        raise IdentityCheckError(
+            f"representation in {name} basis disagrees with its closed form"
+        )
     if primal == "standard":
         where = name.replace("_", "-")
         if shape_classify(pair[1]) is not ShapeClass.CIRCULAR_HESSENBERG:
@@ -307,10 +309,6 @@ def represent(catalog: BasisCatalog, name: str) -> RepresentationPair:
                 f"{where}-basis A{'' if dual else '*'} is not circular Hessenberg"
             )
         _assert_row_sums(pair[1], p.theta_star[0])
-    if pair != _closed_representation(p, primal):
-        raise IdentityCheckError(
-            f"representation in {name} basis disagrees with its closed form"
-        )
     return RepresentationPair(name, b, b_star)
 
 
@@ -457,7 +455,7 @@ def standard_form_entries(catalog: BasisCatalog,
     """The entries of the two standard-basis representations, read off the
     matrices that represent asserted against their closed forms.  `reps`,
     when given, maps basis names to what represent already returned for
-    this catalog, so "standard" and "dual_standard" are not solved again.
+    this catalog, so "standard" and "dual_standard" are not checked again.
 
     For recurrent arrays the corner entries are additionally re-derived two
     more ways (the split-data formula and the wrap-scalar quotient) and all
@@ -503,31 +501,25 @@ def psi_check(p: ParameterArray):
 
 def standard_basis_characterize(s: CHSystem, candidate: list[Vector]) -> bool:
     """True iff every u_i lies in E_i V and the sum of the u_i lies in
-    E*_0 V (and is nonzero).  When the candidate is a basis, the criterion
-    is cross-checked against the representation characterization:
-    A diagonal with eigenvalue order theta, A* with constant row sums."""
+    E*_0 V (and is nonzero).  When the candidate is a basis X, the criterion
+    is cross-checked against the representation characterization, checked
+    as identities on X: A X = X diag(theta) (A is diagonal with eigenvalue
+    order theta) and A* (X 1) = theta*_0 (X 1) (A* has constant row sums
+    theta*_0)."""
     s.require_verified("standard basis characterization")
     if len(candidate) != s.d + 1:
         return False
     crit = all((e * v) == v for e, v in zip(s.E, candidate))
+    total = candidate[0]
+    for v in candidate[1:]:
+        total = total + v
     if crit:
-        total = candidate[0]
-        for v in candidate[1:]:
-            total = total + v
         crit = (not total.is_zero()) and (s.E_star[0] * total) == total
     x = Matrix.from_columns(candidate)
-    try:
-        xi = matrix_inverse(x)
-    except SingularError:
+    if rank(x) != s.d + 1:
         return crit  # not a basis, so there is no representation to compare
-    b = xi * s.A * x
-    b_star = xi * s.A_star * x
-    by_rep = b == Matrix.diagonal(s.spec, s.theta)
-    if by_rep:
-        try:
-            _assert_row_sums(b_star, s.theta_star[0])
-        except IdentityCheckError:
-            by_rep = False
+    by_rep = (s.A * x == x * Matrix.diagonal(s.spec, s.theta)
+              and s.A_star * total == total.scale(s.theta_star[0]))
     if by_rep != crit:
         raise IdentityCheckError(
             "eigenspace criterion and representation criterion disagree"

@@ -205,7 +205,7 @@ def cmd_bases(args) -> int:
 def _bases_ledger(params, catalog, reps, transitions):
     """The --check-all ledger.  `reps` (every basis) and `transitions` (the
     diagram edges) already passed their assertions for the payload, so
-    only the other transitions are solved here."""
+    only the other transitions are checked here."""
     checks = []
     failed = False
 

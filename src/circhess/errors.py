@@ -119,10 +119,13 @@ class NotCircularError(CircHessError):
 
 
 class InternalContradictionError(CircHessError):
-    """A recurrent CH array failed every classification case.
+    """Two exact computations disagree: a recurrent CH array failed every
+    classification case, or the search probe accepted an array that the
+    axiom oracle rejects.
 
-    This would contradict the four-family classification; it is always
-    reported loudly and never swallowed.
+    Either would contradict a proved result (the four-family classification,
+    the probe's exactness); it is always reported loudly and never
+    swallowed.
     """
 
 

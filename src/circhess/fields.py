@@ -308,8 +308,9 @@ class QuotientExtension(FieldSpec):
     The modulus is stored low-to-high including the leading 1.  Payloads are
     tuples of base payloads of length deg(m).  Irreducibility is certified by
     exhaustive root/factor search over finite bases and by a rational-root
-    test over QQ; degree >= 4 moduli over QQ are accepted only on the
-    documented cyclotomic path (cyclotomic polynomials are irreducible).
+    test over QQ; degree >= 4 moduli over QQ are accepted only when they are
+    cyclotomic polynomials, which are irreducible.  Every modulus is
+    certified: there is no option to skip it.
 
     Arithmetic has two paths with the same payloads and results.  The
     coefficient path (`_coeff_*`: convolution, then reduction by the
@@ -327,15 +328,13 @@ class QuotientExtension(FieldSpec):
     base: FieldSpec
     modulus: tuple
     gen: str = "t"
-    assume_irreducible: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.deg < 2:
             raise ReducibleModulusError("modulus degree must be >= 2")
         if self.modulus[-1] != self.base.one:
             raise ReducibleModulusError("modulus must be monic")
-        if not self.assume_irreducible:
-            self._check_irreducible()
+        self._check_irreducible()
 
     @property
     def deg(self) -> int:
@@ -409,8 +408,8 @@ class QuotientExtension(FieldSpec):
         """Resolve `_tables` (None means the coefficient path) until it is
         fixed in the instance dict.
 
-        None is fixed at once for an extension of QQ, an uncertified modulus
-        or q > FACTOR_SEARCH_BUDGET.  Otherwise each lookup is one operation
+        None is fixed at once for an extension of QQ or for
+        q > FACTOR_SEARCH_BUDGET.  Otherwise each lookup is one operation
         about to run on the coefficient path, and the (q - 1)-th builds the
         tables.  The build is q - 1 table rows, each (from q of a few hundred
         up) cheaper than one coefficient product, so a field pays for its
@@ -422,7 +421,7 @@ class QuotientExtension(FieldSpec):
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
         d, q = self.__dict__, self.order
-        if self.assume_irreducible or q is None or q > FACTOR_SEARCH_BUDGET:
+        if q is None or q > FACTOR_SEARCH_BUDGET:
             d["_tables"] = None
             return None
         used = d.get("_coeff_ops", 0) + 1
@@ -692,10 +691,11 @@ class QuotientExtension(FieldSpec):
                 raise ReducibleModulusError(
                     f"modulus {self._modulus_str()} has a rational root"
                 )
-            if self.deg > 3:
+            # cyclotomic polynomials are irreducible over QQ
+            if self.deg > 3 and _cyclotomic_index(m) is None:
                 raise ReducibleModulusError(
-                    "cannot certify irreducibility of degree > 3 over QQ; "
-                    "use cyclotomic_field for cyclotomic moduli"
+                    "cannot certify irreducibility of degree > 3 over QQ "
+                    "unless the modulus is cyclotomic"
                 )
         else:
             raise ReducibleModulusError(
@@ -998,18 +998,16 @@ def _cyclotomic_index(modulus) -> int | None:
 def cyclotomic_field(n: int, gen: str = "t") -> QuotientExtension:
     """QQ[t]/(Phi_n); the generator is a primitive n-th root of unity.
 
-    Irreducibility of cyclotomic polynomials over QQ is taken as known; the
-    degree is still cross-checked against Euler's totient, and a rational
-    root test is run as a sanity check.
+    The degree is cross-checked against Euler's totient; the modulus is
+    then certified like any other over QQ (a rational root test, and from
+    degree 4 on its recognition as Phi_m by _cyclotomic_index).
     """
     if n < 3:
         raise NoSuchRootError("cyclotomic extensions need n >= 3")
     phi = cyclotomic_polynomial(n)
     if len(phi) - 1 != euler_phi(n):
         raise ReducibleModulusError(f"Phi_{n} degree != euler_phi({n})")
-    if _rational_root_exists(phi):
-        raise ReducibleModulusError(f"Phi_{n} unexpectedly has a rational root")
-    return QuotientExtension(Rationals(), tuple(phi), gen, assume_irreducible=True)
+    return QuotientExtension(Rationals(), tuple(phi), gen)
 
 
 def primitive_root_of_unity(
@@ -1150,13 +1148,7 @@ def field_from_json(d: dict) -> FieldSpec:
             base_json, modulus = _json_fields(d, "base", "modulus")
             base = field_from_json(base_json)
             coeffs = tuple(base.parse(c) for c in modulus)
-            # cyclotomic moduli of any degree are known to be irreducible
-            known_cyclo = isinstance(base, Rationals) and bool(
-                _cyclotomic_index(coeffs)
-            )
-            return QuotientExtension(
-                base, coeffs, d.get("generator", "t"), assume_irreducible=known_cyclo
-            )
+            return QuotientExtension(base, coeffs, d.get("generator", "t"))
     except (TypeError, ValueError, NotPrimeError, ReducibleModulusError) as e:
         raise ParseError(f"bad field JSON {d!r}: {e}") from e
     raise ParseError(f"bad field JSON {d!r}")

@@ -14,7 +14,9 @@ candidate.  Exhaustive mode solves for phi instead of enumerating it: per
 by exact elimination, and their solutions are filtered for nonzero phi and
 nonzero corners.  Every probe hit, in either mode, is then re-verified by
 the axiom oracle (split_form_build, then verify_ch_axioms), which is
-authoritative and shares only the pattern's specification with the probe:
+authoritative and shares only the pattern's specification with the probe
+(the probe is exact, so a hit the oracle rejects is an internal
+contradiction and raises):
 split_form_build checks each closed-form idempotent family against its
 matrix, and verify_ch_axioms factors every member as a rank-one outer
 product, checks each family's algebra on the factors and decides every
@@ -287,9 +289,11 @@ def search(cfg: SearchConfig) -> SearchReport:
                 tuple(FieldElement(spec, x) for x in ths),
                 tuple(FieldElement(spec, x) for x in ph),
             )
-            system = split_form_build(params)
-            if not verify_ch_axioms(system).is_ch:
-                continue
+            if not verify_ch_axioms(split_form_build(params)).is_ch:
+                raise InternalContradictionError(
+                    "the exact probe accepted an array the axiom oracle "
+                    f"rejects: {json.dumps(params.to_json(), sort_keys=True)}"
+                )
             report.ch_systems_found += 1
             status = recurrence_status(params)
             if status.recurrent:

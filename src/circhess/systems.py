@@ -502,7 +502,11 @@ def isomorphic(p1: ParameterArray, p2: ParameterArray) -> bool:
 
 def isomorphism_witness(s1: CHSystem, s2: CHSystem) -> Matrix | None:
     """An invertible sigma with sigma X sigma^-1 mapping s1's data to s2's,
-    or None when the parameter arrays differ."""
+    or None when the parameter arrays differ.
+
+    sigma maps s1's split basis onto s2's, so it is invertible (extraction
+    rank-checks both), and sigma X sigma^-1 = Y is checked as sigma X =
+    Y sigma for A, A* and every idempotent: one inverse in all."""
     s1.require_verified("isomorphism witness")
     s2.require_verified("isomorphism witness")
     if s1.params is None or s2.params is None or not isomorphic(s1.params, s2.params):
@@ -514,15 +518,10 @@ def isomorphism_witness(s1: CHSystem, s2: CHSystem) -> Matrix | None:
     b1 = Matrix.from_columns(dec1.generators)
     b2 = Matrix.from_columns(dec2.generators)
     sigma = b2 * matrix_inverse(b1)
-    sigma_inv = matrix_inverse(sigma)
-    if sigma * s1.A * sigma_inv != s2.A or sigma * s1.A_star * sigma_inv != s2.A_star:
+    pairs = zip((s1.A, s1.A_star, *s1.E, *s1.E_star),
+                (s2.A, s2.A_star, *s2.E, *s2.E_star))
+    if any(sigma * x != y * sigma for x, y in pairs):
         return None
-    for e1, e2 in zip(s1.E, s2.E):
-        if sigma * e1 * sigma_inv != e2:
-            return None
-    for e1, e2 in zip(s1.E_star, s2.E_star):
-        if sigma * e1 * sigma_inv != e2:
-            return None
     return sigma
 
 

@@ -48,6 +48,38 @@ def test_all_transitions_cross_check(w5_catalog):
         transition(catalog, a, b)
 
 
+def test_transition_detects_a_wrong_closed_form_edge(monkeypatch, w5_catalog,
+                                                    w5_array):
+    """With one entry of the inv_split -> dual_split edge changed, the
+    identity X_from T = X_to fails for that edge and for every ordered pair
+    whose diagram path runs along it, and holds for every other pair."""
+    import circhess.bases as bases_mod
+
+    catalog, _ = w5_catalog
+    edge = bases_mod._inv_split_edge
+
+    def corrupted(p, eps_star, a, b):
+        m = edge(p, eps_star, a, b)
+        if (p, a, b) != (w5_array, "inv_split", "dual_split"):
+            return m
+        rows = [list(r) for r in m.rows]
+        rows[0][0] = m.spec.add(rows[0][0], m.spec.one)
+        return Matrix(m.spec, rows)
+
+    monkeypatch.setattr(bases_mod, "_inv_split_edge", corrupted)
+    failing = set()
+    for a, b in itertools.product(BASIS_NAMES, repeat=2):
+        path = bases_mod._diagram_path(a, b)
+        if ("inv_split", "dual_split") in zip(path, path[1:]):
+            failing.add((a, b))
+            with pytest.raises(IdentityCheckError, match=f"{a} -> {b}"):
+                transition(catalog, a, b)
+        else:
+            transition(catalog, a, b)
+    assert {("inv_split", "dual_split"), ("standard", "dual_split"),
+            ("split", "dual_split")} <= failing
+
+
 def test_transition_inverses_and_z(w5_catalog, gf5):
     catalog, _ = w5_catalog
     ident = Matrix.identity(gf5, 4)
@@ -261,6 +293,19 @@ def test_characterize_standard_basis(w5_system, w5_catalog):
     assert not standard_basis_characterize(
         w5_system, [Vector.zero(w5_system.spec, 4)] * 4
     )
+
+
+def test_characterize_rejects_unequal_scaling(w5_system, w5_catalog, gf5):
+    """Scaling the standard vectors by different scalars keeps each u_i in
+    E_i V but moves their sum out of E*_0 V; on the representation side, A
+    stays diag(theta) and A* loses its constant row sums, so both criteria
+    reject the basis."""
+    catalog, _ = w5_catalog
+    std = catalog.vectors["standard"]
+    scaled = [v.scale(k) for v, k in zip(std, (1, 1, 1, 2))]
+    x = Matrix.from_columns(scaled)
+    assert w5_system.A * x == x * Matrix.diagonal(gf5, w5_system.theta)
+    assert not standard_basis_characterize(w5_system, scaled)
 
 
 def test_explicit_seed_changes_vectors_not_scalars(w5_system, gf5):

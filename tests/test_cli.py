@@ -148,6 +148,36 @@ def test_bases_check_all_solves_each_once(tmp_path, capsys, monkeypatch, w5_arra
     )
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["bases", "--check-all"], 6),
+    (["replay"], 9),
+])
+def test_elimination_count(tmp_path, capsys, monkeypatch, w5_array, argv,
+                           expected):
+    """Gauss-Jordan eliminations behind linalg's inverse, rank and
+    determinant in one W5 command (the invariant-subspace closure in
+    `systems` calls the routine directly and is not counted): `bases
+    --check-all` runs the catalog's 6 rank checks and nothing else, since
+    every transition and representation is checked as a product identity;
+    `replay` adds the 3 closed-form fits of the family classification."""
+    from circhess import linalg
+
+    gauss_jordan = linalg._gauss_jordan
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return gauss_jordan(*args)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    f = tmp_path / "w5.json"
+    f.write_text(json.dumps(w5_array.to_json()))
+    code, _, _ = run(capsys, argv[0], "--in", str(f), *argv[1:])
+    assert code == 0
+    assert count == expected
+
+
 def test_fuzz_cli(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code, stdout, _ = run(

@@ -24,7 +24,12 @@ from circhess.errors import (
     ParseError,
     ReducibleModulusError,
 )
-from circhess.fields import _cyclotomic_index, cyclotomic_polynomial, euler_phi
+from circhess.fields import (
+    QuotientExtension,
+    _cyclotomic_index,
+    cyclotomic_polynomial,
+    euler_phi,
+)
 
 
 def all_specs():
@@ -311,6 +316,22 @@ def test_cyclotomic_json_roundtrip_large(n):
     back = field_from_json(spec.to_json())
     assert back == spec
     assert field_to_string(back) == f"cyclo:{n}"
+
+
+def test_cyclotomic_modulus_is_certified_by_recognition():
+    """Every QQ modulus passes the same certification: Phi_12 (degree 4)
+    given directly is accepted because it is cyclotomic, and is the field
+    cyclotomic_field builds; x^4 - 2, irreducible but not cyclotomic, is
+    still refused."""
+    direct = QuotientExtension(rationals(), tuple(cyclotomic_polynomial(12)))
+    assert direct == cyclotomic_field(12)
+    assert hash(direct) == hash(cyclotomic_field(12))
+    assert field_to_string(direct) == "cyclo:12"
+    with pytest.raises(ReducibleModulusError):
+        quotient_extension(rationals(), [-2, 0, 0, 0, 1])
+    with pytest.raises(ParseError):
+        field_from_json({"kind": "extension", "base": {"kind": "rationals"},
+                         "modulus": ["-2", "0", "0", "0", "1"]})
 
 
 def _generator_power_order(spec):

@@ -376,6 +376,31 @@ def test_replay_surfaces_internal_contradiction(monkeypatch, w5_array):
     assert "simulated contradiction" in bundle["classification"]["detail"]
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_probe_hit_rejected_by_oracle_is_internal_contradiction(
+        monkeypatch, capsys, mode):
+    """The probe is exact, so a probe hit that the axiom oracle rejects
+    (impossible mathematically, simulated here) raises, naming the array,
+    in both modes; `circhess fuzz` exits 1 with INTERNAL CONTRADICTION."""
+    from types import SimpleNamespace
+
+    from circhess.cli import main
+    from circhess.errors import InternalContradictionError
+
+    search_mod = importlib.import_module("circhess.search")
+    monkeypatch.setattr(search_mod, "verify_ch_axioms",
+                        lambda system: SimpleNamespace(is_ch=False))
+    spec = field_from_string("ext:gf:2:1,1,1")
+    with pytest.raises(InternalContradictionError, match='"theta": '):
+        search(SearchConfig(spec, 3, mode, seed=1, trials=200))
+    code = main(["fuzz", "--field", "ext:gf:2:1,1,1", "--d", "3", "--mode", mode,
+                 "--seed", "1", "--trials", "200"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith("INTERNAL CONTRADICTION: ")
+
+
 def test_unknown_mode_is_typed_error(gf5):
     with pytest.raises(UnknownSearchModeError):
         search(SearchConfig(gf5, 3, "bogus"))
