@@ -32,7 +32,7 @@ closed product formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     IdentityCheckError,
@@ -115,6 +115,8 @@ class BasisCatalog:
     u_star: Vector
     u: Vector
     scalars: NormalizationScalars
+    # closed-form diagram edges (a, b) -> T, filled by _closed_transition
+    edges: dict = field(default_factory=dict, repr=False, compare=False)
 
     def basis_matrix(self, name: str) -> Matrix:
         if name not in BASIS_NAMES:
@@ -181,14 +183,20 @@ def build_basis_catalog(s: CHSystem, u_star: Vector | None = None):
 # --- closed-form transitions -----------------------------------------------
 
 def _closed_transition(catalog: BasisCatalog, a: str, b: str) -> Matrix:
-    """A diagram edge.  Every edge meets inv_split or inv_dual_split; one at
-    inv_dual_split is the matching inv_split edge of the dual array, where
-    epsilon plays the part of epsilon*."""
-    p = catalog.system.params
-    scalars = catalog.scalars
-    if "inv_dual_split" in (a, b):
-        return _inv_split_edge(p.dual(), scalars.epsilon, _DUAL[a], _DUAL[b])
-    return _inv_split_edge(p, scalars.epsilon_star, a, b)
+    """A diagram edge, built on its first use and kept in catalog.edges.
+    Every edge meets inv_split or inv_dual_split; one at inv_dual_split is
+    the matching inv_split edge of the dual array, where epsilon plays the
+    part of epsilon*."""
+    edge = catalog.edges.get((a, b))
+    if edge is None:
+        p = catalog.system.params
+        scalars = catalog.scalars
+        if "inv_dual_split" in (a, b):
+            edge = _inv_split_edge(p.dual(), scalars.epsilon, _DUAL[a], _DUAL[b])
+        else:
+            edge = _inv_split_edge(p, scalars.epsilon_star, a, b)
+        catalog.edges[a, b] = edge
+    return edge
 
 
 def _inv_split_edge(p: ParameterArray, eps_star, a: str, b: str) -> Matrix:

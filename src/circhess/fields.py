@@ -17,7 +17,9 @@ element turn a product into an exponent sum and a sum into one lookup, with
 O(q) memory.  The tables are built from the coefficient arithmetic, which
 stays the definition and the live path for extensions of QQ, for fields above
 FACTOR_SEARCH_BUDGET and for a field's first q - 2 operations.  Payloads are
-the same tuples on both paths.
+the same tuples on both paths.  Over QQ the coefficient path's products and
+dots run on integer numerators over one common denominator per side, so each
+output coefficient is normalized once rather than at every Fraction step.
 """
 
 from __future__ import annotations
@@ -314,7 +316,10 @@ class QuotientExtension(FieldSpec):
 
     Arithmetic has two paths with the same payloads and results.  The
     coefficient path (`_coeff_*`: convolution, then reduction by the
-    modulus) defines it and serves extensions of QQ.  Over a finite base,
+    modulus) defines it and serves extensions of QQ, where `_coeff_dot`
+    (and mul, the dot of one pair) convolves and reduces integer
+    numerators and builds one Fraction per output coefficient; inverses
+    keep extended Euclid over QQ[x].  Over a finite base,
     the (q - 1)-th operation builds `_tables`, Zech logarithms over a
     primitive element, and from then on mul and inv are exponent arithmetic
     mod q - 1, add, sub and neg are one Zech lookup each, and dot sums in
@@ -391,17 +396,13 @@ class QuotientExtension(FieldSpec):
             rows.append(tuple(cur))
         return rows
 
-    def _reduce(self, conv):
-        # conv has length <= 2*deg - 1, low-to-high
-        b = self.base
-        k = self.deg
-        out = list(conv[:k]) + [b.zero] * (k - len(conv[:k]))
-        for e, c in enumerate(conv[k:]):
-            if b.is_zero(c):
-                continue
-            row = self._red_rows[e]
-            out = [b.add(o, b.mul(c, r)) for o, r in zip(out, row)]
-        return tuple(out)
+    @cached_property
+    def _int_red_rows(self):
+        """_red_rows over a QQ base as integers: (D, rows) with each row
+        scaled by D, the lcm of all their denominators (1 for Phi_n)."""
+        dm = math.lcm(*(c.denominator for r in self._red_rows for c in r))
+        return dm, [[c.numerator * (dm // c.denominator) for c in r]
+                    for r in self._red_rows]
 
     # table path: Zech logarithms over a primitive element -----------------
     def __getattr__(self, name):
@@ -503,7 +504,7 @@ class QuotientExtension(FieldSpec):
     def mul(self, a, b):
         t = self._tables
         if t is None:
-            return self._coeff_mul(a, b)
+            return self._coeff_dot((a,), (b,))
         exp, log, _, _ = t
         i = log.get(a)
         j = log.get(b)
@@ -558,28 +559,45 @@ class QuotientExtension(FieldSpec):
         ba = self.base
         return tuple(ba.neg(x) for x in a)
 
-    def _coeff_mul(self, a, b):
-        ba = self.base
-        k = self.deg
-        conv = [ba.zero] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if ba.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                conv[i + j] = ba.add(conv[i + j], ba.mul(x, y))
-        return self._reduce(conv)
-
     def _coeff_dot(self, xs, ys):
-        ba = self.base
-        k = self.deg
-        conv = [ba.zero] * (2 * k - 1)
+        """Sum of x * y over the pairs: one convolution of them all, then one
+        reduction by the modulus rows.  A product is the dot of one pair.
+
+        Over QQ the convolution and reduction run on integers: each side is
+        scaled by the lcm of its coefficient denominators, the rows by
+        theirs (_int_red_rows), and each output coefficient is normalized
+        once, as Fraction(c, den), instead of at every product and sum.
+        """
+        ba, k = self.base, self.deg
+        qq = isinstance(ba, Rationals)
+        if qq:
+            # lists, not generators, feed the tuples built here: a tuple
+            # built from a generator is allocated at one size and freed at
+            # another, so CPython's per-size tuple free lists would keep a
+            # block per call (0.6 MB more peak RSS in perfbench's pipeline)
+            dx = math.lcm(*[c.denominator for x in xs for c in x])
+            dy = math.lcm(*[c.denominator for y in ys for c in y])
+            xs = [[c.numerator * (dx // c.denominator) for c in x] for x in xs]
+            ys = [[c.numerator * (dy // c.denominator) for c in y] for y in ys]
+            dm, rows = self._int_red_rows
+            add, mul, zero = operator.add, operator.mul, 0
+        else:
+            add, mul, zero, rows = ba.add, ba.mul, ba.zero, self._red_rows
+        conv = [zero] * (2 * k - 1)
         for x, y in zip(xs, ys):
             for i, xi in enumerate(x):
-                if ba.is_zero(xi):
-                    continue
-                for j, yj in enumerate(y):
-                    conv[i + j] = ba.add(conv[i + j], ba.mul(xi, yj))
-        return self._reduce(conv)
+                if xi != zero:
+                    for j, yj in enumerate(y):
+                        conv[i + j] = add(conv[i + j], mul(xi, yj))
+        # x^(k + e) = rows[e] (over QQ, rows[e] / dm)
+        out = [c * dm for c in conv[:k]] if qq else conv[:k]
+        for c, row in zip(conv[k:], rows):
+            if c != zero:
+                out = [add(o, mul(c, r)) for o, r in zip(out, row)]
+        if qq:
+            den = dx * dy * dm
+            return tuple([Fraction(c, den) for c in out])
+        return tuple(out)
 
     def _coeff_inv(self, a):
         if self.is_zero(a):

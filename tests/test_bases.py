@@ -41,8 +41,9 @@ def test_trace_equals_product_w5(w5_system, w5_catalog, gf5):
 
 
 def test_all_transitions_cross_check(w5_catalog):
-    """Every ordered pair: closed form (composed along the diagram) equals
-    the definitional solve; checked inside transition()."""
+    """Every ordered pair: the closed form (composed along the diagram)
+    satisfies X_from T = X_to on the basis vectors; checked inside
+    transition()."""
     catalog, _ = w5_catalog
     for a, b in itertools.product(BASIS_NAMES, repeat=2):
         transition(catalog, a, b)

@@ -178,6 +178,28 @@ def test_elimination_count(tmp_path, capsys, monkeypatch, w5_array, argv,
     assert count == expected
 
 
+def test_closed_form_edges_built_once(tmp_path, capsys, monkeypatch, w5_array):
+    """One W5 `bases --check-all` builds each of the 12 directed diagram
+    edges once, so the eigenvector closed form runs once for each of
+    standard <-> inv_split and inv_dual_split <-> dual_standard."""
+    from circhess import bases
+
+    counts = {"_inv_split_edge": 0, "_bidiagonal_eigenvectors": 0}
+    for name in counts:
+        fn = getattr(bases, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(bases, name, counted)
+    f = tmp_path / "w5.json"
+    f.write_text(json.dumps(w5_array.to_json()))
+    code, _, _ = run(capsys, "bases", "--in", str(f), "--check-all")
+    assert code == 0
+    assert counts == {"_inv_split_edge": 12, "_bidiagonal_eigenvectors": 4}
+
+
 def test_fuzz_cli(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code, stdout, _ = run(

@@ -1,34 +1,41 @@
-"""Table arithmetic of finite quotient extensions (Zech logarithms) against a
-test-local schoolbook reference, and when the tables are built."""
+"""Table arithmetic of finite quotient extensions (Zech logarithms) and the
+integer kernel of extensions of QQ against a test-local schoolbook
+reference, and when the tables are built."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from circhess import field_from_string, prime_field, quotient_extension
+from circhess import field_from_string, prime_field, quotient_extension, rationals
 from circhess.errors import DivisionByZeroError, MixedFieldsError
-from circhess.fields import FACTOR_SEARCH_BUDGET, PrimeField
+from circhess.fields import FACTOR_SEARCH_BUDGET, PrimeField, Rationals
 
 
 class Schoolbook:
-    """Reference payload arithmetic, recursive on the base field: sums
+    """Reference payload arithmetic, recursive on the base field down to
+    GF(p) (residues mod p) or QQ (exact Fraction +, - and x): sums
     coefficient by coefficient, the full polynomial product reduced by long
     division by the monic modulus, and inverses as a^(q - 2)."""
 
     def __init__(self, spec):
         self.spec = spec
         self.zero, self.one = spec.zero, spec.one
-        self.base = None if isinstance(spec, PrimeField) else Schoolbook(spec.base)
+        leaf = isinstance(spec, (PrimeField, Rationals))
+        self.base = None if leaf else Schoolbook(spec.base)
+
+    def _leaf(self, x):
+        return x % self.spec.p if isinstance(self.spec, PrimeField) else x
 
     def add(self, a, b):
         if self.base is None:
-            return (a + b) % self.spec.p
+            return self._leaf(a + b)
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
         if self.base is None:
-            return -a % self.spec.p
+            return self._leaf(-a)
         return tuple(self.base.neg(x) for x in a)
 
     def sub(self, a, b):
@@ -36,7 +43,7 @@ class Schoolbook:
 
     def mul(self, a, b):
         if self.base is None:
-            return a * b % self.spec.p
+            return self._leaf(a * b)
         bs, m, k = self.base, self.spec.modulus, self.spec.deg
         prod = [bs.zero] * (2 * k - 1)
         for i, x in enumerate(a):
@@ -219,3 +226,57 @@ def test_equal_fields_built_twice_mix_and_still_refuse_others():
     with pytest.raises(MixedFieldsError):
         a + other.generator()
     assert a != other.generator()
+
+
+QQ_EXTENSIONS = {
+    "cyclo:4": lambda: field_from_string("cyclo:4"),
+    "cyclo:12": lambda: field_from_string("cyclo:12"),
+    # a modulus with a non-integer coefficient: x^2 = 1/2
+    "QQ[t]/(t^2 - 1/2)": lambda: quotient_extension(
+        rationals(), [Fraction(-1, 2), 0, 1]),
+}
+
+
+def _all_fractions(payload):
+    return all(type(c) is Fraction for c in payload)
+
+
+@pytest.mark.parametrize("make", QQ_EXTENSIONS.values(), ids=QQ_EXTENSIONS.keys())
+def test_rational_extension_ops_match_schoolbook(make):
+    """The integer kernel (one common denominator per side, integer
+    convolution and reduction, one Fraction per output coefficient) against
+    exact Fraction schoolbook arithmetic, on seeded payloads with mixed
+    denominators and zero entries."""
+    spec = make()
+    ref = Schoolbook(spec)
+    rng = random.Random(1401)
+    dens = (1, 1, 2, 3, 4, 5, 7, 12)
+
+    def draw():
+        if not rng.randrange(8):
+            return spec.zero
+        return tuple(Fraction(rng.randint(-9, 9), rng.choice(dens)) if rng.randrange(4)
+                     else Fraction(0) for _ in range(spec.deg))
+
+    for _ in range(300):
+        a, b = draw(), draw()
+        for op in ("add", "sub", "mul"):
+            got = getattr(spec, op)(a, b)
+            assert got == getattr(ref, op)(a, b) and _all_fractions(got)
+        assert spec.neg(a) == ref.neg(a) and _all_fractions(spec.neg(a))
+        if a != spec.zero:
+            inv = spec.inv(a)
+            assert spec.mul(a, inv) == spec.one and _all_fractions(inv)
+    for _ in range(200):
+        n = rng.randrange(8)
+        xs, ys = [draw() for _ in range(n)], [draw() for _ in range(n)]
+        got = spec.dot(xs, ys)
+        assert got == ref.dot(xs, ys) and _all_fractions(got)
+    # a sum that cancels to zero, then one that cancels to an integer
+    a, b = draw(), (Fraction(1, 3),) + (Fraction(0),) * (spec.deg - 1)
+    one, minus_one = ref.one, ref.neg(ref.one)
+    got = spec.dot([a, a, b, b, b], [one, minus_one, one, one, one])
+    assert got == spec.one and _all_fractions(got)
+    got = spec.dot([a, a], [one, minus_one])
+    assert got == spec.zero and _all_fractions(got)
+    assert vars(spec)["_tables"] is None

@@ -310,8 +310,8 @@ def test_cyclotomic_descriptor_roundtrip_large(n):
 @pytest.mark.parametrize("n", [105, 120, 210, 420])
 def test_cyclotomic_json_roundtrip_large(n):
     """A cyclotomic modulus is recognized among the m with euler_phi(m) =
-    deg, so its irreducibility need not be certified (cyclo:420 has degree
-    96, beyond any fixed scan of 4 deg + 20 indices)."""
+    deg, and that recognition certifies its irreducibility (cyclo:420 has
+    degree 96, beyond any fixed scan of 4 deg + 20 indices)."""
     spec = cyclotomic_field(n)
     back = field_from_json(spec.to_json())
     assert back == spec
