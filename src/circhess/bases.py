@@ -250,12 +250,16 @@ def _diagram_path(a: str, b: str) -> list[str]:
     raise UnknownBasisError(f"no path {a} -> {b}")
 
 
+_DIAGRAM_PATHS = {(a, b): tuple(_diagram_path(a, b))
+                  for a in BASIS_NAMES for b in BASIS_NAMES}
+
+
 def transition(catalog: BasisCatalog, from_name: str, to_name: str) -> TransitionMatrix:
     """Transition matrix T with (to)_j = sum_i T_ij (from)_i.
 
     Adjacent pairs use the closed forms; other pairs compose along the
-    diagram.  Every result is checked against its defining identity
-    X_from T = X_to on the actual basis vectors.
+    fixed diagram's path, found once per pair at import.  Every result is
+    checked against its defining identity X_from T = X_to on the bases.
     """
     for n in (from_name, to_name):
         if n not in BASIS_NAMES:
@@ -263,7 +267,7 @@ def transition(catalog: BasisCatalog, from_name: str, to_name: str) -> Transitio
     x = catalog.basis_matrix(from_name)
     if from_name == to_name:
         return TransitionMatrix(from_name, to_name, Matrix.identity(x.spec, x.ncols))
-    path = _diagram_path(from_name, to_name)
+    path = _DIAGRAM_PATHS[from_name, to_name]
     t = None
     for a, b in zip(path, path[1:]):
         step = _closed_transition(catalog, a, b)

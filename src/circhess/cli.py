@@ -3,15 +3,13 @@
 Subcommands: gen, verify, classify, bases, fuzz, replay, dump.
 Exit codes: 0 success, 1 mathematical failure (failed verification,
 identity assertion, internal contradiction, or a fuzz counterexample),
-2 usage error.  All defaults are shown by --help; the only environment
-knob is CIRC_HESS_BUDGET, which overrides the exhaustive search cap.
+2 usage error.  All defaults are shown by --help.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -237,13 +235,9 @@ def _bases_ledger(params, catalog, reps, transitions):
 
 def cmd_fuzz(args) -> int:
     spec = field_from_string(args.field)
-    cap = args.cap
-    env = os.environ.get("CIRC_HESS_BUDGET")
-    if env is not None:
-        cap = int(env)
     cfg = SearchConfig(
         spec, args.d, args.mode, seed=args.seed, trials=args.trials,
-        exhaustive_cap=cap, report_path=args.report,
+        exhaustive_cap=args.cap, report_path=args.report,
     )
     report = search(cfg)
     sys.stdout.write(report.to_bytes().decode() + "\n")
@@ -317,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--trials", type=int, default=DEFAULT_RANDOM_TRIALS,
                    help=f"random-mode trials (default {DEFAULT_RANDOM_TRIALS})")
     f.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
-                   help=f"exhaustive candidate cap (default {DEFAULT_EXHAUSTIVE_CAP}; "
-                        "env CIRC_HESS_BUDGET overrides)")
+                   help=f"exhaustive candidate cap (default {DEFAULT_EXHAUSTIVE_CAP})")
     f.add_argument("--report", default=None, help="write the report JSON here")
     f.set_defaults(fn=cmd_fuzz)
 

@@ -523,9 +523,7 @@ def primitive_idempotents(a: Matrix, eigenvalues) -> list[Matrix]:
     return out
 
 
-def eigenvalues_bruteforce(
-    a: Matrix, cap: int = BRUTEFORCE_FIELD_CAP
-) -> list[FieldElement] | None:
+def eigenvalues_bruteforce(a: Matrix) -> list[FieldElement] | None:
     """All eigenvalues of a finite-field matrix by scanning the field.
 
     Returns them in field-enumeration order when the spectrum is split and
@@ -538,8 +536,10 @@ def eigenvalues_bruteforce(
         raise UnsupportedFieldError(
             "brute-force eigenvalues need a finite field; supply eigenvalues"
         )
-    if s.order > cap:
-        raise UnsupportedFieldError(f"field order {s.order} exceeds cap {cap}")
+    if s.order > BRUTEFORCE_FIELD_CAP:
+        raise UnsupportedFieldError(
+            f"field order {s.order} exceeds cap {BRUTEFORCE_FIELD_CAP}"
+        )
     n = a.nrows
     ident = Matrix.identity(s, n)
     found = []

@@ -19,12 +19,12 @@ Primitive idempotents have rank one, and both halves of the axiom oracle
 use it.  split_form_build writes each E_k and E*_k as an outer product of
 the right and left eigenvectors (r_k, s_k) that _bidiagonal_eigenvectors
 gives in closed form for the bidiagonal A and A*^T; bases reads the
-standard <-> inv_split transitions off the same vectors.  verify_ch_axioms
-factors each stored E_i as u_i w_i^T / p_i once, checks the families'
-algebra on the factors (rank one and sum E_i = I) and decides each
-constrained E_i A* E_j as the scalar w_i . (A* u_j).  Each idempotent
-costs O(d^2) field operations, and the oracle forms no product of two
-matrices.
+standard <-> inv_split transitions off the same vectors.  verify_ch_axioms,
+the one judge, factors each stored E_i as u_i w_i^T / p_i once, checks
+the families' algebra (rank one, sum E_i = I) and membership
+(A u_i = theta_i u_i) on the factors and decides each constrained
+E_i A* E_j as the scalar w_i . (A* u_j): O(d^2) field operations per
+idempotent, and no product of two matrices.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class SplitDecomposition:
 @dataclass
 class VerificationOutcome:
     is_ch: bool
-    failures: list  # of (condition, i, j) with condition in {"iv", "v"}
+    failures: list  # of (condition, i, j), in the order ii, iii, iv, v
 
     def to_json(self) -> dict:
         return {
@@ -207,21 +207,16 @@ def split_form_build(p: ParameterArray) -> CHSystem:
     Both families are rank-one outer products of the eigenvectors of
     _bidiagonal_eigenvectors: E_k = r_k s_k^T for A, and E*_k = s_k r_k^T
     for the pairs of the lower bidiagonal A*^T, which is the transpose of
-    A*^T's family.  Instead of an annihilator check, each family must
-    recombine to its matrix, sum theta_i E_i = A and sum theta*_i E*_i = A*,
-    else CorruptIdempotentsError; verify_ch_axioms checks their algebra.
+    A*^T's family.
 
-    The returned system is unverified; run verify_ch_axioms on it.
+    The builder checks nothing: the returned system is unverified; run
+    verify_ch_axioms on it, which also checks that E and E* belong to A, A*.
     """
     A, A_star = _split_form(p)
     spec = p.spec
     E = [_outer(spec, r, s) for r, s in _bidiagonal_eigenvectors(A)[::-1]]
     E_star = [_outer(spec, s, r)
               for r, s in _bidiagonal_eigenvectors(A_star.transpose())]
-    if _spectral_sum(E, p.theta) != A or _spectral_sum(E_star, p.theta_star) != A_star:
-        raise CorruptIdempotentsError(
-            "closed-form idempotents do not recombine to A and A*"
-        )
     return CHSystem(p.spec, p.d, A, A_star, E, E_star, p.theta, p.theta_star,
                     params=p)
 
@@ -271,14 +266,6 @@ def _outer(spec, col, row) -> Matrix:
     zero_row = (spec.zero,) * len(row)
     return Matrix(spec, [zero_row if is_zero(x) else [mul(x, y) for y in row]
                          for x in col])
-
-
-def _spectral_sum(E, labels) -> Matrix:
-    """sum_i labels_i E_i, one dot product per entry."""
-    s = E[0].spec
-    lam = [x.payload for x in labels]
-    return Matrix(s, [[s.dot(lam, col) for col in zip(*rows)]
-                      for rows in zip(*(e.rows for e in E))])
 
 
 def _split_form(p: ParameterArray) -> tuple[Matrix, Matrix]:
@@ -377,9 +364,9 @@ def _check_idempotent_family(E, labels, ident) -> list:
     This accepts exactly the valid families: d + 1 nonzero orthogonal
     idempotents summing to I give V = E_0 V (+) ... (+) E_d V, and d + 1
     nonzero dimensions summing to d + 1 are all one.  A zero member or one
-    of higher rank is therefore rejected without loss.  The labels are
-    only required to be distinct; verify_ch_axioms relies on nothing else
-    about them.
+    of higher rank is therefore rejected without loss.  Here the labels
+    are only required to be distinct; verify_ch_axioms then reads them as
+    the eigenvalues of the family's matrix (see _non_members).
     """
     if len(labels) != len(E) or len({lam.payload for lam in labels}) != len(E):
         raise CorruptIdempotentsError("need one distinct label per idempotent")
@@ -393,9 +380,9 @@ def _check_idempotent_family(E, labels, ident) -> list:
 
 
 def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
-    """Decide every product E_i A* E_j and E*_i A E*_j that the circular
-    Hessenberg pattern constrains, and compare its zero/nonzero pattern
-    with the axioms.
+    """Decide that E and E* are the primitive idempotents of A and A*, and
+    compare every product E_i A* E_j and E*_i A E*_j that the circular
+    Hessenberg pattern constrains with the axioms' zero/nonzero pattern.
 
     The pattern is the one table linalg._circular_hessenberg_pattern(d + 1),
     which the search probe and the ingest ordering search read too; only
@@ -408,16 +395,22 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     members sum to I, which with rank-one members is the whole idempotent
     algebra (see _check_idempotent_family); this is the one place it is
     checked (see primitive_idempotents).  The check returns each member's
-    factors E_j = u_j w_j^T / p_j, and every product is decided from them
-    exactly, by one matrix-vector product per j and one dot product per
-    pair (see _zero_products), independent of the search probe.  No
-    product of two matrices is formed.  Sets the system's sticky
-    `verified` flag when the pattern holds.
+    factors E_j = u_j w_j^T / p_j.  Each j with A u_j != theta_j u_j is the
+    failure ("ii", j, j), and ("iii", j, j) for A* and E*_j.  None fails
+    exactly when A = sum theta_j E_j: then A E_j = theta_j E_j by the
+    algebra, so (A u_j - theta_j u_j) w_j^T = 0 with w_j != 0; conversely,
+    A E_j = theta_j E_j for all j gives A = A sum E_j = sum theta_j E_j.
+    Every pattern product is decided exactly from the factors, by one
+    matrix-vector product per j and one dot product per pair (see
+    _zero_products), independent of the search probe.  No product of two
+    matrices is formed.  Sets the sticky `verified` flag when nothing fails.
     """
     ident = Matrix.identity(s.spec, s.d + 1)
     factors = _check_idempotent_family(s.E, s.theta, ident)
     factors_star = _check_idempotent_family(s.E_star, s.theta_star, ident)
-    failures = []
+    failures = [("ii", j, j) for j in _non_members(factors, s.A, s.theta)]
+    failures += [("iii", j, j)
+                 for j in _non_members(factors_star, s.A_star, s.theta_star)]
     pattern = _circular_hessenberg_pattern(s.d + 1)
     for cond, family, middle in (("iv", factors, s.A_star), ("v", factors_star, s.A)):
         zeros = _zero_products(family, middle, [(i, j) for i, j, _ in pattern])
@@ -426,6 +419,14 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     if outcome.is_ch:
         s.verified = True
     return outcome
+
+
+def _non_members(factors, M: Matrix, labels) -> list:
+    """The j with M u_j != labels_j u_j, for the rank-one factors
+    E_j = u_j w_j^T / p_j of a family: one matrix-vector product each."""
+    dot, mul = M.spec.dot, M.spec.mul
+    return [j for j, ((u, _, _), lam) in enumerate(zip(factors, labels))
+            if [dot(r, u) for r in M.rows] != [mul(lam.payload, x) for x in u]]
 
 
 def _zero_products(factors, M: Matrix, pairs) -> dict:

@@ -200,6 +200,23 @@ def test_closed_form_edges_built_once(tmp_path, capsys, monkeypatch, w5_array):
     assert counts == {"_inv_split_edge": 12, "_bidiagonal_eigenvectors": 4}
 
 
+def test_diagram_paths_searched_once(tmp_path, capsys, monkeypatch, w5_array):
+    """The diagram is fixed, so its paths are searched when `bases` is
+    imported: one W5 `bases --check-all` composes 30 distinct ordered pairs
+    and runs no breadth-first search."""
+    from circhess import bases
+
+    calls = []
+    search = bases._diagram_path
+    monkeypatch.setattr(bases, "_diagram_path",
+                        lambda a, b: calls.append((a, b)) or search(a, b))
+    f = tmp_path / "w5.json"
+    f.write_text(json.dumps(w5_array.to_json()))
+    code, _, _ = run(capsys, "bases", "--in", str(f), "--check-all")
+    assert code == 0
+    assert calls == []
+
+
 def test_fuzz_cli(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code, stdout, _ = run(
@@ -213,10 +230,10 @@ def test_fuzz_cli(tmp_path, capsys):
     assert json.loads(report.read_text()) == payload
 
 
-def test_fuzz_budget_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CIRC_HESS_BUDGET", "10")
+def test_fuzz_budget_env(tmp_path, capsys):
     code, _, err = run(
         capsys, "fuzz", "--field", "gf:5", "--d", "3", "--mode", "exhaustive",
+        "--cap", "10",
     )
     assert code == 1
     assert "exceeds cap" in err

@@ -279,6 +279,20 @@ def test_identity_in_place_of_a_fails(w5_array, gf5):
     assert any(cond == "v" for cond, _, _ in out.failures)
 
 
+@pytest.mark.parametrize("side, cond", [("A", "ii"), ("A_star", "iii")])
+def test_shifted_matrix_is_not_ch(w5_array, side, cond):
+    """A family must belong to its matrix: with A + I in place of A, each
+    E_j is an idempotent of A + I for theta_j + 1, not theta_j, so every
+    member fails item (ii), and likewise (iii) for A* + I.  The shift moves
+    only the diagonal products, which the pattern leaves free."""
+    s = split_form_build(w5_array)
+    setattr(s, side, getattr(s, side) + Matrix.identity(s.spec, 4))
+    out = verify_ch_axioms(s)
+    assert not out.is_ch
+    assert out.failures == [(cond, j, j) for j in range(4)]
+    assert not s.verified
+
+
 @pytest.mark.parametrize("side", ["E", "E_star"])
 def test_tampered_idempotents_raise(w5_array, side):
     """verify_ch_axioms is where the idempotent algebra is checked: a family
@@ -463,9 +477,15 @@ def test_rank_one_factors_exactly_on_rank_one_matrices(field):
 
 
 def _all_products_failures(s):
-    """Reference pattern check that forms all (d + 1)^2 products per side."""
+    """Reference check that forms every product: M E_j against theta_j E_j
+    for membership (M = A, or A* with theta*), then all (d + 1)^2 products
+    E_i M E_j per side for the pattern."""
     d = s.d
     failures = []
+    for cond, family, own, labels in (("ii", s.E, s.A, s.theta),
+                                      ("iii", s.E_star, s.A_star, s.theta_star)):
+        failures += [(cond, j, j) for j in range(d + 1)
+                     if own * family[j] != family[j].scale(labels[j])]
     for cond, family, middle in (("iv", s.E, s.A_star), ("v", s.E_star, s.A)):
         for i in range(d + 1):
             for j in range(d + 1):
@@ -566,11 +586,13 @@ def test_closed_form_idempotents_match_lagrange(field, d):
 
 @pytest.mark.parametrize("call", [0, 1])
 @pytest.mark.parametrize("corrupt", ["swap", "shift"])
-def test_corrupt_closed_form_raises(monkeypatch, w5_array, call, corrupt):
-    """Closed-form eigenvectors whose family does not recombine to its
-    matrix (A on the first call, A*^T on the second) are rejected by
-    split_form_build: two (r, s) pairs swapped, or r_0 replaced by
-    r_0 + r_1."""
+def test_corrupt_closed_form_rejected(monkeypatch, w5_array, call, corrupt):
+    """Closed-form eigenvectors whose family does not belong to its matrix
+    (A on the first call, A*^T on the second) are built without complaint
+    and rejected by verify_ch_axioms.  Two (r, s) pairs swapped leave a
+    valid family with two members under each other's labels: items (ii) or
+    (iii) fail at exactly those two indices.  r_0 replaced by r_0 + r_1
+    leaves a family that does not sum to I."""
     from circhess import systems
 
     helper = systems._bidiagonal_eigenvectors
@@ -588,8 +610,19 @@ def test_corrupt_closed_form_raises(monkeypatch, w5_array, call, corrupt):
         return pairs
 
     monkeypatch.setattr(systems, "_bidiagonal_eigenvectors", corrupted)
-    with pytest.raises(CorruptIdempotentsError):
-        split_form_build(w5_array)
+    s = split_form_build(w5_array)
+    if corrupt == "shift":
+        with pytest.raises(CorruptIdempotentsError):
+            verify_ch_axioms(s)
+    else:
+        out = verify_ch_axioms(s)
+        assert not out.is_ch
+        # A's diagonal lists theta reversed, so pairs 0 and 1 are E_3 and E_2
+        swapped = [("ii", 2, 2), ("ii", 3, 3)] if call == 0 else \
+            [("iii", 0, 0), ("iii", 1, 1)]
+        assert [f for f in out.failures if f[0] in ("ii", "iii")] == swapped
+        assert out.failures == _all_products_failures(s)
+    assert not s.verified
 
 
 @pytest.mark.parametrize("field, d", _cases(
@@ -677,6 +710,35 @@ def test_rank_one_pattern_test_matches_all_products_on_conjugated_pairs(field, d
     assert False in outcomes
     if d == 3 and spec.order is not None:
         assert True in outcomes
+
+
+@pytest.mark.parametrize(
+    "field, d", [("gf:5", 3), ("gf:5", 4), ("ext:gf:2:1,1,1", 3), ("gf:7", 3)]
+)
+def test_membership_failures_match_all_products_reference(field, d):
+    """Verified split systems made to fail membership: labels rotated
+    against their families, A + I, and A* + I.  The oracle gives the
+    all-products reference's failure list, and it has the membership
+    failures of each."""
+    from circhess.systems import CHSystem
+
+    spec = field_from_string(field)
+    s = _random_split_hit(spec, d, random.Random(f"members/{field}/{d}"))
+    ident = Matrix.identity(spec, d + 1)
+    every = list(range(d + 1))
+    cases = [
+        ((s.A, s.A_star, s.theta[1:] + s.theta[:1],
+          s.theta_star[1:] + s.theta_star[:1]), every, every),
+        ((s.A + ident, s.A_star, s.theta, s.theta_star), every, []),
+        ((s.A, s.A_star + ident, s.theta, s.theta_star), [], every),
+    ]
+    for (a, a_star, theta, theta_star), ii, iii in cases:
+        t = CHSystem(spec, d, a, a_star, s.E, s.E_star, theta, theta_star)
+        out = verify_ch_axioms(t)
+        assert out.failures == _all_products_failures(t)
+        assert [f for f in out.failures if f[0] in ("ii", "iii")] == \
+            [("ii", j, j) for j in ii] + [("iii", j, j) for j in iii]
+        assert not out.is_ch and not t.verified
 
 
 def _brute_closure_is_everything(spec, mats, seed):
