@@ -41,7 +41,7 @@ from .errors import (
     UnknownBasisError,
 )
 from .fields import FieldElement
-from .linalg import Matrix, Vector, rank, shape_classify, ShapeClass
+from .linalg import Matrix, Vector, is_circular_hessenberg, rank
 from .recurrence import recurrence_status, vartheta_from_array
 from .systems import CHSystem, ParameterArray, _bidiagonal_eigenvectors, \
     _default_seed, _proportionality, _split_form, _split_vectors
@@ -316,7 +316,7 @@ def represent(catalog: BasisCatalog, name: str) -> RepresentationPair:
         )
     if primal == "standard":
         where = name.replace("_", "-")
-        if shape_classify(pair[1]) is not ShapeClass.CIRCULAR_HESSENBERG:
+        if not is_circular_hessenberg(pair[1]):
             raise IdentityCheckError(
                 f"{where}-basis A{'' if dual else '*'} is not circular Hessenberg"
             )

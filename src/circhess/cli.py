@@ -9,6 +9,7 @@ identity assertion, internal contradiction, or a fuzz counterexample),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -265,7 +266,10 @@ def cmd_dump(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use;
+    parse_args leaves it unchanged, so every main call can share it."""
     ap = argparse.ArgumentParser(
         prog="circhess",
         description="Exact construction, verification, classification, and "

@@ -434,21 +434,17 @@ class QuotientExtension(FieldSpec):
         return t
 
     def _build_tables(self) -> _ZechTables:
-        """Zech-logarithm tables over g, the first nonzero payload in element
-        order whose (q - 1)/r-th power is not 1 for any prime r dividing
-        q - 1, i.e. a generator of the cyclic group F^x.
+        """Zech-logarithm tables over g = primitive_root_of_unity(self, q - 1),
+        the first payload in element order that generates the cyclic group
+        F^x.  `_tables` is None while this runs, so that search, like the
+        build, takes the coefficient path.
 
         Built from the coefficient arithmetic: a -> g a is base-linear, so
         each of the q - 1 powers of g is k base dots against rows read off
         k products, and each Zech entry is one sum with 1.
         """
         n, one, zero = self.order - 1, self._one_payload, self._zero_payload
-        g = next(
-            a for a in self.element_payloads() if a != zero and all(
-                (FieldElement(self, a) ** (n // r)).payload != one
-                for r in _prime_divisors(n)
-            )
-        )
+        g = primitive_root_of_unity(self, n).payload
         # row j holds coefficient j of g x^i, i < k
         b, k = self.base, self.deg
         xs = [zero[:i] + (b.one,) + zero[i + 1:] for i in range(k)]

@@ -2,9 +2,9 @@
 
 Rows and columns are indexed 0..d.  Matrices and vectors are immutable;
 all operations return fresh objects and are safe to share between threads.
-Includes the shape predicates (tridiagonal / Hessenberg / circular
-Hessenberg), primitive idempotents via the Lagrange product, and a
-brute-force eigenvalue scan for finite fields.
+Includes one zero/nonzero pattern table per matrix shape (diagonal,
+tridiagonal, Hessenberg, circular Hessenberg), primitive idempotents via
+the Lagrange product, and a brute-force eigenvalue scan for finite fields.
 """
 
 from __future__ import annotations
@@ -354,7 +354,7 @@ def rank(a: Matrix) -> int:
     return len(_gauss_jordan(a.spec, a.rows, a.ncols)[1])
 
 
-# --- shape predicates -----------------------------------------------------
+# --- shapes ----------------------------------------------------------------
 
 class ShapeClass(Enum):
     DIAGONAL = "Diagonal"
@@ -365,93 +365,63 @@ class ShapeClass(Enum):
     GENERAL = "General"
 
 
-def is_hessenberg(a: Matrix) -> bool:
-    """Zero below the subdiagonal AND nonzero on the whole subdiagonal."""
-    s = a.spec
-    n = a.nrows
-    for i in range(n):
-        for j in range(n):
-            if i - j > 1 and not s.is_zero(a.rows[i][j]):
-                return False
-    return all(not s.is_zero(a.rows[i + 1][i]) for i in range(n - 1))
-
-
 @functools.cache
-def _circular_hessenberg_pattern(n: int) -> tuple:
-    """The one definition of the circular Hessenberg shape on n x n
-    matrices: the constrained entries as (i, j, must_be_zero), row-major.
+def _shape_pattern(shape: ShapeClass, n: int) -> tuple:
+    """The one definition of each shape on n x n matrices: the constrained
+    entries as (i, j, must_be_zero), row-major.
 
-    Nonzero on the subdiagonal (i - j = 1) and at the corner (0, n - 1);
-    zero at every other entry with |i - j| > 1; the diagonal and the
-    superdiagonal are free.  For n <= 3 the corner lies on the diagonal,
-    the superdiagonal or the band, and is still required nonzero.  The
-    axiom oracle, the ingest ordering search and the search probe all read
-    this table.
+    A shape is a set of entries that must be nonzero, plus a band
+    -upper <= i - j <= lower outside which every other entry is zero:
+
+        shape                    nonzero                   lower, upper
+        DIAGONAL                 none                      0, 0
+        IRREDUCIBLE_TRIDIAGONAL  sub- and superdiagonal    1, 1
+        TRIDIAGONAL              none                      1, 1
+        CIRCULAR_HESSENBERG      subdiagonal, (0, n - 1)   1, 1
+        HESSENBERG               subdiagonal               1, n
+        GENERAL                  none                      n, n (no band)
+
+    For n <= 3 the circular corner lies on the diagonal, the
+    superdiagonal or the band, and is still required nonzero.
+    shape_classify, the axiom oracle, the ingest ordering search and the
+    search probe all read these tables.
     """
-    nonzero = {(i + 1, i) for i in range(n - 1)} | {(0, n - 1)}
+    sub = {(i + 1, i) for i in range(n - 1)}
+    nonzero, lower, upper = {
+        ShapeClass.DIAGONAL: (set(), 0, 0),
+        ShapeClass.IRREDUCIBLE_TRIDIAGONAL: (sub | {(j, i) for i, j in sub}, 1, 1),
+        ShapeClass.TRIDIAGONAL: (set(), 1, 1),
+        ShapeClass.CIRCULAR_HESSENBERG: (sub | {(0, n - 1)}, 1, 1),
+        ShapeClass.HESSENBERG: (sub, 1, n),
+        ShapeClass.GENERAL: (set(), n, n),
+    }[shape]
     return tuple(
         (i, j, (i, j) not in nonzero)
         for i in range(n)
         for j in range(n)
-        if (i, j) in nonzero or abs(i - j) > 1
+        if (i, j) in nonzero or not -upper <= i - j <= lower
+    )
+
+
+def _meets(a: Matrix, shape: ShapeClass) -> bool:
+    is_zero, rows = a.spec.is_zero, a.rows
+    return all(
+        is_zero(rows[i][j]) == zero for i, j, zero in _shape_pattern(shape, a.nrows)
     )
 
 
 def is_circular_hessenberg(a: Matrix) -> bool:
-    """Hessenberg, corner (0, d) nonzero, zeros elsewhere above the
-    superdiagonal (see _circular_hessenberg_pattern)."""
-    is_zero, rows = a.spec.is_zero, a.rows
-    return all(
-        is_zero(rows[i][j]) == zero
-        for i, j, zero in _circular_hessenberg_pattern(a.nrows)
-    )
-
-
-def is_tridiagonal(a: Matrix) -> bool:
-    s = a.spec
-    n = a.nrows
-    return all(
-        s.is_zero(a.rows[i][j])
-        for i in range(n)
-        for j in range(n)
-        if abs(i - j) > 1
-    )
-
-
-def is_irreducible_tridiagonal(a: Matrix) -> bool:
-    if not is_tridiagonal(a):
-        return False
-    s = a.spec
-    n = a.nrows
-    return all(
-        not s.is_zero(a.rows[i + 1][i]) and not s.is_zero(a.rows[i][i + 1])
-        for i in range(n - 1)
-    )
-
-
-def is_diagonal(a: Matrix) -> bool:
-    s = a.spec
-    n = a.nrows
-    return all(
-        s.is_zero(a.rows[i][j]) for i in range(n) for j in range(n) if i != j
-    )
+    """Nonzero on the subdiagonal and at the corner (0, d), zero elsewhere
+    outside the tridiagonal band (see _shape_pattern)."""
+    return _meets(a, ShapeClass.CIRCULAR_HESSENBERG)
 
 
 def shape_classify(a: Matrix) -> ShapeClass:
-    """Most specific shape class; total on square matrices of size >= 2."""
+    """Most specific shape class: the first, in ShapeClass order, whose
+    pattern the matrix meets; total on square matrices of size >= 2."""
     if not a.is_square() or a.nrows < 2:
         raise DimensionMismatchError("shape classification needs square size >= 2")
-    if is_diagonal(a):
-        return ShapeClass.DIAGONAL
-    if is_irreducible_tridiagonal(a):
-        return ShapeClass.IRREDUCIBLE_TRIDIAGONAL
-    if is_tridiagonal(a):
-        return ShapeClass.TRIDIAGONAL
-    if is_circular_hessenberg(a):
-        return ShapeClass.CIRCULAR_HESSENBERG
-    if is_hessenberg(a):
-        return ShapeClass.HESSENBERG
-    return ShapeClass.GENERAL
+    return next(c for c in ShapeClass if _meets(a, c))
 
 
 # --- spectral machinery --------------------------------------------------------

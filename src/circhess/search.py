@@ -4,22 +4,21 @@ The search space is parameter-array data (distinct eigenvalue tuples plus a
 nonzero split tuple): every system has a split form, so this space is
 complete up to isomorphism.  Candidates are screened by an exact
 division-free probe that reads the one circular Hessenberg pattern
-(linalg._circular_hessenberg_pattern) the axiom oracle reads, and evaluates
-it through the rank-one spectral decomposition of the bidiagonal split
-matrices.  Each entry the probe tests is an affine form in phi, built in one
-place (_probe_forms); the E* side is the E side of the dual array
-(theta*, theta, phi reversed).  Random mode evaluates the forms at each
-candidate.  Exhaustive mode solves for phi instead of enumerating it: per
-(theta, theta*) pair, the zero entries are linear equations in phi, solved
-by exact elimination, and their solutions are filtered for nonzero phi and
-nonzero corners.  Every probe hit, in either mode, is then re-verified by
-the axiom oracle (split_form_build, then verify_ch_axioms), which is
-authoritative and shares only the pattern's specification with the probe
-(the probe is exact, so a hit the oracle rejects is an internal
-contradiction and raises):
-split_form_build checks each closed-form idempotent family against its
-matrix, and verify_ch_axioms factors every member as a rank-one outer
-product, checks each family's algebra on the factors and decides every
+(the CIRCULAR_HESSENBERG table of linalg._shape_pattern) the axiom oracle
+reads, and evaluates it through the rank-one spectral decomposition of the
+bidiagonal split matrices.  Each entry the probe tests is an affine form in
+phi, built in one place (_probe_forms); the E* side is the E side of the
+dual array (theta*, theta, phi reversed).  Random mode evaluates the forms
+at each candidate.  Exhaustive mode solves for phi instead of enumerating
+it: per (theta, theta*) pair, the zero entries are linear equations in phi,
+solved by exact elimination, and their solutions are filtered for nonzero
+phi and nonzero corners.  Every probe hit, in either mode, is then
+re-verified by the axiom oracle (split_form_build, which only constructs,
+then verify_ch_axioms), which is authoritative and shares only the
+pattern's specification with the probe (the probe is exact, so a hit the
+oracle rejects is an internal contradiction and raises).  verify_ch_axioms
+factors every member as a rank-one outer product, checks each family's
+algebra and that it belongs to its matrix on the factors, and decides every
 constrained product E_i A* E_j and E*_i A E*_j as one dot product.
 Hits that fail to be recurrent are counterexamples to the open conjecture
 that all such systems are recurrent: they are persisted as replayable JSON
@@ -55,7 +54,7 @@ from .systems import (
     verify_ch_axioms,
     cyclic_irreducibility_check,
 )
-from .linalg import Vector, _circular_hessenberg_pattern, _gauss_jordan
+from .linalg import ShapeClass, Vector, _gauss_jordan, _shape_pattern
 
 DEFAULT_EXHAUSTIVE_CAP = 10_000_000
 DEFAULT_RANDOM_TRIALS = 100_000
@@ -177,7 +176,8 @@ def _probe_forms(spec, theta, theta_star, d):
 def _upper_pattern(n: int) -> tuple:
     """The entries (i, j, must_be_zero) of the circular Hessenberg pattern
     above the diagonal, in pattern order."""
-    return tuple(e for e in _circular_hessenberg_pattern(n) if e[1] > e[0])
+    return tuple(e for e in _shape_pattern(ShapeClass.CIRCULAR_HESSENBERG, n)
+                 if e[1] > e[0])
 
 
 def _solve_pair(spec, theta, theta_star, d, nonzero) -> list:

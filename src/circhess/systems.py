@@ -7,7 +7,8 @@ circular Hessenberg fashion on the other's eigenspace ordering:
     E_i A* E_j  is  0 if 1 < i - j or 1 < j - i < d,  nonzero if
     i - j = 1 or j - i = d   (and symmetrically with E*_i A E*_j).
 
-That shape is defined once, as linalg._circular_hessenberg_pattern.
+That shape is defined once, as the CIRCULAR_HESSENBERG table of
+linalg._shape_pattern.
 
 The complete isomorphism invariant is the parameter array
 (eigenvalue sequence theta, dual eigenvalue sequence theta*, split
@@ -21,10 +22,10 @@ the right and left eigenvectors (r_k, s_k) that _bidiagonal_eigenvectors
 gives in closed form for the bidiagonal A and A*^T; bases reads the
 standard <-> inv_split transitions off the same vectors.  verify_ch_axioms,
 the one judge, factors each stored E_i as u_i w_i^T / p_i once, checks
-the families' algebra (rank one, sum E_i = I) and membership
-(A u_i = theta_i u_i) on the factors and decides each constrained
-E_i A* E_j as the scalar w_i . (A* u_j): O(d^2) field operations per
-idempotent, and no product of two matrices.
+the families' algebra (rank one, and sum E_i = I as w_i . u_j =
+delta_ij p_i) and membership (A u_i = theta_i u_i) on the factors, and
+decides each constrained E_i A* E_j as the scalar w_i . (A* u_j): O(d^2)
+field operations per idempotent, and no matrix built.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ from .errors import (
 from .fields import FieldElement, FieldSpec, _json_fields, field_from_json
 from .linalg import (
     Matrix,
+    ShapeClass,
     Vector,
-    _circular_hessenberg_pattern,
     _gauss_jordan,
+    _shape_pattern,
     eigenvalues_bruteforce,
     matrix_inverse,
     primitive_idempotents,
@@ -347,35 +349,43 @@ def _family_factors(E) -> list:
     return factors
 
 
-def _check_idempotent_family(E, labels, ident) -> list:
-    """Raise CorruptIdempotentsError unless E_0..E_d carry one distinct
-    label each, have rank one, sum to I and satisfy E_i E_j = delta_ij E_i;
-    return the members' rank-one factors (see _rank_one_factors).
+def _check_idempotent_family(E, labels, n: int) -> list:
+    """Raise CorruptIdempotentsError unless E_0..E_{n-1} are n members of
+    size n x n with one distinct label each, have rank one, sum to I and
+    satisfy E_i E_j = delta_ij E_i; return the members' rank-one factors
+    (see _rank_one_factors).
 
-    No product of two members is formed.  Write E_i = u_i w_i^T / p_i,
-    let U be the square matrix with columns u_i and W the one with columns
-    w_i / p_i.  Then sum_i E_i = U W^T, and the check sum_i E_i = I says
-    U W^T = I.  A square matrix with a right inverse is invertible and
-    that inverse is also a left one, so W^T U = I: w_i . u_j / p_i is
-    delta_ij.  Hence
+    No product of two members, and no matrix, is formed.  Write
+    E_i = u_i w_i^T / p_i, let U be the n x n matrix with columns u_i and W
+    the one with columns w_i / p_i.  Then sum_i E_i = U W^T.  The check is
+    w_i . u_j = delta_ij p_i, i.e. W^T U = I.  U and W are square, and a
+    square matrix with a left inverse is invertible with that inverse
+    also a right one, so W^T U = I holds exactly when U W^T = I, i.e.
+    sum_i E_i = I.  Hence also
 
         E_i E_j = u_i (w_i . u_j / p_i) w_j^T / p_j = delta_ij E_i.
 
-    This accepts exactly the valid families: d + 1 nonzero orthogonal
-    idempotents summing to I give V = E_0 V (+) ... (+) E_d V, and d + 1
-    nonzero dimensions summing to d + 1 are all one.  A zero member or one
-    of higher rank is therefore rejected without loss.  Here the labels
-    are only required to be distinct; verify_ch_axioms then reads them as
-    the eigenvalues of the family's matrix (see _non_members).
+    The count and the size are checked first because the equivalence
+    needs U and W square: m orthogonal rank-one idempotents of size k x k
+    satisfy W^T U = I_m without summing to I when m < k.  This accepts
+    exactly the valid families: n nonzero orthogonal idempotents summing
+    to I give V = E_0 V (+) ... (+) E_{n-1} V, and n nonzero dimensions
+    summing to n are all one.  A zero member or one of higher rank is
+    therefore rejected without loss.  Here the labels are only required to
+    be distinct; verify_ch_axioms then reads them as the eigenvalues of the
+    family's matrix (see _non_members).
     """
-    if len(labels) != len(E) or len({lam.payload for lam in labels}) != len(E):
+    if len(E) != n or any((e.nrows, e.ncols) != (n, n) for e in E):
+        raise CorruptIdempotentsError(f"need {n} idempotents of size {n} x {n}")
+    if len(labels) != n or len({lam.payload for lam in labels}) != n:
         raise CorruptIdempotentsError("need one distinct label per idempotent")
     factors = _family_factors(E)
-    total = E[0]
-    for e in E[1:]:
-        total = total + e
-    if total != ident:
-        raise CorruptIdempotentsError("stored idempotents do not sum to I")
+    dot, zero = E[0].spec.dot, E[0].spec.zero
+    for i, (_, w, p) in enumerate(factors):
+        row = [zero] * n
+        row[i] = p
+        if [dot(w, u) for u, _, _ in factors] != row:
+            raise CorruptIdempotentsError("stored idempotents do not sum to I")
     return factors
 
 
@@ -384,15 +394,16 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     compare every product E_i A* E_j and E*_i A E*_j that the circular
     Hessenberg pattern constrains with the axioms' zero/nonzero pattern.
 
-    The pattern is the one table linalg._circular_hessenberg_pattern(d + 1),
+    The pattern is the one table
+    linalg._shape_pattern(ShapeClass.CIRCULAR_HESSENBERG, d + 1),
     which the search probe and the ingest ordering search read too; only
     the specification is shared.  It leaves the diagonal (j = i) and
     superdiagonal (j = i + 1) free, so those products are not decided; for
     d >= 3 the corner (0, d) is never one of them.
 
-    First checks both stored families, which may come from anywhere: each
-    member has rank one, the labels theta and theta* are distinct, and the
-    members sum to I, which with rank-one members is the whole idempotent
+    First checks both stored families, which may come from anywhere: d + 1
+    members of size (d + 1) x (d + 1), each of rank one, the labels theta
+    and theta* distinct, and the members summing to I, which with rank-one members is the whole idempotent
     algebra (see _check_idempotent_family); this is the one place it is
     checked (see primitive_idempotents).  The check returns each member's
     factors E_j = u_j w_j^T / p_j.  Each j with A u_j != theta_j u_j is the
@@ -402,16 +413,15 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     A E_j = theta_j E_j for all j gives A = A sum E_j = sum theta_j E_j.
     Every pattern product is decided exactly from the factors, by one
     matrix-vector product per j and one dot product per pair (see
-    _zero_products), independent of the search probe.  No product of two
-    matrices is formed.  Sets the sticky `verified` flag when nothing fails.
+    _zero_products), independent of the search probe.  No matrix is
+    built.  Sets the sticky `verified` flag when nothing fails.
     """
-    ident = Matrix.identity(s.spec, s.d + 1)
-    factors = _check_idempotent_family(s.E, s.theta, ident)
-    factors_star = _check_idempotent_family(s.E_star, s.theta_star, ident)
+    factors = _check_idempotent_family(s.E, s.theta, s.d + 1)
+    factors_star = _check_idempotent_family(s.E_star, s.theta_star, s.d + 1)
     failures = [("ii", j, j) for j in _non_members(factors, s.A, s.theta)]
     failures += [("iii", j, j)
                  for j in _non_members(factors_star, s.A_star, s.theta_star)]
-    pattern = _circular_hessenberg_pattern(s.d + 1)
+    pattern = _shape_pattern(ShapeClass.CIRCULAR_HESSENBERG, s.d + 1)
     for cond, family, middle in (("iv", factors, s.A_star), ("v", factors_star, s.A)):
         zeros = _zero_products(family, middle, [(i, j) for i, j, _ in pattern])
         failures += [(cond, i, j) for i, j, zero in pattern if zeros[i, j] != zero]
@@ -606,7 +616,7 @@ def _find_ordering(M: Matrix, evs, other: Matrix):
     E = primitive_idempotents(M, evs)  # rank one each: M is multiplicity-free
     zeros = _zero_products(_family_factors(E), other, product(range(n), repeat=2))
     succ = [[i for i in range(n) if i != j and not zeros[i, j]] for j in range(n)]
-    pattern = _circular_hessenberg_pattern(n)
+    pattern = _shape_pattern(ShapeClass.CIRCULAR_HESSENBERG, n)
     for cycle in _hamiltonian_cycles(succ, n):
         for o in _cycle_orderings(cycle):
             if all(zeros[o[i], o[j]] == zero for i, j, zero in pattern):

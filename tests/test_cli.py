@@ -217,6 +217,38 @@ def test_diagram_paths_searched_once(tmp_path, capsys, monkeypatch, w5_array):
     assert calls == []
 
 
+def test_parser_shared_between_commands(tmp_path, capsys, w5_array):
+    """main builds its parser once per process.  Two commands in a row,
+    with different subcommands and --out paths, each write their own
+    output, a parsed value does not become the next parse's default, and
+    --help prints the same text twice."""
+    from circhess.cli import build_parser, cmd_dump
+
+    f = tmp_path / "w5.json"
+    f.write_text(json.dumps(w5_array.to_json()))
+    verified, classified = tmp_path / "v.json", tmp_path / "c.json"
+    assert run(capsys, "verify", "--in", str(f), "--out", str(verified))[0] == 0
+    assert run(capsys, "classify", "--in", str(f), "--out", str(classified))[0] == 0
+    assert json.loads(verified.read_text())["is_ch"]
+    assert "is_ch" not in json.loads(classified.read_text())
+    ap = build_parser()
+    assert ap is build_parser()
+    first = ap.parse_args(["gen", "--family", "F1", "--field", "gf:5", "--d", "3",
+                           "--a", "2", "--out", "x.json"])
+    second = ap.parse_args(["gen", "--family", "F2", "--field", "gf:7", "--d", "4"])
+    assert (first.a, first.out) == ("2", "x.json")
+    assert (second.a, second.out, second.family) == ("0", None, "F2")
+    assert vars(ap.parse_args(["dump", "--in", "y.json"])) == {
+        "command": "dump", "infile": "y.json", "fn": cmd_dump}
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "usage: circhess" in helps[0]
+
+
 def test_fuzz_cli(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code, stdout, _ = run(

@@ -23,7 +23,7 @@ from circhess import (
     split_form_build,
 )
 from circhess.fields import QuotientExtension
-from circhess.linalg import is_circular_hessenberg, rank
+from circhess.linalg import _shape_pattern, is_circular_hessenberg, rank
 from circhess.errors import (
     DimensionMismatchError,
     NotMultiplicityFreeError,
@@ -287,6 +287,50 @@ def test_circular_hessenberg_other_sizes():
         assert is_circular_hessenberg(Matrix.from_elements(g2, rows)) == expected
         verdicts.add((len(rows), expected))
     assert verdicts == {(n, v) for n in (1, 2, 3, 5, 6) for v in (True, False)}
+
+
+def test_shape_classify_other_sizes():
+    """shape_classify against the independent predicate oracle on every 0/1
+    matrix over GF(2) at n = 2, 3 and on seeded 0/1 matrices at n = 5, 6,
+    drawn as in test_circular_hessenberg_other_sizes; every class occurs."""
+    g2 = prime_field(2)
+    cases = [[[(bits >> (n * i + j)) & 1 for j in range(n)] for i in range(n)]
+             for n in (2, 3) for bits in range(1 << (n * n))]
+    rng = random.Random(23)
+    for n in (5, 6):
+        for k in range(1000):
+            rows = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+            if k % 3 == 0:
+                rows = [[int(i - j == 1 or (i, j) == (0, n - 1)
+                             or (abs(i - j) <= 1 and rows[i][j]))
+                         for j in range(n)] for i in range(n)]
+                if k % 2:
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    rows[i][j] ^= 1
+            cases.append(rows)
+    seen = set()
+    for rows in cases:
+        # _oracle_flags is in ShapeClass order; GENERAL always holds
+        flags = (*_oracle_flags(rows), True)
+        expected = next(c for c, f in zip(ShapeClass, flags) if f)
+        assert shape_classify(Matrix.from_elements(g2, rows)) is expected
+        seen.add(expected)
+    assert seen == set(ShapeClass)
+
+
+def test_circular_table_is_the_pattern_construction():
+    """The CIRCULAR_HESSENBERG table, entry for entry and in order, is the
+    construction it replaced: the oracle lists its failures in this order."""
+    for n in range(1, 9):
+        nonzero = {(i + 1, i) for i in range(n - 1)} | {(0, n - 1)}
+        expected = tuple(
+            (i, j, (i, j) not in nonzero)
+            for i in range(n)
+            for j in range(n)
+            if (i, j) in nonzero or abs(i - j) > 1
+        )
+        assert _shape_pattern(ShapeClass.CIRCULAR_HESSENBERG, n) == expected
+    assert _shape_pattern(ShapeClass.GENERAL, 5) == ()
 
 
 # --- idempotents ---------------------------------------------------------------

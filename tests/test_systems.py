@@ -320,6 +320,47 @@ def test_zero_idempotent_member_raises(w5_array, side):
     assert not s.verified
 
 
+@pytest.mark.parametrize("side", ["E", "E_star"])
+def test_family_of_wrong_count_or_size_raises(w5_array, gf5, side):
+    """The factor check w_i . u_j = delta_ij p_i is sum E_i = I only for
+    n = d + 1 members of size n x n, so count and size are checked first.
+    An empty family, the first three members of W5's family, the three
+    3 x 3 diagonal units and four of the five 5 x 5 ones (all orthogonal
+    rank-one idempotents) each raise, with as many distinct labels as
+    members."""
+    w5 = split_form_build(w5_array)
+    labels = "theta_star" if side == "E_star" else "theta"
+
+    def units(m, size):
+        return [Matrix.diagonal(gf5, [int(k == i) for k in range(size)])
+                for i in range(m)]
+
+    for family in ([], getattr(w5, side)[:3], units(3, 3), units(4, 5)):
+        s = split_form_build(w5_array)
+        setattr(s, side, tuple(family))
+        setattr(s, labels, getattr(s, labels)[:len(family)])
+        with pytest.raises(CorruptIdempotentsError):
+            verify_ch_axioms(s)
+        assert not s.verified
+
+
+def test_oracle_builds_no_matrix(monkeypatch, w5_array):
+    """verify_ch_axioms on a prebuilt W5 system constructs no Matrix: the
+    family checks, membership and the pattern all work on the factors."""
+    s = split_form_build(w5_array)
+    init = Matrix.__init__
+    count = 0
+
+    def counted(self, *args):
+        nonlocal count
+        count += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    assert verify_ch_axioms(s).is_ch
+    assert count == 0
+
+
 # --- the oracle against its definition ---------------------------------------
 
 def _random_element(spec, rng):
@@ -353,7 +394,7 @@ def _pairwise_family_ok(E, ident) -> bool:
 
 def _spectral_family_ok(E, labels, ident) -> bool:
     try:
-        _check_idempotent_family(E, labels, ident)
+        _check_idempotent_family(E, labels, ident.nrows)
     except CorruptIdempotentsError:
         return False
     return True
