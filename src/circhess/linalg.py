@@ -412,7 +412,10 @@ def _meets(a: Matrix, shape: ShapeClass) -> bool:
 
 def is_circular_hessenberg(a: Matrix) -> bool:
     """Nonzero on the subdiagonal and at the corner (0, d), zero elsewhere
-    outside the tridiagonal band (see _shape_pattern)."""
+    outside the tridiagonal band (see _shape_pattern); square matrices
+    only."""
+    if not a.is_square():
+        raise DimensionMismatchError("circular Hessenberg test needs a square matrix")
     return _meets(a, ShapeClass.CIRCULAR_HESSENBERG)
 
 

@@ -9,14 +9,18 @@ reads, and evaluates it through the rank-one spectral decomposition of the
 bidiagonal split matrices.  Each entry the probe tests is an affine form in
 phi, built in one place (_probe_forms); the E* side is the E side of the
 dual array (theta*, theta, phi reversed).  Random mode evaluates the forms
-at each candidate.  Exhaustive mode solves for phi instead of enumerating
-it: per (theta, theta*) pair, the zero entries are linear equations in phi,
-solved by exact elimination, and their solutions are filtered for nonzero
-phi and nonzero corners.  Every probe hit, in either mode, is then
-re-verified by the axiom oracle (split_form_build, which only constructs,
-then verify_ch_axioms), which is authoritative and shares only the
-pattern's specification with the probe (the probe is exact, so a hit the
-oracle rejects is an internal contradiction and raises).  verify_ch_axioms
+at each seeded candidate.  _random_candidates draws the candidates on the
+getrandbits stream of random.Random(seed), with the rejection rule and both
+sampling methods of CPython's sample and choice, so every candidate (and
+every report byte) is the one sample and choice give.  Exhaustive mode
+solves for phi instead of enumerating it: per (theta, theta*) pair, the
+zero entries are linear equations in phi, solved by exact elimination, and
+their solutions are filtered for nonzero phi and nonzero corners.  Every
+probe hit, in either mode, is then re-verified by the axiom oracle
+(split_form_build, which only constructs, then verify_ch_axioms), which is
+authoritative and shares only the pattern's specification with the probe
+(the probe is exact, so a hit the oracle rejects is an internal
+contradiction and raises).  verify_ch_axioms
 factors every member as a rank-one outer product, checks each family's
 algebra and that it belongs to its matrix on the factors, and decides every
 constrained product E_i A* E_j and E*_i A E*_j as one dot product.
@@ -155,8 +159,10 @@ def _probe_forms(spec, theta, theta_star, d):
     (its s_k and r_k are r_i and s_j here), but the recurrence is kept
     here and run lazily per entry: random mode stops at the first violated
     entry, so most vectors are never needed.  On random GF(5), d = 4
-    searches, shared per-vector helpers cost 3-5% more time (10-14% with
-    one helper for both sides) and an eager per-theta table 32-34% more.
+    searches (10 x 4,000 trials, best of 9, three runs on a shared 2-CPU
+    host, Python 3.11.7), shared per-vector helpers cost 0-19% more time,
+    one helper for both sides 6-20% more, and an eager per-theta table
+    39-61% more.
     """
     sub, mul, dot, one, zero = spec.sub, spec.mul, spec.dot, spec.one, spec.zero
     for i, j, must_zero in _upper_pattern(d + 1):
@@ -247,13 +253,63 @@ def _probe_hits(cfg: SearchConfig):
                     (th, ths, ph) for ph in _solve_pair(spec, th, ths, d, nonzero)
                 ]
     else:
-        rng = random.Random(cfg.seed)
-        sample, choice = rng.sample, rng.choice
-        for _ in range(cfg.trials):
-            th = tuple(sample(elems, d + 1))
-            ths = tuple(sample(elems, d + 1))
-            ph = tuple([choice(nonzero) for _ in range(d)])
+        for th, ths, ph in _random_candidates(cfg.seed, elems, nonzero, d, cfg.trials):
             yield 1, [(th, ths, ph)] if _split_pattern_probe(spec, th, ths, ph, d) else ()
+
+
+def _random_candidates(seed, elems, nonzero, d, trials):
+    """The seeded random candidates (theta, theta*, phi), one per trial:
+    theta and theta* are Random(seed).sample(elems, d + 1) and each phi_t
+    is Random(seed).choice(nonzero), drawn in that order.
+
+    The draws are CPython's own, made here on the same getrandbits stream,
+    so every candidate equals its sample/choice counterpart.  A draw below
+    m is _randbelow(m): getrandbits(m.bit_length()), redrawn while >= m.
+    sample picks one of two methods from (n, k) = (len(elems), d + 1): it
+    keeps a pool of unselected elements when n <= setsize (the i-th draw is
+    below n - i and the pool's last element moves into the vacancy), and a
+    set of selected indices otherwise (each draw is below n, redrawn while
+    already selected).  setsize is sample's: 21, plus 4 ** ceil(log(3k, 4))
+    when k > 5.  Bounds, widths and the method are fixed once per search.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    n, k, m = len(elems), d + 1, len(nonzero)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        bounds = [(b, b.bit_length()) for b in range(n, n - k, -1)]
+
+        def sample():
+            pool, out = elems[:], []
+            for b, width in bounds:
+                j = getrandbits(width)
+                while j >= b:
+                    j = getrandbits(width)
+                out.append(pool[j])
+                pool[j] = pool[b - 1]
+            return tuple(out)
+    else:
+        width = n.bit_length()
+
+        def sample():
+            selected, out = set(), []
+            for _ in range(k):
+                j = getrandbits(width)
+                while j >= n or j in selected:
+                    j = getrandbits(width)
+                selected.add(j)
+                out.append(elems[j])
+            return tuple(out)
+    m_width = m.bit_length()
+    for _ in range(trials):
+        th, ths, ph = sample(), sample(), []
+        for _ in range(d):
+            j = getrandbits(m_width)
+            while j >= m:
+                j = getrandbits(m_width)
+            ph.append(nonzero[j])
+        yield th, ths, tuple(ph)
 
 
 def search(cfg: SearchConfig) -> SearchReport:

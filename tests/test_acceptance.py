@@ -278,7 +278,7 @@ def test_criterion_6():
         assert cls.family is fp.family
 
 
-@criterion(7, "conjecture fuzz: exhaustive GF(2)/GF(3) + random 1e5 over GF(5)", 300)
+@criterion(7, "conjecture fuzz: exhaustive GF(2)/GF(3) + random 1e5 over GF(5)", 60)
 def test_criterion_7():
     for p in (2, 3):
         rep = search(SearchConfig(prime_field(p), 3, "exhaustive"))

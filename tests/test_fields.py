@@ -1,5 +1,6 @@
 """Field tower: exact arithmetic, axioms, roots of unity, serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -269,6 +270,65 @@ def test_render_parse_roundtrip_cyclo(x, y):
     cy = cyclotomic_field(4)
     e = cy.element(x) + cy.element(y) * cy.generator()
     assert cy.element(str(e)) == e
+
+
+@st.composite
+def finite_quotients(draw):
+    """GF(p^k) for p <= 7 and k = 2, 3, as `ext:gf:p:...` builds it: the
+    first irreducible monic modulus at or after a drawn one."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(2, 3))
+    start = draw(st.integers(0, p**k - 1))
+    for step in range(p**k):
+        n = (start + step) % p**k
+        coeffs = [n // p**i % p for i in range(k)] + [1]
+        try:
+            return field_from_string(f"ext:gf:{p}:{','.join(map(str, coeffs))}")
+        except ParseError:
+            continue
+    raise AssertionError(f"no irreducible monic modulus of degree {k} over GF({p})")
+
+
+# the four kinds of field: prime, GF(p^k) quotient, QQ and cyclotomic
+field_specs = st.one_of(
+    st.sampled_from([2, 3, 5, 7, 11, 101, 65537]).map(prime_field),
+    finite_quotients(),
+    st.just(rationals()),
+    st.integers(3, 40).map(cyclotomic_field),
+)
+
+
+@st.composite
+def field_payloads(draw):
+    """A field of any kind and one payload of it."""
+    spec = draw(field_specs)
+    if isinstance(spec, QuotientExtension):
+        if spec.order is None:
+            coeff = st.fractions()
+        else:
+            coeff = st.integers(0, spec.base.order - 1)
+        return spec, tuple(draw(st.lists(coeff, min_size=spec.deg, max_size=spec.deg)))
+    if spec.order is None:
+        return spec, draw(st.fractions())
+    return spec, draw(st.integers(0, spec.order - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_payloads())
+def test_render_parse_roundtrip_all_kinds(spec_payload):
+    spec, a = spec_payload
+    assert spec.parse(spec.render(a)) == a
+    e = spec.element(spec.render(a))
+    assert e.payload == a and spec.element(str(e)) == e
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_specs)
+def test_field_string_and_json_roundtrip_all_kinds(spec):
+    text = field_to_string(spec)
+    assert field_from_string(text) == spec
+    assert field_to_string(field_from_string(text)) == text
+    assert field_from_json(json.loads(json.dumps(spec.to_json()))) == spec
 
 
 def test_render_forms():

@@ -289,6 +289,19 @@ def test_circular_hessenberg_other_sizes():
     assert verdicts == {(n, v) for n in (1, 2, 3, 5, 6) for v in (True, False)}
 
 
+def test_circular_hessenberg_needs_square():
+    """A 4 x 5 matrix whose leading 4 x 4 block is circular Hessenberg, and
+    its 5 x 4 transpose, are refused with the error shape_classify raises."""
+    g5 = prime_field(5)
+    block = [[1, 2, 0, 3], [4, 1, 2, 0], [0, 1, 3, 1], [0, 0, 2, 4]]
+    assert is_circular_hessenberg(Matrix.from_elements(g5, block))
+    wide = Matrix.from_elements(g5, [row + [1] for row in block])
+    for a in (wide, wide.transpose()):
+        for check in (is_circular_hessenberg, shape_classify):
+            with pytest.raises(DimensionMismatchError):
+                check(a)
+
+
 def test_shape_classify_other_sizes():
     """shape_classify against the independent predicate oracle on every 0/1
     matrix over GF(2) at n = 2, 3 and on seeded 0/1 matrices at n = 5, 6,

@@ -1,8 +1,10 @@
 """Conjecture search: probe equivalence, determinism, exhaustive runs, replay."""
 
+import hashlib
 import importlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -28,7 +30,12 @@ from circhess.errors import (
     UnknownSearchModeError,
     UnsupportedFieldError,
 )
-from circhess.search import _probe_hits, _solve_pair, _split_pattern_probe
+from circhess.search import (
+    _probe_hits,
+    _random_candidates,
+    _solve_pair,
+    _split_pattern_probe,
+)
 
 
 def test_probe_equals_full_oracle(gf5):
@@ -166,6 +173,65 @@ def test_search_seed_changes_stream(gf5):
     a = search(SearchConfig(gf5, 3, "random", seed=1, trials=500))
     b = search(SearchConfig(gf5, 3, "random", seed=2, trials=500))
     assert a.to_bytes() != b.to_bytes()
+
+
+def _reference_draws(seed, elems, nonzero, d, trials):
+    """Random mode's candidates drawn with rng.sample and rng.choice: the
+    reference for _random_candidates."""
+    rng = random.Random(seed)
+    return [(tuple(rng.sample(elems, d + 1)), tuple(rng.sample(elems, d + 1)),
+             tuple(rng.choice(nonzero) for _ in range(d)))
+            for _ in range(trials)]
+
+
+@pytest.mark.parametrize("field, d, set_method", [
+    ("gf:5", 3, False),
+    ("gf:5", 4, False),
+    ("gf:7", 3, False),
+    ("ext:gf:2:1,1,1", 3, False),
+    ("ext:gf:3:1,0,1", 3, False),
+    ("gf:31", 6, False),
+    ("gf:277", 21, False),
+    ("gf:23", 3, True),
+    ("gf:31", 4, True),
+    ("ext:gf:2:1,0,1,0,0,1", 3, True),
+    ("gf:97", 8, True),
+])
+def test_random_candidates_equal_sample_and_choice(field, d, set_method):
+    """The inline draws equal rng.sample / rng.choice candidate for
+    candidate over 60 seeds, in both of sample's methods: a pool of
+    unselected elements when |F| <= setsize, a set of selected indices
+    otherwise (setsize is 21 for d + 1 <= 5, 85 for d + 1 = 7 or 9 and 277
+    for d + 1 = 22, so GF(31) takes the pool at d = 6 and the set at d = 4,
+    and GF(277) at d = 21 sits on the boundary).  GF(32) makes the set
+    method's width a power of two.  Short runs over the set-method
+    fields have no hits, so their report bytes cannot show a wrong draw;
+    this test can."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    k = d + 1
+    setsize = 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
+    assert (len(elems) > setsize) == set_method
+    for seed in range(60):
+        got = list(_random_candidates(seed, elems, nonzero, d, 30))
+        assert got == _reference_draws(seed, elems, nonzero, d, 30)
+
+
+@pytest.mark.parametrize("field, d, seed, trials, prefix, hits", [
+    ("gf:5", 3, 7, 2000, "a4c7f3e07205c517", 26),
+    ("gf:7", 3, 1, 5000, "a1d214be915f6b93", 38),
+    ("ext:gf:2:1,1,1", 3, 3, 2000, "8b93a807bd2e2328", 263),
+    ("ext:gf:3:1,0,1", 3, 2, 3000, "15d0085e750a52c4", 4),
+    ("gf:5", 4, 3, 4000, "6198d17774da7684", 0),
+])
+def test_random_report_bytes_pinned(field, d, seed, trials, prefix, hits):
+    """A seed's random-mode report is pinned by the SHA-256 prefix of its
+    bytes, taken when the candidates were drawn with rng.sample and
+    rng.choice."""
+    rep = search(SearchConfig(field_from_string(field), d, "random", seed, trials))
+    assert rep.ch_systems_found == hits
+    assert hashlib.sha256(rep.to_bytes()).hexdigest()[:16] == prefix
 
 
 def test_exhaustive_small_fields_complete():

@@ -1,23 +1,32 @@
 """System construction, axiom verification, extraction, duality, ingest."""
 
+import functools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from circhess import (
+    Family,
+    FamilyParameters,
     FieldElement,
     Matrix,
     ParameterArray,
     Vector,
     cyclic_irreducibility_check,
+    cyclotomic_field,
     determinant,
     dual_system,
     extract_parameter_array,
+    family_generate,
     field_from_string,
     ingest_pair,
     isomorphic,
     isomorphism_witness,
+    iter_family_instances,
     matrix_inverse,
     prime_field,
     split_form_build,
@@ -27,6 +36,7 @@ from circhess.errors import (
     CircHessError,
     CorruptIdempotentsError,
     DimensionMismatchError,
+    InvalidFamilyParametersError,
     InvalidParameterArrayError,
     MixedFieldsError,
     NotInE0StarVError,
@@ -247,6 +257,55 @@ def test_parameter_array_errors_are_typed(gf5):
 
 def test_parameter_array_json_roundtrip(w5_array):
     assert ParameterArray.from_json(w5_array.to_json()) == w5_array
+
+
+_FAMILY_CASES = [
+    ("F1", "gf:5", 3),
+    ("F1", "gf:7", 5),
+    ("F2", "gf:5", 4),
+    ("F2", "gf:7", 6),
+    ("F3", "ext:gf:3:1,0,1", 5),
+    ("F4", "ext:gf:2:1,1,1", 3),
+]
+
+
+@functools.cache
+def _family_arrays(family, field, d):
+    spec = field_from_string(field)
+    return [family_generate(fp)
+            for fp in iter_family_instances(Family(family), spec, d, 12)]
+
+
+@st.composite
+def family_arrays(draw):
+    """A generated F1-F4 array: a family instance over a finite field
+    under a drawn map theta -> s theta + t, theta* -> s* theta* + t*,
+    phi -> s s* phi (which keeps the axioms), or an F1 array over cyclo:4
+    from drawn rational family data with q = t."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(_family_arrays(*draw(st.sampled_from(_FAMILY_CASES)))))
+        elems = list(p.spec.elements())
+        nonzero = [e for e in elems if not e.is_zero()]
+        s, s_star = draw(st.sampled_from(nonzero)), draw(st.sampled_from(nonzero))
+        t, t_star = draw(st.sampled_from(elems)), draw(st.sampled_from(elems))
+        return ParameterArray(p.spec, p.d, tuple(s * x + t for x in p.theta),
+                              tuple(s_star * x + t_star for x in p.theta_star),
+                              tuple(s * s_star * x for x in p.phi))
+    cy4 = cyclotomic_field(4)
+    rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    data = {k: draw(rational)
+            for k in ("a", "b", "c", "a_star", "b_star", "c_star", "y", "z")}
+    try:
+        return family_generate(FamilyParameters.make(
+            Family.F1_GENERIC_Q, cy4, 3, q=cy4.generator(), **data))
+    except InvalidFamilyParametersError:
+        reject()
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_arrays())
+def test_parameter_array_json_roundtrip_generated(p):
+    assert ParameterArray.from_json(json.loads(json.dumps(p.to_json()))) == p
 
 
 def test_trace_product_identity(w5_array):
