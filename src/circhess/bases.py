@@ -374,67 +374,38 @@ class StandardFormEntries:
 def _circular_matrix(p: ParameterArray) -> Matrix:
     """A* in the standard basis of the array p, entry by entry: diagonal
     a*_i, superdiagonal b*_i, subdiagonal c*_i, and the corner, which is
-    fixed by the row sum theta*_0."""
+    fixed by the row sum theta*_0.
+
+    Each list is one formula over its whole index range, with the
+    convention phi_0 = phi_{d+1} = 0: a term phi_k / (theta_i - theta_j)
+    with k outside 1..d is skipped whole, so its denominator, which would
+    read theta_{-1} or theta_{d+1}, is never formed."""
     spec = p.spec
     d = p.d
     theta, theta_star, phi = p.theta, p.theta_star, p.phi
+    zero = spec.zero_element()
 
     def pr(vals):
         return _prod(spec, vals)
 
-    c = []
-    for i in range(1, d + 1):
-        num = pr(theta[i] - theta[l] for l in range(i + 1, d + 1))
-        den = pr(theta[i - 1] - theta[l] for l in range(i, d + 1))
-        c.append(num / den * phi[d - i])
-    a = [theta_star[d] + phi[d - 1] / (theta[0] - theta[1])]
-    for i in range(1, d):
-        a.append(
-            theta_star[d - i]
-            + phi[d - i - 1] / (theta[i] - theta[i + 1])
-            + phi[d - i] / (theta[i] - theta[i - 1])
-        )
-    a.append(theta_star[0] + phi[0] / (theta[d] - theta[d - 1]))
-    b = []
-    front = pr(theta[0] - theta[l] for l in range(2, d + 1)) / pr(
-        theta[1] - theta[l] for l in range(2, d + 1)
-    )
-    b.append(
-        front
-        * (
-            theta_star[d - 1]
-            - theta_star[d]
-            + phi[d - 2] / (theta[0] - theta[2])
-            + phi[d - 1] / (theta[1] - theta[0])
-        )
-    )
-    for i in range(1, d - 1):
-        front = pr(theta[i] - theta[l] for l in range(i + 2, d + 1)) / pr(
-            theta[i + 1] - theta[l] for l in range(i + 2, d + 1)
-        )
-        b.append(
-            front
-            * (
-                theta_star[d - i - 1]
-                - theta_star[d - i]
-                + phi[d - i - 2] / (theta[i] - theta[i + 2])
-                + phi[d - i - 1] / (theta[i + 1] - theta[i])
-                + phi[d - i] / (theta[i - 1] - theta[i + 1])
-            )
-        )
-    b.append(
-        theta_star[0]
-        - theta_star[1]
-        + phi[0] / (theta[d] - theta[d - 1])
-        + phi[1] / (theta[d - 2] - theta[d])
-    )
-    rows = [[spec.zero_element()] * (d + 1) for _ in range(d + 1)]
-    for i in range(d + 1):
-        rows[i][i] = a[i]
+    def term(k, i, j):
+        """phi_k / (theta_i - theta_j), or zero when k is not in 1..d."""
+        return phi[k - 1] / (theta[i] - theta[j]) if 1 <= k <= d else zero
+
+    c = [pr(theta[i] - theta[l] for l in range(i + 1, d + 1))
+         / pr(theta[i - 1] - theta[l] for l in range(i, d + 1)) * phi[d - i]
+         for i in range(1, d + 1)]
+    a = [theta_star[d - i] + term(d - i, i, i + 1) + term(d - i + 1, i, i - 1)
+         for i in range(d + 1)]
+    b = [pr(theta[i] - theta[l] for l in range(i + 2, d + 1))
+         / pr(theta[i + 1] - theta[l] for l in range(i + 2, d + 1))
+         * (theta_star[d - i - 1] - theta_star[d - i] + term(d - i - 1, i, i + 2)
+            + term(d - i, i + 1, i) + term(d - i + 1, i - 1, i + 1))
+         for i in range(d)]
+    rows = [[zero] * (d + 1) for _ in range(d + 1)]
     for i in range(d):
-        rows[i][i + 1] = b[i]
-        rows[i + 1][i] = c[i]
-    rows[0][d] = theta_star[0] - a[0] - b[0]
+        rows[i][i], rows[i][i + 1], rows[i + 1][i] = a[i], b[i], c[i]
+    rows[d][d], rows[0][d] = a[d], theta_star[0] - a[0] - b[0]
     return Matrix.from_elements(spec, rows)
 
 

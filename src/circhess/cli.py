@@ -335,10 +335,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidFamilyParametersError, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+    except (InvalidFamilyParametersError, ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except InternalContradictionError as e:

@@ -212,8 +212,10 @@ def solve_unit_root(spec: FieldSpec, beta):
     Finite fields are scanned exhaustively; over the rationals the
     discriminant is tested for being a perfect square; over an extension of
     the rationals the roots are sought among powers of the generator (the
-    case that arises for cyclotomic data).  When no root exists in the
-    field, the quadratic extension by x^2 - beta x + 1 itself is built.
+    case that arises for cyclotomic data), and over a quadratic one the
+    discriminant's square roots are then solved for exactly.  When no root
+    exists in the field, the quadratic extension by x^2 - beta x + 1 itself
+    is built.
     """
     one = spec.one_element()
 
@@ -225,15 +227,9 @@ def solve_unit_root(spec: FieldSpec, beta):
             if is_root(e):
                 return e, spec, False
     elif isinstance(spec, Rationals):
-        disc = (beta * beta - 4).payload
-        if disc >= 0:
-            num, den = disc.numerator, disc.denominator
-            rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-            if rn is not None and rd is not None:
-                root = spec.element(Fraction(rn, rd))
-                q = (beta + root) / 2
-                if is_root(q):
-                    return q, spec, False
+        root = _qq_sqrt((beta * beta - 4).payload)
+        if root is not None and is_root(q := (beta + spec.element(root)) / 2):
+            return q, spec, False
     elif isinstance(spec, QuotientExtension):
         g = spec.generator()
         bound = _cyclotomic_index(spec.modulus) or 4 * spec.deg + 8
@@ -243,6 +239,10 @@ def solve_unit_root(spec: FieldSpec, beta):
                 if is_root(e):
                     return e, spec, False
             cand = cand * g
+        if spec.deg == 2 and isinstance(spec.base, Rationals):
+            for y in _quadratic_sqrts(spec, beta * beta - 4):
+                if is_root(q := (beta + y) / 2):
+                    return q, spec, False
     try:
         ext = quotient_extension(spec, [spec.one_element(), -beta, spec.one_element()],
                                  gen="r")
@@ -253,9 +253,31 @@ def solve_unit_root(spec: FieldSpec, beta):
     return ext.generator(), ext, True
 
 
-def _isqrt_exact(n: int):
-    r = math.isqrt(n)
-    return r if r * r == n else None
+def _qq_sqrt(x: Fraction):
+    """The nonnegative rational square root of x, or None."""
+    if x < 0:
+        return None
+    root = Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+    return root if root * root == x else None
+
+
+def _quadratic_sqrts(spec: QuotientExtension, x):
+    """Candidates for the square roots of x in QQ[t]/(t^2 + m1 t + m0),
+    every square root among them.  With s = t + m1/2, s^2 = r is rational, and
+    y = a + b s squares to x = x0 + x1 s iff a^2 + r b^2 = x0 and
+    2ab = x1: so a^2 and r b^2 are the two roots of
+    z^2 - x0 z + r x1^2 / 4, and both signs of b are tried."""
+    m0, m1, _ = spec.modulus
+    h = m1 / 2
+    r = h * h - m0  # nonzero: the modulus has no rational root
+    x1 = x.payload[1]
+    x0 = x.payload[0] - h * x1
+    n = _qq_sqrt(x0 * x0 - r * x1 * x1)
+    for a2 in () if n is None else ((x0 + n) / 2, (x0 - n) / 2):
+        a, b = _qq_sqrt(a2), _qq_sqrt((x0 - a2) / r)
+        if a is not None and b is not None:
+            for sb in (b, -b):
+                yield FieldElement(spec, (a + sb * h, sb))
 
 
 def _binom2_mod4(i: int) -> int:

@@ -289,7 +289,7 @@ def _split_form(p: ParameterArray) -> tuple[Matrix, Matrix]:
 
 
 def _split_vectors(a: Matrix, theta, e0: Matrix, u_star: Vector) -> list[Vector]:
-    """The split vectors v_0 = e0 u* and v_i = (a - theta_{d-i+1} I) v_{i-1}
+    """The split vectors v_0 = e0 u* and v_i = a v_{i-1} - theta_{d-i+1} v_{i-1}
     for i = 1..d.
 
     With (a, theta, e0) = (A, theta, E*_0) they are the split basis; with
@@ -301,11 +301,9 @@ def _split_vectors(a: Matrix, theta, e0: Matrix, u_star: Vector) -> list[Vector]
     seed = e0 * u_star
     if seed.is_zero():
         raise NotInE0StarVError("seed has zero projection onto E*_0 V")
-    d = len(theta) - 1
-    ident = Matrix.identity(a.spec, d + 1)
     vs = [seed]
-    for i in range(1, d + 1):
-        vs.append((a - ident.scale(theta[d - i + 1])) * vs[-1])
+    for t in theta[:0:-1]:
+        vs.append(a * vs[-1] - vs[-1].scale(t))
     return vs
 
 
@@ -479,12 +477,11 @@ def extract_parameter_array(s: CHSystem, u_star: Vector):
     s.require_verified("parameter array extraction")
     vs = _split_vectors(s.A, s.theta, s.E_star[0], u_star)
     d = s.d
-    ident = Matrix.identity(s.spec, d + 1)
     if rank(Matrix.from_columns(vs)) != d + 1:
         raise ZeroVectorError("split vectors are not independent")
     phi = []
     for i in range(1, d + 1):
-        w = (s.A_star - ident.scale(s.theta_star[i])) * vs[i]
+        w = s.A_star * vs[i] - vs[i].scale(s.theta_star[i])
         phi.append(_proportionality(w, vs[i - 1]))
     params = ParameterArray(s.spec, d, s.theta, s.theta_star, tuple(phi))
     return params, SplitDecomposition(vs)

@@ -318,3 +318,24 @@ def test_explicit_seed_changes_vectors_not_scalars(w5_system, gf5):
     assert sc1.epsilon_star == sc2.epsilon_star
     for a, b in itertools.product(BASIS_NAMES, repeat=2):
         assert transition(cat2, a, b).matrix == transition(cat1, a, b).matrix
+
+
+@pytest.mark.parametrize("family, p, d", [
+    ("F2", 7, 6), ("F1", 17, 7), ("F1", 19, 8), ("F2", 11, 10),
+])
+def test_represent_larger_d(family, p, d):
+    """All six representations and the standard-form entries, asserted
+    against their closed forms, beyond the d = 3..5 of the other tests."""
+    from circhess import (
+        Family, family_generate, iter_family_instances, prime_field,
+        split_form_build, verify_ch_axioms,
+    )
+
+    fp = next(iter_family_instances(Family(family), prime_field(p), d, 1))
+    s = split_form_build(family_generate(fp))
+    assert verify_ch_axioms(s).is_ch
+    catalog, _ = build_basis_catalog(s)
+    reps = {name: represent(catalog, name) for name in BASIS_NAMES}
+    sfe = standard_form_entries(catalog, reps)
+    assert sfe.recurrent
+    assert len(sfe.a_star) == d + 1 and len(sfe.b_star) == len(sfe.c_star) == d

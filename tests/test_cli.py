@@ -1,5 +1,8 @@
 """CLI subcommands, exit codes, and JSON round-trips."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -7,7 +10,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circhess import (
+    Family,
+    FamilyParameters,
+    ParameterArray,
+    cyclotomic_field,
+    family_generate,
+    prime_field,
+    split_form_build,
+)
 from circhess.cli import main
 
 
@@ -356,6 +370,141 @@ def test_invalid_json_text_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--in", str(bad))
     assert code == 2
     assert err.startswith("error:")
+
+
+def _well_formed_documents():
+    """A GF(5) array, a cyclo:4 array, a wrapped array, a matrix pair and a
+    bare matrix; each one a command accepts as it stands."""
+    gf5, cy = prime_field(5), cyclotomic_field(4)
+    w5 = ParameterArray.make(gf5, [1, 2, 4, 3], [1, 2, 4, 3], [3, 2, 4])
+    s = split_form_build(w5)
+    f1 = family_generate(FamilyParameters.make(
+        Family.F1_GENERIC_Q, cy, 3, q=cy.generator(), b=1, b_star=1, y=1))
+    return [w5.to_json(), f1.to_json(), {"parameter_array": w5.to_json()},
+            {"A": s.A.to_json(), "A_star": s.A_star.to_json()}, s.A.to_json()]
+
+
+_DOCUMENTS = _well_formed_documents()
+# values no field element, list, field, prime or size may take
+_BAD_ENTRY = st.sampled_from([None, [], {}, [1], "x", "", "1/0", "*t"])
+_NOT_A_LIST = st.sampled_from([None, 7, True])
+_BAD_FIELD = st.sampled_from([
+    "gf:5", 5, None, [], {"kind": "prime", "p": 4},
+    {"kind": "extension", "base": {"kind": "prime", "p": 5},
+     "modulus": ["1", "0", "1"]},  # t^2 + 1 = (t - 2)(t - 3) over GF(5)
+    {"kind": "extension", "base": {"kind": "rationals"}, "modulus": ["-1", "0", "1"]},
+])
+# primes are drawn small: PrimeField certifies p by trial division
+_NOT_PRIME = st.integers(-20, 60).filter(
+    lambda n: n < 2 or any(n % k == 0 for k in range(2, n))
+) | st.sampled_from(["5", 5.0, None, [5], True])
+
+
+def _objects(doc, parent=None, key=None):
+    """(object, its parent, its key) for every JSON object in doc."""
+    if isinstance(doc, dict):
+        yield doc, parent, key
+        for k, v in doc.items():
+            yield from _objects(v, doc, k)
+
+
+def _break_field(data, f, parent, key):
+    kind = f["kind"]
+    required = ["kind"] + {"prime": ["p"], "extension": ["base", "modulus"]}.get(kind, [])
+    how = data.draw(st.sampled_from(["drop key", "kind", "field", "p", "modulus"]))
+    if how == "drop key":
+        del f[data.draw(st.sampled_from(required))]
+    elif how == "kind":
+        f["kind"] = data.draw(st.sampled_from(["", "Prime", "cyclo", None, 5, ["prime"]]))
+    elif how == "p" and kind == "prime":
+        f["p"] = data.draw(_NOT_PRIME)
+    elif how == "modulus" and kind == "extension":
+        f["modulus"] = data.draw(st.sampled_from(
+            [None, 7, ["1", "1"], ["1", "0", "2"], ["x", "0", "1"]]))
+    else:
+        parent[key] = data.draw(_BAD_FIELD)
+
+
+def _break_matrix(data, m):
+    rows = m["entries"]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    how = data.draw(st.sampled_from(
+        ["drop key", "size", "entries", "ragged", "row count", "entry"]))
+    if how == "drop key":
+        del m[data.draw(st.sampled_from(["field", "entries", "rows", "cols"]))]
+    elif how == "size":
+        m[data.draw(st.sampled_from(["rows", "cols"]))] = data.draw(
+            st.integers(0, 8).filter(lambda n: n != len(rows))
+            | st.sampled_from(["4", None, [4]]))
+    elif how == "entries":
+        m["entries"] = data.draw(_NOT_A_LIST)
+    elif how == "ragged":
+        if data.draw(st.booleans()):
+            rows[i].pop()
+        else:
+            rows[i].append("1")
+    elif how == "row count":
+        if data.draw(st.booleans()):
+            rows.pop(i)
+        else:
+            rows.append(list(rows[i]))
+    else:
+        rows[i][data.draw(st.integers(0, len(rows[i]) - 1))] = data.draw(_BAD_ENTRY)
+
+
+def _break_array(data, a):
+    seq = data.draw(st.sampled_from(["theta", "theta_star", "phi"]))
+    how = data.draw(st.sampled_from(["drop key", "d", "not a list", "length", "entry"]))
+    if how == "drop key":
+        del a[data.draw(st.sampled_from(["field", "theta", "theta_star", "phi"]))]
+    elif how == "d":
+        a["d"] = data.draw(st.integers(-3, 12).filter(lambda n: n != len(a["theta"]) - 1)
+                           | st.sampled_from(["3", 3.0, None, True]))
+    elif how == "not a list":
+        a[seq] = data.draw(_NOT_A_LIST | st.just("1243"))
+    elif how == "length":
+        if data.draw(st.booleans()):
+            a[seq].pop()
+        else:
+            a[seq].append("1")
+    else:
+        a[seq][data.draw(st.integers(0, len(a[seq]) - 1))] = data.draw(_BAD_ENTRY)
+
+
+@pytest.mark.parametrize("k", range(len(_DOCUMENTS)))
+def test_well_formed_documents_accepted(tmp_path, capsys, k):
+    """The documents the property test breaks are accepted unbroken."""
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(_DOCUMENTS[k]))
+    command = "dump" if "entries" in _DOCUMENTS[k] else "verify"
+    assert run(capsys, command, "--in", str(f))[0] == 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_malformed_documents_property(tmp_path_factory, data):
+    """One break of a well-formed document (a wrong type, a missing key, bad
+    field JSON, a ragged or mis-sized matrix, a wrong length) makes every
+    command exit 1 or 2 with an `error:` line; none raises."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(_DOCUMENTS)))
+    obj, parent, key = data.draw(st.sampled_from(list(_objects(doc))))
+    if "kind" in obj:
+        _break_field(data, obj, parent, key)
+    elif "entries" in obj:
+        _break_matrix(data, obj)
+    elif "theta" in obj:
+        _break_array(data, obj)
+    else:  # a pair or a wrapper: break its first member
+        member = next(iter(obj.values()))
+        (_break_matrix if "entries" in member else _break_array)(data, member)
+    path = tmp_path_factory.mktemp("malformed") / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "classify", "bases", "replay", "dump"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--in", str(path)])
+        assert code in (1, 2), (command, doc, out.getvalue())
+        assert err.getvalue().startswith("error:"), (command, doc)
 
 
 def test_python_m_circhess():

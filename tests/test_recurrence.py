@@ -1,17 +1,25 @@
 """Recurrence windows, tridiagonal witness, closed-form fits, quotients."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circhess import (
+    Family,
+    FamilyParameters,
     Matrix,
     ParameterArray,
     RecurrenceCase,
     commutator,
     fit_closed_form,
     is_beta_recurrent,
+    classify_family,
+    family_generate,
     prime_field,
+    quotient_extension,
     rationals,
     recurrence_status,
     recurrent_quotient,
@@ -28,6 +36,7 @@ from circhess.errors import (
     SingularError,
     TooShortError,
 )
+from circhess.recurrence import solve_unit_root
 
 
 def test_vartheta_w5(w5_array):
@@ -335,3 +344,54 @@ def test_fit_maps_only_a_singular_basis(monkeypatch, gf5, raised, expected):
     with pytest.raises(expected) as info:
         fit_closed_form(th, gf5.element(0))
     assert type(info.value) is expected
+
+
+def _qq_quadratic(m0, m1):
+    """QQ[t]/(t^2 + m1 t + m0)."""
+    return quotient_extension(rationals(), [Fraction(m0), Fraction(m1), Fraction(1)])
+
+
+def test_unit_root_in_quadratic_field_off_the_generator_powers():
+    """Over QQ[t]/(t^2 - 2), q = 1 + t has q + 1/q = 2t, and no +-t^k is a
+    root; the root is found in the field, not in a further extension."""
+    k = _qq_quadratic(-2, 0)
+    t = k.generator()
+    q, spec, lifted = solve_unit_root(k, 2 * t)
+    assert spec == k and not lifted
+    assert q in (1 + t, (1 + t).inverse())
+
+
+def test_classify_f1_over_qq_sqrt_minus3():
+    """A verified, recurrent F1 array with d = 5 over QQ[t]/(t^2 + 3), where
+    q = (1 + t)/2 is a primitive 6th root of unity but no +-t^k is."""
+    k = _qq_quadratic(3, 0)
+    e = k.element
+    q = (1 + k.generator()) / 2
+    fp = FamilyParameters(Family.F1_GENERIC_Q, k, 5, e(0), e(1), e(0), e(0), e(1),
+                          e(0), e(0), e(1), q)
+    p = family_generate(fp)
+    assert verify_ch_axioms(split_form_build(p)).is_ch
+    assert recurrence_status(p).recurrent
+    cls = classify_family(p)
+    assert cls.family is Family.F1_GENERIC_Q and not cls.lifted
+    assert cls.parameters.q in (q, q.inverse())
+
+
+# (m0, m1) of irreducible t^2 + m1 t + m0: square roots of 2, 3, 5, -1, -3,
+# -7, and moduli with a linear term (Phi_3 and two non-cyclotomic ones)
+_QUADRATIC_MODULI = [(-2, 0), (-3, 0), (-5, 0), (1, 0), (3, 0), (7, 0),
+                     (1, 1), (1, 3), (3, Fraction(1, 2))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_QUADRATIC_MODULI),
+       st.fractions(-4, 4, max_denominator=5), st.fractions(-4, 4, max_denominator=5))
+def test_unit_root_round_trip_quadratic_qq(modulus, x, y):
+    """For q != 0, +-1 in QQ(sqrt r), solve_unit_root(K, q + 1/q) returns q or
+    1/q in K itself."""
+    k = _qq_quadratic(*modulus)
+    q = k.element(x) + k.element(y) * k.generator()
+    assume(not q.is_zero() and q != 1 and q != -1)
+    root, spec, lifted = solve_unit_root(k, q + q.inverse())
+    assert spec == k and not lifted
+    assert root in (q, q.inverse())

@@ -420,6 +420,31 @@ def test_oracle_builds_no_matrix(monkeypatch, w5_array):
     assert count == 0
 
 
+def test_split_vectors_build_no_matrix(monkeypatch, w5_array):
+    """The split vectors step v -> A v - theta v on vectors, so they build no
+    Matrix (no A - theta I), and extracting the array builds only the matrix
+    of its rank check."""
+    from circhess.systems import _default_seed, _split_vectors
+
+    s = split_form_build(w5_array)
+    assert verify_ch_axioms(s).is_ch
+    seed = _default_seed(s)
+    init = Matrix.__init__
+    count = 0
+
+    def counted(self, *args):
+        nonlocal count
+        count += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    vs = _split_vectors(s.A, s.theta, s.E_star[0], seed)
+    assert count == 0
+    params, split = extract_parameter_array(s, seed)
+    assert count == 1
+    assert params == w5_array and split.generators == vs
+
+
 # --- the oracle against its definition ---------------------------------------
 
 def _random_element(spec, rng):
