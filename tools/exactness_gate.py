@@ -1,12 +1,12 @@
 """Byte-exactness gate: do two checkouts give the same output everywhere?
 
-    python3 tools/exactness_gate.py PARENT CHANGE [--seeds 1 2]
+    python3 tools/exactness_gate.py PARENT CHANGE
 
 PARENT and CHANGE are the roots of two checkouts.  Each is run in its own
 subprocess, which imports circhess from that checkout's `src` and builds
 the pipeline inputs with that checkout's `perfbench/workloads.pipeline_setup`
 (read only, as the benchmark uses it).  It then records, per command of
-every seeded pipeline cycle (verify, raw-pair verify, classify,
+every pipeline cycle of seeds 1 and 2 (verify, raw-pair verify, classify,
 bases --check-all, replay), the input file, stdout, stderr, exit code and
 `--out` file, and the report bytes of the GF(5) and GF(4), d = 3
 exhaustive searches.  Temporary paths are masked before hashing.
@@ -29,6 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+SEEDS = (1, 2)
 EXHAUSTIVE = (("gf:5", 3), ("ext:gf:2:1,1,1", 3))
 
 
@@ -36,14 +37,14 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def collect(tree: Path, seeds: list[int]) -> list[list[str]]:
+def collect(tree: Path) -> list[list[str]]:
     """[label, digest] records for one checkout, in a fixed order."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     ch = importlib.import_module("circhess")
     main = importlib.import_module("circhess.cli").main
     wl = importlib.import_module("workloads")
     records = []
-    for seed in seeds:
+    for seed in SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             workdir = Path(tmp)
 
@@ -85,12 +86,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trees", nargs="+", type=Path,
                     help="PARENT CHANGE (two checkout roots)")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--collect", action="store_true",
                     help="internal: print the records of one tree as JSON")
     args = ap.parse_args(argv)
     if args.collect:
-        print(json.dumps(collect(args.trees[0].resolve(), args.seeds)))
+        print(json.dumps(collect(args.trees[0].resolve())))
         return 0
     if len(args.trees) != 2:
         ap.error("give exactly two checkouts: PARENT CHANGE")
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
     for tree in args.trees:
         done = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), str(tree.resolve()),
-             "--collect", "--seeds", *map(str, args.seeds)],
+             "--collect"],
             capture_output=True, text=True, check=True,
         )
         records = json.loads(done.stdout)
