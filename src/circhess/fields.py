@@ -60,8 +60,36 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
+# the first 13 primes: as Miller-Rabin bases they certify every n below
+# _MILLER_RABIN_BOUND exactly (Sorenson and Webster, 2015)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    return _prime_divisors(n) == [n]
+    """Exact primality.  A Miller-Rabin witness among the first 13 primes
+    proves n composite; with none, n is prime when it is below
+    _MILLER_RABIN_BOUND (about 3.3e24), and trial division decides above."""
+    if n < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # b witnesses that n is composite
+    return n < _MILLER_RABIN_BOUND or _prime_divisors(n) == [n]
 
 
 class FieldSpec:

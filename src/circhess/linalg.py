@@ -446,9 +446,9 @@ def primitive_idempotents(a: Matrix, eigenvalues) -> list[Matrix]:
       on every stored family.
 
     This is the generic path, for ingest and the tests; split_form_build
-    writes its bidiagonal matrices' projectors in closed form instead, as
-    outer products of the eigenvectors of systems._bidiagonal_eigenvectors,
-    and they are equal to these.
+    gives its bidiagonal matrices' projectors in closed form instead, as
+    rank-one factors from the eigenvectors of
+    systems._bidiagonal_eigenvectors, whose outer products equal these.
 
     The numerator of E_i is prefix[i-1] * suffix[i+1], where prefix[k] and
     suffix[k] are the products of the factors (a - theta_j I) with j <= k

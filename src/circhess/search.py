@@ -20,9 +20,10 @@ probe hit, in either mode, is then re-verified by the axiom oracle
 (split_form_build, which only constructs, then verify_ch_axioms), which is
 authoritative and shares only the pattern's specification with the probe
 (the probe is exact, so a hit the oracle rejects is an internal
-contradiction and raises).  verify_ch_axioms
-factors every member as a rank-one outer product, checks each family's
-algebra and that it belongs to its matrix on the factors, and decides every
+contradiction and raises).  split_form_build hands each idempotent family
+over as its members' rank-one factors, and builds no matrix but A and A*;
+verify_ch_axioms checks each family's algebra and that it belongs to its
+matrix on those factors, trusting none of them, and decides every
 constrained product E_i A* E_j and E*_i A E*_j as one dot product.
 Hits that fail to be recurrent are counterexamples to the open conjecture
 that all such systems are recurrent: they are persisted as replayable JSON

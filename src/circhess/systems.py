@@ -16,16 +16,21 @@ sequence phi); split_form_build realizes any valid array as a concrete
 system on F^(d+1), and extract_parameter_array inverts it.
 ParameterArray.dual() is the array of the pair (A*, A).
 
-Primitive idempotents have rank one, and both halves of the axiom oracle
-use it.  split_form_build writes each E_k and E*_k as an outer product of
-the right and left eigenvectors (r_k, s_k) that _bidiagonal_eigenvectors
-gives in closed form for the bidiagonal A and A*^T; bases reads the
-standard <-> inv_split transitions off the same vectors.  verify_ch_axioms,
-the one judge, factors each stored E_i as u_i w_i^T / p_i once, checks
-the families' algebra (rank one, and sum E_i = I as w_i . u_j =
-delta_ij p_i) and membership (A u_i = theta_i u_i) on the factors, and
-decides each constrained E_i A* E_j as the scalar w_i . (A* u_j): O(d^2)
-field operations per idempotent, and no matrix built.
+Primitive idempotents have rank one, and a system holds each family as
+its members' factors (u_k, w_k, p_k), E_k = u_k w_k^T / p_k (see
+IdempotentFamily).  split_form_build hands over the right and left
+eigenvectors (r_k, s_k) that _bidiagonal_eigenvectors gives in closed form
+for the bidiagonal A and A*, with p_k = 1, and forms no idempotent matrix;
+bases reads the standard <-> inv_split transitions off the same vectors.
+The matrices are formed once, on first read, for the consumers that want
+them (bases, replay, the isomorphism witness); matrices that come from
+outside (ingest_pair's Lagrange idempotents, an assignment s.E = ...) are
+factored once, on first use.  verify_ch_axioms, the one judge, trusts none
+of it: it checks the families' algebra (d + 1 members of length d + 1,
+and sum E_i = I as w_i . u_j = delta_ij p_i with p_i != 0) and membership
+(A u_i = theta_i u_i) on the factors, and decides each constrained
+E_i A* E_j as the scalar w_i . (A* u_j): O(d^2) field operations per
+idempotent, and no matrix built.
 """
 
 from __future__ import annotations
@@ -167,8 +172,55 @@ class VerificationOutcome:
         }
 
 
+class IdempotentFamily:
+    """One idempotent family E_0..E_d, held as its members' rank-one
+    factors (u_k, w_k, p_k), with E_k = u_k w_k^T / p_k (payload sequences
+    and a payload), or as the matrices it was given, or both.
+
+    Each view is derived from the other once, on first read: matrices()
+    forms the outer products, and factors() factors each matrix by
+    _rank_one_factors, raising CorruptIdempotentsError for a zero member
+    or one of higher rank.  Nothing else is checked here; see
+    _check_idempotent_family.
+    """
+
+    __slots__ = ("spec", "_matrices", "_factors")
+
+    def __init__(self, spec, matrices=None, factors=None):
+        self.spec = spec
+        self._matrices = None if matrices is None else tuple(matrices)
+        self._factors = factors
+
+    def matrices(self) -> tuple:
+        if self._matrices is None:
+            self._matrices = tuple(_rank_one_matrix(self.spec, *f)
+                                   for f in self._factors)
+        return self._matrices
+
+    def factors(self) -> list:
+        if self._factors is None:
+            self._factors = _family_factors(self._matrices)
+        return self._factors
+
+
+def _rank_one_matrix(spec, u, w, p) -> Matrix:
+    """The matrix u w^T / p; a zero entry of u gives a zero row without
+    multiplying."""
+    mul, is_zero = spec.mul, spec.is_zero
+    inv = spec.inv(p)
+    w = [mul(y, inv) for y in w]
+    zero_row = (spec.zero,) * len(w)
+    return Matrix(spec, [zero_row if is_zero(x) else [mul(x, y) for y in w]
+                         for x in u])
+
+
 class CHSystem:
     """A candidate circular Hessenberg system (A; E_0..E_d; A*; E*_0..E*_d).
+
+    The idempotent families are the IdempotentFamily objects `family` and
+    `family_star`; E and E_star read their matrices.  The constructor's
+    E and E_star, and an assignment s.E = ... or s.E_star = ..., take an
+    IdempotentFamily or the member matrices.
 
     The `verified` flag is sticky and set only by verify_ch_axioms; every
     operation that relies on the axioms requires it.
@@ -179,12 +231,28 @@ class CHSystem:
         self.d = d
         self.A = A
         self.A_star = A_star
-        self.E = tuple(E)
-        self.E_star = tuple(E_star)
+        self.E = E
+        self.E_star = E_star
         self.theta = tuple(theta)
         self.theta_star = tuple(theta_star)
         self.params = params
         self.verified = False
+
+    @property
+    def E(self) -> tuple:
+        return self.family.matrices()
+
+    @E.setter
+    def E(self, family):
+        self.family = _as_family(self.spec, family)
+
+    @property
+    def E_star(self) -> tuple:
+        return self.family_star.matrices()
+
+    @E_star.setter
+    def E_star(self, family):
+        self.family_star = _as_family(self.spec, family)
 
     def require_verified(self, what: str):
         if not self.verified:
@@ -197,6 +265,12 @@ class CHSystem:
                 "A_star": self.A_star.to_json()}
 
 
+def _as_family(spec, family) -> IdempotentFamily:
+    if isinstance(family, IdempotentFamily):
+        return family
+    return IdempotentFamily(spec, matrices=family)
+
+
 def split_form_build(p: ParameterArray) -> CHSystem:
     """Realize a parameter array as matrices on F^(d+1).
 
@@ -206,29 +280,36 @@ def split_form_build(p: ParameterArray) -> CHSystem:
     orders theta_0..theta_d and theta*_0..theta*_d (note A's diagonal lists
     theta reversed; E_i still pairs with theta_i).
 
-    Both families are rank-one outer products of the eigenvectors of
-    _bidiagonal_eigenvectors: E_k = r_k s_k^T for A, and E*_k = s_k r_k^T
-    for the pairs of the lower bidiagonal A*^T, which is the transpose of
-    A*^T's family.
+    Both families are handed over as the rank-one factors of the
+    eigenvectors of _bidiagonal_eigenvectors, with p = 1 since
+    s_k . r_k = 1: E_k = r_k s_k^T for A, and E*_k = s_k r_k^T for the
+    pairs of the lower bidiagonal A*^T (read off A*), the transposes of
+    A*^T's projectors.  No idempotent matrix is formed; only A and A* are
+    built.
 
     The builder checks nothing: the returned system is unverified; run
     verify_ch_axioms on it, which also checks that E and E* belong to A, A*.
     """
     A, A_star = _split_form(p)
     spec = p.spec
-    E = [_outer(spec, r, s) for r, s in _bidiagonal_eigenvectors(A)[::-1]]
-    E_star = [_outer(spec, s, r)
-              for r, s in _bidiagonal_eigenvectors(A_star.transpose())]
-    return CHSystem(p.spec, p.d, A, A_star, E, E_star, p.theta, p.theta_star,
+    one = spec.one
+    E = [(r, s, one) for r, s in _bidiagonal_eigenvectors(A)[::-1]]
+    E_star = [(s, r, one) for r, s in _bidiagonal_eigenvectors(A_star)]
+    return CHSystem(spec, p.d, A, A_star, IdempotentFamily(spec, factors=E),
+                    IdempotentFamily(spec, factors=E_star), p.theta, p.theta_star,
                     params=p)
 
 
-def _bidiagonal_eigenvectors(low: Matrix) -> list[tuple[list, list]]:
-    """(r_k, s_k) for each diagonal entry l_k of a lower-bidiagonal matrix
-    whose diagonal entries l_0..l_d are mutually distinct: a right column
-    and a left row of l_k, as payload lists, with s_k . r_j = delta_kj.
+def _bidiagonal_eigenvectors(matrix: Matrix) -> list[tuple[list, list]]:
+    """(r_k, s_k) for each diagonal entry l_k of the lower-bidiagonal matrix
+    low whose diagonal entries l_0..l_d are mutually distinct: a right
+    column and a left row of l_k, as payload lists, with
+    s_k . r_j = delta_kj.  low is `matrix` when that is lower bidiagonal
+    and its transpose when it is upper bidiagonal, so A*'s pairs are read
+    off A* without forming A*^T.
 
-    With c_i = low[i][i - 1] and D_k = prod_{m != k} (l_k - l_m), the
+    With c_i = low[i][i - 1] (read as matrix[i][i - 1] + matrix[i - 1][i],
+    of which one term is zero) and D_k = prod_{m != k} (l_k - l_m), the
     Lagrange denominator, the vectors
 
         r_k[i] = c_{k+1} ... c_i * prod_{m > i} (l_k - l_m) / D_k   for i >= k,
@@ -243,11 +324,11 @@ def _bidiagonal_eigenvectors(low: Matrix) -> list[tuple[list, list]]:
     field operations from prefix and suffix products and one field
     inverse, which scales r_k.
     """
-    s = low.spec
+    s = matrix.spec
     mul, sub, one, zero = s.mul, s.sub, s.one, s.zero
-    n = low.nrows
-    diag = [low.rows[i][i] for i in range(n)]
-    c = [None] + [low.rows[i][i - 1] for i in range(1, n)]
+    n, rows = matrix.nrows, matrix.rows
+    diag = [rows[i][i] for i in range(n)]
+    c = [None] + [s.add(rows[i][i - 1], rows[i - 1][i]) for i in range(1, n)]
     out = []
     for k, lk in enumerate(diag):
         diffs = [sub(lk, lm) for lm in diag]
@@ -259,15 +340,6 @@ def _bidiagonal_eigenvectors(low: Matrix) -> list[tuple[list, list]]:
         s_k = list(map(mul, before, chain)) + [zero] * (n - 1 - k)
         out.append((r_k, s_k))
     return out
-
-
-def _outer(spec, col, row) -> Matrix:
-    """The rank-one matrix col row^T; a zero entry of col gives a zero row
-    without multiplying."""
-    mul, is_zero = spec.mul, spec.is_zero
-    zero_row = (spec.zero,) * len(row)
-    return Matrix(spec, [zero_row if is_zero(x) else [mul(x, y) for y in row]
-                         for x in col])
 
 
 def _split_form(p: ParameterArray) -> tuple[Matrix, Matrix]:
@@ -347,42 +419,44 @@ def _family_factors(E) -> list:
     return factors
 
 
-def _check_idempotent_family(E, labels, n: int) -> list:
-    """Raise CorruptIdempotentsError unless E_0..E_{n-1} are n members of
-    size n x n with one distinct label each, have rank one, sum to I and
-    satisfy E_i E_j = delta_ij E_i; return the members' rank-one factors
-    (see _rank_one_factors).
+def _check_idempotent_family(family: IdempotentFamily, labels, n: int) -> list:
+    """Raise CorruptIdempotentsError unless the family's factors describe
+    n members E_0..E_{n-1} of size n x n with one distinct label each that
+    have rank one, sum to I and satisfy E_i E_j = delta_ij E_i; return the
+    factors (u_i, w_i, p_i), E_i = u_i w_i^T / p_i.
 
-    No product of two members, and no matrix, is formed.  Write
-    E_i = u_i w_i^T / p_i, let U be the n x n matrix with columns u_i and W
-    the one with columns w_i / p_i.  Then sum_i E_i = U W^T.  The check is
-    w_i . u_j = delta_ij p_i, i.e. W^T U = I.  U and W are square, and a
-    square matrix with a left inverse is invertible with that inverse
-    also a right one, so W^T U = I holds exactly when U W^T = I, i.e.
-    sum_i E_i = I.  Hence also
+    Nothing the factors' source says is trusted, and no product of two
+    members, and no matrix, is formed.  Let U be the n x n matrix with
+    columns u_i and W the one with columns w_i / p_i.  Then
+    sum_i E_i = U W^T.  The check is w_i . u_j = delta_ij p_i with every
+    p_i != 0, i.e. W^T U = I; then u_i and w_i are nonzero, so E_i has rank
+    one.  U and W are square, and a square matrix with a left inverse is
+    invertible with that inverse also a right one, so W^T U = I holds
+    exactly when U W^T = I, i.e. sum_i E_i = I.  Hence also
 
         E_i E_j = u_i (w_i . u_j / p_i) w_j^T / p_j = delta_ij E_i.
 
-    The count and the size are checked first because the equivalence
+    The count and the lengths are checked first because the equivalence
     needs U and W square: m orthogonal rank-one idempotents of size k x k
     satisfy W^T U = I_m without summing to I when m < k.  This accepts
     exactly the valid families: n nonzero orthogonal idempotents summing
     to I give V = E_0 V (+) ... (+) E_{n-1} V, and n nonzero dimensions
-    summing to n are all one.  A zero member or one of higher rank is
-    therefore rejected without loss.  Here the labels are only required to
-    be distinct; verify_ch_axioms then reads them as the eigenvalues of the
-    family's matrix (see _non_members).
+    summing to n are all one.  A zero member or one of higher rank, which
+    has no factors, is therefore rejected without loss.  Here the labels
+    are only required to be distinct; verify_ch_axioms then reads them as
+    the eigenvalues of the family's matrix (see _non_members).
     """
-    if len(E) != n or any((e.nrows, e.ncols) != (n, n) for e in E):
+    factors = family.factors()
+    if len(factors) != n or any(len(u) != n or len(w) != n for u, w, _ in factors):
         raise CorruptIdempotentsError(f"need {n} idempotents of size {n} x {n}")
     if len(labels) != n or len({lam.payload for lam in labels}) != n:
         raise CorruptIdempotentsError("need one distinct label per idempotent")
-    factors = _family_factors(E)
-    dot, zero = E[0].spec.dot, E[0].spec.zero
+    s = family.spec
+    dot, zero = s.dot, s.zero
     for i, (_, w, p) in enumerate(factors):
         row = [zero] * n
         row[i] = p
-        if [dot(w, u) for u, _, _ in factors] != row:
+        if s.is_zero(p) or [dot(w, u) for u, _, _ in factors] != row:
             raise CorruptIdempotentsError("stored idempotents do not sum to I")
     return factors
 
@@ -399,14 +473,16 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     superdiagonal (j = i + 1) free, so those products are not decided; for
     d >= 3 the corner (0, d) is never one of them.
 
-    First checks both stored families, which may come from anywhere: d + 1
-    members of size (d + 1) x (d + 1), each of rank one, the labels theta
-    and theta* distinct, and the members summing to I, which with rank-one members is the whole idempotent
-    algebra (see _check_idempotent_family); this is the one place it is
-    checked (see primitive_idempotents).  The check returns each member's
-    factors E_j = u_j w_j^T / p_j.  Each j with A u_j != theta_j u_j is the
-    failure ("ii", j, j), and ("iii", j, j) for A* and E*_j.  None fails
-    exactly when A = sum theta_j E_j: then A E_j = theta_j E_j by the
+    First checks both stored families on their factors, which may come
+    from anywhere: d + 1 members of size (d + 1) x (d + 1), each of rank
+    one, the labels theta and theta* distinct, and the members summing to
+    I, which with rank-one members is the whole idempotent algebra (see
+    _check_idempotent_family); this is the one place it is checked (see
+    primitive_idempotents).  A family given as matrices is factored first,
+    and a zero member or one of higher rank raises.  The check returns
+    each member's factors E_j = u_j w_j^T / p_j.  Each j with
+    A u_j != theta_j u_j is the failure ("ii", j, j), and ("iii", j, j) for
+    A* and E*_j.  None fails exactly when A = sum theta_j E_j: then A E_j = theta_j E_j by the
     algebra, so (A u_j - theta_j u_j) w_j^T = 0 with w_j != 0; conversely,
     A E_j = theta_j E_j for all j gives A = A sum E_j = sum theta_j E_j.
     Every pattern product is decided exactly from the factors, by one
@@ -414,8 +490,8 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     _zero_products), independent of the search probe.  No matrix is
     built.  Sets the sticky `verified` flag when nothing fails.
     """
-    factors = _check_idempotent_family(s.E, s.theta, s.d + 1)
-    factors_star = _check_idempotent_family(s.E_star, s.theta_star, s.d + 1)
+    factors = _check_idempotent_family(s.family, s.theta, s.d + 1)
+    factors_star = _check_idempotent_family(s.family_star, s.theta_star, s.d + 1)
     failures = [("ii", j, j) for j in _non_members(factors, s.A, s.theta)]
     failures += [("iii", j, j)
                  for j in _non_members(factors_star, s.A_star, s.theta_star)]
@@ -492,8 +568,8 @@ def dual_system(s: CHSystem) -> CHSystem:
     s.params.dual(), which is (theta*; theta; phi reversed)."""
     s.require_verified("dual")
     out = CHSystem(
-        s.spec, s.d, s.A_star, s.A, s.E_star, s.E, s.theta_star, s.theta,
-        params=s.params.dual() if s.params is not None else None,
+        s.spec, s.d, s.A_star, s.A, s.family_star, s.family, s.theta_star,
+        s.theta, params=s.params.dual() if s.params is not None else None,
     )
     verify_ch_axioms(out)
     return out
@@ -597,8 +673,8 @@ def ingest_pair(A: Matrix, A_star: Matrix) -> CHSystem | None:
     found_b = _find_ordering(A_star, evs_b, A)
     if found_b is None:
         return None
-    (theta, E), (theta_star, E_star) = found_a, found_b
-    sys = CHSystem(A.spec, n - 1, A, A_star, E, E_star, theta, theta_star)
+    (theta, family), (theta_star, family_star) = found_a, found_b
+    sys = CHSystem(A.spec, n - 1, A, A_star, family, family_star, theta, theta_star)
     if not verify_ch_axioms(sys).is_ch:
         return None
     params, _ = extract_parameter_array(sys, _default_seed(sys))
@@ -608,16 +684,20 @@ def ingest_pair(A: Matrix, A_star: Matrix) -> CHSystem | None:
 
 def _find_ordering(M: Matrix, evs, other: Matrix):
     """An ordering of M's eigenvalues and idempotents making `other` act in
-    circular Hessenberg fashion, as (theta, E) in that order, or None."""
+    circular Hessenberg fashion, as (theta, IdempotentFamily) in that
+    order, or None.  The idempotents are factored once, here, and the
+    family carries both the matrices and their factors."""
     n = len(evs)
     E = primitive_idempotents(M, evs)  # rank one each: M is multiplicity-free
-    zeros = _zero_products(_family_factors(E), other, product(range(n), repeat=2))
+    factors = _family_factors(E)
+    zeros = _zero_products(factors, other, product(range(n), repeat=2))
     succ = [[i for i in range(n) if i != j and not zeros[i, j]] for j in range(n)]
     pattern = _shape_pattern(ShapeClass.CIRCULAR_HESSENBERG, n)
     for cycle in _hamiltonian_cycles(succ, n):
         for o in _cycle_orderings(cycle):
             if all(zeros[o[i], o[j]] == zero for i, j, zero in pattern):
-                return tuple(evs[k] for k in o), [E[k] for k in o]
+                return tuple(evs[k] for k in o), IdempotentFamily(
+                    M.spec, [E[k] for k in o], [factors[k] for k in o])
     return None
 
 

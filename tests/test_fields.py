@@ -1,6 +1,7 @@
 """Field tower: exact arithmetic, axioms, roots of unity, serialization."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ from circhess.errors import (
 from circhess.fields import (
     QuotientExtension,
     _cyclotomic_index,
+    _is_prime,
+    _prime_divisors,
     cyclotomic_polynomial,
     euler_phi,
 )
@@ -51,6 +54,31 @@ def test_prime_field_construction():
         prime_field(4)
     with pytest.raises(NotPrimeError):
         prime_field(1)
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    """The deterministic Miller-Rabin test gives trial division's answer on
+    every n below 10^5."""
+    assert all(_is_prime(n) == (_prime_divisors(n) == [n]) for n in range(-2, 10**5))
+
+
+def test_large_prime_certified_fast():
+    """p = 10^20 + 39 is certified at once; trial division up to sqrt(p)
+    would take about 20 minutes."""
+    start = time.perf_counter()
+    spec = prime_field(10**20 + 39)
+    assert time.perf_counter() - start < 0.5
+    assert spec.characteristic == 10**20 + 39
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, (2**61 - 1) * (2**89 - 1)])
+def test_composites_rejected(n):
+    """The Carmichael number 561 = 3 * 11 * 17, the strong pseudoprime to
+    bases 2, 3, 5 and 7, 3215031751 = 151 * 751 * 28351, and a product of
+    two Mersenne primes above the Miller-Rabin bound, which a witness
+    rejects at once (trial division would run for years)."""
+    with pytest.raises(NotPrimeError):
+        prime_field(n)
 
 
 def test_gf4_construction():

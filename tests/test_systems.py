@@ -44,7 +44,11 @@ from circhess.errors import (
     ZeroVectorError,
 )
 from circhess.linalg import rank
-from circhess.systems import _check_idempotent_family, _rank_one_factors
+from circhess.systems import (
+    IdempotentFamily,
+    _check_idempotent_family,
+    _rank_one_factors,
+)
 
 
 def test_split_form_matrices(w5_array, gf5):
@@ -420,6 +424,103 @@ def test_oracle_builds_no_matrix(monkeypatch, w5_array):
     assert count == 0
 
 
+def _count_matrix_inits(monkeypatch) -> list:
+    """Wrap Matrix.__init__; the returned one-item list holds the count."""
+    init = Matrix.__init__
+    count = [0]
+
+    def counted(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    return count
+
+
+def test_build_and_verify_construct_only_a_and_a_star(monkeypatch, w5_array):
+    """One W5 split_form_build + verify_ch_axioms constructs two matrices,
+    A and A*: the families go to the oracle as factors, and A*'s
+    eigenvectors are read off A* without forming its transpose.  The
+    matrices of E and E* are formed once, on first read."""
+    count = _count_matrix_inits(monkeypatch)
+    s = split_form_build(w5_array)
+    assert verify_ch_axioms(s).is_ch
+    assert count[0] == 2
+    assert s.E is s.E and s.E_star is s.E_star
+    assert count[0] == 2 + 2 * 4
+
+
+def test_dual_system_swaps_factors(monkeypatch, w5_array):
+    """dual_system hands the stored families over swapped: it constructs no
+    matrix, and its E is the original E*."""
+    s = split_form_build(w5_array)
+    assert verify_ch_axioms(s).is_ch
+    count = _count_matrix_inits(monkeypatch)
+    t = dual_system(s)
+    assert t.verified and count[0] == 0
+    assert t.family is s.family_star and t.family_star is s.family
+    assert t.E == s.E_star
+
+
+def test_ingest_factors_each_idempotent_once(monkeypatch, w5_array, gf5):
+    """ingest_pair factors each Lagrange idempotent once, in the ordering
+    search, and verify_ch_axioms reads the factors it carries."""
+    from circhess import systems
+
+    s = split_form_build(w5_array)
+    sigma = Matrix.from_elements(
+        gf5, [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, 4], [1, 0, 0, 1]]
+    )
+    sigma_inv = matrix_inverse(sigma)
+    factor = systems._rank_one_factors
+    calls = []
+    monkeypatch.setattr(systems, "_rank_one_factors",
+                        lambda e: calls.append(e) or factor(e))
+    got = ingest_pair(sigma * s.A * sigma_inv, sigma * s.A_star * sigma_inv)
+    assert got is not None and got.verified and isomorphic(got.params, w5_array)
+    assert len(calls) == 2 * 4
+
+
+@pytest.mark.parametrize("side", ["E", "E_star"])
+def test_corrupt_factor_family_raises(w5_array, side):
+    """verify_ch_axioms trusts no factors it is handed.  From W5's family:
+    p_0 = 0 (also with w_0 = 0, which leaves every w_0 . u_j = 0 = p_0),
+    u_0 or w_0 one entry too long, and w_0 -> w_0 + w_1, which makes
+    w_0 . u_1 != 0."""
+    spec = w5_array.spec
+    zero = spec.zero
+    good = getattr(split_form_build(w5_array),
+                   "family" if side == "E" else "family_star").factors()
+    (u0, w0, p0), (_, w1, _) = good[0], good[1]
+    for member in ((u0, w0, zero), (u0, [zero] * 4, zero),
+                   (list(u0) + [zero], w0, p0), (u0, list(w0) + [zero], p0),
+                   (u0, [spec.add(x, y) for x, y in zip(w0, w1)], p0)):
+        s = split_form_build(w5_array)
+        setattr(s, side, IdempotentFamily(spec, factors=[member] + good[1:]))
+        with pytest.raises(CorruptIdempotentsError):
+            verify_ch_axioms(s)
+        assert not s.verified
+    s = split_form_build(w5_array)
+    setattr(s, side, IdempotentFamily(spec, factors=good))
+    assert verify_ch_axioms(s).is_ch
+
+
+def test_scaled_factors_give_the_same_family(w5_array):
+    """(u, c w, c) is the member u w^T for every c != 0: the system
+    verifies, and its matrices are the split form's."""
+    base = split_form_build(w5_array)
+    spec = w5_array.spec
+    for c in (2, 3, 4):
+        s = split_form_build(w5_array)
+        for side in ("E", "E_star"):
+            family = getattr(base, "family" if side == "E" else "family_star")
+            scaled = [(u, [spec.mul(c, x) for x in w], spec.mul(c, p))
+                      for u, w, p in family.factors()]
+            setattr(s, side, IdempotentFamily(spec, factors=scaled))
+        assert verify_ch_axioms(s).is_ch
+        assert s.E == base.E and s.E_star == base.E_star
+
+
 def test_split_vectors_build_no_matrix(monkeypatch, w5_array):
     """The split vectors step v -> A v - theta v on vectors, so they build no
     Matrix (no A - theta I), and extracting the array builds only the matrix
@@ -478,7 +579,8 @@ def _pairwise_family_ok(E, ident) -> bool:
 
 def _spectral_family_ok(E, labels, ident) -> bool:
     try:
-        _check_idempotent_family(E, labels, ident.nrows)
+        _check_idempotent_family(IdempotentFamily(ident.spec, matrices=E), labels,
+                                 ident.nrows)
     except CorruptIdempotentsError:
         return False
     return True
