@@ -12,13 +12,14 @@ For a verified system with seed u* (nonzero in E*_0 V) and u := E_0 u*:
 Every closed-form transition matrix and representation matrix is checked
 against the identity that defines it, on the actual basis vectors:
 X_a T = X_b for a transition, X B = A X and X B* = A* X for a
-representation.  build_basis_catalog rank-checks all six bases, so each
-identity holds exactly when the closed form equals the definitional solve
-X_a^-1 X_b or X^-1 A X, and no inverse is formed.  Verifying those formulas
-is the point of this module, so nothing is trusted.  The displayed
-standard <-> inv_split transitions are the left and right eigenvectors of
-the split form's A (systems._bidiagonal_eigenvectors), the same vectors
-whose outer products are the split form's idempotents.
+representation.  build_basis_catalog rank-checks four bases; inv_split and
+inv_dual_split are split and dual_split reversed, so they share their
+ranks.  Each identity therefore holds exactly when the closed form equals
+the definitional solve X_a^-1 X_b or X^-1 A X, and no inverse is formed.
+Verifying those formulas is the point of this module, so nothing is
+trusted.  The displayed standard <-> inv_split transitions are the left and
+right eigenvectors of the split form's A (systems._bidiagonal_eigenvectors),
+the same vectors whose outer products are the split form's idempotents.
 
 Each dual-side basis is the primal one for the pair (A*, A), whose array is
 ParameterArray.dual() = (theta*; theta; phi reversed).  So every dual-side
@@ -158,12 +159,14 @@ def build_basis_catalog(s: CHSystem, u_star: Vector | None = None):
         "dual_split": dual_split,
         "inv_dual_split": dual_split[::-1],
     }
-    for name, vecs in vectors.items():
-        if rank(Matrix.from_columns(vecs)) != d + 1:
+    # inv_split and inv_dual_split are the same columns reversed
+    for name in ("standard", "split", "dual_standard", "dual_split"):
+        if rank(Matrix.from_columns(vectors[name])) != d + 1:
             raise IdentityCheckError(f"{name} vectors are not a basis")
 
-    epsilon = _proportionality(s.E[0] * seed, u)  # = 1 by the gauge choice
-    epsilon_star = _proportionality(s.E_star[0] * u, seed)
+    # standard[0] = E_0 u* and dual_standard[0] = E*_0 u
+    epsilon = _proportionality(standard[0], u)  # = 1 by the gauge choice
+    epsilon_star = _proportionality(dual_standard[0], seed)
     prod = epsilon * epsilon_star
     closed = _prod(s.spec, s.params.phi) / (
         _prod(s.spec, (s.theta[0] - s.theta[i] for i in range(1, d + 1)))
@@ -354,8 +357,6 @@ class StandardFormEntries:
     xi: FieldElement
     xi_star: FieldElement
     recurrent: bool
-    a_matrix: Matrix
-    a_star_matrix: Matrix
 
     def to_json(self) -> dict:
         return {
@@ -446,10 +447,8 @@ def standard_form_entries(catalog: BasisCatalog,
     p = catalog.system.params
     if reps is None:
         reps = {n: represent(catalog, n) for n in ("standard", "dual_standard")}
-    a_star_matrix = reps["standard"].B_star
-    a_matrix = reps["dual_standard"].B
-    a, b, c, xi = _circular_entries(a_matrix)
-    a_star, b_star, c_star, xi_star = _circular_entries(a_star_matrix)
+    a, b, c, xi = _circular_entries(reps["dual_standard"].B)
+    a_star, b_star, c_star, xi_star = _circular_entries(reps["standard"].B_star)
     recurrent = recurrence_status(p).recurrent
     if recurrent:
         for corner, q, label in ((xi, p.dual(), "xi"), (xi_star, p, "xi*")):
@@ -458,10 +457,8 @@ def standard_form_entries(catalog: BasisCatalog,
                 raise IdentityCheckError(f"three derivations of {label} disagree")
         if xi.is_zero() or xi_star.is_zero():
             raise IdentityCheckError("corner entries must be nonzero when recurrent")
-    return StandardFormEntries(
-        a, b, c, a_star, b_star, c_star, xi, xi_star, recurrent,
-        a_matrix, a_star_matrix,
-    )
+    return StandardFormEntries(a, b, c, a_star, b_star, c_star, xi, xi_star,
+                               recurrent)
 
 
 def _psi(p: ParameterArray) -> FieldElement:

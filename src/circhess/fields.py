@@ -20,6 +20,8 @@ FACTOR_SEARCH_BUDGET and for a field's first q - 2 operations.  Payloads are
 the same tuples on both paths.  Over QQ the coefficient path's products and
 dots run on integer numerators over one common denominator per side, so each
 output coefficient is normalized once rather than at every Fraction step.
+An inverse runs extended Euclid on base[x] remainders with the Bezout
+cofactor held as a field payload.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 def _is_prime(n: int) -> bool:
     """Exact primality.  A Miller-Rabin witness among the first 13 primes
     proves n composite; with none, n is prime when it is below
-    _MILLER_RABIN_BOUND (about 3.3e24), and trial division decides above."""
+    _MILLER_RABIN_BOUND (about 3.3e24).  Above it no certificate is
+    attempted: NotPrimeError says so at once."""
     if n < 2:
         return False
     for b in _MILLER_RABIN_BASES:
@@ -89,7 +92,12 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False  # b witnesses that n is composite
-    return n < _MILLER_RABIN_BOUND or _prime_divisors(n) == [n]
+    if n >= _MILLER_RABIN_BOUND:
+        raise NotPrimeError(
+            f"{n} cannot be certified prime: no Miller-Rabin base witnesses "
+            f"it composite, and it is above {_MILLER_RABIN_BOUND}"
+        )
+    return True
 
 
 class FieldSpec:
@@ -118,10 +126,7 @@ class FieldSpec:
 
     def dot(self, xs, ys):
         """Sum of products; matrix multiplication hot path."""
-        acc = self.zero
-        for x, y in zip(xs, ys):
-            acc = self.add(acc, self.mul(x, y))
-        return acc
+        raise NotImplementedError
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -346,8 +351,9 @@ class QuotientExtension(FieldSpec):
     coefficient path (`_coeff_*`: convolution, then reduction by the
     modulus) defines it and serves extensions of QQ, where `_coeff_dot`
     (and mul, the dot of one pair) convolves and reduces integer
-    numerators and builds one Fraction per output coefficient; inverses
-    keep extended Euclid over QQ[x].  Over a finite base,
+    numerators and builds one Fraction per output coefficient.  An inverse
+    runs extended Euclid on base[x] remainders and keeps the cofactor as a
+    payload, stepped by `_coeff_dot` and `_coeff_sub`.  Over a finite base,
     the (q - 1)-th operation builds `_tables`, Zech logarithms over a
     primitive element, and from then on mul and inv are exponent arithmetic
     mod q - 1, add, sub and neg are one Zech lookup each, and dot sums in
@@ -626,22 +632,23 @@ class QuotientExtension(FieldSpec):
     def _coeff_inv(self, a):
         if self.is_zero(a):
             raise DivisionByZeroError(f"inverse of 0 in {self}")
-        # extended Euclid over base[x]: g = s*a + t*m with g constant
-        b = self.base
+        # extended Euclid over base[x]: g = s*a + t*m with g constant.  The
+        # cofactor s is only needed mod m, so it is held as a payload; once
+        # deg r1 >= 1 every quotient has degree < deg m and pads to one.
+        b, pad = self.base, self._zero_payload
         r0, r1 = list(self.modulus), _poly_trim(list(a), b)
-        s0, s1 = [b.zero], [b.one]
-        while _poly_deg(r1, b) > 0:
+        s0, s1 = pad, self._one_payload
+        while len(r1) > 1:
             q, r = _poly_divmod(r0, r1, b)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, b), b)
-        if _poly_deg(r1, b) < 0:
+            q = tuple(q) + pad[len(q):]
+            s0, s1 = s1, self._coeff_sub(s0, self._coeff_dot((q,), (s1,)))
+        if not r1:
             raise ReducibleModulusError(
                 f"zero divisor mod {self._modulus_str()}: modulus not irreducible"
             )
         c = b.inv(r1[0])
-        s1 = [b.mul(c, x) for x in s1]
-        s1 = s1[: self.deg] + [b.zero] * max(0, self.deg - len(s1))
-        return tuple(s1)
+        return tuple([b.mul(c, x) for x in s1])
 
     def element_payloads(self):
         base_payloads = list(self.base.element_payloads())
@@ -723,13 +730,13 @@ class QuotientExtension(FieldSpec):
                 for tail in itertools.product(b.element_payloads(), repeat=degf):
                     f = list(tail) + [b.one]
                     _, r = _poly_divmod(m, f, b)
-                    if _poly_deg(r, b) < 0:
+                    if not r:
                         raise ReducibleModulusError(
                             f"modulus {self._modulus_str()} divisible by a "
                             f"degree-{degf} factor"
                         )
         elif isinstance(b, Rationals):
-            if _rational_root_exists(m):
+            if _rational_root_exists(m, b):
                 raise ReducibleModulusError(
                     f"modulus {self._modulus_str()} has a rational root"
                 )
@@ -751,30 +758,6 @@ def _poly_trim(p, b):
     while p and b.is_zero(p[-1]):
         p.pop()
     return p
-
-
-def _poly_deg(p, b) -> int:
-    p = _poly_trim(list(p), b)
-    return len(p) - 1
-
-
-def _poly_sub(p, q, b):
-    n = max(len(p), len(q))
-    p = list(p) + [b.zero] * (n - len(p))
-    q = list(q) + [b.zero] * (n - len(q))
-    return _poly_trim([b.sub(x, y) for x, y in zip(p, q)], b)
-
-
-def _poly_mul(p, q, b):
-    if not p or not q:
-        return []
-    out = [b.zero] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if b.is_zero(x):
-            continue
-        for j, y in enumerate(q):
-            out[i + j] = b.add(out[i + j], b.mul(x, y))
-    return _poly_trim(out, b)
 
 
 def _poly_divmod(p, q, b):
@@ -802,15 +785,12 @@ def _poly_eval(p, x, b):
     return acc
 
 
-def _rational_root_exists(m) -> bool:
+def _rational_root_exists(m, b) -> bool:
     # clear denominators; candidates +-(divisor of a0)/(divisor of an)
-    lcm = 1
-    for c in m:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    zs = [int(c * lcm) for c in m]
-    if zs and zs[0] == 0:
+    lcm = math.lcm(*[c.denominator for c in m])
+    a0, an = abs(int(m[0] * lcm)), abs(int(m[-1] * lcm))
+    if a0 == 0:
         return True  # x = 0 is a root
-    a0, an = abs(zs[0]), abs(zs[-1])
 
     def divisors(n):
         out = []
@@ -824,9 +804,8 @@ def _rational_root_exists(m) -> bool:
 
     for num in divisors(a0):
         for den in divisors(an):
-            for sgn in (1, -1):
-                x = Fraction(sgn * num, den)
-                if sum(c * x**i for i, c in enumerate(zs)) == 0:
+            for x in (Fraction(num, den), Fraction(-num, den)):
+                if b.is_zero(_poly_eval(m, x, b)):
                     return True
     return False
 

@@ -163,15 +163,15 @@ def test_bases_check_all_solves_each_once(tmp_path, capsys, monkeypatch, w5_arra
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["bases", "--check-all"], 6),
-    (["replay"], 9),
+    (["bases", "--check-all"], 4),
+    (["replay"], 7),
 ])
 def test_elimination_count(tmp_path, capsys, monkeypatch, w5_array, argv,
                            expected):
     """Gauss-Jordan eliminations behind linalg's inverse, rank and
     determinant in one W5 command (the invariant-subspace closure in
     `systems` calls the routine directly and is not counted): `bases
-    --check-all` runs the catalog's 6 rank checks and nothing else, since
+    --check-all` runs the catalog's 4 rank checks and nothing else, since
     every transition and representation is checked as a product identity;
     `replay` adds the 3 closed-form fits of the family classification."""
     from circhess import linalg

@@ -234,6 +234,8 @@ QQ_EXTENSIONS = {
     # a modulus with a non-integer coefficient: x^2 = 1/2
     "QQ[t]/(t^2 - 1/2)": lambda: quotient_extension(
         rationals(), [Fraction(-1, 2), 0, 1]),
+    # odd degree and not cyclotomic: certified by the rational-root test
+    "QQ[t]/(t^3 - 2)": lambda: quotient_extension(rationals(), [-2, 0, 0, 1]),
 }
 
 

@@ -1,8 +1,12 @@
 """Field tower: exact arithmetic, axioms, roots of unity, serialization."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +75,30 @@ def test_large_prime_certified_fast():
     assert spec.characteristic == 10**20 + 39
 
 
+def test_prime_above_bound_refused_fast():
+    """2^89 - 1 is prime, but above the Miller-Rabin bound no base can
+    certify it, so it is refused at once as uncertifiable (trial division
+    would need about 2.5e13 steps).  It runs in a subprocess with a timeout,
+    so that a hang fails the test instead of the suite."""
+    code = (
+        "import time\n"
+        "from circhess import prime_field\n"
+        "from circhess.errors import NotPrimeError\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    prime_field(2**89 - 1)\n"
+        "except NotPrimeError as e:\n"
+        "    print(time.perf_counter() - start, e)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=10, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert "cannot be certified" in done.stdout, done.stdout + done.stderr
+    assert float(done.stdout.split()[0]) < 0.5
+
+
 @pytest.mark.parametrize("n", [561, 3215031751, (2**61 - 1) * (2**89 - 1)])
 def test_composites_rejected(n):
     """The Carmichael number 561 = 3 * 11 * 17, the strong pseudoprime to
@@ -94,6 +122,8 @@ def test_reducible_modulus_rejected():
         quotient_extension(prime_field(2), [1, 0, 1])  # (x+1)^2 over GF(2)
     with pytest.raises(ReducibleModulusError):
         quotient_extension(rationals(), [-1, 0, 1])  # x^2 - 1
+    with pytest.raises(ReducibleModulusError):
+        quotient_extension(rationals(), [2, 3, 1])  # (x + 1)(x + 2)
 
 
 def test_descriptor_idempotent():
