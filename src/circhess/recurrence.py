@@ -102,16 +102,28 @@ def recurrence_status(p: ParameterArray) -> RecurrenceStatus:
     Any window of theta pins beta uniquely (consecutive theta differ), so
     the candidate from the first window is cross-checked against every
     window of all three sequences; the result is a singleton or empty.
+    It computes on payloads: the first window gives
+    beta + 1 = (theta_3 - theta_0) / (theta_2 - theta_1), each window of
+    is_beta_recurrent is tested as
+    s_{i-2} - s_{i+1} + (beta + 1)(s_i - s_{i-1}) = 0, and vartheta is
+    vartheta_from_array's.
     """
-    th = p.theta
-    beta = (th[3] - th[2] + th[1] - th[0]) / (th[2] - th[1])
-    vth = vartheta_from_array(p)
-    ok = (
-        is_beta_recurrent(th, beta)
-        and is_beta_recurrent(p.theta_star, beta)
-        and is_beta_recurrent(vth, beta)
-    )
-    return RecurrenceStatus(ok, [beta] if ok else [])
+    spec, d = p.spec, p.d
+    add, sub, mul, is_zero = spec.add, spec.sub, spec.mul, spec.is_zero
+    th = [e.payload for e in p.theta]
+    ths = [e.payload for e in p.theta_star]
+    b1 = spec.div(sub(th[3], th[0]), sub(th[2], th[1]))
+    vth = [spec.zero]
+    for i in range(1, d + 1):
+        vth.append(sub(p.phi[i - 1].payload,
+                       mul(sub(ths[i], ths[0]), sub(th[d - i + 1], th[0]))))
+    vth.append(spec.zero)
+    for seq in (th, ths, vth):
+        for i in range(2, len(seq) - 1):
+            if not is_zero(add(sub(seq[i - 2], seq[i + 1]),
+                               mul(b1, sub(seq[i], seq[i - 1])))):
+                return RecurrenceStatus(False, [])
+    return RecurrenceStatus(True, [FieldElement(spec, sub(b1, spec.one))])
 
 
 # --- tridiagonal relations -------------------------------------------------

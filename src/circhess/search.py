@@ -7,15 +7,20 @@ division-free probe that reads the one circular Hessenberg pattern
 (the CIRCULAR_HESSENBERG table of linalg._shape_pattern) the axiom oracle
 reads, and evaluates it through the rank-one spectral decomposition of the
 bidiagonal split matrices.  Each entry the probe tests is an affine form in
-phi, built in one place (_probe_forms); the E* side is the E side of the
-dual array (theta*, theta, phi reversed).  Random mode evaluates the forms
-at each seeded candidate.  _random_candidates draws the candidates on the
-getrandbits stream of random.Random(seed), with the rejection rule and both
-sampling methods of CPython's sample and choice, so every candidate (and
-every report byte) is the one sample and choice give.  Exhaustive mode
+phi; the E* side is the E side of the dual array (theta*, theta, phi
+reversed).  Random mode evaluates the forms lazily (_probe_forms) at each
+seeded candidate, stopping at the first violated entry.
+_random_candidates draws the candidates on the getrandbits stream of
+random.Random(seed), with the rejection rule and both sampling methods of
+CPython's sample and choice, so every candidate (and every report byte)
+is the one sample and choice give.  Exhaustive mode
 solves for phi instead of enumerating it: per (theta, theta*) pair, the
 zero entries are linear equations in phi, solved by exact elimination, and
-their solutions are filtered for nonzero phi and nonzero corners.  Every
+their solutions are filtered for nonzero phi and nonzero corners.  The
+forms' eigenvector parts depend on one eigenvalue sequence alone, so
+exhaustive mode reads them from a table memoized per sequence
+(_theta_forms), built once for each of the perm(q, d + 1) sequences and
+shared by every pair that sequence is in, on either side.  Every
 probe hit, in either mode, is then re-verified by the axiom oracle
 (split_form_build, which only constructs, then verify_ch_axioms), which is
 authoritative and shares only the pattern's specification with the probe
@@ -163,7 +168,8 @@ def _probe_forms(spec, theta, theta_star, d):
     searches (10 x 4,000 trials, best of 9, three runs on a shared 2-CPU
     host, Python 3.11.7), shared per-vector helpers cost 0-19% more time,
     one helper for both sides 6-20% more, and an eager per-theta table
-    39-61% more.
+    39-61% more.  Exhaustive mode meets each theta in many pairs, so it
+    reads the same forms from the eager, memoized _theta_forms instead.
     """
     sub, mul, dot, one, zero = spec.sub, spec.mul, spec.dot, spec.one, spec.zero
     for i, j, must_zero in _upper_pattern(d + 1):
@@ -187,30 +193,66 @@ def _upper_pattern(n: int) -> tuple:
                  if e[1] > e[0])
 
 
+@functools.cache
+def _theta_forms(spec, theta: tuple) -> tuple:
+    """The forms of _probe_forms for one theta and every theta*:
+    (must_zero, rs, coeffs) per pattern entry (i, j), in pattern order,
+    with rs = r_i (.) s_j, so that const = rs . theta*, and
+    coeffs[t] = r_i[t] s_j[t+1].  Everything here depends on theta alone,
+    and each r_i and s_j is computed once.
+
+    Memoized by (field, theta payloads): the memo holds one entry per
+    distinct theta seen, at most perm(q, d + 1) for a search over a field
+    of q elements.  Only exhaustive mode reads it (see _probe_forms).
+    """
+    sub, mul, one, zero = spec.sub, spec.mul, spec.one, spec.zero
+    d = len(theta) - 1
+    rs, ss = [], []
+    for k in range(d + 1):
+        # the recurrences of _probe_forms: r_k vanishes past t = d - k and
+        # s_k before t = d - k
+        r, s = [zero] * (d + 1), [zero] * (d + 1)
+        r[0] = s[d] = one
+        for t in range(d - k):
+            r[t + 1] = mul(sub(theta[k], theta[d - t]), r[t])
+        for t in range(k):
+            s[d - t - 1] = mul(sub(theta[k], theta[t]), s[d - t])
+        rs.append(r)
+        ss.append(s)
+    return tuple([
+        (must_zero, tuple([mul(x, y) for x, y in zip(rs[i], ss[j])]),
+         tuple([mul(x, y) for x, y in zip(rs[i], ss[j][1:])]))
+        for i, j, must_zero in _upper_pattern(d + 1)
+    ])
+
+
 def _solve_pair(spec, theta, theta_star, d, nonzero) -> list:
     """The probe hits split(theta, theta*, phi) over every nonzero phi, in
     the order of phi's indices in `nonzero`, without enumerating phi.
 
-    Both sides' forms are affine in phi (the E* side's through the dual
-    array, whose phi'_t is phi_{d-1-t}), so the zero entries of the pattern
-    are linear equations.  Their solution set is walked through its free
+    Both sides' forms are affine in phi, so the zero entries of the
+    pattern are linear equations.  They are read off the memoized per-theta
+    tables (_theta_forms): the E side's from theta's, with
+    const = rs . theta*, and the E* side's from theta*'s, the E side of the
+    dual array, with const = rs . theta and its coefficients reversed (the
+    dual's phi'_t is phi_{d-1-t}).  So a pair costs one dot product per
+    pattern entry.  The solution set is walked through its free
     coordinates, and a solution is a hit when every phi_t and both corner
     forms are nonzero.
     """
-    add, sub, dot, is_zero = spec.add, spec.sub, spec.dot, spec.is_zero
-    forms = list(_probe_forms(spec, theta, theta_star, d)) + [
-        (must_zero, const, coeffs[::-1])
-        for must_zero, const, coeffs in _probe_forms(spec, theta_star, theta, d)
-    ]
-    rows, pivots, _ = _gauss_jordan(
-        spec,
-        [coeffs + [spec.neg(const)] for must_zero, const, coeffs in forms if must_zero],
-        d,
-    )
+    add, sub, dot, neg, is_zero = spec.add, spec.sub, spec.dot, spec.neg, spec.is_zero
+    equations, corners = [], []
+    for forms, other, step in ((_theta_forms(spec, theta), theta_star, 1),
+                               (_theta_forms(spec, theta_star), theta, -1)):
+        for must_zero, rs, coeffs in forms:
+            if must_zero:
+                equations.append(coeffs[::step] + (neg(dot(rs, other)),))
+            else:
+                corners.append((dot(rs, other), coeffs[::step]))
+    rows, pivots, _ = _gauss_jordan(spec, equations, d)
     # rows past the pivots are zero in phi: each must have a zero constant
     if not all(is_zero(row[d]) for row in rows[len(pivots):]):
         return []
-    corners = [(const, coeffs) for must_zero, const, coeffs in forms if not must_zero]
     free = [t for t in range(d) if t not in pivots]
     hits = []
     for values in itertools.product(nonzero, repeat=len(free)):

@@ -22,6 +22,10 @@ IdempotentFamily).  split_form_build hands over the right and left
 eigenvectors (r_k, s_k) that _bidiagonal_eigenvectors gives in closed form
 for the bidiagonal A and A*, with p_k = 1, and forms no idempotent matrix;
 bases reads the standard <-> inv_split transitions off the same vectors.
+Those vectors come from a table memoized per diagonal, the eigenvectors
+of the bidiagonal matrix with that diagonal and a unit chain, which is A
+itself; A*'s are that table rescaled by its chain phi, with one field
+inverse.
 The matrices are formed once, on first read, for the consumers that want
 them (bases, replay, the isomorphism witness); matrices that come from
 outside (ingest_pair's Lagrange idempotents, an assignment s.E = ...) are
@@ -35,6 +39,7 @@ idempotent, and no matrix built.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate, product
 
@@ -285,7 +290,9 @@ def split_form_build(p: ParameterArray) -> CHSystem:
     s_k . r_k = 1: E_k = r_k s_k^T for A, and E*_k = s_k r_k^T for the
     pairs of the lower bidiagonal A*^T (read off A*), the transposes of
     A*^T's projectors.  No idempotent matrix is formed; only A and A* are
-    built.
+    built.  The eigenvector work is memoized per diagonal (see
+    _bidiagonal_eigenvectors), so a search builds each eigenvalue
+    sequence's table once, while every call still builds its own system.
 
     The builder checks nothing: the returned system is unverified; run
     verify_ch_axioms on it, which also checks that E and E* belong to A, A*.
@@ -300,46 +307,81 @@ def split_form_build(p: ParameterArray) -> CHSystem:
                     params=p)
 
 
-def _bidiagonal_eigenvectors(matrix: Matrix) -> list[tuple[list, list]]:
+def _bidiagonal_eigenvectors(matrix: Matrix) -> list[tuple[tuple, tuple]]:
     """(r_k, s_k) for each diagonal entry l_k of the lower-bidiagonal matrix
-    low whose diagonal entries l_0..l_d are mutually distinct: a right
-    column and a left row of l_k, as payload lists, with
-    s_k . r_j = delta_kj.  low is `matrix` when that is lower bidiagonal
-    and its transpose when it is upper bidiagonal, so A*'s pairs are read
-    off A* without forming A*^T.
+    low whose diagonal entries l_0..l_d are mutually distinct and whose
+    entries c_i = low[i][i - 1] are nonzero: a right column and a left row
+    of l_k, as payload tuples, with s_k . r_j = delta_kj.  low is `matrix`
+    when that is lower bidiagonal and its transpose when it is upper
+    bidiagonal, so A*'s pairs are read off A* without forming A*^T (c_i is
+    read as matrix[i][i - 1] + matrix[i - 1][i], of which one term is
+    zero).  Each call returns a fresh list.
 
-    With c_i = low[i][i - 1] (read as matrix[i][i - 1] + matrix[i - 1][i],
-    of which one term is zero) and D_k = prod_{m != k} (l_k - l_m), the
-    Lagrange denominator, the vectors
+    The pairs are those of the unit chain L (low's diagonal, every c_i = 1),
+    which _unit_chain_eigenvectors gives as (u_k, v_k), rescaled.  With the
+    suffix products Q_i = c_{i+1} ... c_d (Q_d = 1) and G = diag(Q_i),
 
-        r_k[i] = c_{k+1} ... c_i * prod_{m > i} (l_k - l_m) / D_k   for i >= k,
-        s_k[j] = c_{j+1} ... c_k * prod_{m < j} (l_k - l_m)         for j <= k,
+        r_k[i] = u_k[i] / Q_i,    s_k[j] = v_k[j] Q_j.
 
-    and zero elsewhere, satisfy low r_k = l_k r_k and s_k low = l_k s_k
-    (each is the division-free form of the two-term recurrence that the
-    bidiagonal rows impose, and D_k != 0 scales r_k).  They overlap only
-    at index k, so s_k . r_k = 1.  Left and right eigenvectors of distinct
-    eigenvalues are orthogonal, so s_k . r_j = 0 for j != k, and the
-    r_k s_k^T are the spectral projectors of low.  Each pair costs O(d)
-    field operations from prefix and suffix products and one field
-    inverse, which scales r_k.
+    This is exact because low = G^-1 L G: the two agree on the diagonal,
+    and (G^-1 L G)[i][i - 1] = Q_{i-1} / Q_i = c_i.  So r_k = G^-1 u_k and
+    s_k = v_k G give low r_k = G^-1 L u_k = l_k r_k,
+    s_k low = v_k L G = l_k s_k, and s_k . r_j = v_k . u_j = delta_kj.
+    With the prefix products P_i = c_1 ... c_i, 1 / Q_i = P_i / P_d, so
+    the rescaling costs one field inverse per matrix.  For the split
+    form's A every c_i is 1, and the table is the answer.
     """
     s = matrix.spec
-    mul, sub, one, zero = s.mul, s.sub, s.one, s.zero
     n, rows = matrix.nrows, matrix.rows
-    diag = [rows[i][i] for i in range(n)]
-    c = [None] + [s.add(rows[i][i - 1], rows[i - 1][i]) for i in range(1, n)]
+    table = _unit_chain_eigenvectors(s, tuple([rows[i][i] for i in range(n)]))
+    c = [s.add(rows[i][i - 1], rows[i - 1][i]) for i in range(1, n)]
+    one = s.one
+    if all(x == one for x in c):
+        return list(table)
+    mul = s.mul
+    prefix = list(accumulate(c, mul, initial=one))
+    suffix = list(accumulate(reversed(c), mul, initial=one))[::-1]
+    inv = s.inv(prefix[-1])
+    inv_suffix = [mul(x, inv) for x in prefix]
+    # u_k vanishes before index k and v_k after it
+    return [(u[:k] + tuple([mul(x, y) for x, y in zip(u[k:], inv_suffix[k:])]),
+             tuple([mul(x, y) for x, y in zip(v[:k + 1], suffix)]) + v[k + 1:])
+            for k, (u, v) in enumerate(table)]
+
+
+@functools.cache
+def _unit_chain_eigenvectors(spec: FieldSpec, diag: tuple) -> tuple:
+    """The pairs (u_k, v_k) of _bidiagonal_eigenvectors for the lower
+    bidiagonal matrix with diagonal `diag` (mutually distinct payloads)
+    and ones below it, as payload tuples, memoized by (field, diagonal).
+
+    With D_k = prod_{m != k} (l_k - l_m), the Lagrange denominator,
+
+        u_k[i] = prod_{m > i} (l_k - l_m) / D_k   for i >= k,
+        v_k[j] = prod_{m < j} (l_k - l_m)         for j <= k,
+
+    and zero elsewhere: each is the division-free form of the two-term
+    recurrence that the bidiagonal rows impose, and D_k != 0 scales u_k.
+    They overlap only at index k, so v_k . u_k = 1, and left and right
+    eigenvectors of distinct eigenvalues are orthogonal.  Each pair costs
+    O(d) field operations from prefix and suffix products and one field
+    inverse.
+
+    The memo holds one entry per distinct diagonal seen: at most two per
+    split_form_build call (A's diagonal is theta reversed, A*'s theta*),
+    and at most perm(q, d + 1) for a search over a field of q elements.
+    """
+    mul, sub, one, zero = spec.mul, spec.sub, spec.one, spec.zero
+    n = len(diag)
     out = []
     for k, lk in enumerate(diag):
         diffs = [sub(lk, lm) for lm in diag]
         after = list(accumulate(reversed(diffs[k + 1:]), mul, initial=one))[::-1]
         before = list(accumulate(diffs[:k], mul, initial=one))
-        inv = s.inv(mul(after[0], before[-1]))
-        r_k = [zero] * k + list(map(mul, accumulate(c[k + 1:], mul, initial=inv), after))
-        chain = list(accumulate(reversed(c[1:k + 1]), mul, initial=one))[::-1]
-        s_k = list(map(mul, before, chain)) + [zero] * (n - 1 - k)
-        out.append((r_k, s_k))
-    return out
+        inv = spec.inv(mul(after[0], before[-1]))
+        out.append((tuple([zero] * k + [mul(inv, x) for x in after]),
+                    tuple(before + [zero] * (n - 1 - k))))
+    return tuple(out)
 
 
 def _split_form(p: ParameterArray) -> tuple[Matrix, Matrix]:

@@ -36,7 +36,7 @@ from circhess.errors import (
     SingularError,
     TooShortError,
 )
-from circhess.recurrence import solve_unit_root
+from circhess.recurrence import RecurrenceStatus, solve_unit_root
 
 
 def test_vartheta_w5(w5_array):
@@ -98,6 +98,82 @@ def test_status_matches_exhaustive_beta_scan(gf5):
         ]
         assert recurrence_status(p).betas == brute
         checked += 1
+
+
+def _status_by_elements(p):
+    """recurrence_status's definition on FieldElement operators: beta from
+    the first window of theta, then is_beta_recurrent on theta, theta* and
+    vartheta."""
+    th = p.theta
+    beta = (th[3] - th[2] + th[1] - th[0]) / (th[2] - th[1])
+    ok = all(is_beta_recurrent(seq, beta)
+             for seq in (th, p.theta_star, vartheta_from_array(p)))
+    return ok, [beta] if ok else []
+
+
+def _recurrent_array(spec, d):
+    """A recurrent array with d = 3 over a field whose generator g has order
+    4 (theta_i = g^i, theta*_i = g^-i, vartheta_i = 2 (1 - g^i), beta = 0), and
+    with any d over QQ (theta_i = i, theta*_i = i^2,
+    vartheta_i = i (d + 1 - i), beta = 2); phi is solved from vartheta."""
+    e = spec.element
+    if spec.characteristic == 0 and not hasattr(spec, "deg"):
+        th = [e(i) for i in range(d + 1)]
+        ths = [e(i * i) for i in range(d + 1)]
+        vth = [e(i * (d + 1 - i)) for i in range(d + 2)]
+    else:
+        g = spec.generator()
+        th = [g**i for i in range(d + 1)]
+        ths = [g**-i for i in range(d + 1)]
+        vth = [2 * (1 - g**i) for i in range(d + 2)]
+    phi = [vth[i] + (ths[i] - ths[0]) * (th[d - i + 1] - th[0])
+           for i in range(1, d + 1)]
+    return ParameterArray(spec, d, tuple(th), tuple(ths), tuple(phi))
+
+
+@pytest.mark.parametrize("field", ["ext:gf:3:1,0,1", "cyclo:4", "rat"])
+def test_status_matches_element_definition(field):
+    """recurrence_status, which computes on payloads, gives the element
+    definition's verdict, the same FieldElement beta and the same JSON
+    bytes: on a recurrent array, on its phi perturbations, and on seeded
+    random arrays."""
+    import json
+    import random
+
+    from circhess import FieldElement, field_from_string
+
+    spec = field_from_string(field)
+    e = spec.element
+    if spec.order is not None:
+        pool = list(spec.elements())
+    elif field == "rat":
+        pool = [e(x) for x in range(-6, 7)]
+    else:
+        t = spec.generator()
+        pool = [e(x) + e(y) * t for x in range(-2, 3) for y in range(-2, 3)]
+    nonzero = [x for x in pool if not x.is_zero()]
+    rng = random.Random(f"status/{field}")
+    ds = (3, 4, 5) if field == "rat" else (3,)
+    arrays = []
+    for d in ds:
+        p = _recurrent_array(spec, d)
+        arrays.append(p)
+        for i in range(d):
+            phi = list(p.phi)
+            phi[i] = phi[i] + 1 if not (phi[i] + 1).is_zero() else phi[i] + 2
+            arrays.append(ParameterArray(spec, d, p.theta, p.theta_star, tuple(phi)))
+        arrays += [ParameterArray(spec, d, tuple(rng.sample(pool, d + 1)),
+                                  tuple(rng.sample(pool, d + 1)),
+                                  tuple(rng.choice(nonzero) for _ in range(d)))
+                   for _ in range(20)]
+    recurrent = 0
+    for p in arrays:
+        got, want = recurrence_status(p), RecurrenceStatus(*_status_by_elements(p))
+        assert (got.recurrent, got.betas) == (want.recurrent, want.betas)
+        assert all(isinstance(b, FieldElement) and b.spec == spec for b in got.betas)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        recurrent += got.recurrent
+    assert recurrent == len(ds)
 
 
 def test_td_witness_w5(w5_system, gf5):

@@ -2,8 +2,12 @@
 
 import functools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
@@ -850,6 +854,37 @@ def test_corrupt_closed_form_rejected(monkeypatch, w5_array, call, corrupt):
         assert [f for f in out.failures if f[0] in ("ii", "iii")] == swapped
         assert out.failures == _all_products_failures(s)
     assert not s.verified
+
+
+def test_eigenvector_memo_survives_mutation(w5_array):
+    """_bidiagonal_eigenvectors reads a memoized table, so the list it
+    returns must be the caller's own: after the lists returned for W5's A
+    and for W5's A*^T are mutated, a new W5 build still verifies, with the
+    factors that a fresh process builds.  The vectors are tuples."""
+    from circhess import systems
+
+    for matrix in systems._split_form(w5_array):
+        pairs = systems._bidiagonal_eigenvectors(matrix)
+        with pytest.raises(TypeError):
+            pairs[0][0][0] = w5_array.spec.one
+        pairs[0], pairs[1] = pairs[1], pairs[0]
+        pairs[2] = (pairs[3][1], pairs[3][0])
+        pairs.append(pairs[0])
+    s = split_form_build(w5_array)
+    assert verify_ch_axioms(s).is_ch
+    code = (
+        "from circhess import ParameterArray, prime_field, split_form_build\n"
+        "p = ParameterArray.make(prime_field(5), [1, 2, 4, 3], [1, 2, 4, 3],"
+        " [3, 2, 4])\n"
+        "s = split_form_build(p)\n"
+        "print(repr([s.family.factors(), s.family_star.factors()]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.strip() == repr([s.family.factors(), s.family_star.factors()])
 
 
 @pytest.mark.parametrize("field, d", _cases(
