@@ -63,16 +63,22 @@ class VarthetaSequence:
 def vartheta_from_array(p: ParameterArray) -> VarthetaSequence:
     """vartheta_i = phi_i - (theta*_i - theta*_0)(theta_{d-i+1} - theta_0),
     with forced zero endpoints."""
-    d = p.d
-    zero = p.spec.zero_element()
-    vals = [zero]
-    for i in range(1, d + 1):
-        vals.append(
-            p.phi[i - 1]
-            - (p.theta_star[i] - p.theta_star[0]) * (p.theta[d - i + 1] - p.theta[0])
-        )
-    vals.append(zero)
-    return VarthetaSequence(tuple(vals))
+    spec = p.spec
+    vals = _vartheta_payloads(spec, [e.payload for e in p.theta],
+                              [e.payload for e in p.theta_star],
+                              [e.payload for e in p.phi])
+    return VarthetaSequence(tuple([FieldElement(spec, v) for v in vals]))
+
+
+def _vartheta_payloads(spec, th, ths, phi) -> list:
+    """vartheta_0..vartheta_{d+1} of vartheta_from_array on the payloads of
+    theta, theta* and phi."""
+    sub, mul = spec.sub, spec.mul
+    d = len(phi)
+    return [spec.zero] + [
+        sub(phi[i - 1], mul(sub(ths[i], ths[0]), sub(th[d - i + 1], th[0])))
+        for i in range(1, d + 1)
+    ] + [spec.zero]
 
 
 def is_beta_recurrent(seq, beta) -> bool:
@@ -80,9 +86,18 @@ def is_beta_recurrent(seq, beta) -> bool:
     vals = list(seq)
     if len(vals) < 4:
         raise TooShortError("beta-recurrence needs at least 4 terms")
-    b1 = beta + 1
-    for i in range(2, len(vals) - 1):
-        if not (vals[i - 2] - b1 * vals[i - 1] + b1 * vals[i] - vals[i + 1]).is_zero():
+    spec = vals[0].spec
+    return _beta_recurrent_payloads(spec, [spec.element(v).payload for v in vals],
+                                    spec.element(beta + 1).payload)
+
+
+def _beta_recurrent_payloads(spec, seq, b1) -> bool:
+    """is_beta_recurrent on payloads, with b1 = beta + 1: every window
+    s_{i-2} - (beta + 1) s_{i-1} + (beta + 1) s_i - s_{i+1}, tested as
+    s_{i-2} - s_{i+1} + b1 (s_i - s_{i-1}), is zero."""
+    add, sub, mul, is_zero = spec.add, spec.sub, spec.mul, spec.is_zero
+    for i in range(2, len(seq) - 1):
+        if not is_zero(add(sub(seq[i - 2], seq[i + 1]), mul(b1, sub(seq[i], seq[i - 1])))):
             return False
     return True
 
@@ -103,27 +118,18 @@ def recurrence_status(p: ParameterArray) -> RecurrenceStatus:
     the candidate from the first window is cross-checked against every
     window of all three sequences; the result is a singleton or empty.
     It computes on payloads: the first window gives
-    beta + 1 = (theta_3 - theta_0) / (theta_2 - theta_1), each window of
-    is_beta_recurrent is tested as
-    s_{i-2} - s_{i+1} + (beta + 1)(s_i - s_{i-1}) = 0, and vartheta is
-    vartheta_from_array's.
+    beta + 1 = (theta_3 - theta_0) / (theta_2 - theta_1), and the three
+    sequences go through is_beta_recurrent's and vartheta_from_array's
+    payload forms.
     """
-    spec, d = p.spec, p.d
-    add, sub, mul, is_zero = spec.add, spec.sub, spec.mul, spec.is_zero
+    spec = p.spec
     th = [e.payload for e in p.theta]
     ths = [e.payload for e in p.theta_star]
-    b1 = spec.div(sub(th[3], th[0]), sub(th[2], th[1]))
-    vth = [spec.zero]
-    for i in range(1, d + 1):
-        vth.append(sub(p.phi[i - 1].payload,
-                       mul(sub(ths[i], ths[0]), sub(th[d - i + 1], th[0]))))
-    vth.append(spec.zero)
-    for seq in (th, ths, vth):
-        for i in range(2, len(seq) - 1):
-            if not is_zero(add(sub(seq[i - 2], seq[i + 1]),
-                               mul(b1, sub(seq[i], seq[i - 1])))):
-                return RecurrenceStatus(False, [])
-    return RecurrenceStatus(True, [FieldElement(spec, sub(b1, spec.one))])
+    b1 = spec.div(spec.sub(th[3], th[0]), spec.sub(th[2], th[1]))
+    vth = _vartheta_payloads(spec, th, ths, [e.payload for e in p.phi])
+    if all(_beta_recurrent_payloads(spec, seq, b1) for seq in (th, ths, vth)):
+        return RecurrenceStatus(True, [FieldElement(spec, spec.sub(b1, spec.one))])
+    return RecurrenceStatus(False, [])
 
 
 # --- tridiagonal relations -------------------------------------------------

@@ -17,10 +17,12 @@ is the one sample and choice give.  Exhaustive mode
 solves for phi instead of enumerating it: per (theta, theta*) pair, the
 zero entries are linear equations in phi, solved by exact elimination, and
 their solutions are filtered for nonzero phi and nonzero corners.  The
-forms' eigenvector parts depend on one eigenvalue sequence alone, so
-exhaustive mode reads them from a table memoized per sequence
-(_theta_forms), built once for each of the perm(q, d + 1) sequences and
-shared by every pair that sequence is in, on either side.  Every
+forms depend on one eigenvalue sequence alone (theta* and phi enter them
+linearly), so exhaustive mode reads them from a table memoized per
+sequence (_theta_forms), built once for each of the perm(q, d + 1)
+sequences and shared by every pair that sequence is in, on either side.
+Random mode keeps the forms lazy, because over all but the smallest
+fields almost every candidate brings new sequences.  Every
 probe hit, in either mode, is then re-verified by the axiom oracle
 (split_form_build, which only constructs, then verify_ch_axioms), which is
 authoritative and shares only the pattern's specification with the probe
@@ -59,6 +61,7 @@ from .errors import (
 from .fields import FieldElement, FieldSpec, field_to_string
 from .recurrence import recurrence_status, td_witness, vartheta_from_array
 from .systems import (
+    _MEMO_SIZE,
     ParameterArray,
     split_form_build,
     verify_ch_axioms,
@@ -134,27 +137,27 @@ def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
 
 
 def _probe_side(spec, theta, theta_star, phi, d) -> bool:
-    """The pattern of E_i A* E_j for split(theta, theta*, phi): its affine
-    forms evaluated at phi in pattern order, stopping at the first
-    violation."""
+    """The pattern of E_i A* E_j for split(theta, theta*, phi): theta's
+    forms evaluated at theta* and phi in pattern order, computed lazily
+    and stopping at the first violation."""
     add, dot, is_zero = spec.add, spec.dot, spec.is_zero
-    for must_zero, const, coeffs in _probe_forms(spec, theta, theta_star, d):
-        if is_zero(add(const, dot(coeffs, phi))) != must_zero:
+    for must_zero, rs, coeffs in _probe_forms(spec, theta, d):
+        if is_zero(add(dot(rs, theta_star), dot(coeffs, phi))) != must_zero:
             return False
     return True
 
 
-def _probe_forms(spec, theta, theta_star, d):
-    """The probe's scalars for split(theta, theta*, phi) as affine forms in
-    phi: (must_zero, const, coeffs) per pattern entry (i, j) with j > i,
-    computed lazily in pattern order.
+def _probe_forms(spec, theta, d):
+    """The probe's scalars for split(theta, theta*, phi), for every theta*
+    and phi, as affine forms: (must_zero, rs, coeffs) per pattern entry
+    (i, j) with j > i, computed lazily in pattern order, with
+    rs = r_i (.) s_j and coeffs[t] = r_i[t] s_j[t+1].
 
     E_i A* E_j is a nonzero outer product scaled by r_i . (A* s_j), with
     r_i, s_j the (unnormalized) left/right eigenvectors of the bidiagonal
     A, so the pattern reduces to scalar tests.  A depends on theta alone,
     and A* is upper bidiagonal with theta* on the diagonal and phi above
-    it, so r_i . (A* s_j) = const + sum_t coeffs[t] phi_t with
-    const = sum_t r_i[t] theta*_t s_j[t] and coeffs[t] = r_i[t] s_j[t+1].
+    it, so r_i . (A* s_j) = rs . theta* + coeffs . phi.
     Of the pattern, only the entries above the superdiagonal (zeros, and
     the nonzero corner) can fail for split-form data; the subdiagonal and
     lower-zero conditions hold identically and are left to the
@@ -163,15 +166,21 @@ def _probe_forms(spec, theta, theta_star, d):
 
     These are the vectors of systems._bidiagonal_eigenvectors up to scale
     (its s_k and r_k are r_i and s_j here), but the recurrence is kept
-    here and run lazily per entry: random mode stops at the first violated
-    entry, so most vectors are never needed.  On random GF(5), d = 4
-    searches (10 x 4,000 trials, best of 9, three runs on a shared 2-CPU
-    host, Python 3.11.7), shared per-vector helpers cost 0-19% more time,
-    one helper for both sides 6-20% more, and an eager per-theta table
-    39-61% more.  Exhaustive mode meets each theta in many pairs, so it
-    reads the same forms from the eager, memoized _theta_forms instead.
+    here and run per entry: random mode stops at the first violated
+    entry, so most vectors are never needed.  Exhaustive mode meets each
+    theta in many pairs and reads every entry, so it reads these forms
+    from the memoized table _theta_forms.  Random mode does not: over a
+    small field it would gain, but almost every candidate of a larger one
+    brings a new theta, whose whole table costs many times the entries
+    the probe reads.  Random searches, 5 seeds x 4,000 trials, best of 5,
+    twice per tree on a shared 2-CPU host (Python 3.11.7), lazy -> table:
+    GF(5), d = 4 0.17-0.21 -> 0.12-0.16 s; GF(9), d = 5 0.47-0.53 ->
+    0.56-0.68 s; GF(13), d = 4 0.15-0.24 -> 0.45-0.60 s; GF(101), d = 3
+    0.14-0.24 -> 0.40-0.49 s; GF(101), d = 6 0.19-0.33 -> 1.57-1.67 s.
+    On perfbench's fuzz-sparse (GF(5), d = 4, whose 120 thetas all stay
+    in the memo) the table doubled throughput_per_ref in 3 of 3 pairs.
     """
-    sub, mul, dot, one, zero = spec.sub, spec.mul, spec.dot, spec.one, spec.zero
+    sub, mul, one, zero = spec.sub, spec.mul, spec.one, spec.zero
     for i, j, must_zero in _upper_pattern(d + 1):
         ti, tj = theta[i], theta[j]
         # A: lower bidiagonal, diagonal theta[d-t] at t, ones below; r_i
@@ -182,7 +191,7 @@ def _probe_forms(spec, theta, theta_star, d):
             r[t + 1] = mul(sub(ti, theta[d - t]), r[t])
         for t in range(j):
             s[d - t - 1] = mul(sub(tj, theta[t]), s[d - t])
-        yield must_zero, dot(list(map(mul, r, theta_star)), s), list(map(mul, r, s[1:]))
+        yield must_zero, list(map(mul, r, s)), list(map(mul, r, s[1:]))
 
 
 @functools.cache
@@ -193,37 +202,17 @@ def _upper_pattern(n: int) -> tuple:
                  if e[1] > e[0])
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _theta_forms(spec, theta: tuple) -> tuple:
-    """The forms of _probe_forms for one theta and every theta*:
-    (must_zero, rs, coeffs) per pattern entry (i, j), in pattern order,
-    with rs = r_i (.) s_j, so that const = rs . theta*, and
-    coeffs[t] = r_i[t] s_j[t+1].  Everything here depends on theta alone,
-    and each r_i and s_j is computed once.
+    """All the forms of _probe_forms for theta, as one table.
 
-    Memoized by (field, theta payloads): the memo holds one entry per
-    distinct theta seen, at most perm(q, d + 1) for a search over a field
-    of q elements.  Only exhaustive mode reads it (see _probe_forms).
+    Memoized by (field, theta payloads), keeping the _MEMO_SIZE most
+    recently used thetas: a search over a field of q elements meets
+    perm(q, d + 1), so a search within the default cap keeps every table
+    it builds.  Only exhaustive mode reads it (see _probe_forms).
     """
-    sub, mul, one, zero = spec.sub, spec.mul, spec.one, spec.zero
-    d = len(theta) - 1
-    rs, ss = [], []
-    for k in range(d + 1):
-        # the recurrences of _probe_forms: r_k vanishes past t = d - k and
-        # s_k before t = d - k
-        r, s = [zero] * (d + 1), [zero] * (d + 1)
-        r[0] = s[d] = one
-        for t in range(d - k):
-            r[t + 1] = mul(sub(theta[k], theta[d - t]), r[t])
-        for t in range(k):
-            s[d - t - 1] = mul(sub(theta[k], theta[t]), s[d - t])
-        rs.append(r)
-        ss.append(s)
-    return tuple([
-        (must_zero, tuple([mul(x, y) for x, y in zip(rs[i], ss[j])]),
-         tuple([mul(x, y) for x, y in zip(rs[i], ss[j][1:])]))
-        for i, j, must_zero in _upper_pattern(d + 1)
-    ])
+    return tuple([(must_zero, tuple(rs), tuple(coeffs))
+                  for must_zero, rs, coeffs in _probe_forms(spec, theta, len(theta) - 1)])
 
 
 def _solve_pair(spec, theta, theta_star, d, nonzero) -> list:

@@ -22,10 +22,10 @@ IdempotentFamily).  split_form_build hands over the right and left
 eigenvectors (r_k, s_k) that _bidiagonal_eigenvectors gives in closed form
 for the bidiagonal A and A*, with p_k = 1, and forms no idempotent matrix;
 bases reads the standard <-> inv_split transitions off the same vectors.
-Those vectors come from a table memoized per diagonal, the eigenvectors
-of the bidiagonal matrix with that diagonal and a unit chain, which is A
-itself; A*'s are that table rescaled by its chain phi, with one field
-inverse.
+Those vectors come from a table memoized per diagonal (the _MEMO_SIZE
+most recently used), the eigenvectors of the bidiagonal matrix with that
+diagonal and a unit chain, which is A itself; A*'s are that table
+rescaled by its chain phi, with one field inverse.
 The matrices are formed once, on first read, for the consumers that want
 them (bases, replay, the isomorphism witness); matrices that come from
 outside (ingest_pair's Lagrange idempotents, an assignment s.E = ...) are
@@ -66,6 +66,15 @@ from .linalg import (
     primitive_idempotents,
     rank,
 )
+
+# Entries kept by each per-sequence eigenvector memo (_unit_chain_eigenvectors
+# here, search._theta_forms), least recently used out first.  An exhaustive
+# search within the default cap meets at most perm(5, 5) = 120 sequences, so
+# its tables all stay; a larger one rebuilds the tables it evicts.  A table
+# takes about 1 KB over GF(5), d = 3 and up to 15 KB over cyclo:5, d = 6, so
+# a process that builds many systems (random mode, the CLI, replay, library
+# use over QQ) holds a few MB at most.
+_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -349,7 +358,7 @@ def _bidiagonal_eigenvectors(matrix: Matrix) -> list[tuple[tuple, tuple]]:
             for k, (u, v) in enumerate(table)]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _unit_chain_eigenvectors(spec: FieldSpec, diag: tuple) -> tuple:
     """The pairs (u_k, v_k) of _bidiagonal_eigenvectors for the lower
     bidiagonal matrix with diagonal `diag` (mutually distinct payloads)
@@ -367,9 +376,12 @@ def _unit_chain_eigenvectors(spec: FieldSpec, diag: tuple) -> tuple:
     O(d) field operations from prefix and suffix products and one field
     inverse.
 
-    The memo holds one entry per distinct diagonal seen: at most two per
-    split_form_build call (A's diagonal is theta reversed, A*'s theta*),
-    and at most perm(q, d + 1) for a search over a field of q elements.
+    Every split_form_build call reads two diagonals (A's is theta
+    reversed, A*'s theta*), so a process meets one per distinct eigenvalue
+    sequence it builds: perm(q, d + 1) for an exhaustive search over a
+    field of q elements, but without limit over QQ or in long random runs.
+    The memo is therefore bounded: it keeps the _MEMO_SIZE most recently
+    used diagonals.
     """
     mul, sub, one, zero = spec.mul, spec.sub, spec.one, spec.zero
     n = len(diag)

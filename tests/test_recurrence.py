@@ -101,14 +101,25 @@ def test_status_matches_exhaustive_beta_scan(gf5):
 
 
 def _status_by_elements(p):
-    """recurrence_status's definition on FieldElement operators: beta from
-    the first window of theta, then is_beta_recurrent on theta, theta* and
-    vartheta."""
-    th = p.theta
+    """recurrence_status's definition, written out on FieldElement operators
+    apart from the payload forms that recurrence_status, is_beta_recurrent
+    and vartheta_from_array share: beta from the first window of theta,
+    vartheta_i = phi_i - (theta*_i - theta*_0)(theta_{d-i+1} - theta_0) with
+    zero ends, and every window
+    s_{i-2} - (beta + 1) s_{i-1} + (beta + 1) s_i - s_{i+1} of theta, theta*
+    and vartheta zero.  Also checks vartheta_from_array and
+    is_beta_recurrent against it."""
+    th, ths, d = p.theta, p.theta_star, p.d
+    zero = p.spec.zero_element()
     beta = (th[3] - th[2] + th[1] - th[0]) / (th[2] - th[1])
-    ok = all(is_beta_recurrent(seq, beta)
-             for seq in (th, p.theta_star, vartheta_from_array(p)))
-    return ok, [beta] if ok else []
+    vth = [zero] + [p.phi[i - 1] - (ths[i] - ths[0]) * (th[d - i + 1] - th[0])
+                    for i in range(1, d + 1)] + [zero]
+    assert list(vartheta_from_array(p)) == vth
+    b1 = beta + 1
+    oks = [all((s[i - 2] - b1 * s[i - 1] + b1 * s[i] - s[i + 1]).is_zero()
+               for i in range(2, len(s) - 1)) for s in (th, ths, vth)]
+    assert oks == [is_beta_recurrent(s, beta) for s in (th, ths, vth)]
+    return all(oks), [beta] if all(oks) else []
 
 
 def _recurrent_array(spec, d):

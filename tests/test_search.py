@@ -31,14 +31,13 @@ from circhess.errors import (
     UnsupportedFieldError,
 )
 from circhess.search import (
-    _probe_forms,
     _probe_hits,
     _random_candidates,
     _solve_pair,
     _split_pattern_probe,
     _theta_forms,
 )
-from circhess.systems import _unit_chain_eigenvectors
+from circhess.systems import _MEMO_SIZE, _unit_chain_eigenvectors
 
 
 def test_probe_equals_full_oracle(gf5):
@@ -352,31 +351,15 @@ def test_solver_hits_equal_probe_hits_per_pair(field, d, family):
     assert total > 0 or family is None
 
 
-@pytest.mark.parametrize("field, d", [
-    (f, d) for f in ("gf:5", "ext:gf:2:1,1,1", "ext:gf:3:1,0,1") for d in range(3, 7)
-    if field_from_string(f).order > d
-])
-def test_theta_forms_equal_probe_forms(field, d):
-    """The exhaustive solver's eager per-theta table and random mode's lazy
-    _probe_forms give the same form at every pattern entry: the same
-    must_zero, the same const at a seeded theta*, the same coeffs."""
-    spec = field_from_string(field)
-    elems = list(spec.element_payloads())
-    rng = random.Random(f"forms/{field}/{d}")
-    for _ in range(6):
-        th, ths = tuple(rng.sample(elems, d + 1)), tuple(rng.sample(elems, d + 1))
-        eager = _theta_forms(spec, th)
-        lazy = list(_probe_forms(spec, th, ths, d))
-        assert len(eager) == len(lazy) > 0
-        for (must_zero, rs, coeffs), want in zip(eager, lazy):
-            assert (must_zero, spec.dot(rs, ths), list(coeffs)) == want
-
-
 def test_exhaustive_search_builds_each_table_once(gf4):
     """One GF(4), d = 3 exhaustive search meets perm(4, 4) = 24 eigenvalue
     sequences and builds each one's solver table once and its oracle
     eigenvector table at most once, across 576 (theta, theta*) pairs and
-    2,304 hits."""
+    2,304 hits.  Both memos are bounded, and hold a whole search within the
+    default cap (at most perm(5, 5) sequences)."""
+    assert (_theta_forms.cache_info().maxsize
+            == _unit_chain_eigenvectors.cache_info().maxsize
+            == _MEMO_SIZE >= math.perm(5, 5))
     _theta_forms.cache_clear()
     _unit_chain_eigenvectors.cache_clear()
     rep = search(SearchConfig(gf4, 3, "exhaustive"))
