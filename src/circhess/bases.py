@@ -204,10 +204,10 @@ def _closed_transition(catalog: BasisCatalog, a: str, b: str) -> Matrix:
 
 def _inv_split_edge(p: ParameterArray, eps_star, a: str, b: str) -> Matrix:
     """An edge at inv_split.  Between it and standard, the transitions are
-    read off the eigenvectors (r_k, s_k) of the split form's A, whose
-    diagonal lists theta reversed: standard -> inv_split has rows s_k and
-    inv_split -> standard has columns r_k, in theta_0..theta_d order and
-    each read backwards.  Their entries are
+    read off the eigenvector triples (r_k, s_k, p_k) of the split form's A,
+    whose diagonal lists theta reversed: standard -> inv_split has rows s_k
+    and inv_split -> standard has columns r_k / p_k (s_k . r_k = p_k), in
+    theta_0..theta_d order and each read backwards.  Their entries are
 
         prod_{l=j+1}^{d} (theta_i - theta_l)   and
         1 / prod_{l=i, l != j}^{d} (theta_j - theta_l)   for i <= j."""
@@ -216,8 +216,9 @@ def _inv_split_edge(p: ParameterArray, eps_star, a: str, b: str) -> Matrix:
     if {a, b} == {"standard", "inv_split"}:
         vecs = _bidiagonal_eigenvectors(_split_form(p)[0])[::-1]
         if b == "inv_split":
-            return Matrix(spec, [s_k[::-1] for _, s_k in vecs])
-        return Matrix(spec, [r_k[::-1] for r_k, _ in vecs]).transpose()
+            return Matrix(spec, [s_k[::-1] for _, s_k, _ in vecs])
+        cols = [(r_k[::-1], spec.inv(p_k)) for r_k, _, p_k in vecs]
+        return Matrix(spec, [[spec.mul(x, w) for x in r] for r, w in cols]).transpose()
     if {a, b} == {"split", "inv_split"}:
         return Matrix.reversal(spec, d + 1)
     if {a, b} == {"inv_split", "dual_split"}:

@@ -266,6 +266,17 @@ def cmd_dump(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """An argparse type: a nonnegative integer, else a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process on first use;
@@ -312,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--d", type=int, required=True)
     f.add_argument("--mode", choices=SEARCH_MODES, default="random")
     f.add_argument("--seed", type=int, default=0, help="random-mode seed (default 0)")
-    f.add_argument("--trials", type=int, default=DEFAULT_RANDOM_TRIALS,
+    f.add_argument("--trials", type=_count, default=DEFAULT_RANDOM_TRIALS,
                    help=f"random-mode trials (default {DEFAULT_RANDOM_TRIALS})")
     f.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
                    help=f"exhaustive candidate cap (default {DEFAULT_EXHAUSTIVE_CAP})")

@@ -269,16 +269,19 @@ class Matrix:
 
     @classmethod
     def from_json(cls, d: dict) -> "Matrix":
+        """The matrix of a JSON document; ParseError when it is malformed,
+        including ragged rows and `rows` or `cols` that disagree with the
+        entries."""
         field, entries, nrows, ncols = _json_fields(
             d, "field", "entries", "rows", "cols"
         )
         spec = field_from_json(field)
         try:
             m = cls(spec, ((spec.parse(x) for x in row) for row in entries))
-        except TypeError as e:
+        except (TypeError, DimensionMismatchError) as e:
             raise ParseError(f"bad matrix entries: {e}") from e
         if (m.nrows, m.ncols) != (nrows, ncols):
-            raise DimensionMismatchError("matrix JSON shape mismatch")
+            raise ParseError("matrix JSON shape mismatch")
         return m
 
 
@@ -447,8 +450,8 @@ def primitive_idempotents(a: Matrix, eigenvalues) -> list[Matrix]:
 
     This is the generic path, for ingest and the tests; split_form_build
     gives its bidiagonal matrices' projectors in closed form instead, as
-    rank-one factors from the eigenvectors of
-    systems._bidiagonal_eigenvectors, whose outer products equal these.
+    the division-free rank-one factors (r_k, s_k, p_k) of
+    systems._bidiagonal_eigenvectors, with r_k s_k^T / p_k equal to these.
 
     The numerator of E_i is prefix[i-1] * suffix[i+1], where prefix[k] and
     suffix[k] are the products of the factors (a - theta_j I) with j <= k

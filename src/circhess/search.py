@@ -8,8 +8,11 @@ division-free probe that reads the one circular Hessenberg pattern
 reads, and evaluates it through the rank-one spectral decomposition of the
 bidiagonal split matrices.  Each entry the probe tests is an affine form in
 phi; the E* side is the E side of the dual array (theta*, theta, phi
-reversed).  Random mode evaluates the forms lazily (_probe_forms) at each
-seeded candidate, stopping at the first violated entry.
+reversed).  The forms are read off the division-free eigenvectors of the
+split form's A, whose one eager definition is the memoized unit-chain table
+systems._unit_chain_eigenvectors; random mode evaluates them lazily
+(_probe_forms) at each seeded candidate, stopping at the first violated
+entry.
 _random_candidates draws the candidates on the getrandbits stream of
 random.Random(seed), with the rejection rule and both sampling methods of
 CPython's sample and choice, so every candidate (and every report byte)
@@ -20,7 +23,8 @@ their solutions are filtered for nonzero phi and nonzero corners.  The
 forms depend on one eigenvalue sequence alone (theta* and phi enter them
 linearly), so exhaustive mode reads them from a table memoized per
 sequence (_theta_forms), built once for each of the perm(q, d + 1)
-sequences and shared by every pair that sequence is in, on either side.
+sequences from the unit-chain table and shared by every pair that
+sequence is in, on either side, and by the oracle's builds.
 Random mode keeps the forms lazy, because over all but the smallest
 fields almost every candidate brings new sequences.  Every
 probe hit, in either mode, is then re-verified by the axiom oracle
@@ -62,6 +66,7 @@ from .fields import FieldElement, FieldSpec, field_to_string
 from .recurrence import recurrence_status, td_witness, vartheta_from_array
 from .systems import (
     _MEMO_SIZE,
+    _unit_chain_eigenvectors,
     ParameterArray,
     split_form_build,
     verify_ch_axioms,
@@ -141,57 +146,59 @@ def _probe_side(spec, theta, theta_star, phi, d) -> bool:
     forms evaluated at theta* and phi in pattern order, computed lazily
     and stopping at the first violation."""
     add, dot, is_zero = spec.add, spec.dot, spec.is_zero
-    for must_zero, rs, coeffs in _probe_forms(spec, theta, d):
-        if is_zero(add(dot(rs, theta_star), dot(coeffs, phi))) != must_zero:
+    for must_zero, vu, coeffs in _probe_forms(spec, theta, d):
+        if is_zero(add(dot(vu, theta_star), dot(coeffs, phi))) != must_zero:
             return False
     return True
 
 
 def _probe_forms(spec, theta, d):
     """The probe's scalars for split(theta, theta*, phi), for every theta*
-    and phi, as affine forms: (must_zero, rs, coeffs) per pattern entry
+    and phi, as affine forms: (must_zero, vu, coeffs) per pattern entry
     (i, j) with j > i, computed lazily in pattern order, with
-    rs = r_i (.) s_j and coeffs[t] = r_i[t] s_j[t+1].
+    vu = v (.) u and coeffs[t] = v[t] u[t+1].
 
-    E_i A* E_j is a nonzero outer product scaled by r_i . (A* s_j), with
-    r_i, s_j the (unnormalized) left/right eigenvectors of the bidiagonal
-    A, so the pattern reduces to scalar tests.  A depends on theta alone,
-    and A* is upper bidiagonal with theta* on the diagonal and phi above
-    it, so r_i . (A* s_j) = rs . theta* + coeffs . phi.
-    Of the pattern, only the entries above the superdiagonal (zeros, and
-    the nonzero corner) can fail for split-form data; the subdiagonal and
-    lower-zero conditions hold identically and are left to the
-    authoritative re-verification of hits.  All arithmetic is
-    division-free (global eigenvector rescaling).
+    A is lower bidiagonal with diagonal l_t = theta_{d-t} and ones below,
+    so theta_i is its l_{d-i}.  In the unit-chain closed form of
+    systems._unit_chain_eigenvectors, v = v_{d-i} is the left row of
+    theta_i and u = u_{d-j} the right column of theta_j (division-free,
+    so E_i = u_{d-i} v_{d-i}^T / D_{d-i}).  E_i A* E_j is a nonzero outer
+    product scaled by v . (A* u), so the pattern reduces to scalar tests.
+    A depends on theta alone, and A* is upper bidiagonal with theta* on
+    the diagonal and phi above it, so v . (A* u) = vu . theta* +
+    coeffs . phi.  Of the pattern, only the entries above the
+    superdiagonal (zeros, and the nonzero corner) can fail for split-form
+    data; the subdiagonal and lower-zero conditions hold identically and
+    are left to the authoritative re-verification of hits.
 
-    These are the vectors of systems._bidiagonal_eigenvectors up to scale
-    (its s_k and r_k are r_i and s_j here), but the recurrence is kept
-    here and run per entry: random mode stops at the first violated
-    entry, so most vectors are never needed.  Exhaustive mode meets each
-    theta in many pairs and reads every entry, so it reads these forms
-    from the memoized table _theta_forms.  Random mode does not: over a
-    small field it would gain, but almost every candidate of a larger one
-    brings a new theta, whose whole table costs many times the entries
-    the probe reads.  Random searches, 5 seeds x 4,000 trials, best of 5,
-    twice per tree on a shared 2-CPU host (Python 3.11.7), lazy -> table:
-    GF(5), d = 4 0.17-0.21 -> 0.12-0.16 s; GF(9), d = 5 0.47-0.53 ->
-    0.56-0.68 s; GF(13), d = 4 0.15-0.24 -> 0.45-0.60 s; GF(101), d = 3
-    0.14-0.24 -> 0.40-0.49 s; GF(101), d = 6 0.19-0.33 -> 1.57-1.67 s.
-    On perfbench's fuzz-sparse (GF(5), d = 4, whose 120 thetas all stay
-    in the memo) the table doubled throughput_per_ref in 3 of 3 pairs.
+    This is the lazy reading of that closed form: the two recurrences
+    v[t + 1] = (l_k - l_t) v[t] and u[t - 1] = (l_k - l_t) u[t] run here
+    per entry, because random mode stops at the first violated entry, so
+    most vectors are never needed; _theta_forms reads the same vectors off
+    the memoized table, payload for payload.  Exhaustive mode meets each
+    theta in many pairs and reads every entry, so it reads _theta_forms.
+    Random mode does not: over a small field it would gain, but almost
+    every candidate of a larger one brings a new theta, whose whole table
+    costs many times the entries the probe reads.  Random searches, 5
+    seeds x 4,000 trials, best of 5, twice per tree on a shared 2-CPU host
+    (Python 3.11.7), lazy -> table: GF(5), d = 4 0.17-0.21 -> 0.12-0.16 s;
+    GF(9), d = 5 0.47-0.53 -> 0.56-0.68 s; GF(13), d = 4 0.15-0.24 ->
+    0.45-0.60 s; GF(101), d = 3 0.14-0.24 -> 0.40-0.49 s; GF(101), d = 6
+    0.19-0.33 -> 1.57-1.67 s.  On perfbench's fuzz-sparse (GF(5), d = 4,
+    whose 120 thetas all stay in the memo) the table doubled
+    throughput_per_ref in 3 of 3 pairs.
     """
     sub, mul, one, zero = spec.sub, spec.mul, spec.one, spec.zero
     for i, j, must_zero in _upper_pattern(d + 1):
         ti, tj = theta[i], theta[j]
-        # A: lower bidiagonal, diagonal theta[d-t] at t, ones below; r_i
-        # vanishes past t = d - i and s_j before t = d - j
-        r, s = [zero] * (d + 1), [zero] * (d + 1)
-        r[0] = s[d] = one
+        # v vanishes past t = d - i and u before t = d - j
+        v, u = [zero] * (d + 1), [zero] * (d + 1)
+        v[0] = u[d] = one
         for t in range(d - i):
-            r[t + 1] = mul(sub(ti, theta[d - t]), r[t])
+            v[t + 1] = mul(sub(ti, theta[d - t]), v[t])
         for t in range(j):
-            s[d - t - 1] = mul(sub(tj, theta[t]), s[d - t])
-        yield must_zero, list(map(mul, r, s)), list(map(mul, r, s[1:]))
+            u[d - t - 1] = mul(sub(tj, theta[t]), u[d - t])
+        yield must_zero, list(map(mul, v, u)), list(map(mul, v, u[1:]))
 
 
 @functools.cache
@@ -204,15 +211,22 @@ def _upper_pattern(n: int) -> tuple:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _theta_forms(spec, theta: tuple) -> tuple:
-    """All the forms of _probe_forms for theta, as one table.
+    """All the forms of _probe_forms for theta, as one table, read off the
+    unit-chain table of A's diagonal (theta reversed): entry (i, j) takes
+    the left row v_{d-i} and the right column u_{d-j}.  Those are
+    _probe_forms's v and u, so the forms are its payloads, and the
+    oracle's builds of every array with this theta read the same memoized
+    table.
 
     Memoized by (field, theta payloads), keeping the _MEMO_SIZE most
     recently used thetas: a search over a field of q elements meets
     perm(q, d + 1), so a search within the default cap keeps every table
     it builds.  Only exhaustive mode reads it (see _probe_forms).
     """
-    return tuple([(must_zero, tuple(rs), tuple(coeffs))
-                  for must_zero, rs, coeffs in _probe_forms(spec, theta, len(theta) - 1)])
+    table = _unit_chain_eigenvectors(spec, theta[::-1])[::-1]
+    return tuple([(must_zero, tuple(map(spec.mul, table[i][1], table[j][0])),
+                   tuple(map(spec.mul, table[i][1], table[j][0][1:])))
+                  for i, j, must_zero in _upper_pattern(len(theta))])
 
 
 def _solve_pair(spec, theta, theta_star, d, nonzero) -> list:
@@ -222,8 +236,8 @@ def _solve_pair(spec, theta, theta_star, d, nonzero) -> list:
     Both sides' forms are affine in phi, so the zero entries of the
     pattern are linear equations.  They are read off the memoized per-theta
     tables (_theta_forms): the E side's from theta's, with
-    const = rs . theta*, and the E* side's from theta*'s, the E side of the
-    dual array, with const = rs . theta and its coefficients reversed (the
+    const = vu . theta*, and the E* side's from theta*'s, the E side of the
+    dual array, with const = vu . theta and its coefficients reversed (the
     dual's phi'_t is phi_{d-1-t}).  So a pair costs one dot product per
     pattern entry.  The solution set is walked through its free
     coordinates, and a solution is a hit when every phi_t and both corner
@@ -233,11 +247,11 @@ def _solve_pair(spec, theta, theta_star, d, nonzero) -> list:
     equations, corners = [], []
     for forms, other, step in ((_theta_forms(spec, theta), theta_star, 1),
                                (_theta_forms(spec, theta_star), theta, -1)):
-        for must_zero, rs, coeffs in forms:
+        for must_zero, vu, coeffs in forms:
             if must_zero:
-                equations.append(coeffs[::step] + (neg(dot(rs, other)),))
+                equations.append(coeffs[::step] + (neg(dot(vu, other)),))
             else:
-                corners.append((dot(rs, other), coeffs[::step]))
+                corners.append((dot(vu, other), coeffs[::step]))
     rows, pivots, _ = _gauss_jordan(spec, equations, d)
     # rows past the pivots are zero in phi: each must have a zero constant
     if not all(is_zero(row[d]) for row in rows[len(pivots):]):

@@ -19,13 +19,16 @@ ParameterArray.dual() is the array of the pair (A*, A).
 Primitive idempotents have rank one, and a system holds each family as
 its members' factors (u_k, w_k, p_k), E_k = u_k w_k^T / p_k (see
 IdempotentFamily).  split_form_build hands over the right and left
-eigenvectors (r_k, s_k) that _bidiagonal_eigenvectors gives in closed form
-for the bidiagonal A and A*, with p_k = 1, and forms no idempotent matrix;
-bases reads the standard <-> inv_split transitions off the same vectors.
-Those vectors come from a table memoized per diagonal (the _MEMO_SIZE
-most recently used), the eigenvectors of the bidiagonal matrix with that
-diagonal and a unit chain, which is A itself; A*'s are that table
-rescaled by its chain phi, with one field inverse.
+eigenvectors (r_k, s_k) and the scalars p_k = s_k . r_k that
+_bidiagonal_eigenvectors gives in closed form for the bidiagonal A and A*,
+and forms no idempotent matrix and no field inverse; bases reads the
+standard <-> inv_split transitions off the same vectors.  Those vectors
+come from one table memoized per diagonal (the _MEMO_SIZE most recently
+used), _unit_chain_eigenvectors: the division-free eigenvectors of the
+bidiagonal matrix with that diagonal and a unit chain, which is A itself;
+A*'s are that table scaled entrywise by prefix and suffix products of its
+chain phi.  The search solver reads its forms off the same table
+(search._theta_forms).
 The matrices are formed once, on first read, for the consumers that want
 them (bases, replay, the isomorphism witness); matrices that come from
 outside (ingest_pair's Lagrange idempotents, an assignment s.E = ...) are
@@ -67,13 +70,13 @@ from .linalg import (
     rank,
 )
 
-# Entries kept by each per-sequence eigenvector memo (_unit_chain_eigenvectors
-# here, search._theta_forms), least recently used out first.  An exhaustive
-# search within the default cap meets at most perm(5, 5) = 120 sequences, so
-# its tables all stay; a larger one rebuilds the tables it evicts.  A table
-# takes about 1 KB over GF(5), d = 3 and up to 15 KB over cyclo:5, d = 6, so
-# a process that builds many systems (random mode, the CLI, replay, library
-# use over QQ) holds a few MB at most.
+# Entries kept by each per-sequence memo (_unit_chain_eigenvectors here, and
+# search._theta_forms, which reads it), least recently used out first.  An
+# exhaustive search within the default cap meets at most perm(5, 5) = 120
+# sequences, so its tables all stay; a larger one rebuilds the tables it
+# evicts.  A table takes about 1 KB over GF(5), d = 3 and up to 15 KB over
+# cyclo:5, d = 6, so a process that builds many systems (random mode, the
+# CLI, replay, library use over QQ) holds a few MB at most.
 _MEMO_SIZE = 256
 
 
@@ -294,51 +297,54 @@ def split_form_build(p: ParameterArray) -> CHSystem:
     orders theta_0..theta_d and theta*_0..theta*_d (note A's diagonal lists
     theta reversed; E_i still pairs with theta_i).
 
-    Both families are handed over as the rank-one factors of the
-    eigenvectors of _bidiagonal_eigenvectors, with p = 1 since
-    s_k . r_k = 1: E_k = r_k s_k^T for A, and E*_k = s_k r_k^T for the
-    pairs of the lower bidiagonal A*^T (read off A*), the transposes of
-    A*^T's projectors.  No idempotent matrix is formed; only A and A* are
-    built.  The eigenvector work is memoized per diagonal (see
-    _bidiagonal_eigenvectors), so a search builds each eigenvalue
-    sequence's table once, while every call still builds its own system.
+    Both families are handed over as rank-one factors, the eigenvector
+    triples (r_k, s_k, p_k) of _bidiagonal_eigenvectors, with
+    s_k . r_k = p_k: E_k = r_k s_k^T / p_k for A, and E*_k = s_k r_k^T / p_k
+    for the triples of the lower bidiagonal A*^T (read off A*), the
+    transposes of A*^T's projectors.  No idempotent matrix is formed and no
+    field element inverted; only A and A* are built.  The eigenvector work
+    is memoized per diagonal (see _bidiagonal_eigenvectors), so a search
+    builds each eigenvalue sequence's table once, while every call still
+    builds its own system.
 
     The builder checks nothing: the returned system is unverified; run
     verify_ch_axioms on it, which also checks that E and E* belong to A, A*.
     """
     A, A_star = _split_form(p)
     spec = p.spec
-    one = spec.one
-    E = [(r, s, one) for r, s in _bidiagonal_eigenvectors(A)[::-1]]
-    E_star = [(s, r, one) for r, s in _bidiagonal_eigenvectors(A_star)]
+    E = _bidiagonal_eigenvectors(A)[::-1]
+    E_star = [(s, r, n) for r, s, n in _bidiagonal_eigenvectors(A_star)]
     return CHSystem(spec, p.d, A, A_star, IdempotentFamily(spec, factors=E),
                     IdempotentFamily(spec, factors=E_star), p.theta, p.theta_star,
                     params=p)
 
 
-def _bidiagonal_eigenvectors(matrix: Matrix) -> list[tuple[tuple, tuple]]:
-    """(r_k, s_k) for each diagonal entry l_k of the lower-bidiagonal matrix
-    low whose diagonal entries l_0..l_d are mutually distinct and whose
-    entries c_i = low[i][i - 1] are nonzero: a right column and a left row
-    of l_k, as payload tuples, with s_k . r_j = delta_kj.  low is `matrix`
-    when that is lower bidiagonal and its transpose when it is upper
-    bidiagonal, so A*'s pairs are read off A* without forming A*^T (c_i is
-    read as matrix[i][i - 1] + matrix[i - 1][i], of which one term is
-    zero).  Each call returns a fresh list.
+def _bidiagonal_eigenvectors(matrix: Matrix) -> list[tuple]:
+    """(r_k, s_k, p_k) for each diagonal entry l_k of the lower-bidiagonal
+    matrix low whose diagonal entries l_0..l_d are mutually distinct and
+    whose entries c_i = low[i][i - 1] are nonzero: a right column and a
+    left row of l_k, as payload tuples, and the payload p_k != 0, with
+    s_k . r_j = delta_kj p_k.  low is `matrix` when that is lower
+    bidiagonal and its transpose when it is upper bidiagonal, so A*'s
+    triples are read off A* without forming A*^T (c_i is read as
+    matrix[i][i - 1] + matrix[i - 1][i], of which one term is zero).  Each
+    call returns a fresh list.  No field element is inverted.
 
-    The pairs are those of the unit chain L (low's diagonal, every c_i = 1),
-    which _unit_chain_eigenvectors gives as (u_k, v_k), rescaled.  With the
+    The triples are those of the unit chain L (low's diagonal, every
+    c_i = 1), which _unit_chain_eigenvectors gives as (u_k, v_k, D_k),
+    scaled.  With the prefix products P_i = c_1 ... c_i (P_0 = 1), the
     suffix products Q_i = c_{i+1} ... c_d (Q_d = 1) and G = diag(Q_i),
 
-        r_k[i] = u_k[i] / Q_i,    s_k[j] = v_k[j] Q_j.
+        r_k[i] = u_k[i] P_i,    s_k[j] = v_k[j] Q_j,    p_k = D_k P_d.
 
     This is exact because low = G^-1 L G: the two agree on the diagonal,
-    and (G^-1 L G)[i][i - 1] = Q_{i-1} / Q_i = c_i.  So r_k = G^-1 u_k and
-    s_k = v_k G give low r_k = G^-1 L u_k = l_k r_k,
-    s_k low = v_k L G = l_k s_k, and s_k . r_j = v_k . u_j = delta_kj.
-    With the prefix products P_i = c_1 ... c_i, 1 / Q_i = P_i / P_d, so
-    the rescaling costs one field inverse per matrix.  For the split
-    form's A every c_i is 1, and the table is the answer.
+    and (G^-1 L G)[i][i - 1] = Q_{i-1} / Q_i = c_i.  Since P_i Q_i = P_d,
+    r_k = P_d G^-1 u_k and s_k = v_k G, so low r_k = P_d G^-1 L u_k =
+    l_k r_k, s_k low = v_k L G = l_k s_k, and s_k . r_j = P_d v_k . u_j =
+    delta_kj D_k P_d.  p_k is a product of the nonzero differences
+    l_k - l_m and the nonzero c_i, so it is nonzero, and no quotient is
+    ever formed.  For the split form's A every c_i is 1, and the table is
+    the answer.
     """
     s = matrix.spec
     n, rows = matrix.nrows, matrix.rows
@@ -350,38 +356,39 @@ def _bidiagonal_eigenvectors(matrix: Matrix) -> list[tuple[tuple, tuple]]:
     mul = s.mul
     prefix = list(accumulate(c, mul, initial=one))
     suffix = list(accumulate(reversed(c), mul, initial=one))[::-1]
-    inv = s.inv(prefix[-1])
-    inv_suffix = [mul(x, inv) for x in prefix]
     # u_k vanishes before index k and v_k after it
-    return [(u[:k] + tuple([mul(x, y) for x, y in zip(u[k:], inv_suffix[k:])]),
-             tuple([mul(x, y) for x, y in zip(v[:k + 1], suffix)]) + v[k + 1:])
-            for k, (u, v) in enumerate(table)]
+    return [(u[:k] + tuple(map(mul, u[k:], prefix[k:])),
+             tuple(map(mul, v[:k + 1], suffix)) + v[k + 1:], mul(dk, prefix[-1]))
+            for k, (u, v, dk) in enumerate(table)]
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _unit_chain_eigenvectors(spec: FieldSpec, diag: tuple) -> tuple:
-    """The pairs (u_k, v_k) of _bidiagonal_eigenvectors for the lower
-    bidiagonal matrix with diagonal `diag` (mutually distinct payloads)
-    and ones below it, as payload tuples, memoized by (field, diagonal).
+    """The triples (u_k, v_k, D_k) of _bidiagonal_eigenvectors for the
+    lower bidiagonal matrix L with diagonal `diag` (mutually distinct
+    payloads l_0..l_d) and ones below it, as payload tuples and a payload,
+    memoized by (field, diagonal):
 
-    With D_k = prod_{m != k} (l_k - l_m), the Lagrange denominator,
+        u_k[i] = prod_{m > i} (l_k - l_m)   for i >= k,
+        v_k[j] = prod_{m < j} (l_k - l_m)   for j <= k,
+        D_k = u_k[k] v_k[k] = prod_{m != k} (l_k - l_m),
 
-        u_k[i] = prod_{m > i} (l_k - l_m) / D_k   for i >= k,
-        v_k[j] = prod_{m < j} (l_k - l_m)         for j <= k,
-
-    and zero elsewhere: each is the division-free form of the two-term
-    recurrence that the bidiagonal rows impose, and D_k != 0 scales u_k.
-    They overlap only at index k, so v_k . u_k = 1, and left and right
-    eigenvectors of distinct eigenvalues are orthogonal.  Each pair costs
-    O(d) field operations from prefix and suffix products and one field
-    inverse.
+    and zero elsewhere.  Row i of L u = l_k u reads
+    u[i - 1] = (l_k - l_i) u[i], and column j of v L = l_k v reads
+    v[j + 1] = (l_k - l_j) v[j]; these products solve both two-term
+    recurrences without a division.  u_k and v_k overlap only at index k,
+    so v_k . u_k = D_k, the Lagrange denominator, which is nonzero; left
+    and right eigenvectors of distinct eigenvalues are orthogonal.  Each
+    triple costs O(d) field operations from prefix and suffix products,
+    and no inverse.
 
     Every split_form_build call reads two diagonals (A's is theta
-    reversed, A*'s theta*), so a process meets one per distinct eigenvalue
-    sequence it builds: perm(q, d + 1) for an exhaustive search over a
-    field of q elements, but without limit over QQ or in long random runs.
-    The memo is therefore bounded: it keeps the _MEMO_SIZE most recently
-    used diagonals.
+    reversed, A*'s theta*), and search._theta_forms reads theta reversed,
+    so a process meets one per distinct eigenvalue sequence it builds or
+    solves for: perm(q, d + 1) for an exhaustive search over a field of q
+    elements, but without limit over QQ or in long random runs.  The memo
+    is therefore bounded: it keeps the _MEMO_SIZE most recently used
+    diagonals.
     """
     mul, sub, one, zero = spec.mul, spec.sub, spec.one, spec.zero
     n = len(diag)
@@ -390,9 +397,8 @@ def _unit_chain_eigenvectors(spec: FieldSpec, diag: tuple) -> tuple:
         diffs = [sub(lk, lm) for lm in diag]
         after = list(accumulate(reversed(diffs[k + 1:]), mul, initial=one))[::-1]
         before = list(accumulate(diffs[:k], mul, initial=one))
-        inv = spec.inv(mul(after[0], before[-1]))
-        out.append((tuple([zero] * k + [mul(inv, x) for x in after]),
-                    tuple(before + [zero] * (n - 1 - k))))
+        out.append((tuple([zero] * k + after), tuple(before + [zero] * (n - 1 - k)),
+                    mul(after[0], before[-1])))
     return tuple(out)
 
 

@@ -323,6 +323,8 @@ def test_cyclotomic_gen_defaults_generator(tmp_path, capsys):
 _W5_SEQS = {"theta": ["1", "2", "4", "3"], "theta_star": ["1", "2", "4", "3"],
             "phi": ["3", "2", "4"]}
 _GF5 = {"kind": "prime", "p": 5}
+_I2 = {"field": _GF5, "rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}
+_RAGGED = {**_I2, "entries": [["1", "0"], ["1"]]}
 _MALFORMED = {
     "array without field": _W5_SEQS,
     "top-level list": [1, 2, 3],
@@ -341,6 +343,11 @@ _MALFORMED = {
         "A": {"field": _GF5, "rows": 2, "cols": 2, "entries": 3},
         "A_star": {"field": _GF5, "rows": 2, "cols": 2, "entries": 3}},
     "bare matrix without field": {"entries": [["1"]], "rows": 1, "cols": 1},
+    "ragged matrix": {"A": _RAGGED, "A_star": _I2},
+    "matrix rows disagree": {"A": {**_I2, "rows": 3}, "A_star": _I2},
+    "matrix cols disagree": {"A": _I2, "A_star": {**_I2, "cols": 1}},
+    "bare ragged matrix": _RAGGED,
+    "bare matrix rows disagree": {**_I2, "rows": 1},
     "three theta values": {**_W5_SEQS, "field": _GF5, "theta": ["1", "2", "4"],
                            "theta_star": ["1", "2", "4"], "phi": ["3", "2"]},
     "phi one entry short": {**_W5_SEQS, "field": _GF5, "phi": ["3", "2"]},
@@ -370,6 +377,16 @@ def test_invalid_json_text_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--in", str(bad))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_fuzz_negative_trials_is_usage_error(capsys):
+    """A negative --trials is a usage error (exit 2), not a search of no
+    candidates."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--field", "gf:5", "--d", "3", "--trials", "-1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--trials" in out.err
 
 
 def _well_formed_documents():

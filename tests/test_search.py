@@ -31,6 +31,7 @@ from circhess.errors import (
     UnsupportedFieldError,
 )
 from circhess.search import (
+    _probe_forms,
     _probe_hits,
     _random_candidates,
     _solve_pair,
@@ -351,12 +352,36 @@ def test_solver_hits_equal_probe_hits_per_pair(field, d, family):
     assert total > 0 or family is None
 
 
+@pytest.mark.parametrize("field", ["gf:5", "gf:13", "ext:gf:2:1,1,1", "ext:gf:3:1,0,1"])
+def test_theta_forms_match_probe_forms(field):
+    """The exhaustive solver's table (_theta_forms, read off the unit-chain
+    eigenvectors) equals random mode's lazy recurrence (_probe_forms)
+    entry by entry, payload for payload, on seeded thetas for every
+    d = 3..6 the field has room for."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    rng = random.Random(f"forms/{field}")
+    checked = 0
+    for d in range(3, min(6, len(elems) - 1) + 1):
+        for _ in range(6):
+            theta = tuple(rng.sample(elems, d + 1))
+            lazy = tuple(_probe_forms(spec, theta, d))
+            table = _theta_forms(spec, theta)
+            assert len(table) == len(lazy) > 0
+            for (mz, vu, coeffs), (lmz, lvu, lcoeffs) in zip(table, lazy):
+                assert (mz, vu, coeffs) == (lmz, tuple(lvu), tuple(lcoeffs))
+            checked += 1
+    assert checked == 6 * (min(6, len(elems) - 1) - 2)
+
+
 def test_exhaustive_search_builds_each_table_once(gf4):
     """One GF(4), d = 3 exhaustive search meets perm(4, 4) = 24 eigenvalue
-    sequences and builds each one's solver table once and its oracle
-    eigenvector table at most once, across 576 (theta, theta*) pairs and
-    2,304 hits.  Both memos are bounded, and hold a whole search within the
-    default cap (at most perm(5, 5) sequences)."""
+    sequences and builds each one's solver table once and its unit-chain
+    eigenvector table once, across 576 (theta, theta*) pairs and 2,304
+    hits: the solver reads theta reversed, which runs over all 24
+    sequences, and the oracle's builds read tables already there.  Both
+    memos are bounded, and hold a whole search within the default cap (at
+    most perm(5, 5) sequences)."""
     assert (_theta_forms.cache_info().maxsize
             == _unit_chain_eigenvectors.cache_info().maxsize
             == _MEMO_SIZE >= math.perm(5, 5))
@@ -365,7 +390,7 @@ def test_exhaustive_search_builds_each_table_once(gf4):
     rep = search(SearchConfig(gf4, 3, "exhaustive"))
     assert rep.ch_systems_found == 2_304
     assert _theta_forms.cache_info().misses == math.perm(4, 4)
-    assert 0 < _unit_chain_eigenvectors.cache_info().misses <= math.perm(4, 4)
+    assert _unit_chain_eigenvectors.cache_info().misses == math.perm(4, 4)
 
 
 def test_exhaustive_report_bytes_match_reference_loop(tmp_path, monkeypatch, gf4):

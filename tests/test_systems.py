@@ -820,9 +820,9 @@ def test_closed_form_idempotents_match_lagrange(field, d):
 def test_corrupt_closed_form_rejected(monkeypatch, w5_array, call, corrupt):
     """Closed-form eigenvectors whose family does not belong to its matrix
     (A on the first call, A*^T on the second) are built without complaint
-    and rejected by verify_ch_axioms.  Two (r, s) pairs swapped leave a
-    valid family with two members under each other's labels: items (ii) or
-    (iii) fail at exactly those two indices.  r_0 replaced by r_0 + r_1
+    and rejected by verify_ch_axioms.  Two (r, s, p) triples swapped leave
+    a valid family with two members under each other's labels: items (ii)
+    or (iii) fail at exactly those two indices.  r_0 replaced by r_0 + r_1
     leaves a family that does not sum to I."""
     from circhess import systems
 
@@ -835,8 +835,8 @@ def test_corrupt_closed_form_rejected(monkeypatch, w5_array, call, corrupt):
             if corrupt == "swap":
                 pairs[0], pairs[1] = pairs[1], pairs[0]
             else:
-                (r0, s0), (r1, _) = pairs[0], pairs[1]
-                pairs[0] = ([low.spec.add(x, y) for x, y in zip(r0, r1)], s0)
+                (r0, s0, p0), (r1, _, _) = pairs[0], pairs[1]
+                pairs[0] = ([low.spec.add(x, y) for x, y in zip(r0, r1)], s0, p0)
         calls.append(low)
         return pairs
 
@@ -887,14 +887,42 @@ def test_eigenvector_memo_survives_mutation(w5_array):
     assert done.stdout.strip() == repr([s.family.factors(), s.family_star.factors()])
 
 
+@pytest.mark.parametrize("field", ["gf:5", "cyclo:4"])
+def test_split_form_build_inverts_nothing(monkeypatch, w5_array, field):
+    """split_form_build hands over the division-free closed form: with the
+    eigenvector memo cleared, building W5 (over GF(5)) or a seeded cyclo:4
+    array, twice, calls the field's inv 0 times, and verify_ch_axioms on
+    the result calls it 0 times too."""
+    from circhess import systems
+
+    spec = field_from_string(field)
+    p = w5_array if field == "gf:5" else _random_array(spec, 4, random.Random(7))
+    calls = []
+    inv = type(spec).inv
+
+    def counted(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(type(spec), "inv", counted)
+    systems._unit_chain_eigenvectors.cache_clear()
+    for _ in range(2):
+        s = split_form_build(p)
+        assert calls == []
+        verify_ch_axioms(s)
+        assert calls == []
+    # forming the matrices divides by each p_k, so the counter is live
+    assert len(s.E) == len(calls) == p.d + 1
+
+
 @pytest.mark.parametrize("field, d", _cases(
     ("gf:5", "ext:gf:3:1,0,1", "cyclo:4", "rat"), (3, 4, 5, 6)
 ))
 def test_bidiagonal_eigenvectors_and_displayed_transitions(field, d):
     """_bidiagonal_eigenvectors gives, for A and for A*^T, right and left
-    eigenvectors with s_k . r_j = delta_kj, and the standard <-> inv_split
-    transitions read off them equal their displayed entries on p and on
-    p.dual(), on seeded arrays, systems or not."""
+    eigenvectors with s_k . r_j = delta_kj p_k and p_k != 0, and the
+    standard <-> inv_split transitions read off them equal their displayed
+    entries on p and on p.dual(), on seeded arrays, systems or not."""
     from circhess.bases import _inv_split_edge
     from circhess.systems import _bidiagonal_eigenvectors, _split_form
 
@@ -914,14 +942,15 @@ def test_bidiagonal_eigenvectors_and_displayed_transitions(field, d):
         a, a_star = _split_form(p)
         for low in (a, a_star.transpose()):
             pairs = _bidiagonal_eigenvectors(low)
-            for k, (r_k, s_k) in enumerate(pairs):
+            for k, (r_k, s_k, p_k) in enumerate(pairs):
                 lk = low.entry(k, k)
                 r, s = Vector(spec, r_k), Vector(spec, s_k)
                 assert low * r == r.scale(lk)
                 assert low.transpose() * s == s.scale(lk)
-                for j, (r_j, _) in enumerate(pairs):
+                assert FieldElement(spec, p_k) != zero
+                for j, (r_j, _, _) in enumerate(pairs):
                     dot = FieldElement(spec, spec.dot(s_k, r_j))
-                    assert dot == (one if j == k else zero)
+                    assert dot == (FieldElement(spec, p_k) if j == k else zero)
         for q in (p, p.dual()):
             th = q.theta
             upper = [[prod(th[i] - th[l] for l in range(j + 1, n)) if i <= j
