@@ -266,14 +266,14 @@ def cmd_dump(args) -> int:
     return EXIT_OK
 
 
-def _count(text: str) -> int:
-    """An argparse type: a nonnegative integer, else a usage error."""
+def _count(text: str, low: int = 0) -> int:
+    """An argparse type: an integer >= low, else a usage error."""
     try:
         n = int(text)
     except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+        n = low - 1
+    if n < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return n
 
 
@@ -320,12 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fuzz", help="search for non-recurrent systems")
     f.add_argument("--field", required=True, help=field_help)
-    f.add_argument("--d", type=int, required=True)
+    f.add_argument("--d", type=functools.partial(_count, low=3), required=True,
+                   help="diameter (>= 3)")
     f.add_argument("--mode", choices=SEARCH_MODES, default="random")
     f.add_argument("--seed", type=int, default=0, help="random-mode seed (default 0)")
     f.add_argument("--trials", type=_count, default=DEFAULT_RANDOM_TRIALS,
                    help=f"random-mode trials (default {DEFAULT_RANDOM_TRIALS})")
-    f.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
+    f.add_argument("--cap", type=_count, default=DEFAULT_EXHAUSTIVE_CAP,
                    help=f"exhaustive candidate cap (default {DEFAULT_EXHAUSTIVE_CAP})")
     f.add_argument("--report", default=None, help="write the report JSON here")
     f.set_defaults(fn=cmd_fuzz)

@@ -10,9 +10,8 @@ bidiagonal split matrices.  Each entry the probe tests is an affine form in
 phi; the E* side is the E side of the dual array (theta*, theta, phi
 reversed).  The forms are read off the division-free eigenvectors of the
 split form's A, whose one eager definition is the memoized unit-chain table
-systems._unit_chain_eigenvectors; random mode evaluates them lazily
-(_probe_forms) at each seeded candidate, stopping at the first violated
-entry.
+systems._unit_chain_eigenvectors; random mode tests them at each seeded
+candidate, stopping at the first violated entry.
 _random_candidates draws the candidates on the getrandbits stream of
 random.Random(seed), with the rejection rule and both sampling methods of
 CPython's sample and choice, so every candidate (and every report byte)
@@ -25,8 +24,9 @@ linearly), so exhaustive mode reads them from a table memoized per
 sequence (_theta_forms), built once for each of the perm(q, d + 1)
 sequences from the unit-chain table and shared by every pair that
 sequence is in, on either side, and by the oracle's builds.
-Random mode keeps the forms lazy, because over all but the smallest
-fields almost every candidate brings new sequences.  Every
+Random mode reads the same tables when all perm(q, d + 1) sequences fit
+the memo, and otherwise evaluates the forms lazily (_probe_forms), because
+over a larger field almost every candidate brings new sequences.  Every
 probe hit, in either mode, is then re-verified by the axiom oracle
 (split_form_build, which only constructs, then verify_ch_axioms), which is
 authoritative and shares only the pattern's specification with the probe
@@ -123,7 +123,7 @@ class SearchReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=2).encode()
 
 
-def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
+def _split_pattern_probe(spec, theta, theta_star, phi, d, table=False) -> bool:
     """Exact screen for the circular Hessenberg pattern of a split-form pair.
 
     The E side (E_i A* E_j) is evaluated by _probe_side on the array itself;
@@ -136,17 +136,19 @@ def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
     E*_i to the dual's E_i (both belong to theta*_i).  Conjugation keeps
     every product zero or nonzero, so the two patterns agree entry by entry.
     """
-    return _probe_side(spec, theta, theta_star, phi, d) and _probe_side(
-        spec, theta_star, theta, phi[::-1], d
+    return _probe_side(spec, theta, theta_star, phi, d, table) and _probe_side(
+        spec, theta_star, theta, phi[::-1], d, table
     )
 
 
-def _probe_side(spec, theta, theta_star, phi, d) -> bool:
+def _probe_side(spec, theta, theta_star, phi, d, table=False) -> bool:
     """The pattern of E_i A* E_j for split(theta, theta*, phi): theta's
-    forms evaluated at theta* and phi in pattern order, computed lazily
-    and stopping at the first violation."""
+    forms evaluated at theta* and phi in pattern order, stopping at the
+    first violation.  The forms are computed lazily, or read off theta's
+    memoized table when `table` is set."""
     add, dot, is_zero = spec.add, spec.dot, spec.is_zero
-    for must_zero, vu, coeffs in _probe_forms(spec, theta, d):
+    forms = _theta_forms(spec, theta) if table else _probe_forms(spec, theta, d)
+    for must_zero, vu, coeffs in forms:
         if is_zero(add(dot(vu, theta_star), dot(coeffs, phi))) != must_zero:
             return False
     return True
@@ -173,20 +175,19 @@ def _probe_forms(spec, theta, d):
 
     This is the lazy reading of that closed form: the two recurrences
     v[t + 1] = (l_k - l_t) v[t] and u[t - 1] = (l_k - l_t) u[t] run here
-    per entry, because random mode stops at the first violated entry, so
+    per entry, because the probe stops at the first violated entry, so
     most vectors are never needed; _theta_forms reads the same vectors off
     the memoized table, payload for payload.  Exhaustive mode meets each
     theta in many pairs and reads every entry, so it reads _theta_forms.
-    Random mode does not: over a small field it would gain, but almost
-    every candidate of a larger one brings a new theta, whose whole table
-    costs many times the entries the probe reads.  Random searches, 5
-    seeds x 4,000 trials, best of 5, twice per tree on a shared 2-CPU host
-    (Python 3.11.7), lazy -> table: GF(5), d = 4 0.17-0.21 -> 0.12-0.16 s;
-    GF(9), d = 5 0.47-0.53 -> 0.56-0.68 s; GF(13), d = 4 0.15-0.24 ->
-    0.45-0.60 s; GF(101), d = 3 0.14-0.24 -> 0.40-0.49 s; GF(101), d = 6
-    0.19-0.33 -> 1.57-1.67 s.  On perfbench's fuzz-sparse (GF(5), d = 4,
-    whose 120 thetas all stay in the memo) the table doubled
-    throughput_per_ref in 3 of 3 pairs.
+    Random mode reads it when all perm(q, d + 1) thetas of the field fit
+    the memo (_probe_hits decides once per search), so a search builds
+    each table at most once; otherwise almost every candidate brings a new
+    theta, whose whole table costs many times the entries the probe reads.
+    Random searches, 5 seeds x 4,000 trials, best of 5, twice per tree on
+    a shared 2-CPU host (Python 3.11.7), lazy -> table: GF(5), d = 4
+    0.17-0.18 -> 0.09-0.13 s; GF(5), d = 3 0.22 -> 0.13-0.20 s.  Over
+    GF(9), d = 5, GF(13), d = 4 and GF(101), d = 3 and 6 the table was
+    1.1-8x slower, so those fields stay lazy.
     """
     sub, mul, one, zero = spec.sub, spec.mul, spec.one, spec.zero
     for i, j, must_zero in _upper_pattern(d + 1):
@@ -221,7 +222,8 @@ def _theta_forms(spec, theta: tuple) -> tuple:
     Memoized by (field, theta payloads), keeping the _MEMO_SIZE most
     recently used thetas: a search over a field of q elements meets
     perm(q, d + 1), so a search within the default cap keeps every table
-    it builds.  Only exhaustive mode reads it (see _probe_forms).
+    it builds.  Exhaustive mode reads it, and random mode when the field's
+    perm(q, d + 1) thetas all fit the memo (see _probe_forms).
     """
     table = _unit_chain_eigenvectors(spec, theta[::-1])[::-1]
     return tuple([(must_zero, tuple(map(spec.mul, table[i][1], table[j][0])),
@@ -299,8 +301,10 @@ def _probe_hits(cfg: SearchConfig):
                     (th, ths, ph) for ph in _solve_pair(spec, th, ths, d, nonzero)
                 ]
     else:
+        table = math.perm(spec.order, d + 1) <= _MEMO_SIZE
         for th, ths, ph in _random_candidates(cfg.seed, elems, nonzero, d, cfg.trials):
-            yield 1, [(th, ths, ph)] if _split_pattern_probe(spec, th, ths, ph, d) else ()
+            hit = _split_pattern_probe(spec, th, ths, ph, d, table)
+            yield 1, [(th, ths, ph)] if hit else ()
 
 
 def _random_candidates(seed, elems, nonzero, d, trials):

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -379,14 +380,22 @@ def test_invalid_json_text_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def test_fuzz_negative_trials_is_usage_error(capsys):
-    """A negative --trials is a usage error (exit 2), not a search of no
-    candidates."""
+@pytest.mark.parametrize("flag, value, mode", [
+    ("--trials", "-1", "random"),
+    ("--d", "2", "random"),
+    ("--d", "2", "exhaustive"),
+    ("--cap", "-1", "exhaustive"),
+])
+def test_fuzz_out_of_range_argument_is_usage_error(capsys, flag, value, mode):
+    """A negative --trials or --cap, or a --d below 3, is a usage error
+    (exit 2) caught by the parser, not a search of no candidates or a
+    mathematical failure (exit 1)."""
+    args = {"--field": "gf:5", "--d": "3", "--mode": mode, flag: value}
     with pytest.raises(SystemExit) as exc:
-        main(["fuzz", "--field", "gf:5", "--d", "3", "--trials", "-1"])
+        main(["fuzz", *itertools.chain(*args.items())])
     assert exc.value.code == 2
     out = capsys.readouterr()
-    assert out.out == "" and "--trials" in out.err
+    assert out.out == "" and flag in out.err
 
 
 def _well_formed_documents():

@@ -393,11 +393,11 @@ def test_exhaustive_search_builds_each_table_once(gf4):
     assert _unit_chain_eigenvectors.cache_info().misses == math.perm(4, 4)
 
 
-def test_exhaustive_report_bytes_match_reference_loop(tmp_path, monkeypatch, gf4):
-    """search() writes the report bytes of a plain loop that enumerates
-    every candidate, probes it and sends each hit to the oracle.  An
-    oracle verdict depends on the array alone, so the two loops share one
-    memo of split_form_build and verify_ch_axioms."""
+def _memo_oracle(monkeypatch):
+    """Memoize search()'s split_form_build and verify_ch_axioms, and return
+    the memo of builds with the memoized verdict: an oracle verdict depends
+    on the array alone, so a reference loop and search() can share one
+    memo."""
     search_mod = importlib.import_module("circhess.search")
     built, verified = {}, {}
 
@@ -411,15 +411,23 @@ def test_exhaustive_report_bytes_match_reference_loop(tmp_path, monkeypatch, gf4
             verified[id(system)] = verify_ch_axioms(system)
         return verified[id(system)]
 
-    cfg = SearchConfig(gf4, 3, "exhaustive", report_path=str(tmp_path / "rep.json"))
+    monkeypatch.setattr(search_mod, "split_form_build", build)
+    monkeypatch.setattr(search_mod, "verify_ch_axioms", verify)
+    return built, lambda params: verify(build(params)).is_ch
+
+
+def _reference_report(cfg, candidates, is_ch) -> SearchReport:
+    """The report of a plain loop over `candidates`: the lazy
+    _split_pattern_probe screens each one, and each hit the oracle accepts
+    is counted and sorted by recurrence_status."""
     ref = SearchReport(config=cfg.to_json())
     histogram = {}
-    for c in _reference_candidates(gf4, 3):
+    for c in candidates:
         ref.candidates_examined += 1
-        if not _split_pattern_probe(gf4, *c, 3):
+        if not _split_pattern_probe(cfg.spec, *c, cfg.d):
             continue
-        params = _payload_array(gf4, *c)
-        if not verify(build(params)).is_ch:
+        params = _payload_array(cfg.spec, *c)
+        if not is_ch(params):
             continue
         ref.ch_systems_found += 1
         status = recurrence_status(params)
@@ -430,12 +438,58 @@ def test_exhaustive_report_bytes_match_reference_loop(tmp_path, monkeypatch, gf4
         else:
             ref.counterexamples.append(params.to_json())
     ref.beta_histogram = dict(sorted(histogram.items()))
+    return ref
 
-    monkeypatch.setattr(search_mod, "split_form_build", build)
-    monkeypatch.setattr(search_mod, "verify_ch_axioms", verify)
+
+def test_exhaustive_report_bytes_match_reference_loop(tmp_path, monkeypatch, gf4):
+    """search() writes the report bytes of a plain loop that enumerates
+    every candidate, probes it and sends each hit to the oracle."""
+    built, is_ch = _memo_oracle(monkeypatch)
+    cfg = SearchConfig(gf4, 3, "exhaustive", report_path=str(tmp_path / "rep.json"))
+    ref = _reference_report(cfg, _reference_candidates(gf4, 3), is_ch)
     search(cfg)
     assert (tmp_path / "rep.json").read_bytes() == ref.to_bytes()
     assert ref.ch_systems_found == 2_304 and len(built) == 2_304
+
+
+@pytest.mark.parametrize("field, d", [
+    ("gf:5", 3), ("gf:5", 4), ("ext:gf:2:1,1,1", 3), ("gf:7", 4),
+])
+def test_random_report_bytes_match_reference_loop(monkeypatch, field, d):
+    """Random-mode search() gives the report bytes of a plain loop that
+    draws _random_candidates, probes each with the lazy
+    _split_pattern_probe and sends each hit to the oracle: on fields whose
+    perm(q, d + 1) eigenvalue sequences fit the memo, where the search's
+    probe reads the per-theta tables, and on GF(7), d = 4
+    (perm(7, 5) = 2,520 > _MEMO_SIZE), where it stays lazy."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    _, is_ch = _memo_oracle(monkeypatch)
+    for seed in (1, 2, 3):
+        cfg = SearchConfig(spec, d, "random", seed, 500)
+        candidates = _random_candidates(seed, elems, nonzero, d, 500)
+        ref = _reference_report(cfg, candidates, is_ch)
+        assert search(cfg).to_bytes() == ref.to_bytes()
+        assert ref.candidates_examined == 500
+
+
+def test_random_search_reads_tables_when_theta_space_fits(gf5, gf7):
+    """Random mode reads the per-theta tables exactly when every eigenvalue
+    sequence of the field fits the memo: a GF(5), d = 4 search builds at
+    most perm(5, 5) = 120 tables and a repeat builds none, while GF(7),
+    d = 4 (perm(7, 5) = 2,520 > _MEMO_SIZE) keeps the lazy forms and builds
+    none."""
+    assert math.perm(5, 5) <= _MEMO_SIZE < math.perm(7, 5)
+    _theta_forms.cache_clear()
+    cfg = SearchConfig(gf5, 4, "random", seed=3, trials=2000)
+    search(cfg)
+    misses = _theta_forms.cache_info().misses
+    assert 1 <= misses <= math.perm(5, 5)
+    search(cfg)
+    assert _theta_forms.cache_info().misses == misses
+    search(SearchConfig(gf7, 4, "random", seed=3, trials=2000))
+    assert _theta_forms.cache_info().misses == misses
 
 
 def test_exhaustive_gf5_full():

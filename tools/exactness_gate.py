@@ -8,8 +8,11 @@ the pipeline inputs with that checkout's `perfbench/workloads.pipeline_setup`
 (read only, as the benchmark uses it).  It then records, per command of
 every pipeline cycle of seeds 1 and 2 (verify, raw-pair verify, classify,
 bases --check-all, replay), the input file, stdout, stderr, exit code and
-`--out` file, and the report bytes of the GF(5) and GF(4), d = 3
-exhaustive searches.  Temporary paths are masked before hashing.
+`--out` file, the report bytes of the GF(5) and GF(4), d = 3
+exhaustive searches, and the report bytes of seeded random searches
+(seeds 1 and 2, 4,000 trials) over GF(5), d = 3 and 4, GF(4), d = 3, whose
+eigenvalue sequences all fit the per-sequence memo, and GF(7), d = 4,
+whose do not.  Temporary paths are masked before hashing.
 
 Prints one SHA-256 digest per tree, with the two exhaustive report
 prefixes, and the first record that differs.  Exits 0 when every record
@@ -31,6 +34,7 @@ from pathlib import Path
 
 SEEDS = (1, 2)
 EXHAUSTIVE = (("gf:5", 3), ("ext:gf:2:1,1,1", 3))
+RANDOM = (("gf:5", 3), ("gf:5", 4), ("ext:gf:2:1,1,1", 3), ("gf:7", 4))
 
 
 def _sha(data: bytes) -> str:
@@ -79,6 +83,12 @@ def collect(tree: Path) -> list[list[str]]:
         cfg = ch.SearchConfig(ch.field_from_string(field), d, "exhaustive")
         records.append([f"exhaustive {field} d={d}",
                         _sha(ch.search(cfg).to_bytes())])
+    for field, d in RANDOM:
+        for seed in SEEDS:
+            cfg = ch.SearchConfig(ch.field_from_string(field), d, "random",
+                                  seed, 4000)
+            records.append([f"random {field} d={d} seed={seed}",
+                            _sha(ch.search(cfg).to_bytes())])
     return records
 
 
