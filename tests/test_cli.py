@@ -138,6 +138,75 @@ def test_bases_cli_check_all(tmp_path, capsys, w5_array):
     assert "PASS" in err and "FAIL" not in err
 
 
+def test_bases_cli_without_check_all(tmp_path, capsys, w5_array):
+    """Without --check-all, bases prints the --check-all payload less its
+    ledger, and no PASS/FAIL lines."""
+    f = tmp_path / "w5.json"
+    f.write_text(json.dumps(w5_array.to_json()))
+    code, stdout, _ = run(capsys, "bases", "--in", str(f), "--check-all")
+    assert code == 0
+    checked = json.loads(stdout)
+    del checked["checks"]
+    code, stdout, err = run(capsys, "bases", "--in", str(f))
+    assert code == 0 and err == ""
+    assert json.loads(stdout) == checked
+
+
+def test_bases_cli_non_ch_lists_failures(tmp_path, capsys, w5_array):
+    """bases on an array that is not a system exits 1 with verify's
+    failures and builds no basis."""
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({**w5_array.to_json(), "phi": ["3", "1", "3"]}))
+    code, stdout, _ = run(capsys, "verify", "--in", str(f))
+    assert code == 1
+    failures = json.loads(stdout)["failures"]
+    assert {"condition": "iv", "i": 0, "j": 3} in failures
+    code, stdout, _ = run(capsys, "bases", "--in", str(f))
+    assert code == 1
+    assert json.loads(stdout) == {"is_ch": False, "failures": failures}
+
+
+def test_verify_matrix_pair_without_ordering(tmp_path, capsys, gf5):
+    """A = A* = diag(1, 2, 3, 4) has no idempotent ordering that satisfies
+    the axioms: verify exits 1 and says so."""
+    from circhess import Matrix
+
+    a = Matrix.diagonal(gf5, [1, 2, 3, 4]).to_json()
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"A": a, "A_star": a}))
+    code, stdout, _ = run(capsys, "verify", "--in", str(pair))
+    assert code == 1
+    assert json.loads(stdout) == {
+        "is_ch": False, "detail": "no idempotent ordering satisfies the axioms"}
+
+
+def test_gen_f1_over_prime_field_needs_q(capsys):
+    code, stdout, err = run(
+        capsys, "gen", "--family", "F1", "--field", "gf:5", "--d", "3",
+        "--b", "1", "--bstar", "1", "--y", "1",
+    )
+    assert code == 2
+    assert stdout == "" and "--q is required" in err
+
+
+def test_gen_scalar_spellings(capsys):
+    """A scalar may be a canonical rendering (0+1*w), the bare generator
+    name (w) or a fraction (1/2 = 4 in GF(7)); anything else exits 2."""
+    gf9 = ("gen", "--family", "F1", "--field", "ext:gf:3:1,0,1", "--d", "3",
+           "--b", "1", "--bstar", "1", "--y", "1")
+    outs = [run(capsys, *gf9, *q) for q in ((), ("--q", "w"), ("--q", "0+1*w"))]
+    assert outs[0][0] == 0 and outs[0][1]
+    assert outs[1] == outs[2] == outs[0]
+    gf7 = ("gen", "--family", "F1", "--field", "gf:7", "--d", "5", "--q", "3",
+           "--b", "1", "--astar", "2", "--bstar", "2", "--y", "1", "--z", "2")
+    four = run(capsys, *gf7, "--a", "4")
+    assert four[0] == 0
+    assert run(capsys, *gf7, "--a", "1/2") == four
+    code, stdout, err = run(capsys, *gf7, "--a", "zz")
+    assert code == 2 and stdout == ""
+    assert err == "error: cannot parse 'zz' as an element of GF(7)\n"
+
+
 def test_bases_check_all_solves_each_once(tmp_path, capsys, monkeypatch, w5_array):
     """One `bases --check-all` solves each of the 6 representations and each
     of the 36 ordered transitions once: the ledger and the standard-form

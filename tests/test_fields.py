@@ -171,6 +171,31 @@ def test_division_by_zero():
         g5.element(0) ** -1
 
 
+def _table_path_gf4():
+    """GF(4) after enough operations that it computes by Zech tables."""
+    spec = field_from_string("ext:gf:2:1,1,1")
+    g = spec.generator()
+    for _ in range(spec.order):
+        g = g * spec.generator()
+    assert spec.__dict__["_tables"] is not None
+    return spec
+
+
+@pytest.mark.parametrize("spec", all_specs() + [_table_path_gf4()], ids=str)
+def test_division_leaves_zero_check_to_inv(spec):
+    """x / y, n / y and y ** -k take the zero check from the field's inv,
+    on every kind of field and on both paths of a finite extension."""
+    gen = spec.generator() if isinstance(spec, QuotientExtension) else spec.element(3)
+    zero = spec.zero_element()
+    for x in (spec.one_element(), gen):
+        assert 2 / x == spec.element(2) * x.inverse()
+        assert (2 / x) * x == 2
+        assert x / x == 1 and x ** -2 * x * x == 1
+        for fails in (lambda: x / zero, lambda: 2 / zero, lambda: zero ** -1):
+            with pytest.raises(DivisionByZeroError):
+                fails()
+
+
 def _axiom_check(spec, a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a

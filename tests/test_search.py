@@ -13,6 +13,7 @@ from circhess import (
     Family,
     FieldElement,
     ParameterArray,
+    RecurrenceStatus,
     SearchConfig,
     SearchReport,
     family_generate,
@@ -563,6 +564,54 @@ def test_probe_hit_rejected_by_oracle_is_internal_contradiction(
     assert code == 1
     assert out.out == ""
     assert out.err.startswith("INTERNAL CONTRADICTION: ")
+
+
+def test_counterexamples_are_reported_and_replayable(tmp_path, monkeypatch, capsys, gf5):
+    """A hit that is not recurrent is a counterexample (none is known, so
+    recurrence_status is patched to call the first three hits of a seeded
+    GF(5), d = 3 search non-recurrent).  The report and the
+    .counterexamples.json file beside it list exactly those arrays, each
+    entry reads back as its array, `circhess fuzz` exits 1, and unpatched
+    replay verifies each entry as a system."""
+    from circhess.cli import main
+
+    search_mod = importlib.import_module("circhess.search")
+    real = search_mod.recurrence_status
+    flipped = []
+
+    def status(params):
+        if len(flipped) < 3:
+            flipped.append(params)
+            return RecurrenceStatus(False, [])
+        return real(params)
+
+    monkeypatch.setattr(search_mod, "recurrence_status", status)
+    path = tmp_path / "rep.json"
+    rep = search(SearchConfig(gf5, 3, "random", seed=42, trials=300,
+                              report_path=str(path)))
+    assert len(flipped) == 3 and rep.ch_systems_found == 5
+    assert rep.recurrent_count == 2 and rep.beta_histogram == {"0": 2}
+    assert rep.counterexamples == [p.to_json() for p in flipped]
+    on_disk = json.loads(path.with_suffix(".counterexamples.json").read_text())
+    assert on_disk == rep.counterexamples
+    assert json.loads(path.read_bytes()) == rep.to_json()
+    assert [ParameterArray.from_json(e) for e in on_disk] == flipped
+
+    flipped.clear()
+    cli_path = tmp_path / "cli.json"
+    code = main(["fuzz", "--field", "gf:5", "--d", "3", "--seed", "42",
+                 "--trials", "300", "--report", str(cli_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.encode() == cli_path.read_bytes() + b"\n"
+    assert json.loads(out)["counterexamples"] == on_disk
+    assert cli_path.with_suffix(".counterexamples.json").read_text() == \
+        path.with_suffix(".counterexamples.json").read_text()
+
+    monkeypatch.undo()
+    for entry in on_disk:
+        bundle = replay(ParameterArray.from_json(entry))
+        assert bundle["verify"]["is_ch"] and bundle["ok"]
 
 
 def test_unknown_mode_is_typed_error(gf5):

@@ -1,6 +1,7 @@
 """System construction, axiom verification, extraction, duality, ingest."""
 
 import functools
+import itertools
 import json
 import os
 import random
@@ -51,6 +52,7 @@ from circhess.linalg import rank
 from circhess.systems import (
     IdempotentFamily,
     _check_idempotent_family,
+    _hamiltonian_cycles,
     _rank_one_factors,
 )
 
@@ -238,6 +240,26 @@ def test_ingest_rejects_non_ch(gf5):
     a = Matrix.diagonal(gf5, [1, 2, 4, 3])
     b = Matrix.diagonal(gf5, [1, 3, 2, 4])
     assert ingest_pair(a, b) is None
+
+
+@pytest.mark.parametrize("succ", [
+    [[1, 2], [3], [1], [2, 0]],  # the first branch 0, 1, 3, 2 cannot close
+    [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
+    [[1], [2], [0], [0]],  # no Hamiltonian cycle
+])
+def test_hamiltonian_cycles_match_brute_force(succ):
+    """The backtracking search yields the cycles anchored at 0 that a brute
+    force over permutations finds, in the same order: it backs out of a
+    full path whose last vertex has no edge to 0, and out of every branch
+    that runs out of unused successors."""
+    n = len(succ)
+    brute = [
+        [0, *rest] for rest in itertools.permutations(range(1, n))
+        if all(w in succ[v] for v, w in zip((0, *rest), (*rest, 0)))
+    ]
+    assert list(_hamiltonian_cycles(succ, n)) == brute
+    if succ[0] == [1, 2]:
+        assert brute == [[0, 2, 1, 3]]
 
 
 def test_parameter_array_validation(gf5):
