@@ -102,8 +102,6 @@ class RepresentationPair(JsonFields):
 class BasisCatalog:
     system: CHSystem
     vectors: dict
-    u_star: Vector
-    u: Vector
     scalars: NormalizationScalars
     # closed-form diagram edges (a, b) -> T, filled by _closed_transition
     edges: dict = field(default_factory=dict, repr=False, compare=False)
@@ -169,7 +167,7 @@ def build_basis_catalog(s: CHSystem, u_star: Vector | None = None):
     if tr != prod:
         raise IdentityCheckError("tr(E_0 E*_0) != epsilon * epsilon*")
     scalars = NormalizationScalars(epsilon, epsilon_star, prod.inverse())
-    return BasisCatalog(s, vectors, seed, u, scalars), scalars
+    return BasisCatalog(s, vectors, scalars), scalars
 
 
 # --- closed-form transitions -----------------------------------------------

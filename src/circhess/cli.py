@@ -142,6 +142,10 @@ def cmd_verify(args) -> int:
     if "A" in data and "A_star" in data:
         a = Matrix.from_json(data["A"])
         b = Matrix.from_json(data["A_star"])
+        if not a.nrows == a.ncols == b.nrows == b.ncols >= 4:
+            raise ParseError("A and A_star must be square, of one size >= 4")
+        if a.spec != b.spec:
+            raise ParseError("A and A_star must be over the same field")
         system = ingest_pair(a, b)
         if system is None:
             _emit({"is_ch": False,

@@ -108,13 +108,10 @@ class ParameterArray:
                 if not isinstance(e, FieldElement) or e.spec != self.spec:
                     raise MixedFieldsError("array entries must lie in the stated field")
         for name, seq in (("theta", self.theta), ("theta_star", self.theta_star)):
-            seen = set()
-            for e in seq:
-                if e.payload in seen:
-                    raise InvalidParameterArrayError(
-                        f"{name} values must be mutually distinct"
-                    )
-                seen.add(e.payload)
+            if len({e.payload for e in seq}) != len(seq):
+                raise InvalidParameterArrayError(
+                    f"{name} values must be mutually distinct"
+                )
         if any(e.is_zero() for e in self.phi):
             raise InvalidParameterArrayError("split sequence entries must be nonzero")
 
@@ -710,11 +707,11 @@ def cyclic_irreducibility_check(s: CHSystem, w_seed: Vector) -> bool:
 def ingest_pair(A: Matrix, A_star: Matrix) -> CHSystem | None:
     """Build a verified system from two bare matrices over a finite field.
 
-    Eigenvalues come from the brute-force scan.  Admissible idempotent
-    orderings are constrained to a cyclic class by the required nonzero
-    pattern, so the search walks Hamiltonian cycles of the "maps into"
-    graph and tries their rotations and reflections, for each side
-    independently.  Returns None when no ordering satisfies the axioms.
+    Eigenvalues come from the brute-force scan.  Each side's idempotent
+    ordering is read off the other map's zero table by one forced walk of
+    its "maps into" graph and at most n pattern checks (see _ordering for
+    the proof that this finds an ordering whenever the axioms admit one).
+    Returns None when no ordering satisfies the axioms.
     """
     if A.spec != A_star.spec:
         raise MixedFieldsError("pair over different fields")
@@ -750,41 +747,47 @@ def _find_ordering(M: Matrix, evs, other: Matrix):
     n = len(evs)
     E = primitive_idempotents(M, evs)  # rank one each: M is multiplicity-free
     factors = _family_factors(E)
-    zeros = _zero_products(factors, other, product(range(n), repeat=2))
+    o = _ordering(_zero_products(factors, other, product(range(n), repeat=2)), n)
+    if o is None:
+        return None
+    return tuple(evs[k] for k in o), IdempotentFamily(
+        M.spec, [E[k] for k in o], [factors[k] for k in o])
+
+
+def _ordering(zeros, n: int):
+    """An ordering o of 0..n-1 under which the zero table
+    {(i, j): whether E_i X E_j = 0} has the circular Hessenberg pattern,
+    as a list, or None: the first valid rotation, started at vertex 0, of
+    the one cycle that a valid ordering allows.
+
+    Let succ[j] be the set of i != j with E_i X E_j != 0.  A valid
+    ordering o fixes the shape of succ: succ[o[0]] = {o[1]}, succ[o[p]] is
+    o[p + 1] plus at most o[p - 1] for 0 < p < d, and succ[o[d]] is o[0]
+    plus at most o[d - 1].  So the fewest successors a vertex has is one,
+    and a walk from such a vertex, say o[p], that steps each time to the
+    one successor not yet visited is forced: it runs o[p], ..., o[d], o[0],
+    ..., o[p - 1], its only other choice being the visited o[p - 1].  The
+    walk answers None when a step has zero or two choices.  Its cycle is
+    the only Hamiltonian cycle of succ, since one must leave o[0] for o[1],
+    and stepping back to o[p - 1] would close a cycle shorter than n.
+    Every valid ordering runs along a Hamiltonian cycle, so each is a
+    forward rotation of this one and no reflection is valid; the full
+    pattern check decides each rotation.  The result is the ordering that
+    enumerating every Hamiltonian cycle anchored at 0, with its rotations
+    and then its reflections, would give first: one walk and at most n
+    pattern checks in place of up to (n - 1)! cycles.
+    """
     succ = [[i for i in range(n) if i != j and not zeros[i, j]] for j in range(n)]
+    cycle = [min(range(n), key=lambda j: len(succ[j]))]
+    while len(cycle) < n:
+        step = [i for i in succ[cycle[-1]] if i not in cycle]
+        if len(step) != 1:
+            return None
+        cycle += step
+    cycle = cycle[cycle.index(0):] + cycle[:cycle.index(0)]
     pattern = _shape_pattern(ShapeClass.CIRCULAR_HESSENBERG, n)
-    for cycle in _hamiltonian_cycles(succ, n):
-        for o in _cycle_orderings(cycle):
-            if all(zeros[o[i], o[j]] == zero for i, j, zero in pattern):
-                return tuple(evs[k] for k in o), IdempotentFamily(
-                    M.spec, [E[k] for k in o], [factors[k] for k in o])
+    for r in range(n):
+        o = cycle[r:] + cycle[:r]
+        if all(zeros[o[i], o[j]] == zero for i, j, zero in pattern):
+            return o
     return None
-
-
-def _hamiltonian_cycles(succ, n):
-    """Yield every directed Hamiltonian cycle (anchored at vertex 0); the
-    vertex count is tiny (d + 1), so backtracking is instant."""
-    path = [0]
-    used = {0}
-
-    def extend():
-        if len(path) == n:
-            if 0 in succ[path[-1]]:
-                yield list(path)
-            return
-        for v in succ[path[-1]]:
-            if v not in used:
-                path.append(v)
-                used.add(v)
-                yield from extend()
-                path.pop()
-                used.remove(v)
-
-    yield from extend()
-
-
-def _cycle_orderings(cycle):
-    n = len(cycle)
-    for direction in (cycle, cycle[::-1]):
-        for r in range(n):
-            yield direction[r:] + direction[:r]

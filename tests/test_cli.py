@@ -6,8 +6,10 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,13 +19,17 @@ from hypothesis import strategies as st
 from circhess import (
     Family,
     FamilyParameters,
+    Matrix,
     ParameterArray,
     cyclotomic_field,
     family_generate,
+    ingest_pair,
+    matrix_inverse,
     prime_field,
     split_form_build,
 )
 from circhess.cli import main
+from circhess.linalg import rank
 
 
 def run(capsys, *argv):
@@ -175,6 +181,37 @@ def test_verify_matrix_pair_without_ordering(tmp_path, capsys, gf5):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({"A": a, "A_star": a}))
     code, stdout, _ = run(capsys, "verify", "--in", str(pair))
+    assert code == 1
+    assert json.loads(stdout) == {
+        "is_ch": False, "detail": "no idempotent ordering satisfies the axioms"}
+
+
+def test_generic_pair_fails_promptly(tmp_path, capsys):
+    """A seeded generic 11 x 11 pair over GF(31): A and A* are each
+    diagonalizable with 11 distinct eigenvalues in seeded bases, so nearly
+    every E_i A* E_j is nonzero and there is no ordering.  ingest_pair and
+    verify each say so within 5 s; enumerating the Hamiltonian cycles of
+    that nearly complete graph took about two minutes."""
+    n, p = 11, 31
+    rng = random.Random(2027)
+    gf = prime_field(p)
+
+    def diagonalizable():
+        m = None
+        while m is None or rank(m) < n:
+            m = Matrix.from_elements(
+                gf, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        return m * Matrix.diagonal(gf, rng.sample(range(p), n)) * matrix_inverse(m)
+
+    a, b = diagonalizable(), diagonalizable()
+    start = time.perf_counter()
+    assert ingest_pair(a, b) is None
+    assert time.perf_counter() - start < 5
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"A": a.to_json(), "A_star": b.to_json()}))
+    start = time.perf_counter()
+    code, stdout, _ = run(capsys, "verify", "--in", str(pair))
+    assert time.perf_counter() - start < 5
     assert code == 1
     assert json.loads(stdout) == {
         "is_ch": False, "detail": "no idempotent ordering satisfies the axioms"}
@@ -439,6 +476,43 @@ def test_malformed_json_is_usage_error(tmp_path, capsys, command, doc):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _eye(n, field=_GF5, cols=None):
+    cols = n if cols is None else cols
+    return {"field": field, "rows": n, "cols": cols,
+            "entries": [[str(int(i == j)) for j in range(cols)] for i in range(n)]}
+
+
+_BAD_PAIRS = {
+    "3x3 pair": (_eye(3), _eye(3)),
+    "4x4 with 3x3": (_eye(4), _eye(3)),
+    "non-square pair": (_eye(4, cols=5), _eye(4, cols=5)),
+    "fields differ": (_eye(4), _eye(4, {"kind": "prime", "p": 7})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PAIRS))
+def test_malformed_matrix_pair_is_usage_error(tmp_path, capsys, case):
+    """A raw pair that is not two square matrices of one size >= 4 over one
+    field exits 2 with an error line, like a malformed array."""
+    a, b = _BAD_PAIRS[case]
+    bad = tmp_path / "pair.json"
+    bad.write_text(json.dumps({"A": a, "A_star": b}))
+    code, stdout, err = run(capsys, "verify", "--in", str(bad))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_rational_matrix_pair_is_unsupported(tmp_path, capsys):
+    """A well-formed pair over QQ is outside ingest's finite-field scope:
+    exit 1 (UnsupportedFieldError), as for fuzz --field rat."""
+    pair = tmp_path / "pair.json"
+    qq = {"kind": "rationals"}
+    pair.write_text(json.dumps({"A": _eye(4, qq), "A_star": _eye(4, qq)}))
+    code, stdout, err = run(capsys, "verify", "--in", str(pair))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error:") and "finite field" in err
 
 
 def test_invalid_json_text_is_usage_error(tmp_path, capsys):

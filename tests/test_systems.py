@@ -48,11 +48,11 @@ from circhess.errors import (
     UnverifiedSystemError,
     ZeroVectorError,
 )
-from circhess.linalg import rank
+from circhess.linalg import ShapeClass, _shape_pattern, rank
 from circhess.systems import (
     IdempotentFamily,
     _check_idempotent_family,
-    _hamiltonian_cycles,
+    _ordering,
     _rank_one_factors,
 )
 
@@ -242,24 +242,59 @@ def test_ingest_rejects_non_ch(gf5):
     assert ingest_pair(a, b) is None
 
 
-@pytest.mark.parametrize("succ", [
-    [[1, 2], [3], [1], [2, 0]],  # the first branch 0, 1, 3, 2 cannot close
-    [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
-    [[1], [2], [0], [0]],  # no Hamiltonian cycle
-])
-def test_hamiltonian_cycles_match_brute_force(succ):
-    """The backtracking search yields the cycles anchored at 0 that a brute
-    force over permutations finds, in the same order: it backs out of a
-    full path whose last vertex has no edge to 0, and out of every branch
-    that runs out of unused successors."""
-    n = len(succ)
-    brute = [
-        [0, *rest] for rest in itertools.permutations(range(1, n))
-        if all(w in succ[v] for v, w in zip((0, *rest), (*rest, 0)))
-    ]
-    assert list(_hamiltonian_cycles(succ, n)) == brute
-    if succ[0] == [1, 2]:
-        assert brute == [[0, 2, 1, 3]]
+def _first_ordering_by_enumeration(zeros, n):
+    """The ordering ingest chose by enumeration: every Hamiltonian cycle of
+    succ anchored at 0, in permutation order, forward and then reversed,
+    each rotation in turn; the first that passes the pattern."""
+    pattern = _shape_pattern(ShapeClass.CIRCULAR_HESSENBERG, n)
+    for rest in itertools.permutations(range(1, n)):
+        cycle = [0, *rest]
+        if any(zeros[w, v] for v, w in zip(cycle, cycle[1:] + cycle[:1])):
+            continue
+        for direction in (cycle, cycle[::-1]):
+            for r in range(n):
+                o = direction[r:] + direction[:r]
+                if all(zeros[o[i], o[j]] == zero for i, j, zero in pattern):
+                    return o
+    return None
+
+
+def _ordering_tables():
+    """The old backtracking test's three succ graphs as zero tables, then
+    2,000 seeded tables with n = 4..7: half dense random, half the pattern
+    of a random ordering with its free entries drawn, some perturbed."""
+    for succ in ([[1, 2], [3], [1], [2, 0]],  # the first branch cannot close
+                 [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
+                 [[1], [2], [0], [0]]):  # no Hamiltonian cycle
+        n = len(succ)
+        yield n, {(i, j): i not in succ[j] for i in range(n) for j in range(n)}
+    rng = random.Random(27)
+    for t in range(2000):
+        n = rng.randint(4, 7)
+        cells = list(itertools.product(range(n), repeat=2))
+        if t % 2:
+            p = rng.choice((0.2, 0.5, 0.8))
+            yield n, {c: rng.random() < p for c in cells}
+            continue
+        o = rng.sample(range(n), n)
+        zeros = {c: rng.random() < 0.5 for c in cells}
+        for i, j, zero in _shape_pattern(ShapeClass.CIRCULAR_HESSENBERG, n):
+            zeros[o[i], o[j]] = zero
+        for c in rng.sample(cells, rng.choice((0, 0, 1, 2))):
+            zeros[c] = not zeros[c]
+        yield n, zeros
+
+
+def test_ordering_walk_matches_enumeration():
+    """The forced walk returns the ordering that enumerating Hamiltonian
+    cycles, their rotations and reflections returned first, or None with
+    it; a fair share of the tables has a valid ordering."""
+    found = 0
+    for n, zeros in _ordering_tables():
+        want = _first_ordering_by_enumeration(zeros, n)
+        assert _ordering(zeros, n) == want
+        found += want is not None
+    assert found > 500
 
 
 def test_parameter_array_validation(gf5):

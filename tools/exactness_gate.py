@@ -8,7 +8,10 @@ the pipeline inputs with that checkout's `perfbench/workloads.pipeline_setup`
 (read only, as the benchmark uses it).  It then records, per command of
 every pipeline cycle of seeds 1 and 2 (verify, raw-pair verify, classify,
 bases --check-all, replay), the input file, stdout, stderr, exit code and
-`--out` file, the report bytes of the GF(5) and GF(4), d = 3
+`--out` file.  It records the same for verify on each raw pair with A and
+A* swapped (the dual system, whose "maps into" graphs differ), and on one
+seeded generic 8 x 8 pair over GF(31) per seed, which has no idempotent
+ordering.  Then it records the report bytes of the GF(5) and GF(4), d = 3
 exhaustive searches, and the report bytes of seeded random searches
 (seeds 1 and 2, 4,000 trials) over GF(5), d = 3 and 4, GF(4), d = 3, whose
 eigenvalue sequences all fit the per-sequence memo, and GF(7), d = 4,
@@ -27,6 +30,7 @@ import hashlib
 import importlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -39,6 +43,25 @@ RANDOM = (("gf:5", 3), ("gf:5", 4), ("ext:gf:2:1,1,1", 3), ("gf:7", 4))
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _generic_pair(ch, seed: int) -> list[dict]:
+    """Two seeded 8 x 8 matrices over GF(31), each diagonalizable with 8
+    distinct eigenvalues in a seeded basis, as JSON: nearly every
+    E_i A* E_j is nonzero, so no idempotent ordering exists."""
+    n, p = 8, 31
+    rng = random.Random(seed)
+    spec = ch.field_from_string(f"gf:{p}")
+
+    def diagonalizable():
+        while True:
+            m = ch.Matrix.from_elements(
+                spec, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+            if not ch.determinant(m).is_zero():
+                diag = ch.Matrix.diagonal(spec, rng.sample(range(p), n))
+                return (m * diag * ch.matrix_inverse(m)).to_json()
+
+    return [diagonalizable(), diagonalizable()]
 
 
 def collect(tree: Path) -> list[list[str]]:
@@ -55,6 +78,27 @@ def collect(tree: Path) -> list[list[str]]:
             def mask(data: bytes) -> bytes:
                 return data.replace(tmp.encode(), b"<work>")
 
+            def run(argv) -> str:
+                out_path = Path(argv[-1])
+                out_path.unlink(missing_ok=True)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(stderr):
+                    try:
+                        rc = repr(main(argv))
+                    except Exception as e:  # noqa: BLE001 - recorded
+                        rc = f"raised {type(e).__name__}: {e}"
+                out = out_path.read_bytes() if out_path.exists() else b"<none>"
+                return _sha(mask(b"\0".join([stdout.getvalue().encode(),
+                                              stderr.getvalue().encode(),
+                                              rc.encode(), out])))
+
+            def verify_pair(a, b) -> str:
+                path = workdir / "pair.json"
+                path.write_text(json.dumps({"A": a, "A_star": b}))
+                return run(["verify", "--in", str(path), "--out",
+                            str(workdir / "out.json")])
+
             cycles = wl.pipeline_setup(ch, seed, wl.FULL, workdir)
             for c, cycle in enumerate(cycles):
                 for case in cycle:
@@ -62,23 +106,16 @@ def collect(tree: Path) -> list[list[str]]:
                     records.append([f"{label} input",
                                     _sha(Path(case.array_path).read_bytes())])
                     for kind, argv in case.commands:
-                        out_path = Path(argv[-1])
-                        out_path.unlink(missing_ok=True)
                         if kind == "ingest":
                             records.append([f"{label} pair input",
                                             _sha(Path(argv[2]).read_bytes())])
-                        stdout, stderr = io.StringIO(), io.StringIO()
-                        with contextlib.redirect_stdout(stdout), \
-                                contextlib.redirect_stderr(stderr):
-                            try:
-                                rc = repr(main(argv))
-                            except Exception as e:  # noqa: BLE001 - recorded
-                                rc = f"raised {type(e).__name__}: {e}"
-                        out = out_path.read_bytes() if out_path.exists() else b"<none>"
-                        blob = b"\0".join([stdout.getvalue().encode(),
-                                           stderr.getvalue().encode(),
-                                           rc.encode(), out])
-                        records.append([f"{label} {kind}", _sha(mask(blob))])
+                        records.append([f"{label} {kind}", run(argv)])
+                        if kind == "ingest":
+                            pair = json.loads(Path(argv[2]).read_text())
+                            records.append([f"{label} swapped ingest",
+                                            verify_pair(pair["A_star"], pair["A"])])
+            records.append([f"seed {seed} generic pair ingest",
+                            verify_pair(*_generic_pair(ch, seed))])
     for field, d in EXHAUSTIVE:
         cfg = ch.SearchConfig(ch.field_from_string(field), d, "exhaustive")
         records.append([f"exhaustive {field} d={d}",
