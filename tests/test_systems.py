@@ -259,15 +259,38 @@ def _first_ordering_by_enumeration(zeros, n):
     return None
 
 
+@pytest.mark.parametrize("succ", [
+    [[1, 2], [3], [1], [2, 0]],  # the first branch 0, 1, 3, 2 cannot close
+    [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
+    [[1], [2], [0], [0]],  # no Hamiltonian cycle
+])
+def test_hamiltonian_cycles_match_brute_force(succ):
+    """On a hand-made succ graph, given as the zero table with
+    E_i X E_j != 0 exactly when i is in succ[j], the forced walk returns
+    the ordering the enumeration returned first, and any ordering it
+    returns runs along a Hamiltonian cycle that a brute force over
+    permutations finds."""
+    n = len(succ)
+    brute = [
+        [0, *rest] for rest in itertools.permutations(range(1, n))
+        if all(w in succ[v] for v, w in zip((0, *rest), (*rest, 0)))
+    ]
+    zeros = {(i, j): i not in succ[j] for i in range(n) for j in range(n)}
+    o = _ordering(zeros, n)
+    assert o == _first_ordering_by_enumeration(zeros, n)
+    if o is not None:
+        anchored = o[o.index(0):] + o[:o.index(0)]
+        assert anchored in brute
+    if succ[0] == [1, 2]:
+        assert brute == [[0, 2, 1, 3]]
+    if not brute:
+        assert o is None
+
+
 def _ordering_tables():
-    """The old backtracking test's three succ graphs as zero tables, then
-    2,000 seeded tables with n = 4..7: half dense random, half the pattern
-    of a random ordering with its free entries drawn, some perturbed."""
-    for succ in ([[1, 2], [3], [1], [2, 0]],  # the first branch cannot close
-                 [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
-                 [[1], [2], [0], [0]]):  # no Hamiltonian cycle
-        n = len(succ)
-        yield n, {(i, j): i not in succ[j] for i in range(n) for j in range(n)}
+    """2,000 seeded zero tables with n = 4..7: half dense random, half the
+    pattern of a random ordering with its free entries drawn, some
+    perturbed."""
     rng = random.Random(27)
     for t in range(2000):
         n = rng.randint(4, 7)
