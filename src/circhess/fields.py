@@ -4,7 +4,10 @@ A FieldSpec describes a field and implements all arithmetic on raw payloads:
 
     Rationals          -> fractions.Fraction
     PrimeField(p)      -> int in [0, p)
-    QuotientExtension  -> tuple of base payloads, length deg(modulus)
+    QuotientExtension  -> over a finite base: tuple of base payloads, length
+                          deg(modulus); over QQ: tuple of ints
+                          (n_0, ..., n_{k-1}, D), the coefficients n_i / D
+                          with D >= 1 and gcd(n_0, ..., n_{k-1}, D) = 1
 
 FieldElement is a thin wrapper pairing a payload with its spec.  Elements of
 different fields never mix (MixedFieldsError); there is no coercion between
@@ -17,11 +20,14 @@ element turn a product into an exponent sum and a sum into one lookup, with
 O(q) memory.  The tables are built from the coefficient arithmetic, which
 stays the definition and the live path for extensions of QQ, for fields above
 FACTOR_SEARCH_BUDGET and for a field's first q - 2 operations.  Payloads are
-the same tuples on both paths.  Over QQ the coefficient path's products and
-dots run on integer numerators over one common denominator per side, so each
-output coefficient is normalized once rather than at every Fraction step.
-An inverse runs extended Euclid on base[x] remainders with the Bezout
-cofactor held as a field payload.
+the same tuples on both paths.  An extension of QQ computes on its integer
+payloads alone: a sum, product or dot works on numerators over the two
+sides' denominators and normalizes its result with one gcd, and an inverse
+is fraction-free Gauss-Jordan elimination (Bareiss) on the integer
+multiplication matrix.  Only the coefficient boundary (from_coefficients,
+coefficients, parse, render) builds a Fraction.  Over a finite base an
+inverse runs extended Euclid on base[x] remainders with the Bezout cofactor
+held as a field payload.
 """
 
 from __future__ import annotations
@@ -341,8 +347,13 @@ class _ZechTables(NamedTuple):
 class QuotientExtension(FieldSpec):
     """base[x]/(m(x)) for a monic irreducible m of degree >= 2.
 
-    The modulus is stored low-to-high including the leading 1.  Payloads are
-    tuples of base payloads of length deg(m).  Irreducibility is certified by
+    The modulus is stored low-to-high including the leading 1, as base
+    payloads.  Over a finite base a payload is the tuple of its deg(m) base
+    payloads.  Over QQ it is (n_0, ..., n_{k-1}, D), k = deg(m): integer
+    numerators over one denominator D >= 1 with gcd(n_0, ..., D) = 1, so
+    zero is (0, ..., 0, 1) and equal elements have equal payloads.
+    from_coefficients and coefficients convert to and from base payloads
+    (Fractions).  Irreducibility is certified by
     exhaustive root/factor search over finite bases and by a rational-root
     test over QQ; degree >= 4 moduli over QQ are accepted only when they are
     cyclotomic polynomials, which are irreducible.  Every modulus is
@@ -350,11 +361,14 @@ class QuotientExtension(FieldSpec):
 
     Arithmetic has two paths with the same payloads and results.  The
     coefficient path (`_coeff_*`: convolution, then reduction by the
-    modulus) defines it and serves extensions of QQ, where `_coeff_dot`
-    (and mul, the dot of one pair) convolves and reduces integer
-    numerators and builds one Fraction per output coefficient.  An inverse
-    runs extended Euclid on base[x] remainders and keeps the cofactor as a
-    payload, stepped by `_coeff_dot` and `_coeff_sub`.  Over a finite base,
+    modulus) defines it and serves extensions of QQ, where it runs on
+    Python ints: `_coeff_dot` (and mul, the dot of one pair) convolves the
+    numerators, each pair scaled to the lcm of its side's denominators,
+    reduces by `_int_red_rows` and normalizes once with one gcd, and an
+    inverse solves a x = 1 by fraction-free Gauss-Jordan elimination on the
+    integer multiplication matrix of a's numerators.  Over a finite base an
+    inverse runs extended Euclid on base[x] remainders and keeps the
+    cofactor as a payload, stepped by `_coeff_dot` and `_coeff_sub`; and
     the (q - 1)-th operation builds `_tables`, Zech logarithms over a
     primitive element, and from then on mul and inv are exponent arithmetic
     mod q - 1, add, sub and neg are one Zech lookup each, and dot sums in
@@ -394,11 +408,30 @@ class QuotientExtension(FieldSpec):
 
     @cached_property
     def _zero_payload(self):
-        return (self.base.zero,) * self.deg
+        return self.from_coefficients((self.base.zero,) * self.deg)
 
     @cached_property
     def _one_payload(self):
-        return (self.base.one,) + (self.base.zero,) * (self.deg - 1)
+        return self.embed(self.base.one)
+
+    @cached_property
+    def _over_qq(self) -> bool:
+        return isinstance(self.base, Rationals)
+
+    def from_coefficients(self, coeffs):
+        """The payload whose coefficients, low to high, are the base
+        payloads `coeffs`: that tuple over a finite base, and over QQ the
+        numerators over the lcm of the denominators, which is canonical."""
+        if not self._over_qq:
+            return tuple(coeffs)
+        den = math.lcm(*[c.denominator for c in coeffs])
+        return tuple([c.numerator * (den // c.denominator) for c in coeffs] + [den])
+
+    def coefficients(self, a) -> tuple:
+        """The coefficients of payload `a`, low to high, as base payloads."""
+        if not self._over_qq:
+            return a
+        return tuple([Fraction(n, a[-1]) for n in a[:-1]])
 
     @property
     def order(self):
@@ -407,9 +440,9 @@ class QuotientExtension(FieldSpec):
 
     @cached_property
     def generator_payload(self):
-        return tuple(
+        return self.from_coefficients(tuple(
             self.base.one if i == 1 else self.base.zero for i in range(self.deg)
-        )
+        ))
 
     def generator(self) -> "FieldElement":
         return FieldElement(self, self.generator_payload)
@@ -579,77 +612,127 @@ class QuotientExtension(FieldSpec):
 
     # coefficient path: the definition of the arithmetic ------------------
     def _coeff_add(self, a, b):
+        if self._over_qq:
+            return _qq_sum(a, b, operator.add)
         ba = self.base
-        return tuple(ba.add(x, y) for x, y in zip(a, b))
+        return tuple([ba.add(x, y) for x, y in zip(a, b)])
 
     def _coeff_sub(self, a, b):
+        if self._over_qq:
+            return _qq_sum(a, b, operator.sub)
         ba = self.base
-        return tuple(ba.sub(x, y) for x, y in zip(a, b))
+        return tuple([ba.sub(x, y) for x, y in zip(a, b)])
 
     def _coeff_neg(self, a):
+        if self._over_qq:
+            return tuple([-x for x in a[:-1]] + [a[-1]])
         ba = self.base
-        return tuple(ba.neg(x) for x in a)
+        return tuple([ba.neg(x) for x in a])
 
     def _coeff_dot(self, xs, ys):
         """Sum of x * y over the pairs: one convolution of them all, then one
         reduction by the modulus rows.  A product is the dot of one pair.
 
-        Over QQ the convolution and reduction run on integers: each side is
-        scaled by the lcm of its coefficient denominators, the rows by
-        theirs (_int_red_rows), and each output coefficient is normalized
-        once, as Fraction(c, den), instead of at every product and sum.
+        Over QQ it runs on the integer payloads: each side's denominator is
+        the lcm of its payloads' denominators, each pair's numerator product
+        is scaled up to their product, the reduction uses _int_red_rows
+        (rows scaled by dm), and the result is normalized once.
         """
-        ba, k = self.base, self.deg
-        qq = isinstance(ba, Rationals)
-        if qq:
-            # lists, not generators, feed the tuples built here: a tuple
-            # built from a generator is allocated at one size and freed at
-            # another, so CPython's per-size tuple free lists would keep a
-            # block per call (0.6 MB more peak RSS in perfbench's pipeline)
-            dx = math.lcm(*[c.denominator for x in xs for c in x])
-            dy = math.lcm(*[c.denominator for y in ys for c in y])
-            xs = [[c.numerator * (dx // c.denominator) for c in x] for x in xs]
-            ys = [[c.numerator * (dy // c.denominator) for c in y] for y in ys]
-            dm, rows = self._int_red_rows
-            add, mul, zero = operator.add, operator.mul, 0
-        else:
-            add, mul, zero, rows = ba.add, ba.mul, ba.zero, self._red_rows
+        k = self.deg
+        if self._over_qq:
+            dm = self._int_red_rows[0]
+            dx = math.lcm(*[x[k] for x in xs])
+            dy = math.lcm(*[y[k] for y in ys])
+            conv = [0] * (2 * k - 1)
+            for x, y in zip(xs, ys):
+                s = dx // x[k] * (dy // y[k])
+                y = y[:k]
+                for i in range(k):
+                    xi = x[i]
+                    if xi:
+                        xi *= s
+                        for j, yj in enumerate(y):
+                            conv[i + j] += xi * yj
+            return _qq_normal(self._int_reduce(conv), dx * dy * dm)
+        ba, rows = self.base, self._red_rows
+        add, mul, zero = ba.add, ba.mul, ba.zero
         conv = [zero] * (2 * k - 1)
         for x, y in zip(xs, ys):
+            y = [(j, yj) for j, yj in enumerate(y) if yj != zero]
             for i, xi in enumerate(x):
                 if xi != zero:
-                    for j, yj in enumerate(y):
+                    for j, yj in y:
                         conv[i + j] = add(conv[i + j], mul(xi, yj))
-        # x^(k + e) = rows[e] (over QQ, rows[e] / dm)
-        out = [c * dm for c in conv[:k]] if qq else conv[:k]
+        # x^(k + e) = rows[e]
+        out = conv[:k]
         for c, row in zip(conv[k:], rows):
             if c != zero:
                 out = [add(o, mul(c, r)) for o, r in zip(out, row)]
-        if qq:
-            den = dx * dy * dm
-            return tuple([Fraction(c, den) for c in out])
         return tuple(out)
 
     def _coeff_inv(self, a):
         if self.is_zero(a):
             raise DivisionByZeroError(f"inverse of 0 in {self}")
+        if self._over_qq:
+            return self._qq_inv(a)
         # extended Euclid over base[x]: g = s*a + t*m with g constant.  The
         # cofactor s is only needed mod m, so it is held as a payload; once
-        # deg r1 >= 1 every quotient has degree < deg m and pads to one.
-        b, pad = self.base, self._zero_payload
+        # deg r1 >= 1 every quotient has degree < deg m, so `_coeff_dot`
+        # takes its trimmed coefficients as they are.
+        b = self.base
         r0, r1 = list(self.modulus), _poly_trim(list(a), b)
-        s0, s1 = pad, self._one_payload
+        s0, s1 = self._zero_payload, self._one_payload
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1, b)
             r0, r1 = r1, r
-            q = tuple(q) + pad[len(q):]
             s0, s1 = s1, self._coeff_sub(s0, self._coeff_dot((q,), (s1,)))
         if not r1:
-            raise ReducibleModulusError(
-                f"zero divisor mod {self._modulus_str()}: modulus not irreducible"
-            )
+            raise self._zero_divisor()
         c = b.inv(r1[0])
         return tuple([b.mul(c, x) for x in s1])
+
+    def _qq_inv(self, a):
+        """1 / a over QQ, fraction-free.  With a = n(t) / D, the columns of
+        the integer matrix M are dm n(t) t^j reduced (dm from _int_red_rows),
+        and M v = dm D e_0 gives 1 / a = v.  Gauss-Jordan elimination of
+        [M | dm D e_0] in Bareiss's form (row r becomes (p row_r - f row_c)
+        / previous pivot, an exact division) ends with every diagonal entry
+        equal to the last pivot p and the last column equal to p v."""
+        k, n = self.deg, list(a[:-1])
+        cols = [self._int_reduce([0] * j + n + [0] * (k - 1 - j)) for j in range(k)]
+        m = [list(r) + [0] for r in zip(*cols)]
+        m[0][k] = self._int_red_rows[0] * a[k]
+        prev = 1
+        for c in range(k):
+            piv = next((r for r in range(c, k) if m[r][c]), None)
+            if piv is None:
+                raise self._zero_divisor()
+            m[c], m[piv] = m[piv], m[c]
+            p, pivot_row = m[c][c], m[c]
+            for r in range(k):
+                if r != c:
+                    f = m[r][c]
+                    m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
+            prev = p
+        sign = 1 if prev > 0 else -1
+        return _qq_normal([sign * r[k] for r in m], sign * prev)
+
+    def _int_reduce(self, conv) -> list:
+        """The numerators, over dm (from _int_red_rows), of the integer
+        polynomial conv (2k - 1 coefficients) reduced by the modulus."""
+        k = self.deg
+        dm, rows = self._int_red_rows
+        out = [c * dm for c in conv[:k]] if dm != 1 else conv[:k]
+        # x^(k + e) = rows[e] / dm
+        for c, row in zip(conv[k:], rows):
+            if c:
+                out = [o + c * r for o, r in zip(out, row)]
+        return out
+
+    def _zero_divisor(self) -> ReducibleModulusError:
+        return ReducibleModulusError(
+            f"zero divisor mod {self._modulus_str()}: modulus not irreducible"
+        )
 
     def element_payloads(self):
         base_payloads = list(self.base.element_payloads())
@@ -658,16 +741,16 @@ class QuotientExtension(FieldSpec):
             yield tuple(combo)
 
     def from_int(self, k: int):
-        return (self.base.from_int(k),) + (self.base.zero,) * (self.deg - 1)
+        return self.embed(self.base.from_int(k))
 
     def embed(self, base_payload):
         """Embed a base-field payload as a constant of the extension."""
-        return (base_payload,) + (self.base.zero,) * (self.deg - 1)
+        return self.from_coefficients((base_payload,) + (self.base.zero,) * (self.deg - 1))
 
     def render(self, a) -> str:
         parts = []
         wrap = isinstance(self.base, QuotientExtension)
-        for i, c in enumerate(a):
+        for i, c in enumerate(self.coefficients(a)):
             cs = self.base.render(c)
             if wrap:
                 cs = f"({cs})"
@@ -681,7 +764,7 @@ class QuotientExtension(FieldSpec):
 
     def parse(self, s: str):
         terms = _split_top_level(s)
-        if len(terms) != len(self._zero_payload):
+        if len(terms) != self.deg:
             raise ParseError(
                 f"expected {self.deg} coefficients for {self}, got {len(terms)}"
             )
@@ -697,7 +780,7 @@ class QuotientExtension(FieldSpec):
             if cs.startswith("(") and cs.endswith(")"):
                 cs = cs[1:-1]
             coeffs.append(self.base.parse(cs))
-        return tuple(coeffs)
+        return self.from_coefficients(coeffs)
 
     def _modulus_str(self) -> str:
         return "[" + ",".join(self.base.render(c) for c in self.modulus) + "]"
@@ -754,6 +837,29 @@ class QuotientExtension(FieldSpec):
 
 
 # --- polynomial helpers on low-to-high payload lists -------------------------
+
+def _qq_sum(a, b, op):
+    """a + b or a - b (op) of canonical payloads of an extension of QQ."""
+    da, db = a[-1], b[-1]
+    if da == db:
+        return _qq_normal([op(x, y) for x, y in zip(a, b[:-1])], da)
+    return _qq_normal([op(x * db, y * da) for x, y in zip(a, b[:-1])], da * db)
+
+
+def _qq_normal(nums, den):
+    """The canonical payload of the coefficients nums[i] / den, den >= 1:
+    one gcd divides out the common factor.  Payload tuples are built from
+    lists, never generators: a tuple built from a generator is allocated at
+    one size and freed at another, so CPython's per-size tuple free lists
+    would keep a block per call (0.6 MB more peak RSS in perfbench's
+    pipeline)."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    nums.append(den)
+    return tuple(nums)
+
 
 def _poly_trim(p, b):
     while p and b.is_zero(p[-1]):
@@ -979,14 +1085,8 @@ def prime_field(p: int) -> PrimeField:
 def quotient_extension(base: FieldSpec, modulus, gen: str = "t") -> QuotientExtension:
     """Build base[x]/(m).  `modulus` is a low-to-high list of ints, Fractions,
     payloads, or base elements, with leading coefficient 1."""
-    coeffs = []
-    for c in modulus:
-        if isinstance(c, FieldElement):
-            coeffs.append(base.element(c).payload)
-        elif isinstance(c, (int, Fraction, str)):
-            coeffs.append(base.element(c).payload)
-        else:
-            coeffs.append(c)
+    coeffs = [base.element(c).payload if isinstance(c, (FieldElement, int, Fraction, str))
+              else c for c in modulus]
     return QuotientExtension(base, tuple(coeffs), gen)
 
 

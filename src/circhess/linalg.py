@@ -4,7 +4,8 @@ Rows and columns are indexed 0..d.  Matrices and vectors are immutable;
 all operations return fresh objects and are safe to share between threads.
 Includes one zero/nonzero pattern table per matrix shape (diagonal,
 tridiagonal, Hessenberg, circular Hessenberg), primitive idempotents via
-the Lagrange product, and a brute-force eigenvalue scan for finite fields.
+the Lagrange product, and the eigenvalues of a matrix over a finite field
+by evaluating its characteristic polynomial at every element.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     SingularError,
     UnsupportedFieldError,
 )
-from .fields import FieldElement, FieldSpec, _json_fields, field_from_json
+from .fields import FieldElement, FieldSpec, _json_fields, _poly_eval, field_from_json
 
 BRUTEFORCE_FIELD_CAP = 1 << 16
 
@@ -499,11 +500,52 @@ def primitive_idempotents(a: Matrix, eigenvalues) -> list[Matrix]:
     return out
 
 
+def _characteristic_polynomial(a: Matrix) -> list:
+    """det(x I - a) as payloads, low to high (monic, degree n).
+
+    a is brought to upper Hessenberg form H by similarity (a row operation
+    and its inverse column operation at a time).  Then p_m = det(x I - H_m)
+    of the leading m x m blocks follows from p_0 = 1 and, expanding along
+    the last column (0-based indices),
+    p_(m+1) = x p_m - sum over i = m..0 of h_(i,m) h_(m,m-1) ... h_(i+1,i) p_i.
+    O(n^3) field operations."""
+    s, n = a.spec, a.nrows
+    zero, mul, sub = s.zero, s.mul, s.sub
+    h = [list(r) for r in a.rows]
+    for c in range(n - 2):
+        piv = next((r for r in range(c + 1, n) if h[r][c] != zero), None)
+        if piv is None:
+            continue
+        h[c + 1], h[piv] = h[piv], h[c + 1]
+        for row in h:
+            row[c + 1], row[piv] = row[piv], row[c + 1]
+        inv = s.inv(h[c + 1][c])
+        for r in range(c + 2, n):
+            f = mul(h[r][c], inv)
+            if f != zero:
+                h[r] = [sub(x, mul(f, y)) for x, y in zip(h[r], h[c + 1])]
+                for row in h:
+                    row[c + 1] = s.add(row[c + 1], mul(f, row[r]))
+    polys = [[s.one]]
+    for m in range(n):
+        p, t = [zero] + polys[m], s.one
+        for i in range(m, -1, -1):
+            f = mul(t, h[i][m])
+            for j, c in enumerate(polys[i]):
+                p[j] = sub(p[j], mul(f, c))
+            if i:
+                t = mul(t, h[i][i - 1])
+        polys.append(p)
+    return polys[-1]
+
+
 def eigenvalues_bruteforce(a: Matrix) -> list[FieldElement] | None:
     """All eigenvalues of a finite-field matrix by scanning the field.
 
-    Returns them in field-enumeration order when the spectrum is split and
-    multiplicity-free (count equals the size); returns None otherwise.
+    The characteristic polynomial is computed once and evaluated by Horner
+    at each element.  Returns the roots in field-enumeration order when the
+    spectrum is split and multiplicity-free (n distinct roots); returns
+    None otherwise.
     """
     if not a.is_square():
         raise DimensionMismatchError("eigenvalues of a non-square matrix")
@@ -516,12 +558,7 @@ def eigenvalues_bruteforce(a: Matrix) -> list[FieldElement] | None:
         raise UnsupportedFieldError(
             f"field order {s.order} exceeds cap {BRUTEFORCE_FIELD_CAP}"
         )
-    n = a.nrows
-    ident = Matrix.identity(s, n)
-    found = []
-    for lam in s.elements():
-        if determinant(a - ident.scale(lam)).is_zero():
-            found.append(lam)
-            if len(found) > n:
-                break
-    return found if len(found) == n else None
+    poly = _characteristic_polynomial(a)
+    found = [FieldElement(s, lam) for lam in s.element_payloads()
+             if s.is_zero(_poly_eval(poly, lam, s))]
+    return found if len(found) == a.nrows else None

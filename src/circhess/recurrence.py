@@ -278,14 +278,14 @@ def _quadratic_sqrts(spec: QuotientExtension, x):
     m0, m1, _ = spec.modulus
     h = m1 / 2
     r = h * h - m0  # nonzero: the modulus has no rational root
-    x1 = x.payload[1]
-    x0 = x.payload[0] - h * x1
+    c0, x1 = spec.coefficients(x.payload)
+    x0 = c0 - h * x1
     n = _qq_sqrt(x0 * x0 - r * x1 * x1)
     for a2 in () if n is None else ((x0 + n) / 2, (x0 - n) / 2):
         a, b = _qq_sqrt(a2), _qq_sqrt((x0 - a2) / r)
         if a is not None and b is not None:
             for sb in (b, -b):
-                yield FieldElement(spec, (a + sb * h, sb))
+                yield FieldElement(spec, spec.from_coefficients((a + sb * h, sb)))
 
 
 def _binom2_mod4(i: int) -> int:

@@ -3,6 +3,7 @@ integer kernel of extensions of QQ against a test-local schoolbook
 reference, and when the tables are built."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,20 +11,26 @@ import pytest
 
 from circhess import field_from_string, prime_field, quotient_extension, rationals
 from circhess.errors import DivisionByZeroError, MixedFieldsError
-from circhess.fields import FACTOR_SEARCH_BUDGET, PrimeField, Rationals
+from circhess.fields import FACTOR_SEARCH_BUDGET, FieldElement, PrimeField, Rationals
 
 
 class Schoolbook:
-    """Reference payload arithmetic, recursive on the base field down to
-    GF(p) (residues mod p) or QQ (exact Fraction +, - and x): sums
-    coefficient by coefficient, the full polynomial product reduced by long
-    division by the monic modulus, and inverses as a^(q - 2)."""
+    """Reference arithmetic on coefficient tuples, recursive on the base
+    field down to GF(p) (residues mod p) or QQ (exact Fraction +, - and x):
+    sums coefficient by coefficient, the full polynomial product reduced by
+    long division by the monic modulus, and inverses as a^(q - 2).  Over a
+    finite base the tuples are the payloads; over QQ they are what
+    `coefficients` returns."""
 
     def __init__(self, spec):
         self.spec = spec
-        self.zero, self.one = spec.zero, spec.one
         leaf = isinstance(spec, (PrimeField, Rationals))
         self.base = None if leaf else Schoolbook(spec.base)
+        if leaf:
+            self.zero, self.one = spec.zero, spec.one
+        else:
+            pad = (self.base.zero,) * (spec.deg - 1)
+            self.zero, self.one = pad + (self.base.zero,), (self.base.one,) + pad
 
     def _leaf(self, x):
         return x % self.spec.p if isinstance(self.spec, PrimeField) else x
@@ -239,46 +246,130 @@ QQ_EXTENSIONS = {
 }
 
 
-def _all_fractions(payload):
-    return all(type(c) is Fraction for c in payload)
+def _canonical(payload):
+    """The payload form of an extension of QQ: ints (n_0, ..., n_{k-1}, D)
+    with D >= 1 and no factor common to all of them."""
+    return (all(type(c) is int for c in payload) and payload[-1] >= 1
+            and math.gcd(*payload) == 1)
 
 
 @pytest.mark.parametrize("make", QQ_EXTENSIONS.values(), ids=QQ_EXTENSIONS.keys())
 def test_rational_extension_ops_match_schoolbook(make):
-    """The integer kernel (one common denominator per side, integer
-    convolution and reduction, one Fraction per output coefficient) against
-    exact Fraction schoolbook arithmetic, on seeded payloads with mixed
-    denominators and zero entries."""
+    """The integer kernel (numerators over one denominator per payload,
+    integer convolution and reduction, one normalization per result, a
+    fraction-free inverse) against exact Fraction schoolbook arithmetic on
+    the coefficients, on seeded payloads with mixed denominators and zero
+    entries; every result is in canonical form."""
     spec = make()
     ref = Schoolbook(spec)
     rng = random.Random(1401)
     dens = (1, 1, 2, 3, 4, 5, 7, 12)
+    pay, coeffs = spec.from_coefficients, spec.coefficients
 
     def draw():
         if not rng.randrange(8):
-            return spec.zero
+            return ref.zero
         return tuple(Fraction(rng.randint(-9, 9), rng.choice(dens)) if rng.randrange(4)
                      else Fraction(0) for _ in range(spec.deg))
 
     for _ in range(300):
         a, b = draw(), draw()
+        pa, pb = pay(a), pay(b)
+        assert _canonical(pa) and coeffs(pa) == a
         for op in ("add", "sub", "mul"):
-            got = getattr(spec, op)(a, b)
-            assert got == getattr(ref, op)(a, b) and _all_fractions(got)
-        assert spec.neg(a) == ref.neg(a) and _all_fractions(spec.neg(a))
-        if a != spec.zero:
-            inv = spec.inv(a)
-            assert spec.mul(a, inv) == spec.one and _all_fractions(inv)
+            got = getattr(spec, op)(pa, pb)
+            assert coeffs(got) == getattr(ref, op)(a, b) and _canonical(got)
+        assert coeffs(spec.neg(pa)) == ref.neg(a) and _canonical(spec.neg(pa))
+        if a != ref.zero:
+            inv = spec.inv(pa)
+            assert spec.mul(pa, inv) == spec.one and _canonical(inv)
+            assert ref.mul(a, coeffs(inv)) == ref.one
     for _ in range(200):
         n = rng.randrange(8)
         xs, ys = [draw() for _ in range(n)], [draw() for _ in range(n)]
-        got = spec.dot(xs, ys)
-        assert got == ref.dot(xs, ys) and _all_fractions(got)
+        got = spec.dot([pay(x) for x in xs], [pay(y) for y in ys])
+        assert coeffs(got) == ref.dot(xs, ys) and _canonical(got)
     # a sum that cancels to zero, then one that cancels to an integer
     a, b = draw(), (Fraction(1, 3),) + (Fraction(0),) * (spec.deg - 1)
-    one, minus_one = ref.one, ref.neg(ref.one)
+    a, b, one, minus_one = pay(a), pay(b), spec.one, spec.neg(spec.one)
     got = spec.dot([a, a, b, b, b], [one, minus_one, one, one, one])
-    assert got == spec.one and _all_fractions(got)
+    assert got == spec.one and _canonical(got)
     got = spec.dot([a, a], [one, minus_one])
-    assert got == spec.zero and _all_fractions(got)
+    assert got == spec.zero and _canonical(got)
     assert vars(spec)["_tables"] is None
+
+
+def _fractions(rng, n):
+    """n seeded coefficients: zeros, integers and proper fractions of
+    either sign."""
+    return [Fraction(rng.randint(-60, 60), rng.choice((1, 1, 2, 3, 7, 30)))
+            if rng.randrange(4) else Fraction(0) for _ in range(n)]
+
+
+@pytest.mark.parametrize("make", QQ_EXTENSIONS.values(), ids=QQ_EXTENSIONS.keys())
+def test_rational_extension_render_prints_each_fraction(make):
+    """render prints coefficient i exactly as str(Fraction) does, so output
+    bytes do not depend on the payload form."""
+    spec = make()
+    rng = random.Random(1402)
+    for _ in range(300):
+        cs = _fractions(rng, spec.deg)
+        terms = [str(c) if i == 0 else f"{c}*{spec.gen}" if i == 1
+                 else f"{c}*{spec.gen}^{i}" for i, c in enumerate(cs)]
+        assert spec.render(spec.from_coefficients(cs)) == "+".join(terms)
+
+
+@pytest.mark.parametrize("make", QQ_EXTENSIONS.values(), ids=QQ_EXTENSIONS.keys())
+def test_rational_extension_boundary_round_trips(make):
+    """from_coefficients / coefficients, parse / render, embed / lift and
+    from_int agree with each other and keep payloads canonical."""
+    spec = make()
+    rng = random.Random(1403)
+    qq = rationals()
+    zeros = (Fraction(0),) * (spec.deg - 1)
+    for _ in range(300):
+        cs = tuple(_fractions(rng, spec.deg))
+        a = spec.from_coefficients(cs)
+        assert _canonical(a) and spec.coefficients(a) == cs
+        assert spec.parse(spec.render(a)) == a
+        assert spec.element(spec.render(a)).payload == a
+        x = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+        lifted = qq.element(x).lift(spec)
+        assert lifted.payload == spec.embed(x) and _canonical(lifted.payload)
+        assert spec.coefficients(lifted.payload) == (x,) + zeros
+        assert spec.element(x) == lifted
+        k = rng.randint(-10**20, 10**20)
+        assert spec.from_int(k) == spec.embed(Fraction(k)) == (k,) + (0,) * (spec.deg - 1) + (1,)
+        assert spec.coefficients(spec.from_int(k)) == (Fraction(k),) + zeros
+    assert spec.zero == (0,) * spec.deg + (1,)
+    assert spec.one == spec.from_int(1) == spec.from_coefficients((Fraction(1),) + zeros)
+    assert spec.coefficients(spec.generator_payload) == (Fraction(0), Fraction(1)) + zeros[1:]
+
+
+@pytest.mark.parametrize("make", QQ_EXTENSIONS.values(), ids=QQ_EXTENSIONS.keys())
+def test_rational_extension_equal_elements_hash_equal(make):
+    """One element reached by sums, products, quotients, parsing, lifting
+    and the coefficient boundary has one payload and one hash."""
+    spec = make()
+    rng = random.Random(1404)
+    e, t = spec.element, spec.generator()
+    for _ in range(100):
+        cs = _fractions(rng, spec.deg)
+        ways = [
+            FieldElement(spec, spec.from_coefficients(cs)),
+            sum((e(c) * t**i for i, c in enumerate(cs)), spec.zero_element()),
+            e(spec.render(spec.from_coefficients(cs))),
+            sum((rationals().element(c).lift(spec) * t**i for i, c in enumerate(cs)),
+                spec.zero_element()),
+        ]
+        x = ways[0]
+        ways += [(x * 6) / 6, (x + t) - t, x - x + x, -(-x), e(3) * x / e(3)]
+        if not x.is_zero():
+            ways += [x.inverse().inverse(), x * x / x]
+        assert all(w == x for w in ways)
+        assert len({w.payload for w in ways}) == 1 and len({hash(w) for w in ways}) == 1
+        assert len(set(ways)) == 1
+    zeros = [spec.zero_element(), e(0), t - t, e(Fraction(1, 3)) * 3 - 1,
+             e("+".join(["0"] + [f"0*{spec.gen}"] + [f"0*{spec.gen}^{i}"
+                                                    for i in range(2, spec.deg)]))]
+    assert len(set(zeros)) == 1 and all(z.is_zero() for z in zeros)

@@ -390,7 +390,8 @@ def field_payloads(draw):
             coeff = st.fractions()
         else:
             coeff = st.integers(0, spec.base.order - 1)
-        return spec, tuple(draw(st.lists(coeff, min_size=spec.deg, max_size=spec.deg)))
+        coeffs = draw(st.lists(coeff, min_size=spec.deg, max_size=spec.deg))
+        return spec, spec.from_coefficients(coeffs)
     if spec.order is None:
         return spec, draw(st.fractions())
     return spec, draw(st.integers(0, spec.order - 1))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,12 @@ from circhess import (
     split_form_build,
 )
 from circhess.fields import QuotientExtension
-from circhess.linalg import _shape_pattern, is_circular_hessenberg, rank
+from circhess.linalg import (
+    _characteristic_polynomial,
+    _shape_pattern,
+    is_circular_hessenberg,
+    rank,
+)
 from circhess.errors import (
     DimensionMismatchError,
     NotMultiplicityFreeError,
@@ -75,7 +81,7 @@ def _random_element(spec, rng):
         return FieldElement(spec, rng.choice(list(spec.element_payloads())))
     if isinstance(spec, QuotientExtension):
         coeffs = [_random_element(spec.base, rng) for _ in range(spec.deg)]
-        return FieldElement(spec, tuple(c.payload for c in coeffs))
+        return FieldElement(spec, spec.from_coefficients([c.payload for c in coeffs]))
     return spec.element(Fraction(rng.randint(-5, 5), rng.randint(1, 2)))
 
 
@@ -453,6 +459,81 @@ def test_eigenvalues_split_form(w5_array):
 def test_eigenvalues_not_split():
     g5 = prime_field(5)
     assert eigenvalues_bruteforce(Matrix.diagonal(g5, [1, 1, 2, 3])) is None
+
+
+def _eigenvalues_by_determinants(a):
+    """The definition: every field element lam with det(a - lam I) = 0, in
+    field order, when there are n of them; None otherwise."""
+    ident = Matrix.identity(a.spec, a.nrows)
+    found = [lam for lam in a.spec.elements()
+             if determinant(a - ident.scale(lam)).is_zero()]
+    return found if len(found) == a.nrows else None
+
+
+@pytest.mark.parametrize("field", ["gf:5", "gf:31", "ext:gf:2:1,1,1"])
+def test_eigenvalues_match_determinant_definition(field):
+    """One characteristic polynomial evaluated by Horner gives the same
+    eigenvalues, in the same order, as one determinant per element, on
+    seeded dense, sparse (pivot swaps and zero columns in the Hessenberg
+    reduction) and diagonalizable matrices with n = 1..7; the polynomial
+    itself is det(lam I - a) at every element."""
+    spec = field_from_string(field)
+    rng = random.Random(1501)
+    elems = list(spec.elements())
+    hits = 0
+    for trial in range(90):
+        n = 1 + trial % 7
+        kind = trial // 7 % 3
+        if kind == 2:
+            while True:
+                m = Matrix.from_elements(spec, [[_random_element(spec, rng) for _ in range(n)]
+                                                for _ in range(n)])
+                if not determinant(m).is_zero():
+                    break
+            evs = [rng.choice(elems) for _ in range(n)]
+            a = m * Matrix.diagonal(spec, evs) * matrix_inverse(m)
+        else:
+            a = Matrix.from_elements(spec, [
+                [_random_element(spec, rng) if kind == 0 or rng.randrange(2)
+                 else spec.zero_element() for _ in range(n)] for _ in range(n)])
+        expected = _eigenvalues_by_determinants(a)
+        assert eigenvalues_bruteforce(a) == expected
+        hits += expected is not None
+        ident = Matrix.identity(spec, n)
+        poly = _characteristic_polynomial(a)
+        assert len(poly) == n + 1 and poly[-1] == spec.one
+        for lam in elems:
+            value = spec.zero_element()
+            for c in reversed(poly):
+                value = value * lam + FieldElement(spec, c)
+            assert value == determinant(ident.scale(lam) - a)
+    assert hits >= 10
+
+
+def test_eigenvalues_of_large_prime_field_are_prompt():
+    """Over GF(65521) a dense 8 x 8 matrix is answered within seconds (one
+    determinant per element took 16.8 s), and a diagonalizable one gives
+    its eigenvalues in field order."""
+    spec = prime_field(65521)
+    rng = random.Random(1502)
+    dense = _random_matrix(spec, 8, rng)
+    m = _random_matrix(spec, 8, rng)
+    evs = rng.sample(range(spec.p), 8)
+    split = m * Matrix.diagonal(spec, evs) * matrix_inverse(m)
+    start = time.perf_counter()
+    dense_evs = eigenvalues_bruteforce(dense)
+    split_evs = eigenvalues_bruteforce(split)
+    assert time.perf_counter() - start < 5
+    assert [e.payload for e in split_evs] == sorted(evs)
+    ident = Matrix.identity(spec, 8)
+    assert dense_evs is None or all(
+        determinant(dense - ident.scale(e)).is_zero() for e in dense_evs)
+    poly = _characteristic_polynomial(dense)
+    for lam in rng.sample(range(spec.p), 30):
+        value = 0
+        for c in reversed(poly):
+            value = (value * lam + c) % spec.p
+        assert value == determinant(ident.scale(lam) - dense).payload
 
 
 def test_eigenvalues_unsupported_field():

@@ -14,6 +14,7 @@ from circhess import (
     ParameterArray,
     RecurrenceCase,
     commutator,
+    cyclotomic_field,
     fit_closed_form,
     is_beta_recurrent,
     classify_family,
@@ -482,3 +483,24 @@ def test_unit_root_round_trip_quadratic_qq(modulus, x, y):
     root, spec, lifted = solve_unit_root(k, q + q.inverse())
     assert spec == k and not lifted
     assert root in (q, q.inverse())
+
+
+@pytest.mark.parametrize("make", [
+    # t^2 = 1/2: a fractional modulus coefficient, so the payload kernel's
+    # reduction rows carry a scale of 2
+    lambda: _qq_quadratic(Fraction(-1, 2), 0),
+    # Phi_3 = t^2 + t + 1: a linear term, and the scan bound is the index 3
+    lambda: cyclotomic_field(3),
+], ids=["t^2 - 1/2", "cyclo:3"])
+def test_unit_root_in_qq_quadratic_field_through_square_roots(make):
+    """For q off the +-t^k, solve_unit_root(K, q + 1/q) solves the square
+    root of beta^2 - 4 through the coefficient boundary and returns q or 1/q
+    in K itself."""
+    k = make()
+    e, t = k.element, k.generator()
+    for q in (1 + t, 2 + t, (1 + 3 * t) / 5, e(Fraction(-2, 3)) + e(Fraction(7, 4)) * t):
+        beta = q + q.inverse()
+        root, spec, lifted = solve_unit_root(k, beta)
+        assert spec == k and not lifted
+        assert root in (q, q.inverse())
+        assert (root * root - beta * root + 1).is_zero()

@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -635,9 +634,9 @@ def test_split_vectors_build_no_matrix(monkeypatch, w5_array):
 def _random_element(spec, rng):
     if spec.order is not None:
         return FieldElement(spec, rng.choice(list(spec.element_payloads())))
-    return FieldElement(
-        spec, tuple(Fraction(rng.randint(-3, 3)) for _ in range(spec.deg))
-    )
+    t = spec.generator()
+    return sum((spec.element(rng.randint(-3, 3)) * t**i for i in range(spec.deg)),
+               spec.zero_element())
 
 
 def _random_square(spec, n, rng):

@@ -11,7 +11,15 @@ bases --check-all, replay), the input file, stdout, stderr, exit code and
 `--out` file.  It records the same for verify on each raw pair with A and
 A* swapped (the dual system, whose "maps into" graphs differ), and on one
 seeded generic 8 x 8 pair over GF(31) per seed, which has no idempotent
-ordering.  Then it records the report bytes of the GF(5) and GF(4), d = 3
+ordering.  Over extensions of QQ beyond the pipeline's cyclo:4 cell it
+records, per seed, the input and verify, classify, bases --check-all and
+replay on a seeded F1 array over each of cyclo:3 (d = 5), cyclo:5 (d = 4)
+and cyclo:12 (d = 3), and on a seeded array over each of QQ[t]/(t^2 - 1/2)
+(reduction rows with denominator 2) and QQ[t]/(t^3 - 2), fields with no
+descriptor string, so their array files carry the field as JSON; both are
+real fields with no root of unity of order 4 or more, so these arrays are
+not CH and the commands report that.  Then it records the report bytes of
+the GF(5) and GF(4), d = 3
 exhaustive searches, and the report bytes of seeded random searches
 (seeds 1 and 2, 4,000 trials) over GF(5), d = 3 and 4, GF(4), d = 3, whose
 eigenvalue sequences all fit the per-sequence memo, and GF(7), d = 4,
@@ -34,9 +42,15 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 SEEDS = (1, 2)
+# F1 arrays over cyclotomic fields: (field, d, q as sign * t^power), q a
+# primitive (d + 1)-th root of unity
+QQ_F1 = (("cyclo:3", 5, -1, 1), ("cyclo:5", 4, 1, 1), ("cyclo:12", 3, 1, 3))
+# moduli (low to high) over QQ with no descriptor string, and d
+QQ_JSON_ONLY = (((Fraction(-1, 2), 0, 1), 3), ((-2, 0, 0, 1), 4))
 EXHAUSTIVE = (("gf:5", 3), ("ext:gf:2:1,1,1", 3))
 RANDOM = (("gf:5", 3), ("gf:5", 4), ("ext:gf:2:1,1,1", 3), ("gf:7", 4))
 
@@ -62,6 +76,38 @@ def _generic_pair(ch, seed: int) -> list[dict]:
                 return (m * diag * ch.matrix_inverse(m)).to_json()
 
     return [diagonalizable(), diagonalizable()]
+
+
+def _qq_pool(ch, spec) -> list:
+    """Scalars x + y t with fractional x and y."""
+    e, t = spec.element, spec.generator()
+    xs = [Fraction(n, m) for n, m in ((-2, 1), (-1, 2), (0, 1), (1, 3), (1, 1), (3, 2))]
+    return [e(x) + e(y) * t for x in xs for y in xs]
+
+
+def _qq_arrays(ch, seed: int) -> list:
+    """(label, array) over each QQ_F1 and QQ_JSON_ONLY field, seeded."""
+    rng = random.Random(seed)
+    out = []
+    for field, d, sign, power in QQ_F1:
+        spec = ch.field_from_string(field)
+        pool, q = _qq_pool(ch, spec), spec.generator() ** power * sign
+        while True:
+            fp = ch.FamilyParameters(ch.Family("F1"), spec, d,
+                                     *[rng.choice(pool) for _ in range(8)], q)
+            try:
+                out.append((f"F1 {field}", ch.family_generate(fp)))
+                break
+            except ch.errors.InvalidFamilyParametersError:
+                continue
+    for modulus, d in QQ_JSON_ONLY:
+        spec = ch.quotient_extension(ch.rationals(), list(modulus))
+        pool = _qq_pool(ch, spec)
+        nonzero = [x for x in pool if not x.is_zero()]
+        out.append((f"array {spec}", ch.ParameterArray(
+            spec, d, tuple(rng.sample(pool, d + 1)), tuple(rng.sample(pool, d + 1)),
+            tuple(rng.choice(nonzero) for _ in range(d)))))
+    return out
 
 
 def collect(tree: Path) -> list[list[str]]:
@@ -116,6 +162,16 @@ def collect(tree: Path) -> list[list[str]]:
                                             verify_pair(pair["A_star"], pair["A"])])
             records.append([f"seed {seed} generic pair ingest",
                             verify_pair(*_generic_pair(ch, seed))])
+            for label, params in _qq_arrays(ch, seed):
+                label = f"seed {seed} {label}"
+                path = workdir / "qq-array.json"
+                path.write_text(json.dumps(params.to_json()))
+                records.append([f"{label} input", _sha(path.read_bytes())])
+                for argv in (["verify"], ["classify"], ["bases", "--check-all"],
+                             ["replay"]):
+                    records.append([f"{label} {argv[0]}", run(
+                        argv[:1] + ["--in", str(path)] + argv[1:]
+                        + ["--out", str(workdir / "out.json")])])
     for field, d in EXHAUSTIVE:
         cfg = ch.SearchConfig(ch.field_from_string(field), d, "exhaustive")
         records.append([f"exhaustive {field} d={d}",
