@@ -687,7 +687,9 @@ class QuotientExtension(FieldSpec):
             r0, r1 = r1, r
             s0, s1 = s1, self._coeff_sub(s0, self._coeff_dot((q,), (s1,)))
         if not r1:
-            raise self._zero_divisor()
+            raise ReducibleModulusError(
+                f"zero divisor mod {self._modulus_str()}: modulus not irreducible"
+            )
         c = b.inv(r1[0])
         return tuple([b.mul(c, x) for x in s1])
 
@@ -704,9 +706,9 @@ class QuotientExtension(FieldSpec):
         m[0][k] = self._int_red_rows[0] * a[k]
         prev = 1
         for c in range(k):
-            piv = next((r for r in range(c, k) if m[r][c]), None)
-            if piv is None:
-                raise self._zero_divisor()
+            # M is invertible (the modulus is certified irreducible), so
+            # some row at or below c has a nonzero entry in column c
+            piv = next(r for r in range(c, k) if m[r][c])
             m[c], m[piv] = m[piv], m[c]
             p, pivot_row = m[c][c], m[c]
             for r in range(k):
@@ -728,11 +730,6 @@ class QuotientExtension(FieldSpec):
             if c:
                 out = [o + c * r for o, r in zip(out, row)]
         return out
-
-    def _zero_divisor(self) -> ReducibleModulusError:
-        return ReducibleModulusError(
-            f"zero divisor mod {self._modulus_str()}: modulus not irreducible"
-        )
 
     def element_payloads(self):
         base_payloads = list(self.base.element_payloads())
@@ -841,8 +838,6 @@ class QuotientExtension(FieldSpec):
 def _qq_sum(a, b, op):
     """a + b or a - b (op) of canonical payloads of an extension of QQ."""
     da, db = a[-1], b[-1]
-    if da == db:
-        return _qq_normal([op(x, y) for x, y in zip(a, b[:-1])], da)
     return _qq_normal([op(x * db, y * da) for x, y in zip(a, b[:-1])], da * db)
 
 
