@@ -633,10 +633,11 @@ class QuotientExtension(FieldSpec):
         """Sum of x * y over the pairs: one convolution of them all, then one
         reduction by the modulus rows.  A product is the dot of one pair.
 
-        Over QQ it runs on the integer payloads: each side's denominator is
-        the lcm of its payloads' denominators, each pair's numerator product
-        is scaled up to their product, the reduction uses _int_red_rows
-        (rows scaled by dm), and the result is normalized once.
+        Over QQ it runs on the integer payloads: dx and dy are the lcm of
+        the xs' and of the ys' denominators, each pair's products are scaled
+        by (dx / D_x)(dy / D_y) so that all are over dx dy, the reduction
+        uses _int_red_rows (rows scaled by dm), and the sum over dx dy dm is
+        normalized once.
         """
         k = self.deg
         if self._over_qq:

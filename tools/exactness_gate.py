@@ -78,7 +78,7 @@ def _generic_pair(ch, seed: int) -> list[dict]:
     return [diagonalizable(), diagonalizable()]
 
 
-def _qq_pool(ch, spec) -> list:
+def _qq_pool(spec) -> list:
     """Scalars x + y t with fractional x and y."""
     e, t = spec.element, spec.generator()
     xs = [Fraction(n, m) for n, m in ((-2, 1), (-1, 2), (0, 1), (1, 3), (1, 1), (3, 2))]
@@ -91,7 +91,7 @@ def _qq_arrays(ch, seed: int) -> list:
     out = []
     for field, d, sign, power in QQ_F1:
         spec = ch.field_from_string(field)
-        pool, q = _qq_pool(ch, spec), spec.generator() ** power * sign
+        pool, q = _qq_pool(spec), spec.generator() ** power * sign
         while True:
             fp = ch.FamilyParameters(ch.Family("F1"), spec, d,
                                      *[rng.choice(pool) for _ in range(8)], q)
@@ -102,7 +102,7 @@ def _qq_arrays(ch, seed: int) -> list:
                 continue
     for modulus, d in QQ_JSON_ONLY:
         spec = ch.quotient_extension(ch.rationals(), list(modulus))
-        pool = _qq_pool(ch, spec)
+        pool = _qq_pool(spec)
         nonzero = [x for x in pool if not x.is_zero()]
         out.append((f"array {spec}", ch.ParameterArray(
             spec, d, tuple(rng.sample(pool, d + 1)), tuple(rng.sample(pool, d + 1)),
