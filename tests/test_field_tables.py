@@ -373,3 +373,31 @@ def test_rational_extension_equal_elements_hash_equal(make):
              e("+".join(["0"] + [f"0*{spec.gen}"] + [f"0*{spec.gen}^{i}"
                                                     for i in range(2, spec.deg)]))]
     assert len(set(zeros)) == 1 and all(z.is_zero() for z in zeros)
+
+
+@pytest.mark.parametrize("make", QQ_EXTENSIONS.values(), ids=QQ_EXTENSIONS.keys())
+def test_rational_extension_arithmetic_builds_no_fraction(make):
+    """add, sub, neg, mul, div, dot and inv on the integer payloads build no
+    Fraction; only the coefficient boundary does."""
+    spec = make()
+    rng = random.Random(1405)
+    payloads = [spec.from_coefficients(_fractions(rng, spec.deg)) for _ in range(40)]
+    spec.one, spec.zero, spec._int_red_rows  # built once, from the modulus
+    built = []
+    original = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = counting
+    try:
+        for a, b in zip(payloads, payloads[1:]):
+            spec.add(a, b), spec.sub(a, b), spec.neg(a), spec.mul(a, b)
+            spec.dot(payloads[:6], payloads[6:12])
+            if not spec.is_zero(a):
+                spec.inv(a), spec.div(b, a)
+    finally:
+        Fraction.__new__ = original
+    assert built == []
+    assert Fraction(2, 4) == Fraction(1, 2)
