@@ -11,11 +11,14 @@ phi; the E* side is the E side of the dual array (theta*, theta, phi
 reversed).  The forms are read off the division-free eigenvectors of the
 split form's A, whose one eager definition is the memoized unit-chain table
 systems._unit_chain_eigenvectors; random mode tests them at each seeded
-candidate, stopping at the first violated entry.
+candidate, stopping at the first violated entry, and leaves its probe loop
+only at a hit, so each hit reaches the oracle before the next draw.
 _random_candidates draws the candidates on the getrandbits stream of
 random.Random(seed), with the rejection rule and both sampling methods of
 CPython's sample and choice, so every candidate (and every report byte)
-is the one sample and choice give.  Exhaustive mode
+is the one sample and choice give; over a field whose eigenvalue
+sequences fit the memo it reads each sequence off a per-search list by
+the code of its draws.  Exhaustive mode
 solves for phi instead of enumerating it: per (theta, theta*) pair, the
 zero entries are linear equations in phi, solved by exact elimination, and
 their solutions are filtered for nonzero phi and nonzero corners.  The
@@ -25,8 +28,9 @@ sequence (_theta_forms), built once for each of the perm(q, d + 1)
 sequences from the unit-chain table and shared by every pair that
 sequence is in, on either side, and by the oracle's builds.
 Random mode reads the same tables when all perm(q, d + 1) sequences fit
-the memo, and otherwise evaluates the forms lazily (_probe_forms), because
-over a larger field almost every candidate brings new sequences.  Every
+the memo (through a per-search dict, _table_probe), and otherwise
+evaluates the forms lazily (_probe_forms), because over a larger field
+almost every candidate brings new sequences.  Every
 probe hit, in either mode, is then re-verified by the axiom oracle
 (split_form_build, which only constructs, then verify_ch_axioms), which is
 authoritative and shares only the pattern's specification with the probe
@@ -113,7 +117,7 @@ class SearchReport(JsonFields):
         return json.dumps(self.to_json(), sort_keys=True, indent=2).encode()
 
 
-def _split_pattern_probe(spec, theta, theta_star, phi, d, table=False) -> bool:
+def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
     """Exact screen for the circular Hessenberg pattern of a split-form pair.
 
     The E side (E_i A* E_j) is evaluated by _probe_side on the array itself;
@@ -126,19 +130,17 @@ def _split_pattern_probe(spec, theta, theta_star, phi, d, table=False) -> bool:
     E*_i to the dual's E_i (both belong to theta*_i).  Conjugation keeps
     every product zero or nonzero, so the two patterns agree entry by entry.
     """
-    return _probe_side(spec, theta, theta_star, phi, d, table) and _probe_side(
-        spec, theta_star, theta, phi[::-1], d, table
+    return _probe_side(spec, theta, theta_star, phi, d) and _probe_side(
+        spec, theta_star, theta, phi[::-1], d
     )
 
 
-def _probe_side(spec, theta, theta_star, phi, d, table=False) -> bool:
+def _probe_side(spec, theta, theta_star, phi, d) -> bool:
     """The pattern of E_i A* E_j for split(theta, theta*, phi): theta's
-    forms evaluated at theta* and phi in pattern order, stopping at the
-    first violation.  The forms are computed lazily, or read off theta's
-    memoized table when `table` is set."""
+    forms, computed lazily, evaluated at theta* and phi in pattern order,
+    stopping at the first violation."""
     add, dot, is_zero = spec.add, spec.dot, spec.is_zero
-    forms = _theta_forms(spec, theta) if table else _probe_forms(spec, theta, d)
-    for must_zero, vu, coeffs in forms:
+    for must_zero, vu, coeffs in _probe_forms(spec, theta, d):
         if is_zero(add(dot(vu, theta_star), dot(coeffs, phi))) != must_zero:
             return False
     return True
@@ -177,7 +179,14 @@ def _probe_forms(spec, theta, d):
     a shared 2-CPU host (Python 3.11.7), lazy -> table: GF(5), d = 4
     0.17-0.18 -> 0.09-0.13 s; GF(5), d = 3 0.22 -> 0.13-0.20 s.  Over
     GF(9), d = 5, GF(13), d = 4 and GF(101), d = 3 and 6 the table was
-    1.1-8x slower, so those fields stay lazy.
+    1.1-8x slower, so those fields stay lazy.  Drawing theta and theta* by
+    index, reading the tables through a per-search dict (_table_probe) and
+    yielding only at hits then took the same searches, alternated with the
+    previous code in one process (CPU time, fastest of 20 rounds, twice),
+    from 0.091-0.096 to 0.067-0.075 s on GF(5), d = 4 and from
+    0.135-0.154 to 0.110-0.123 s on GF(5), d = 3; on the lazy GF(7) and
+    GF(13), d = 4 neither code was faster (1 seed x 4,000 trials, 80
+    rounds: the same 10th-percentile time, faster in 37/80 and 40/80).
     """
     sub, mul, one, zero = spec.sub, spec.mul, spec.one, spec.zero
     for i, j, must_zero in _upper_pattern(d + 1):
@@ -275,8 +284,11 @@ def _exhaustive_count(order: int, d: int) -> int:
 def _probe_hits(cfg: SearchConfig):
     """The search space as (candidates examined, probe hits among them):
     one (theta, theta*) pair at a time in exhaustive mode, in lexicographic
-    (theta, theta*, phi) order; one seeded candidate at a time in random
-    mode."""
+    (theta, theta*, phi) order.  In random mode, one yield per hit, with
+    the candidates drawn since the last one, and a final yield of the
+    rest: the loop over candidates is left only at a hit, which still
+    reaches the oracle (and, if it is a counterexample, the report file)
+    before the next draw."""
     spec = cfg.spec
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
@@ -291,10 +303,45 @@ def _probe_hits(cfg: SearchConfig):
                     (th, ths, ph) for ph in _solve_pair(spec, th, ths, d, nonzero)
                 ]
     else:
-        table = math.perm(spec.order, d + 1) <= _MEMO_SIZE
-        for th, ths, ph in _random_candidates(cfg.seed, elems, nonzero, d, cfg.trials):
-            hit = _split_pattern_probe(spec, th, ths, ph, d, table)
-            yield 1, [(th, ths, ph)] if hit else ()
+        candidates = _random_candidates(cfg.seed, elems, nonzero, d, cfg.trials)
+        if math.perm(spec.order, d + 1) <= _MEMO_SIZE:
+            probe = _table_probe(spec)
+        else:
+            def probe(th, ths, ph):
+                return _split_pattern_probe(spec, th, ths, ph, d)
+        last = i = 0
+        for i, c in enumerate(candidates, 1):
+            if probe(*c):
+                yield i - last, [c]
+                last = i
+        yield i - last, ()
+
+
+def _table_probe(spec):
+    """_split_pattern_probe for one search, reading each theta's forms off
+    _theta_forms through a per-search dict keyed by theta alone: the lru
+    key (spec, theta) hashes the frozen field spec in Python, twice per
+    candidate."""
+    add, dot, is_zero = spec.add, spec.dot, spec.is_zero
+    tables = {}
+
+    def forms(theta):
+        table = tables.get(theta)
+        if table is None:
+            table = tables[theta] = _theta_forms(spec, theta)
+        return table
+
+    def probe(th, ths, ph):
+        for must_zero, vu, coeffs in forms(th):
+            if is_zero(add(dot(vu, ths), dot(coeffs, ph))) != must_zero:
+                return False
+        ph = ph[::-1]
+        for must_zero, vu, coeffs in forms(ths):
+            if is_zero(add(dot(vu, th), dot(coeffs, ph))) != must_zero:
+                return False
+        return True
+
+    return probe
 
 
 def _random_candidates(seed, elems, nonzero, d, trials):
@@ -311,24 +358,48 @@ def _random_candidates(seed, elems, nonzero, d, trials):
     set of selected indices otherwise (each draw is below n, redrawn while
     already selected).  setsize is sample's: 21, plus 4 ** ceil(log(3k, 4))
     when k > 5.  Bounds, widths and the method are fixed once per search.
+
+    When the perm(n, k) sequences fit the memo (with k >= 4 that means
+    n <= 5, so the pool method applies), a sample is drawn by index: its
+    accepted draws j_0..j_{k-1}, made and rejected as above, fold into the
+    mixed-radix code ((j_0 b_1 + j_1) b_2 + ...) b_{k-1} + j_{k-1} with
+    b_i = n - i, and the sample is samples[code].  That list is the pool
+    rule run once per search on every code, in code order, so the
+    code -> sample map is the pool method's bijection onto the perm(n, k)
+    sequences, and a draw copies no pool and builds no tuple.
     """
     getrandbits = random.Random(seed).getrandbits
     n, k, m = len(elems), d + 1, len(nonzero)
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        bounds = [(b, b.bit_length()) for b in range(n, n - k, -1)]
+    bounds = [(b, b.bit_length()) for b in range(n, n - k, -1)]
+
+    def pool_sample(draw):
+        pool, out = elems[:], []
+        for b, width in bounds:
+            j = draw(width)
+            while j >= b:
+                j = draw(width)
+            out.append(pool[j])
+            pool[j] = pool[b - 1]
+        return tuple(out)
+
+    if math.perm(n, k) <= _MEMO_SIZE:
+        # each code's digits, drawn in turn; every digit is below its bound
+        samples = [pool_sample(lambda width, it=iter(js): next(it))
+                   for js in itertools.product(*(range(b) for b, _ in bounds))]
 
         def sample():
-            pool, out = elems[:], []
+            code = 0
             for b, width in bounds:
                 j = getrandbits(width)
                 while j >= b:
                     j = getrandbits(width)
-                out.append(pool[j])
-                pool[j] = pool[b - 1]
-            return tuple(out)
+                code = code * b + j
+            return samples[code]
+    elif n <= setsize:
+        sample = functools.partial(pool_sample, getrandbits)
     else:
         width = n.bit_length()
 

@@ -103,9 +103,11 @@ class ParameterArray:
             raise DimensionMismatchError("theta sequences must have length d + 1")
         if len(self.phi) != d:
             raise DimensionMismatchError("phi must have length d")
+        spec = self.spec
         for seq in (self.theta, self.theta_star, self.phi):
             for e in seq:
-                if not isinstance(e, FieldElement) or e.spec != self.spec:
+                if not isinstance(e, FieldElement) or (
+                        e.spec is not spec and e.spec != spec):
                     raise MixedFieldsError("array entries must lie in the stated field")
         for name, seq in (("theta", self.theta), ("theta_star", self.theta_star)):
             if len({e.payload for e in seq}) != len(seq):

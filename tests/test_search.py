@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -222,12 +223,80 @@ def test_random_candidates_equal_sample_and_choice(field, d, set_method):
         assert got == _reference_draws(seed, elems, nonzero, d, 30)
 
 
+class _ScriptedRandom(random.Random):
+    """A Random whose getrandbits returns the scripted values in turn, so
+    its sample() runs CPython's own pool rule on chosen indices."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def getrandbits(self, k):
+        return next(self.values)
+
+
+@pytest.mark.parametrize("field, d", [
+    ("ext:gf:2:1,1,1", 3), ("gf:5", 3), ("gf:5", 4),
+])
+def test_samples_by_index_are_the_pool_rule(monkeypatch, field, d):
+    """Where the perm(q, d + 1) eigenvalue sequences fit the memo, theta is
+    read off a list by the mixed-radix code of its accepted draws.  Fed
+    every digit tuple in code order (each digit below its bound, so none is
+    rejected), theta runs through the perm(q, d + 1) sequences once each,
+    and each equals what CPython's sample makes of the same digits."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    k = d + 1
+    n = len(elems)
+    codes = list(itertools.product(*(range(b) for b in range(n, n - k, -1))))
+    assert len(codes) == math.perm(n, k) <= _MEMO_SIZE
+    # per candidate: theta's digits, theta*'s (code 0) and phi's (all 0)
+    script = [j for digits in codes for j in digits + codes[0] + (0,) * d]
+    search_mod = importlib.import_module("circhess.search")
+    monkeypatch.setattr(search_mod, "random", SimpleNamespace(
+        Random=lambda seed: _ScriptedRandom(script)))
+    thetas = [th for th, _, _ in _random_candidates(0, elems, nonzero, d, len(codes))]
+    assert thetas == [tuple(_ScriptedRandom(digits).sample(elems, k)) for digits in codes]
+    assert set(thetas) == set(itertools.permutations(elems, k))
+
+
+@pytest.mark.parametrize("field, d, hits", [("gf:5", 4, 3), ("gf:7", 3, 25)])
+def test_random_hits_reach_oracle_before_next_draw(monkeypatch, field, d, hits):
+    """Random mode hands each probe hit to the oracle as soon as it is
+    drawn: a wrapped split_form_build sees every hit before
+    _random_candidates yields the next candidate, on the table path
+    (GF(5), d = 4) and on the lazy one (GF(7), d = 3)."""
+    search_mod = importlib.import_module("circhess.search")
+    events = []
+
+    def drawn(*args):
+        for c in _random_candidates(*args):
+            events.append(("draw", c))
+            yield c
+
+    def build(params):
+        events.append(("build", tuple(tuple(e.payload for e in seq) for seq in (
+            params.theta, params.theta_star, params.phi))))
+        return split_form_build(params)
+
+    monkeypatch.setattr(search_mod, "_random_candidates", drawn)
+    monkeypatch.setattr(search_mod, "split_form_build", build)
+    rep = search(SearchConfig(field_from_string(field), d, "random", 2, 4000))
+    builds = [i for i, (kind, _) in enumerate(events) if kind == "build"]
+    assert len(builds) == rep.ch_systems_found == hits
+    for i in builds:
+        assert events[i - 1] == ("draw", events[i][1])
+    assert len(events) == 4000 + len(builds)
+
+
 @pytest.mark.parametrize("field, d, seed, trials, prefix, hits", [
     ("gf:5", 3, 7, 2000, "a4c7f3e07205c517", 26),
     ("gf:7", 3, 1, 5000, "a1d214be915f6b93", 38),
     ("ext:gf:2:1,1,1", 3, 3, 2000, "8b93a807bd2e2328", 263),
     ("ext:gf:3:1,0,1", 3, 2, 3000, "15d0085e750a52c4", 4),
     ("gf:5", 4, 3, 4000, "6198d17774da7684", 0),
+    ("gf:5", 4, 1, 40000, "f75dedae7958f17a", 15),
 ])
 def test_random_report_bytes_pinned(field, d, seed, trials, prefix, hits):
     """A seed's random-mode report is pinned by the SHA-256 prefix of its

@@ -342,6 +342,23 @@ def test_parameter_array_errors_are_typed(gf5):
         assert isinstance(info.value, ValueError)
 
 
+def test_parameter_array_entries_lie_in_its_field(w5_array, gf5):
+    """Every entry must be a FieldElement of the array's field: one over
+    GF(7) or a bare payload in any position raises MixedFieldsError, and an
+    entry over an equal but distinct GF(5) spec object is accepted."""
+    parts = (w5_array.theta, w5_array.theta_star, w5_array.phi)
+    for k, seq in enumerate(parts):
+        for bad in (FieldElement(prime_field(7), seq[0].payload), seq[0].payload):
+            args = list(parts)
+            args[k] = (bad,) + seq[1:]
+            with pytest.raises(MixedFieldsError):
+                ParameterArray(gf5, w5_array.d, *args)
+    twin = prime_field(5)
+    assert twin == gf5 and twin is not gf5
+    args = [tuple(FieldElement(twin, e.payload) for e in seq) for seq in parts]
+    assert ParameterArray(gf5, w5_array.d, *args) == w5_array
+
+
 def test_parameter_array_json_roundtrip(w5_array):
     assert ParameterArray.from_json(w5_array.to_json()) == w5_array
 

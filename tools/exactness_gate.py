@@ -19,11 +19,14 @@ and cyclo:12 (d = 3), and on a seeded array over each of QQ[t]/(t^2 - 1/2)
 descriptor string, so their array files carry the field as JSON; both are
 real fields with no root of unity of order 4 or more, so these arrays are
 not CH and the commands report that.  Then it records the report bytes of
-the GF(5) and GF(4), d = 3
-exhaustive searches, and the report bytes of seeded random searches
-(seeds 1 and 2, 4,000 trials) over GF(5), d = 3 and 4, GF(4), d = 3, whose
-eigenvalue sequences all fit the per-sequence memo, and GF(7), d = 4,
-whose do not.  Temporary paths are masked before hashing.
+the GF(5) and GF(4), d = 3 exhaustive searches, and the report bytes of
+seeded random searches (seeds 1 and 2) on both of the random probe's paths.  On the table path,
+where the field's eigenvalue sequences all fit the per-sequence memo:
+GF(5), d = 3 and 4, and GF(4), d = 3, with 4,000 trials, and GF(5), d = 4
+with 40,000 trials, whose seeds reach 15 and 18 hits (at 4,000 trials
+they reach 0 and 3).  On the lazy path, where they do not: GF(7), d = 3
+(31 and 25 hits) and GF(7), d = 4 (no CH system exists), with 4,000
+trials.  Temporary paths are masked before hashing.
 
 Prints one SHA-256 digest per tree, with the two exhaustive report
 prefixes, and the first record that differs.  Exits 0 when every record
@@ -52,7 +55,9 @@ QQ_F1 = (("cyclo:3", 5, -1, 1), ("cyclo:5", 4, 1, 1), ("cyclo:12", 3, 1, 3))
 # moduli (low to high) over QQ with no descriptor string, and d
 QQ_JSON_ONLY = (((Fraction(-1, 2), 0, 1), 3), ((-2, 0, 0, 1), 4))
 EXHAUSTIVE = (("gf:5", 3), ("ext:gf:2:1,1,1", 3))
-RANDOM = (("gf:5", 3), ("gf:5", 4), ("ext:gf:2:1,1,1", 3), ("gf:7", 4))
+# (field, d, trials) of the seeded random reports
+RANDOM = (("gf:5", 3, 4000), ("gf:5", 4, 4000), ("gf:5", 4, 40000),
+          ("ext:gf:2:1,1,1", 3, 4000), ("gf:7", 3, 4000), ("gf:7", 4, 4000))
 
 
 def _sha(data: bytes) -> str:
@@ -176,11 +181,11 @@ def collect(tree: Path) -> list[list[str]]:
         cfg = ch.SearchConfig(ch.field_from_string(field), d, "exhaustive")
         records.append([f"exhaustive {field} d={d}",
                         _sha(ch.search(cfg).to_bytes())])
-    for field, d in RANDOM:
+    for field, d, trials in RANDOM:
         for seed in SEEDS:
             cfg = ch.SearchConfig(ch.field_from_string(field), d, "random",
-                                  seed, 4000)
-            records.append([f"random {field} d={d} seed={seed}",
+                                  seed, trials)
+            records.append([f"random {field} d={d} seed={seed} trials={trials}",
                             _sha(ch.search(cfg).to_bytes())])
     return records
 
