@@ -4,30 +4,20 @@ A FieldSpec describes a field and implements all arithmetic on raw payloads:
 
     Rationals          -> fractions.Fraction
     PrimeField(p)      -> int in [0, p)
-    QuotientExtension  -> over a finite base: tuple of base payloads, length
-                          deg(modulus); over QQ: tuple of ints
-                          (n_0, ..., n_{k-1}, D), the coefficients n_i / D
-                          with D >= 1 and gcd(n_0, ..., n_{k-1}, D) = 1
+    FiniteExtension    -> tuple of base payloads, length deg(modulus), over
+                          GF(p) or a FiniteExtension (a tower)
+    RationalExtension  -> tuple of ints (n_0, ..., n_{k-1}, D) over QQ, the
+                          coefficients n_i / D with D >= 1 and
+                          gcd(n_0, ..., n_{k-1}, D) = 1
+
+QuotientExtension(base, modulus, gen) is the one constructor of both
+extension classes: the base picks the class, so each payload form has its
+own arithmetic and certificate and no operation asks which base it is on.
 
 FieldElement is a thin wrapper pairing a payload with its spec.  Elements of
 different fields never mix (MixedFieldsError); there is no coercion between
 fields, only embedding of plain integers.  All arithmetic is exact; equality
 is structural equality of canonical payloads.
-
-A finite quotient extension (GF(p^k), towers included) computes by table
-lookup once it has run q - 1 operations: Zech logarithms over a primitive
-element turn a product into an exponent sum and a sum into one lookup, with
-O(q) memory.  The tables are built from the coefficient arithmetic, which
-stays the definition and the live path for extensions of QQ, for fields above
-FACTOR_SEARCH_BUDGET and for a field's first q - 2 operations.  Payloads are
-the same tuples on both paths.  An extension of QQ computes on its integer
-payloads alone: a sum, product or dot works on numerators over the two
-sides' denominators and normalizes its result with one gcd, and an inverse
-is fraction-free Gauss-Jordan elimination (Bareiss) on the integer
-multiplication matrix.  Only the coefficient boundary (from_coefficients,
-coefficients, parse, render) builds a Fraction.  Over a finite base an
-inverse runs extended Euclid on base[x] remainders with the Bezout cofactor
-held as a field payload.
 """
 
 from __future__ import annotations
@@ -348,40 +338,36 @@ class QuotientExtension(FieldSpec):
     """base[x]/(m(x)) for a monic irreducible m of degree >= 2.
 
     The modulus is stored low-to-high including the leading 1, as base
-    payloads.  Over a finite base a payload is the tuple of its deg(m) base
-    payloads.  Over QQ it is (n_0, ..., n_{k-1}, D), k = deg(m): integer
-    numerators over one denominator D >= 1 with gcd(n_0, ..., D) = 1, so
-    zero is (0, ..., 0, 1) and equal elements have equal payloads.
-    from_coefficients and coefficients convert to and from base payloads
-    (Fractions).  Irreducibility is certified by
-    exhaustive root/factor search over finite bases and by a rational-root
-    test over QQ; degree >= 4 moduli over QQ are accepted only when they are
-    cyclotomic polynomials, which are irreducible.  Every modulus is
-    certified: there is no option to skip it.
+    payloads.  The base fixes the payload form, the arithmetic and the
+    certificate of irreducibility once, at construction:
+    QuotientExtension(base, modulus, gen) returns a FiniteExtension over a
+    finite base (GF(p), or a FiniteExtension: a tower) and a
+    RationalExtension over QQ.  Over any other base (an extension of QQ)
+    no modulus can be certified, and it raises ReducibleModulusError.
+    Every modulus is certified: there is no option to skip it.
 
-    Arithmetic has two paths with the same payloads and results.  The
-    coefficient path (`_coeff_*`: convolution, then reduction by the
-    modulus) defines it and serves extensions of QQ, where it runs on
-    Python ints: `_coeff_dot` (and mul, the dot of one pair) convolves the
-    numerators, each pair scaled to the lcm of its side's denominators,
-    reduces by `_int_red_rows` and normalizes once with one gcd, and an
-    inverse solves a x = 1 by fraction-free Gauss-Jordan elimination on the
-    integer multiplication matrix of a's numerators.  Over a finite base an
-    inverse runs extended Euclid on base[x] remainders and keeps the
-    cofactor as a payload, stepped by `_coeff_dot` and `_coeff_sub`; and
-    the (q - 1)-th operation builds `_tables`, Zech logarithms over a
-    primitive element, and from then on mul and inv are exponent arithmetic
-    mod q - 1, add, sub and neg are one Zech lookup each, and dot sums in
-    the log domain.  The tables hold three rows of q - 1 entries, never a
-    q x q grid: about 250 bytes per element, 44 MB at q = 3^11.  A field
-    with more than FACTOR_SEARCH_BUDGET elements never builds them, so the
-    constant that bounds certifying a modulus is reused as a cap of about
-    50 MB on the tables.
+    This class holds what the two share: the modulus with its reduction
+    rows, the generator, and the boundary (from_int, embed, render, parse,
+    to_json), which reaches payloads through each subclass's
+    from_coefficients and coefficients.
     """
 
     base: FieldSpec
     modulus: tuple
     gen: str = "t"
+
+    def __new__(cls, base=None, modulus=None, gen="t"):
+        # copy and pickle call the subclass's __new__ with no arguments
+        if cls is QuotientExtension:
+            if isinstance(base, Rationals):
+                cls = RationalExtension
+            elif base.order is not None:
+                cls = FiniteExtension
+            else:
+                raise ReducibleModulusError(
+                    "cannot certify irreducibility over this base field"
+                )
+        return super().__new__(cls)
 
     def __post_init__(self):
         if self.deg < 2:
@@ -398,45 +384,13 @@ class QuotientExtension(FieldSpec):
     def characteristic(self) -> int:
         return self.base.characteristic
 
-    @property
-    def zero(self):
-        return self._zero_payload
-
-    @property
-    def one(self):
-        return self._one_payload
-
     @cached_property
-    def _zero_payload(self):
+    def zero(self):
         return self.from_coefficients((self.base.zero,) * self.deg)
 
     @cached_property
-    def _one_payload(self):
+    def one(self):
         return self.embed(self.base.one)
-
-    @cached_property
-    def _over_qq(self) -> bool:
-        return isinstance(self.base, Rationals)
-
-    def from_coefficients(self, coeffs):
-        """The payload whose coefficients, low to high, are the base
-        payloads `coeffs`: that tuple over a finite base, and over QQ the
-        numerators over the lcm of the denominators, which is canonical."""
-        if not self._over_qq:
-            return tuple(coeffs)
-        den = math.lcm(*[c.denominator for c in coeffs])
-        return tuple([c.numerator * (den // c.denominator) for c in coeffs] + [den])
-
-    def coefficients(self, a) -> tuple:
-        """The coefficients of payload `a`, low to high, as base payloads."""
-        if not self._over_qq:
-            return a
-        return tuple([Fraction(n, a[-1]) for n in a[:-1]])
-
-    @property
-    def order(self):
-        bo = self.base.order
-        return None if bo is None else bo ** self.deg
 
     @cached_property
     def generator_payload(self):
@@ -463,280 +417,6 @@ class QuotientExtension(FieldSpec):
                 cur = [b.add(c, b.mul(top, r)) for c, r in zip(cur, rows[0])]
             rows.append(tuple(cur))
         return rows
-
-    @cached_property
-    def _int_red_rows(self):
-        """_red_rows over a QQ base as integers: (D, rows) with each row
-        scaled by D, the lcm of all their denominators (1 for Phi_n)."""
-        dm = math.lcm(*(c.denominator for r in self._red_rows for c in r))
-        return dm, [[c.numerator * (dm // c.denominator) for c in r]
-                    for r in self._red_rows]
-
-    # table path: Zech logarithms over a primitive element -----------------
-    def __getattr__(self, name):
-        """Resolve `_tables` (None means the coefficient path) until it is
-        fixed in the instance dict.
-
-        None is fixed at once for an extension of QQ or for
-        q > FACTOR_SEARCH_BUDGET.  Otherwise each lookup is one operation
-        about to run on the coefficient path, and the (q - 1)-th builds the
-        tables.  The build is q - 1 table rows, each (from q of a few hundred
-        up) cheaper than one coefficient product, so a field pays for its
-        tables only after it has spent about as much without them, and a
-        short computation in a large field never builds them.
-        """
-        if name != "_tables":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        d, q = self.__dict__, self.order
-        if q is None or q > FACTOR_SEARCH_BUDGET:
-            d["_tables"] = None
-            return None
-        used = d.get("_coeff_ops", 0) + 1
-        if used < q - 1:
-            d["_coeff_ops"] = used
-            return None
-        d["_tables"] = None  # the build's own operations take the coefficient path
-        t = d["_tables"] = self._build_tables()
-        return t
-
-    def _build_tables(self) -> _ZechTables:
-        """Zech-logarithm tables over g = primitive_root_of_unity(self, q - 1),
-        the first payload in element order that generates the cyclic group
-        F^x.  `_tables` is None while this runs, so that search, like the
-        build, takes the coefficient path.
-
-        Built from the coefficient arithmetic: a -> g a is base-linear, so
-        each of the q - 1 powers of g is k base dots against rows read off
-        k products, and each Zech entry is one sum with 1.
-        """
-        n, one, zero = self.order - 1, self._one_payload, self._zero_payload
-        g = primitive_root_of_unity(self, n).payload
-        # row j holds coefficient j of g x^i, i < k
-        b, k = self.base, self.deg
-        xs = [zero[:i] + (b.one,) + zero[i + 1:] for i in range(k)]
-        rows = list(zip(*(self.mul(g, x) for x in xs)))
-        exp = [one]
-        for _ in range(n - 1):
-            a = exp[-1]
-            exp.append(tuple(b.dot(r, a) for r in rows))
-        log = {a: e for e, a in enumerate(exp)}
-        zech = tuple(log.get(self.add(one, a)) for a in exp)
-        return _ZechTables(tuple(exp), log, zech, log[self.neg(one)])
-
-    def add(self, a, b):
-        t = self._tables
-        if t is None:
-            return self._coeff_add(a, b)
-        exp, log, zech, _ = t
-        i = log.get(a)
-        if i is None:
-            return b
-        j = log.get(b)
-        if j is None:
-            return a
-        # g^i + g^j = g^i (1 + g^(j - i))
-        n = len(exp)
-        z = zech[(j - i) % n]
-        return self._zero_payload if z is None else exp[(i + z) % n]
-
-    def sub(self, a, b):
-        t = self._tables
-        if t is None:
-            return self._coeff_sub(a, b)
-        exp, log, zech, log_minus_one = t
-        n = len(exp)
-        j = log.get(b)
-        if j is None:
-            return a
-        j = (j + log_minus_one) % n
-        i = log.get(a)
-        if i is None:
-            return exp[j]
-        z = zech[(j - i) % n]
-        return self._zero_payload if z is None else exp[(i + z) % n]
-
-    def neg(self, a):
-        t = self._tables
-        if t is None:
-            return self._coeff_neg(a)
-        exp, log, _, log_minus_one = t
-        i = log.get(a)
-        return a if i is None else exp[(i + log_minus_one) % len(exp)]
-
-    def mul(self, a, b):
-        t = self._tables
-        if t is None:
-            return self._coeff_dot((a,), (b,))
-        exp, log, _, _ = t
-        i = log.get(a)
-        j = log.get(b)
-        if i is None or j is None:
-            return self._zero_payload
-        return exp[(i + j) % len(exp)]
-
-    def dot(self, xs, ys):
-        t = self._tables
-        if t is None:
-            return self._coeff_dot(xs, ys)
-        exp, log, zech, _ = t
-        n = len(exp)
-        acc = None  # log of the running sum; None while it is zero
-        for x, y in zip(xs, ys):
-            i = log.get(x)
-            if i is None:
-                continue
-            j = log.get(y)
-            if j is None:
-                continue
-            if acc is None:
-                acc = (i + j) % n
-            else:
-                z = zech[(i + j - acc) % n]
-                acc = None if z is None else (acc + z) % n
-        return self._zero_payload if acc is None else exp[acc]
-
-    def inv(self, a):
-        t = self._tables
-        if t is None:
-            return self._coeff_inv(a)
-        i = t.log.get(a)
-        if i is None:
-            raise DivisionByZeroError(f"inverse of 0 in {self}")
-        return t.exp[-i]  # g^(q - 1 - i); exp[-0] is exp[0] = 1
-
-    def is_zero(self, a) -> bool:
-        # payloads are canonical, so zero is exactly the zero tuple
-        return a == self._zero_payload
-
-    # coefficient path: the definition of the arithmetic ------------------
-    def _coeff_add(self, a, b):
-        if self._over_qq:
-            return _qq_sum(a, b, operator.add)
-        ba = self.base
-        return tuple([ba.add(x, y) for x, y in zip(a, b)])
-
-    def _coeff_sub(self, a, b):
-        if self._over_qq:
-            return _qq_sum(a, b, operator.sub)
-        ba = self.base
-        return tuple([ba.sub(x, y) for x, y in zip(a, b)])
-
-    def _coeff_neg(self, a):
-        if self._over_qq:
-            return tuple([-x for x in a[:-1]] + [a[-1]])
-        ba = self.base
-        return tuple([ba.neg(x) for x in a])
-
-    def _coeff_dot(self, xs, ys):
-        """Sum of x * y over the pairs: one convolution of them all, then one
-        reduction by the modulus rows.  A product is the dot of one pair.
-
-        Over QQ it runs on the integer payloads: dx and dy are the lcm of
-        the xs' and of the ys' denominators, each pair's products are scaled
-        by (dx / D_x)(dy / D_y) so that all are over dx dy, the reduction
-        uses _int_red_rows (rows scaled by dm), and the sum over dx dy dm is
-        normalized once.
-        """
-        k = self.deg
-        if self._over_qq:
-            dm = self._int_red_rows[0]
-            dx = math.lcm(*[x[k] for x in xs])
-            dy = math.lcm(*[y[k] for y in ys])
-            conv = [0] * (2 * k - 1)
-            for x, y in zip(xs, ys):
-                s = dx // x[k] * (dy // y[k])
-                y = y[:k]
-                for i in range(k):
-                    xi = x[i]
-                    if xi:
-                        xi *= s
-                        for j, yj in enumerate(y):
-                            conv[i + j] += xi * yj
-            return _qq_normal(self._int_reduce(conv), dx * dy * dm)
-        ba, rows = self.base, self._red_rows
-        add, mul, zero = ba.add, ba.mul, ba.zero
-        conv = [zero] * (2 * k - 1)
-        for x, y in zip(xs, ys):
-            y = [(j, yj) for j, yj in enumerate(y) if yj != zero]
-            for i, xi in enumerate(x):
-                if xi != zero:
-                    for j, yj in y:
-                        conv[i + j] = add(conv[i + j], mul(xi, yj))
-        # x^(k + e) = rows[e]
-        out = conv[:k]
-        for c, row in zip(conv[k:], rows):
-            if c != zero:
-                out = [add(o, mul(c, r)) for o, r in zip(out, row)]
-        return tuple(out)
-
-    def _coeff_inv(self, a):
-        if self.is_zero(a):
-            raise DivisionByZeroError(f"inverse of 0 in {self}")
-        if self._over_qq:
-            return self._qq_inv(a)
-        # extended Euclid over base[x]: g = s*a + t*m with g constant.  The
-        # cofactor s is only needed mod m, so it is held as a payload; once
-        # deg r1 >= 1 every quotient has degree < deg m, so `_coeff_dot`
-        # takes its trimmed coefficients as they are.
-        b = self.base
-        r0, r1 = list(self.modulus), _poly_trim(list(a), b)
-        s0, s1 = self._zero_payload, self._one_payload
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1, b)
-            r0, r1 = r1, r
-            s0, s1 = s1, self._coeff_sub(s0, self._coeff_dot((q,), (s1,)))
-        if not r1:
-            raise ReducibleModulusError(
-                f"zero divisor mod {self._modulus_str()}: modulus not irreducible"
-            )
-        c = b.inv(r1[0])
-        return tuple([b.mul(c, x) for x in s1])
-
-    def _qq_inv(self, a):
-        """1 / a over QQ, fraction-free.  With a = n(t) / D, the columns of
-        the integer matrix M are dm n(t) t^j reduced (dm from _int_red_rows),
-        and M v = dm D e_0 gives 1 / a = v.  Gauss-Jordan elimination of
-        [M | dm D e_0] in Bareiss's form (row r becomes (p row_r - f row_c)
-        / previous pivot, an exact division) ends with every diagonal entry
-        equal to the last pivot p and the last column equal to p v."""
-        k, n = self.deg, list(a[:-1])
-        cols = [self._int_reduce([0] * j + n + [0] * (k - 1 - j)) for j in range(k)]
-        m = [list(r) + [0] for r in zip(*cols)]
-        m[0][k] = self._int_red_rows[0] * a[k]
-        prev = 1
-        for c in range(k):
-            # M is invertible (the modulus is certified irreducible), so
-            # some row at or below c has a nonzero entry in column c
-            piv = next(r for r in range(c, k) if m[r][c])
-            m[c], m[piv] = m[piv], m[c]
-            p, pivot_row = m[c][c], m[c]
-            for r in range(k):
-                if r != c:
-                    f = m[r][c]
-                    m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
-            prev = p
-        sign = 1 if prev > 0 else -1
-        return _qq_normal([sign * r[k] for r in m], sign * prev)
-
-    def _int_reduce(self, conv) -> list:
-        """The numerators, over dm (from _int_red_rows), of the integer
-        polynomial conv (2k - 1 coefficients) reduced by the modulus."""
-        k = self.deg
-        dm, rows = self._int_red_rows
-        out = [c * dm for c in conv[:k]] if dm != 1 else conv[:k]
-        # x^(k + e) = rows[e] / dm
-        for c, row in zip(conv[k:], rows):
-            if c:
-                out = [o + c * r for o, r in zip(out, row)]
-        return out
-
-    def element_payloads(self):
-        base_payloads = list(self.base.element_payloads())
-        # fixed lexicographic order so searches are deterministic
-        for combo in itertools.product(base_payloads, repeat=self.deg):
-            yield tuple(combo)
 
     def from_int(self, k: int):
         return self.embed(self.base.from_int(k))
@@ -794,53 +474,381 @@ class QuotientExtension(FieldSpec):
             "generator": self.gen,
         }
 
-    def _check_irreducible(self):
+
+class FiniteExtension(QuotientExtension):
+    """base[x]/(m) over a finite base: GF(q) with q = |base|^deg(m), towers
+    included.  A payload is the tuple of its deg(m) coefficients, low to
+    high, as base payloads.  The modulus is certified by exhaustive search:
+    no root in the base and no monic factor of degree 2 .. deg(m) // 2,
+    refused when one degree has more than FACTOR_SEARCH_BUDGET candidates.
+
+    Arithmetic has two paths with the same payloads and results.  The
+    coefficient path defines it: sums coefficient by coefficient, products
+    and dots by `_coeff_dot` (one convolution, then reduction by the
+    modulus rows), and inverses by `_coeff_inv`, extended Euclid on base[x]
+    remainders with the cofactor kept as a payload.  The (q - 1)-th
+    operation builds `_tables`, Zech logarithms over a primitive element,
+    and from then on mul and inv are exponent arithmetic mod q - 1, add,
+    sub and neg are one Zech lookup each, and dot sums in the log domain.
+    The tables hold three rows of q - 1 entries, never a q x q grid: about
+    250 bytes per element, 44 MB at q = 3^11.  A field with more than
+    FACTOR_SEARCH_BUDGET elements never builds them, so the constant that
+    bounds certifying a modulus is reused as a cap of about 50 MB on the
+    tables.
+    """
+
+    @property
+    def order(self):
+        return self.base.order ** self.deg
+
+    def from_coefficients(self, coeffs):
+        """The payload whose coefficients, low to high, are the base
+        payloads `coeffs`: their tuple."""
+        return tuple(coeffs)
+
+    def coefficients(self, a) -> tuple:
+        """The coefficients of payload `a`, low to high: `a` itself."""
+        return a
+
+    def element_payloads(self):
+        # fixed lexicographic order so searches are deterministic
+        return itertools.product(list(self.base.element_payloads()), repeat=self.deg)
+
+    # table path: Zech logarithms over a primitive element -----------------
+    def __getattr__(self, name):
+        """Resolve `_tables` (None means the coefficient path) until it is
+        fixed in the instance dict.
+
+        None is fixed at once for q > FACTOR_SEARCH_BUDGET.  Otherwise each
+        lookup is one operation about to run on the coefficient path, and
+        the (q - 1)-th builds the tables.  The build is q - 1 table rows,
+        each (from q of a few hundred up) cheaper than one coefficient
+        product, so a field pays for its tables only after it has spent
+        about as much without them, and a short computation in a large
+        field never builds them.
+        """
+        if name != "_tables":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        d, q = self.__dict__, self.order
+        if q > FACTOR_SEARCH_BUDGET:
+            d["_tables"] = None
+            return None
+        used = d.get("_coeff_ops", 0) + 1
+        if used < q - 1:
+            d["_coeff_ops"] = used
+            return None
+        d["_tables"] = None  # the build's own operations take the coefficient path
+        t = d["_tables"] = self._build_tables()
+        return t
+
+    def _build_tables(self) -> _ZechTables:
+        """Zech-logarithm tables over g = primitive_root_of_unity(self, q - 1),
+        the first payload in element order that generates the cyclic group
+        F^x.  `_tables` is None while this runs, so that search, like the
+        build, takes the coefficient path.
+
+        Built from the coefficient arithmetic: a -> g a is base-linear, so
+        each of the q - 1 powers of g is k base dots against rows read off
+        k products, and each Zech entry is one sum with 1.
+        """
+        n, one, zero = self.order - 1, self.one, self.zero
+        g = primitive_root_of_unity(self, n).payload
+        # row j holds coefficient j of g x^i, i < k
+        b, k = self.base, self.deg
+        xs = [zero[:i] + (b.one,) + zero[i + 1:] for i in range(k)]
+        rows = list(zip(*(self.mul(g, x) for x in xs)))
+        exp = [one]
+        for _ in range(n - 1):
+            a = exp[-1]
+            exp.append(tuple(b.dot(r, a) for r in rows))
+        log = {a: e for e, a in enumerate(exp)}
+        zech = tuple(log.get(self.add(one, a)) for a in exp)
+        return _ZechTables(tuple(exp), log, zech, log[self.neg(one)])
+
+    def add(self, a, b):
+        t = self._tables
+        if t is None:
+            return tuple([self.base.add(x, y) for x, y in zip(a, b)])
+        exp, log, zech, _ = t
+        i = log.get(a)
+        if i is None:
+            return b
+        j = log.get(b)
+        if j is None:
+            return a
+        # g^i + g^j = g^i (1 + g^(j - i))
+        n = len(exp)
+        z = zech[(j - i) % n]
+        return self.zero if z is None else exp[(i + z) % n]
+
+    def sub(self, a, b):
+        t = self._tables
+        if t is None:
+            return self._coeff_sub(a, b)
+        exp, log, zech, log_minus_one = t
+        n = len(exp)
+        j = log.get(b)
+        if j is None:
+            return a
+        j = (j + log_minus_one) % n
+        i = log.get(a)
+        if i is None:
+            return exp[j]
+        z = zech[(j - i) % n]
+        return self.zero if z is None else exp[(i + z) % n]
+
+    def neg(self, a):
+        t = self._tables
+        if t is None:
+            return tuple([self.base.neg(x) for x in a])
+        exp, log, _, log_minus_one = t
+        i = log.get(a)
+        return a if i is None else exp[(i + log_minus_one) % len(exp)]
+
+    def mul(self, a, b):
+        t = self._tables
+        if t is None:
+            return self._coeff_dot((a,), (b,))
+        exp, log, _, _ = t
+        i = log.get(a)
+        j = log.get(b)
+        if i is None or j is None:
+            return self.zero
+        return exp[(i + j) % len(exp)]
+
+    def dot(self, xs, ys):
+        t = self._tables
+        if t is None:
+            return self._coeff_dot(xs, ys)
+        exp, log, zech, _ = t
+        n = len(exp)
+        acc = None  # log of the running sum; None while it is zero
+        for x, y in zip(xs, ys):
+            i = log.get(x)
+            if i is None:
+                continue
+            j = log.get(y)
+            if j is None:
+                continue
+            if acc is None:
+                acc = (i + j) % n
+            else:
+                z = zech[(i + j - acc) % n]
+                acc = None if z is None else (acc + z) % n
+        return self.zero if acc is None else exp[acc]
+
+    def inv(self, a):
+        t = self._tables
+        if t is None:
+            return self._coeff_inv(a)
+        i = t.log.get(a)
+        if i is None:
+            raise DivisionByZeroError(f"inverse of 0 in {self}")
+        return t.exp[-i]  # g^(q - 1 - i); exp[-0] is exp[0] = 1
+
+    # coefficient path: the definition of the arithmetic ------------------
+    def _coeff_sub(self, a, b):
+        ba = self.base
+        return tuple([ba.sub(x, y) for x, y in zip(a, b)])
+
+    def _coeff_dot(self, xs, ys):
+        """Sum of x * y over the pairs: one convolution of them all, then one
+        reduction by the modulus rows.  A product is the dot of one pair."""
+        k = self.deg
+        ba, rows = self.base, self._red_rows
+        add, mul, zero = ba.add, ba.mul, ba.zero
+        conv = [zero] * (2 * k - 1)
+        for x, y in zip(xs, ys):
+            y = [(j, yj) for j, yj in enumerate(y) if yj != zero]
+            for i, xi in enumerate(x):
+                if xi != zero:
+                    for j, yj in y:
+                        conv[i + j] = add(conv[i + j], mul(xi, yj))
+        # x^(k + e) = rows[e]
+        out = conv[:k]
+        for c, row in zip(conv[k:], rows):
+            if c != zero:
+                out = [add(o, mul(c, r)) for o, r in zip(out, row)]
+        return tuple(out)
+
+    def _coeff_inv(self, a):
+        if self.is_zero(a):
+            raise DivisionByZeroError(f"inverse of 0 in {self}")
+        # extended Euclid over base[x]: g = s*a + t*m with g constant.  The
+        # cofactor s is only needed mod m, so it is held as a payload; once
+        # deg r1 >= 1 every quotient has degree < deg m, so `_coeff_dot`
+        # takes its trimmed coefficients as they are.
         b = self.base
-        m = list(self.modulus)
-        if b.order is not None:
-            # finite base: exhaustive root search, then factor search
-            for x in b.element_payloads():
-                if b.is_zero(_poly_eval(m, x, b)):
+        r0, r1 = list(self.modulus), _poly_trim(list(a), b)
+        s0, s1 = self.zero, self.one
+        while len(r1) > 1:
+            q, r = _poly_divmod(r0, r1, b)
+            r0, r1 = r1, r
+            s0, s1 = s1, self._coeff_sub(s0, self._coeff_dot((q,), (s1,)))
+        if not r1:
+            raise ReducibleModulusError(
+                f"zero divisor mod {self._modulus_str()}: modulus not irreducible"
+            )
+        c = b.inv(r1[0])
+        return tuple([b.mul(c, x) for x in s1])
+
+    def _check_irreducible(self):
+        # exhaustive root search, then factor search
+        b, m = self.base, self.modulus
+        for x in b.element_payloads():
+            if b.is_zero(_poly_eval(m, x, b)):
+                raise ReducibleModulusError(
+                    f"modulus {self._modulus_str()} has root {b.render(x)}"
+                )
+        for degf in range(2, self.deg // 2 + 1):
+            if b.order ** degf > FACTOR_SEARCH_BUDGET:
+                raise ReducibleModulusError(
+                    "factor search budget exceeded; cannot certify modulus"
+                )
+            for tail in itertools.product(b.element_payloads(), repeat=degf):
+                f = list(tail) + [b.one]
+                _, r = _poly_divmod(m, f, b)
+                if not r:
                     raise ReducibleModulusError(
-                        f"modulus {self._modulus_str()} has root {b.render(x)}"
+                        f"modulus {self._modulus_str()} divisible by a "
+                        f"degree-{degf} factor"
                     )
-            for degf in range(2, self.deg // 2 + 1):
-                if b.order ** degf > FACTOR_SEARCH_BUDGET:
-                    raise ReducibleModulusError(
-                        "factor search budget exceeded; cannot certify modulus"
-                    )
-                for tail in itertools.product(b.element_payloads(), repeat=degf):
-                    f = list(tail) + [b.one]
-                    _, r = _poly_divmod(m, f, b)
-                    if not r:
-                        raise ReducibleModulusError(
-                            f"modulus {self._modulus_str()} divisible by a "
-                            f"degree-{degf} factor"
-                        )
-        elif isinstance(b, Rationals):
-            if _rational_root_exists(m, b):
+
+
+class RationalExtension(QuotientExtension):
+    """QQ[x]/(m), such as a cyclotomic field QQ(q).  A payload is
+    (n_0, ..., n_{k-1}, D), k = deg(m): integer numerators over one
+    denominator D >= 1 with gcd(n_0, ..., D) = 1, so zero is (0, ..., 0, 1)
+    and equal elements have equal payloads.  The modulus is certified by a
+    rational-root test up to degree 3 (_rational_root_exists); from degree
+    4 on it must be a cyclotomic polynomial Phi_m (_cyclotomic_index),
+    which is irreducible.
+
+    The arithmetic runs on the integer payloads alone and builds no
+    Fraction: a sum or difference works on the numerators over the product
+    of the two denominators, dot (and mul, the dot of one pair) convolves
+    the numerators, each pair scaled to the lcm of its side's denominators,
+    and reduces by `_int_red_rows`, and each normalizes its result with one
+    gcd.  An inverse is fraction-free (Bareiss) Gauss-Jordan elimination on
+    the integer multiplication matrix.  Only the coefficient boundary
+    (from_coefficients, coefficients, parse, render) builds a Fraction.
+    """
+
+    order = None
+
+    def from_coefficients(self, coeffs):
+        """The payload whose coefficients, low to high, are the Fractions
+        `coeffs`: the numerators over the lcm of the denominators, which is
+        canonical."""
+        den = math.lcm(*[c.denominator for c in coeffs])
+        return tuple([c.numerator * (den // c.denominator) for c in coeffs] + [den])
+
+    def coefficients(self, a) -> tuple:
+        """The coefficients of payload `a`, low to high, as Fractions."""
+        return tuple([Fraction(n, a[-1]) for n in a[:-1]])
+
+    @cached_property
+    def _int_red_rows(self):
+        """_red_rows as integers: (D, rows) with each row scaled by D, the
+        lcm of all their denominators (1 for Phi_n)."""
+        dm = math.lcm(*(c.denominator for r in self._red_rows for c in r))
+        return dm, [[c.numerator * (dm // c.denominator) for c in r]
+                    for r in self._red_rows]
+
+    def add(self, a, b):
+        da, db = a[-1], b[-1]
+        return _qq_normal([x * db + y * da for x, y in zip(a, b[:-1])], da * db)
+
+    def sub(self, a, b):
+        da, db = a[-1], b[-1]
+        return _qq_normal([x * db - y * da for x, y in zip(a, b[:-1])], da * db)
+
+    def neg(self, a):
+        return tuple([-x for x in a[:-1]] + [a[-1]])
+
+    def mul(self, a, b):
+        return self.dot((a,), (b,))
+
+    def dot(self, xs, ys):
+        """Sum of x * y over the pairs: one convolution of them all, then one
+        reduction by the modulus rows.  dx and dy are the lcm of the xs' and
+        of the ys' denominators, each pair's products are scaled by
+        (dx / D_x)(dy / D_y) so that all are over dx dy, the reduction uses
+        _int_red_rows (rows scaled by dm), and the sum over dx dy dm is
+        normalized once."""
+        k = self.deg
+        dm = self._int_red_rows[0]
+        dx = math.lcm(*[x[k] for x in xs])
+        dy = math.lcm(*[y[k] for y in ys])
+        conv = [0] * (2 * k - 1)
+        for x, y in zip(xs, ys):
+            s = dx // x[k] * (dy // y[k])
+            y = y[:k]
+            for i in range(k):
+                xi = x[i]
+                if xi:
+                    xi *= s
+                    for j, yj in enumerate(y):
+                        conv[i + j] += xi * yj
+        return _qq_normal(self._int_reduce(conv), dx * dy * dm)
+
+    def inv(self, a):
+        """1 / a, fraction-free.  With a = n(t) / D, the columns of the
+        integer matrix M are dm n(t) t^j reduced (dm from _int_red_rows),
+        and M v = dm D e_0 gives 1 / a = v.  Gauss-Jordan elimination of
+        [M | dm D e_0] in Bareiss's form (row r becomes (p row_r - f row_c)
+        / previous pivot, an exact division) ends with every diagonal entry
+        equal to the last pivot p and the last column equal to p v."""
+        if self.is_zero(a):
+            raise DivisionByZeroError(f"inverse of 0 in {self}")
+        k, n = self.deg, list(a[:-1])
+        cols = [self._int_reduce([0] * j + n + [0] * (k - 1 - j)) for j in range(k)]
+        m = [list(r) + [0] for r in zip(*cols)]
+        m[0][k] = self._int_red_rows[0] * a[k]
+        prev = 1
+        for c in range(k):
+            # M is invertible (the modulus is certified irreducible), so
+            # some row at or below c has a nonzero entry in column c
+            piv = next(r for r in range(c, k) if m[r][c])
+            m[c], m[piv] = m[piv], m[c]
+            p, pivot_row = m[c][c], m[c]
+            for r in range(k):
+                if r != c:
+                    f = m[r][c]
+                    m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
+            prev = p
+        sign = 1 if prev > 0 else -1
+        return _qq_normal([sign * r[k] for r in m], sign * prev)
+
+    def _int_reduce(self, conv) -> list:
+        """The numerators, over dm (from _int_red_rows), of the integer
+        polynomial conv (2k - 1 coefficients) reduced by the modulus."""
+        k = self.deg
+        dm, rows = self._int_red_rows
+        out = [c * dm for c in conv[:k]] if dm != 1 else conv[:k]
+        # x^(k + e) = rows[e] / dm
+        for c, row in zip(conv[k:], rows):
+            if c:
+                out = [o + c * r for o, r in zip(out, row)]
+        return out
+
+    def _check_irreducible(self):
+        if self.deg <= 3:
+            if _rational_root_exists(self.modulus):
                 raise ReducibleModulusError(
                     f"modulus {self._modulus_str()} has a rational root"
                 )
-            # cyclotomic polynomials are irreducible over QQ
-            if self.deg > 3 and _cyclotomic_index(m) is None:
-                raise ReducibleModulusError(
-                    "cannot certify irreducibility of degree > 3 over QQ "
-                    "unless the modulus is cyclotomic"
-                )
-        else:
+        # cyclotomic polynomials are irreducible over QQ
+        elif _cyclotomic_index(self.modulus) is None:
             raise ReducibleModulusError(
-                "cannot certify irreducibility over this base field"
+                "cannot certify irreducibility of degree > 3 over QQ "
+                "unless the modulus is cyclotomic"
             )
 
 
 # --- polynomial helpers on low-to-high payload lists -------------------------
-
-def _qq_sum(a, b, op):
-    """a + b or a - b (op) of canonical payloads of an extension of QQ."""
-    da, db = a[-1], b[-1]
-    return _qq_normal([op(x * db, y * da) for x, y in zip(a, b[:-1])], da * db)
-
 
 def _qq_normal(nums, den):
     """The canonical payload of the coefficients nums[i] / den, den >= 1:
@@ -888,29 +896,55 @@ def _poly_eval(p, x, b):
     return acc
 
 
-def _rational_root_exists(m, b) -> bool:
-    # clear denominators; candidates +-(divisor of a0)/(divisor of an)
+def _rational_root_exists(m) -> bool:
+    """Whether the monic QQ polynomial m (low to high) of degree 2 or 3 has
+    a rational root, in a number of steps linear in its coefficients' bit
+    lengths (listing divisors of the constant term would not finish for a
+    large one).
+
+    Degree 2: the discriminant is a rational square.  Degree 3: with L the
+    lcm of the denominators, x = L t turns m into the monic integer cubic
+    f(x) = x^3 + a2 x^2 + a1 x + a0, whose rational roots are integers
+    (the rational root theorem) of absolute value at most
+    1 + max(|a0|, |a1|, |a2|) (Cauchy's bound).  f is monotone between the
+    critical points c1 <= c2, (-a2 -+ sqrt(D)) / 3 with D = a2^2 - 3 a1,
+    so each monotone piece is bisected for an integer root.  With
+    s = isqrt(D), s <= sqrt(D) < s + 1 gives
+    (-a2 - s - 1) / 3 < c1 <= (-a2 - s) / 3, and as 3x is an integer for
+    an integer x, the integers up to e1 = floor((-a2 - s - 1) / 3) lie
+    below c1 and those from e1 + 1 on at or above it; likewise
+    e2 = floor((-a2 + s) / 3) <= c2 < e2 + 1.  So f increases on the
+    integers up to e1, decreases from e1 + 1 to e2 and increases from
+    e2 + 1.  When D <= 0, f increases everywhere, and s = 0 leaves at most
+    one integer from e1 + 1 to e2.
+    """
+    if len(m) == 3:
+        disc = m[1] * m[1] - 4 * m[0]
+        return disc >= 0 and all(math.isqrt(n) ** 2 == n
+                                 for n in (disc.numerator, disc.denominator))
     lcm = math.lcm(*[c.denominator for c in m])
-    a0, an = abs(int(m[0] * lcm)), abs(int(m[-1] * lcm))
-    if a0 == 0:
-        return True  # x = 0 is a root
+    a0, a1, a2 = [int(c * lcm ** (3 - i)) for i, c in enumerate(m[:3])]
 
-    def divisors(n):
-        out = []
-        f = 1
-        while f * f <= n:
-            if n % f == 0:
-                out.append(f)
-                out.append(n // f)
-            f += 1
-        return sorted(set(out))
+    def f(x):
+        return ((x + a2) * x + a1) * x + a0
 
-    for num in divisors(a0):
-        for den in divisors(an):
-            for x in (Fraction(num, den), Fraction(-num, den)):
-                if b.is_zero(_poly_eval(m, x, b)):
-                    return True
-    return False
+    bound = 1 + max(abs(a0), abs(a1), abs(a2))
+    s = math.isqrt(max(a2 * a2 - 3 * a1, 0))
+    e1, e2 = (-a2 - s - 1) // 3, (-a2 + s) // 3
+    return (_bisect_root(f, -bound, e1, 1) or _bisect_root(f, e1 + 1, e2, -1)
+            or _bisect_root(f, e2 + 1, bound, 1))
+
+
+def _bisect_root(f, lo, hi, sign) -> bool:
+    """Whether f, increasing (sign 1) or decreasing (sign -1) on the
+    integers lo .. hi, has a root among them."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sign * f(mid) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo == hi and f(lo) == 0
 
 
 def _split_top_level(s: str) -> list[str]:
@@ -1160,12 +1194,11 @@ def primitive_root_of_unity(
         raise NoSuchRootError("n must be >= 2")
     if isinstance(spec, Rationals):
         return cyclotomic_field(n).generator()
-    if spec.order is None:
-        # infinite extension (cyclotomic over QQ): look among generator powers
-        if isinstance(spec, QuotientExtension):
-            m = _cyclotomic_index(spec.modulus)
-            if m is not None and m % n == 0:
-                return spec.generator() ** (m // n)
+    if isinstance(spec, RationalExtension):
+        # an infinite field (cyclotomic over QQ): look among generator powers
+        m = _cyclotomic_index(spec.modulus)
+        if m is not None and m % n == 0:
+            return spec.generator() ** (m // n)
         raise NoSuchRootError(f"no primitive {n}-th root found in {spec}")
     group = spec.order - 1
     if group % n == 0:

@@ -28,9 +28,10 @@ sequence (_theta_forms), built once for each of the perm(q, d + 1)
 sequences from the unit-chain table and shared by every pair that
 sequence is in, on either side, and by the oracle's builds.
 Random mode reads the same tables when all perm(q, d + 1) sequences fit
-the memo (through a per-search dict, _table_probe), and otherwise
-evaluates the forms lazily (_probe_forms), because over a larger field
-almost every candidate brings new sequences.  Every
+the memo (through a per-search dict), and otherwise evaluates the forms
+lazily (_probe_forms), because over a larger field almost every
+candidate brings new sequences; either source feeds the one probe loop
+(_pattern_probe).  Every
 probe hit, in either mode, is then re-verified by the axiom oracle
 (split_form_build, which only constructs, then verify_ch_axioms), which is
 authoritative and shares only the pattern's specification with the probe
@@ -120,8 +121,8 @@ class SearchReport(JsonFields):
 def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
     """Exact screen for the circular Hessenberg pattern of a split-form pair.
 
-    The E side (E_i A* E_j) is evaluated by _probe_side on the array itself;
-    the E* side (E*_i A E*_j) is the E side of the dual array
+    The E side (E_i A* E_j) is evaluated on the array itself, from theta's
+    forms; the E* side (E*_i A E*_j) is the E side of the dual array
     (theta*, theta, phi reversed).  That is exact for every candidate, not
     only for systems: with J the reversal matrix and D the diagonal matrix
     with D_{t+1} / D_t = 1 / phi_{d-t} (which exists because every phi_i is
@@ -130,20 +131,28 @@ def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
     E*_i to the dual's E_i (both belong to theta*_i).  Conjugation keeps
     every product zero or nonzero, so the two patterns agree entry by entry.
     """
-    return _probe_side(spec, theta, theta_star, phi, d) and _probe_side(
-        spec, theta_star, theta, phi[::-1], d
-    )
+    return _pattern_probe(spec, functools.partial(_probe_forms, spec, d=d))(
+        theta, theta_star, phi)
 
 
-def _probe_side(spec, theta, theta_star, phi, d) -> bool:
-    """The pattern of E_i A* E_j for split(theta, theta*, phi): theta's
-    forms, computed lazily, evaluated at theta* and phi in pattern order,
-    stopping at the first violation."""
+def _pattern_probe(spec, forms):
+    """The probe of _split_pattern_probe as a function of one candidate
+    (theta, theta*, phi), reading each sequence's forms from forms(theta)
+    and evaluating them at theta* and phi in pattern order, E side first,
+    stopping at the first violated entry."""
     add, dot, is_zero = spec.add, spec.dot, spec.is_zero
-    for must_zero, vu, coeffs in _probe_forms(spec, theta, d):
-        if is_zero(add(dot(vu, theta_star), dot(coeffs, phi))) != must_zero:
-            return False
-    return True
+
+    def probe(th, ths, ph):
+        for must_zero, vu, coeffs in forms(th):
+            if is_zero(add(dot(vu, ths), dot(coeffs, ph))) != must_zero:
+                return False
+        ph = ph[::-1]
+        for must_zero, vu, coeffs in forms(ths):
+            if is_zero(add(dot(vu, th), dot(coeffs, ph))) != must_zero:
+                return False
+        return True
+
+    return probe
 
 
 def _probe_forms(spec, theta, d):
@@ -180,7 +189,7 @@ def _probe_forms(spec, theta, d):
     0.17-0.18 -> 0.09-0.13 s; GF(5), d = 3 0.22 -> 0.13-0.20 s.  Over
     GF(9), d = 5, GF(13), d = 4 and GF(101), d = 3 and 6 the table was
     1.1-8x slower, so those fields stay lazy.  Drawing theta and theta* by
-    index, reading the tables through a per-search dict (_table_probe) and
+    index, reading the tables through a per-search dict and
     yielding only at hits then took the same searches, alternated with the
     previous code in one process (CPU time, fastest of 20 rounds, twice),
     from 0.091-0.096 to 0.067-0.075 s on GF(5), d = 4 and from
@@ -305,43 +314,25 @@ def _probe_hits(cfg: SearchConfig):
     else:
         candidates = _random_candidates(cfg.seed, elems, nonzero, d, cfg.trials)
         if math.perm(spec.order, d + 1) <= _MEMO_SIZE:
-            probe = _table_probe(spec)
+            # _theta_forms through a per-search dict keyed by theta alone:
+            # its lru key (spec, theta) hashes the frozen field spec in
+            # Python, twice per candidate
+            tables = {}
+
+            def forms(theta):
+                table = tables.get(theta)
+                if table is None:
+                    table = tables[theta] = _theta_forms(spec, theta)
+                return table
         else:
-            def probe(th, ths, ph):
-                return _split_pattern_probe(spec, th, ths, ph, d)
+            forms = functools.partial(_probe_forms, spec, d=d)
+        probe = _pattern_probe(spec, forms)
         last = i = 0
         for i, c in enumerate(candidates, 1):
             if probe(*c):
                 yield i - last, [c]
                 last = i
         yield i - last, ()
-
-
-def _table_probe(spec):
-    """_split_pattern_probe for one search, reading each theta's forms off
-    _theta_forms through a per-search dict keyed by theta alone: the lru
-    key (spec, theta) hashes the frozen field spec in Python, twice per
-    candidate."""
-    add, dot, is_zero = spec.add, spec.dot, spec.is_zero
-    tables = {}
-
-    def forms(theta):
-        table = tables.get(theta)
-        if table is None:
-            table = tables[theta] = _theta_forms(spec, theta)
-        return table
-
-    def probe(th, ths, ph):
-        for must_zero, vu, coeffs in forms(th):
-            if is_zero(add(dot(vu, ths), dot(coeffs, ph))) != must_zero:
-                return False
-        ph = ph[::-1]
-        for must_zero, vu, coeffs in forms(ths):
-            if is_zero(add(dot(vu, th), dot(coeffs, ph))) != must_zero:
-                return False
-        return True
-
-    return probe
 
 
 def _random_candidates(seed, elems, nonzero, d, trials):

@@ -1,7 +1,14 @@
 """Field tower: exact arithmetic, axioms, roots of unity, serialization."""
 
+import contextlib
+import copy
+import io
+import itertools
 import json
+import math
 import os
+import pickle
+import random
 import subprocess
 import sys
 import time
@@ -30,8 +37,11 @@ from circhess.errors import (
     ParseError,
     ReducibleModulusError,
 )
+from circhess.cli import main
 from circhess.fields import (
+    FiniteExtension,
     QuotientExtension,
+    RationalExtension,
     _cyclotomic_index,
     _is_prime,
     _prime_divisors,
@@ -143,6 +153,211 @@ def test_field_json_roundtrip():
 def test_field_json_prime_needs_integer(p):
     with pytest.raises(ParseError):
         field_from_json({"kind": "prime", "p": p})
+
+
+def _gf16():
+    """GF(16) as the tower GF(4)[s]/(s^2 + s + w)."""
+    gf4 = field_from_string("ext:gf:2:1,1,1")
+    one = gf4.one_element()
+    return quotient_extension(gf4, [gf4.generator(), one, one], gen="s")
+
+
+def test_construction_routes_pick_the_class_of_the_base():
+    """Every route to an extension field gives the class of its base's
+    payload form, FiniteExtension over a finite base and RationalExtension
+    over QQ, each a QuotientExtension.  Fields built by different routes
+    are equal and hash equal, so their elements mix."""
+    gf2, qq = prime_field(2), rationals()
+    finite = [
+        QuotientExtension(gf2, (1, 1, 1), "w"),
+        QuotientExtension(base=gf2, modulus=(1, 1, 1), gen="w"),
+        quotient_extension(gf2, [1, 1, 1], gen="w"),
+        field_from_string("ext:gf:2:1,1,1"),
+        field_from_json({"kind": "extension", "base": {"kind": "prime", "p": 2},
+                         "modulus": ["1", "1", "1"], "generator": "w"}),
+    ]
+    rational = [
+        QuotientExtension(qq, tuple(cyclotomic_polynomial(4))),
+        quotient_extension(qq, [1, 0, 1]),
+        cyclotomic_field(4),
+        field_from_string("cyclo:4"),
+        field_from_json({"kind": "extension", "base": {"kind": "rationals"},
+                         "modulus": ["1", "0", "1"]}),
+    ]
+    for specs, cls in ((finite, FiniteExtension), (rational, RationalExtension)):
+        assert all(type(s) is cls and isinstance(s, QuotientExtension) for s in specs)
+        assert len(set(specs)) == 1 and len({hash(s) for s in specs}) == 1
+        g = specs[0].generator()
+        assert all(g * s.generator() == g * g for s in specs)
+    gf16 = _gf16()
+    assert type(gf16) is FiniteExtension and type(gf16.base) is FiniteExtension
+    assert gf16.order == 16 and len(set(gf16.element_payloads())) == 16
+    assert field_from_json(gf16.to_json()) == gf16
+    assert type(field_from_json(gf16.to_json())) is FiniteExtension
+
+
+def test_extension_of_a_rational_extension_is_refused(tmp_path, w5_array):
+    """No modulus over an extension of QQ can be certified: every
+    construction route raises ReducibleModulusError, and verify on an array
+    whose field JSON is such an extension exits 2."""
+    cyclo4 = cyclotomic_field(4)
+    t, one = cyclo4.generator(), cyclo4.one_element()
+    with pytest.raises(ReducibleModulusError):
+        quotient_extension(cyclo4, [t, one, one])
+    with pytest.raises(ReducibleModulusError):
+        QuotientExtension(cyclo4, (t.payload, one.payload, one.payload))
+    tower = {"kind": "extension", "base": cyclo4.to_json(),
+             "modulus": [str(t), str(one), str(one)], "generator": "s"}
+    with pytest.raises(ParseError):
+        field_from_json(tower)
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps({**w5_array.to_json(), "field": tower}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--in", str(path)])
+    assert code == 2 and err.getvalue().startswith("error:")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: field_from_string("ext:gf:2:1,1,1"), _gf16, lambda: cyclotomic_field(4),
+], ids=["GF(4)", "GF(16) over GF(4)", "cyclo:4"])
+def test_extension_fields_copy_and_pickle(make):
+    """copy.copy, copy.deepcopy and pickle give an equal field of the same
+    class, both before its arithmetic has run and after (GF(4) and GF(16)
+    have then built their tables), and its elements mix with the
+    original's."""
+    spec = make()
+    g = spec.generator()
+    for _ in range(2):
+        for back in (copy.copy(spec), copy.deepcopy(spec),
+                     pickle.loads(pickle.dumps(spec))):
+            assert type(back) is type(spec)
+            assert back == spec and hash(back) == hash(spec)
+            h = back.generator()
+            assert h * g == g * g and (h + 1).inverse() * (g + 1) == 1
+        x = g
+        for _ in range(40):
+            x = x * g + 1
+    if spec.order is not None:
+        assert vars(spec)["_tables"] is not None
+
+
+def _divisor_root_test(m) -> bool:
+    """Test-only reference: the rational-root test as it was, which tries
+    +-(divisor of a0) / (divisor of an) with the denominators cleared."""
+    lcm = math.lcm(*[Fraction(c).denominator for c in m])
+    a0, an = abs(int(m[0] * lcm)), abs(int(m[-1] * lcm))
+    if a0 == 0:
+        return True
+
+    def divisors(n):
+        return [f for f in range(1, n + 1) if n % f == 0]
+
+    return any(sum(c * x**i for i, c in enumerate(m)) == 0
+               for num in divisors(a0) for den in divisors(an)
+               for x in (Fraction(num, den), Fraction(-num, den)))
+
+
+def _accepted(m) -> bool:
+    try:
+        quotient_extension(rationals(), m)
+    except ReducibleModulusError:
+        return False
+    return True
+
+
+def test_qq_moduli_keep_their_outcome():
+    """Every small QQ modulus is accepted or refused as the divisor-listing
+    rational-root test (plus, from degree 4, Phi_m recognition) decided:
+    all monic quadratics with coefficients n / d, |n| <= 4, d <= 3, all
+    monic cubics with such a constant term and x^2, x coefficients in
+    {-1, 0, 1/2, 1}, and moduli of degree 4 to 6, cyclotomic or not."""
+    values = sorted({Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)})
+    small = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)]
+    moduli = [[c0, c1, 1] for c0 in values for c1 in values]
+    moduli += [[c0, c1, c2, 1] for c0 in values for c1 in small for c2 in small]
+    moduli += [list(cyclotomic_polynomial(n)) for n in (5, 7, 8, 9, 10, 12)]
+    moduli += [[-1, 0, 0, 0, 1], [-2, 0, 0, 0, 1], [0, -1, 0, 0, 1],
+               [1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0, 1], [1, -1, 1, -1, 1]]
+    outcomes = set()
+    for m in moduli:
+        refused = _divisor_root_test(m) or (
+            len(m) > 4 and _cyclotomic_index([Fraction(c) for c in m]) is None)
+        assert _accepted(m) == (not refused), m
+        outcomes.add((len(m), refused))
+    # both outcomes in every degree but 5, where no Phi_m exists
+    assert outcomes == {(n, r) for n in (3, 4, 5, 7) for r in (False, True)} | {(6, True)}
+
+
+def test_qq_cubics_with_known_roots():
+    """Cubics with a rational root anywhere on f's monotone pieces or at a
+    critical point, with large and fractional roots, are refused; cubics
+    x^3 - c with c not a cube are accepted."""
+    rng = random.Random(3001)
+
+    def times_linear(r, b, c):  # (x - r)(x^2 + b x + c), low to high
+        return [-r * c, c - r * b, b - r, 1]
+
+    refused = [times_linear(3, -6, 9), times_linear(-3, 6, 9),  # double roots
+               times_linear(10**15, 0, 1), times_linear(Fraction(-7, 3), 1, 1),
+               times_linear(Fraction(10**12 + 1, 7), -2 * 10**12, 10**24 - 5)]
+    for _ in range(200):
+        r = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 50))
+        refused.append(times_linear(r, rng.randint(-10**4, 10**4),
+                                    rng.randint(-10**8, 10**8)))
+    for _ in range(300):  # roots often next to a critical point
+        refused.append(times_linear(rng.randint(-40, 40), rng.randint(-60, 60),
+                                    rng.randint(-300, 300)))
+    assert not any(_accepted(m) for m in refused)
+    accepted = [[-c, 0, 0, 1] for c in (2, 10**20 + 39, 3 * 10**30, 7 * 8**15)]
+    assert all(_accepted(m) for m in accepted)
+
+
+def test_large_qq_moduli_are_certified_promptly(tmp_path):
+    """A QQ modulus with a large constant term is decided at once:
+    x^2 - (10^20 + 39)^2 and x^4 - 2 * 10^20 are refused, and verify on an
+    array over QQ[t]/(t^2 - (10^20 + 39)), given as field JSON, answers
+    within 1 s with the same exit code each time.  Listing the divisors of
+    the constant term by trial division did not finish.  It runs in a
+    subprocess with a timeout, so that a hang fails the test instead of
+    the suite."""
+    code = """
+import contextlib, io, json, sys, time
+from circhess import ParameterArray, quotient_extension, rationals
+from circhess.cli import main
+from circhess.errors import ReducibleModulusError
+big = 10**20 + 39
+times = []
+for m in ([-big**2, 0, 1], [-2 * 10**20, 0, 0, 0, 1]):
+    start = time.perf_counter()
+    try:
+        quotient_extension(rationals(), m)
+    except ReducibleModulusError:
+        times.append(time.perf_counter() - start)
+spec = quotient_extension(rationals(), [-big, 0, 1])
+e, t = spec.element, spec.generator()
+pool = [e(a) + e(b) * t for a in range(-3, 4) for b in (1, 2)]
+array = ParameterArray(spec, 3, tuple(pool[:4]), tuple(pool[4:8]), tuple(pool[8:11]))
+with open(sys.argv[1], "w") as f:
+    json.dump(array.to_json(), f)
+runs = []
+for _ in range(3):
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["verify", "--in", sys.argv[1]])
+    runs.append([rc, time.perf_counter() - start])
+print(json.dumps([times, runs]))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "array.json")],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    times, runs = json.loads(done.stdout.splitlines()[-1])
+    assert len(times) == 2 and max(times) < 0.5
+    assert len({rc for rc, _ in runs}) == 1 and runs[0][0] in (0, 1)
+    assert max(seconds for _, seconds in runs) < 1.0
 
 
 # --- arithmetic -------------------------------------------------------------

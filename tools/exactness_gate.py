@@ -18,9 +18,13 @@ and cyclo:12 (d = 3), and on a seeded array over each of QQ[t]/(t^2 - 1/2)
 (reduction rows with denominator 2) and QQ[t]/(t^3 - 2), fields with no
 descriptor string, so their array files carry the field as JSON; both are
 real fields with no root of unity of order 4 or more, so these arrays are
-not CH and the commands report that.  Then it records the report bytes of
-the GF(5) and GF(4), d = 3 exhaustive searches, and the report bytes of
-seeded random searches (seeds 1 and 2) on both of the random probe's paths.  On the table path,
+not CH and the commands report that.  It records the same four commands
+on a seeded F1 (d = 4) and F4 (d = 3) array over the tower
+GF(16) = GF(4)[s]/(s^2 + s + w), whose base is itself an extension, also
+written with the field as JSON.  Then it records the report bytes of the
+GF(5) and GF(4), d = 3 exhaustive searches, and the report bytes of
+seeded random searches (seeds 1 and 2) on both of the random probe's
+paths.  On the table path,
 where the field's eigenvalue sequences all fit the per-sequence memo:
 GF(5), d = 3 and 4, and GF(4), d = 3, with 4,000 trials, and GF(5), d = 4
 with 40,000 trials, whose seeds reach 15 and 18 hits (at 4,000 trials
@@ -54,6 +58,8 @@ SEEDS = (1, 2)
 QQ_F1 = (("cyclo:3", 5, -1, 1), ("cyclo:5", 4, 1, 1), ("cyclo:12", 3, 1, 3))
 # moduli (low to high) over QQ with no descriptor string, and d
 QQ_JSON_ONLY = (((Fraction(-1, 2), 0, 1), 3), ((-2, 0, 0, 1), 4))
+# families and d of the arrays over the GF(16) tower
+TOWER = (("F1", 4), ("F4", 3))
 EXHAUSTIVE = (("gf:5", 3), ("ext:gf:2:1,1,1", 3))
 # (field, d, trials) of the seeded random reports
 RANDOM = (("gf:5", 3, 4000), ("gf:5", 4, 4000), ("gf:5", 4, 40000),
@@ -115,6 +121,33 @@ def _qq_arrays(ch, seed: int) -> list:
     return out
 
 
+def _tower_arrays(ch, seed: int) -> list:
+    """(label, array) for each TOWER family over GF(4)[s]/(s^2 + s + w),
+    seeded, by rejection sampling from all 16 elements; F1's q is drawn
+    among the elements of order d + 1."""
+    rng = random.Random(seed)
+    gf4 = ch.field_from_string("ext:gf:2:1,1,1")
+    one = gf4.one_element()
+    spec = ch.quotient_extension(gf4, [gf4.generator(), one, one], gen="s")
+    pool = list(spec.elements())
+    out = []
+    for family, d in TOWER:
+        roots = [None]
+        if family == "F1":
+            roots = [x for x in pool if not x.is_zero() and x ** (d + 1) == 1
+                     and all(x ** i != 1 for i in range(1, d + 1))]
+        while True:
+            fp = ch.FamilyParameters(ch.Family(family), spec, d,
+                                     *[rng.choice(pool) for _ in range(8)],
+                                     rng.choice(roots))
+            try:
+                out.append((f"{family} GF(16) tower", ch.family_generate(fp)))
+                break
+            except ch.errors.InvalidFamilyParametersError:
+                continue
+    return out
+
+
 def collect(tree: Path) -> list[list[str]]:
     """[label, digest] records for one checkout, in a fixed order."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
@@ -167,7 +200,7 @@ def collect(tree: Path) -> list[list[str]]:
                                             verify_pair(pair["A_star"], pair["A"])])
             records.append([f"seed {seed} generic pair ingest",
                             verify_pair(*_generic_pair(ch, seed))])
-            for label, params in _qq_arrays(ch, seed):
+            for label, params in _qq_arrays(ch, seed) + _tower_arrays(ch, seed):
                 label = f"seed {seed} {label}"
                 path = workdir / "qq-array.json"
                 path.write_text(json.dumps(params.to_json()))
