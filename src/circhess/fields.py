@@ -40,8 +40,8 @@ from .errors import (
     ReducibleModulusError,
 )
 
-# monic factors a finite-field modulus's irreducibility certificate may try
-FACTOR_SEARCH_BUDGET = 200_000
+# the largest finite extension that builds Zech-logarithm tables (about 50 MB)
+ZECH_TABLE_CAP = 200_000
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -478,9 +478,9 @@ class QuotientExtension(FieldSpec):
 class FiniteExtension(QuotientExtension):
     """base[x]/(m) over a finite base: GF(q) with q = |base|^deg(m), towers
     included.  A payload is the tuple of its deg(m) coefficients, low to
-    high, as base payloads.  The modulus is certified by exhaustive search:
-    no root in the base and no monic factor of degree 2 .. deg(m) // 2,
-    refused when one degree has more than FACTOR_SEARCH_BUDGET candidates.
+    high, as base payloads.  The modulus is certified by Rabin's test
+    (_check_irreducible), in O(deg(m) log |base|) products modulo m, so no
+    size of base or degree is refused.
 
     Arithmetic has two paths with the same payloads and results.  The
     coefficient path defines it: sums coefficient by coefficient, products
@@ -492,9 +492,8 @@ class FiniteExtension(QuotientExtension):
     sub and neg are one Zech lookup each, and dot sums in the log domain.
     The tables hold three rows of q - 1 entries, never a q x q grid: about
     250 bytes per element, 44 MB at q = 3^11.  A field with more than
-    FACTOR_SEARCH_BUDGET elements never builds them, so the constant that
-    bounds certifying a modulus is reused as a cap of about 50 MB on the
-    tables.
+    ZECH_TABLE_CAP elements never builds them, which caps the tables at
+    about 50 MB.
     """
 
     @property
@@ -519,7 +518,7 @@ class FiniteExtension(QuotientExtension):
         """Resolve `_tables` (None means the coefficient path) until it is
         fixed in the instance dict.
 
-        None is fixed at once for q > FACTOR_SEARCH_BUDGET.  Otherwise each
+        None is fixed at once for q > ZECH_TABLE_CAP.  Otherwise each
         lookup is one operation about to run on the coefficient path, and
         the (q - 1)-th builds the tables.  The build is q - 1 table rows,
         each (from q of a few hundred up) cheaper than one coefficient
@@ -532,7 +531,7 @@ class FiniteExtension(QuotientExtension):
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
         d, q = self.__dict__, self.order
-        if q > FACTOR_SEARCH_BUDGET:
+        if q > ZECH_TABLE_CAP:
             d["_tables"] = None
             return None
         used = d.get("_coeff_ops", 0) + 1
@@ -695,26 +694,20 @@ class FiniteExtension(QuotientExtension):
         return tuple([b.mul(c, x) for x in s1])
 
     def _check_irreducible(self):
-        # exhaustive root search, then factor search
-        b, m = self.base, self.modulus
-        for x in b.element_payloads():
-            if b.is_zero(_poly_eval(m, x, b)):
-                raise ReducibleModulusError(
-                    f"modulus {self._modulus_str()} has root {b.render(x)}"
-                )
-        for degf in range(2, self.deg // 2 + 1):
-            if b.order ** degf > FACTOR_SEARCH_BUDGET:
-                raise ReducibleModulusError(
-                    "factor search budget exceeded; cannot certify modulus"
-                )
-            for tail in itertools.product(b.element_payloads(), repeat=degf):
-                f = list(tail) + [b.one]
-                _, r = _poly_divmod(m, f, b)
-                if not r:
-                    raise ReducibleModulusError(
-                        f"modulus {self._modulus_str()} divisible by a "
-                        f"degree-{degf} factor"
-                    )
+        """Rabin's test, with q = |base| and k = deg(m): m is irreducible iff
+        x^(q^k) = x mod m and gcd(m, x^(q^(k/r)) - x) = 1 for each prime r
+        dividing k.  Each x^(q^j) is the q-th power of the one before."""
+        b, m, k = self.base, list(self.modulus), self.deg
+        frobenius = [[b.zero, b.one]]
+        for _ in range(k):
+            frobenius.append(_poly_powmod(frobenius[-1], b.order, m, b))
+        x = frobenius[0]
+        if frobenius[k] != x or any(
+                len(_poly_gcd(m, _poly_sub(frobenius[k // r], x, b), b)) > 1
+                for r in _prime_divisors(k)):
+            raise ReducibleModulusError(
+                f"modulus {self._modulus_str()} is reducible (Rabin's test)"
+            )
 
 
 class RationalExtension(QuotientExtension):
@@ -866,34 +859,111 @@ def _qq_normal(nums, den):
 
 
 def _poly_trim(p, b):
-    while p and b.is_zero(p[-1]):
+    zero = b.zero
+    while p and p[-1] == zero:
         p.pop()
     return p
 
 
 def _poly_divmod(p, q, b):
-    p = _poly_trim(list(p), b)
+    rem = _poly_trim(list(p), b)
     q = _poly_trim(list(q), b)
     if not q:
         raise DivisionByZeroError("polynomial division by zero")
+    mul, sub, zero, n = b.mul, b.sub, b.zero, len(q) - 1
     inv_lead = b.inv(q[-1])
-    quot = [b.zero] * max(0, len(p) - len(q) + 1)
-    rem = list(p)
-    while len(rem) >= len(q) and rem:
-        c = b.mul(rem[-1], inv_lead)
-        k = len(rem) - len(q)
-        quot[k] = c
-        for i, y in enumerate(q):
-            rem[k + i] = b.sub(rem[k + i], b.mul(c, y))
-        rem = _poly_trim(rem, b)
-    return _poly_trim(quot, b), rem
+    quot = [zero] * max(0, len(rem) - n)
+    # clear rem's coefficients from the top down to degree n
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = mul(rem[k + n], inv_lead)
+        if c != zero:
+            for i in range(n):
+                rem[k + i] = sub(rem[k + i], mul(c, q[i]))
+    return _poly_trim(quot, b), _poly_trim(rem[:n], b)
 
 
-def _poly_eval(p, x, b):
-    acc = b.zero
-    for c in reversed(p):
-        acc = b.add(b.mul(acc, x), c)
-    return acc
+def _poly_sub(p, q, b):
+    pairs = itertools.zip_longest(p, q, fillvalue=b.zero)
+    return _poly_trim([b.sub(x, y) for x, y in pairs], b)
+
+
+def _poly_mulmod(p, q, f, b):
+    """p q mod f, the product by schoolbook (for the small degrees here it
+    is faster than one dot per coefficient)."""
+    add, mul = b.add, b.mul
+    prod = [b.zero] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            prod[i + j] = add(prod[i + j], mul(x, y))
+    return _poly_divmod(prod, f, b)[1]
+
+
+def _poly_powmod(p, e, f, b):
+    """p^e mod f, e >= 1 and f nonzero, by repeated squaring."""
+    if e == 1:
+        return _poly_divmod(p, f, b)[1]
+    half = _poly_powmod(p, e // 2, f, b)
+    square = _poly_mulmod(half, half, f, b)
+    return _poly_mulmod(square, p, f, b) if e & 1 else square
+
+
+def _poly_gcd(p, q, b):
+    """The monic gcd of p and q, not both zero."""
+    p, q = _poly_trim(list(p), b), _poly_trim(list(q), b)
+    while q:
+        p, q = q, _poly_divmod(p, q, b)[1]
+    c = b.inv(p[-1])
+    return [b.mul(c, x) for x in p]
+
+
+def _poly_roots(f, b) -> list:
+    """The distinct roots in the finite field b of the nonzero polynomial f,
+    as payloads sorted by payload (which is element_payloads order).
+
+    g = gcd(f, x^q - x), q = |b|, is the product of x - r over those roots.
+    When deg g > q / 2, so that q < 2 deg f, the roots are the elements,
+    listed, less the roots of (x^q - x) / g, whose degree is below q / 2:
+    in the small fields where a matrix has most elements as eigenvalues
+    that costs a few products, not a split per root.  Otherwise each a of
+    b, in element_payloads order (never listed), splits every factor h of g
+    of degree >= 2 into gcd(h, s_a) and its cofactor, where in odd
+    characteristic s_a = (x + a)^((q - 1) / 2) - 1 (zero at the roots r
+    with r + a a nonzero square) and in characteristic 2
+    s_a = sum of (a x)^(2^i), i < log2 q (the trace of a r at each root r).
+    Some a separates any two roots r1 != r2: in odd characteristic
+    (r1 + a) / (r2 + a) = 1 + (r1 - r2) / (r2 + a) takes every value but 1,
+    a nonsquare among them, and in characteristic 2 a (r1 - r2) runs over b,
+    whose trace is 1 on half of it.  So the factors are linear after at most
+    q values of a, usually a few."""
+    x = [b.zero, b.one]
+    g = _poly_gcd(f, _poly_sub(_poly_powmod(x, b.order, f, b), x, b), b)
+    if 2 * (len(g) - 1) > b.order:
+        x_q_minus_x = _poly_sub([b.zero] * b.order + [b.one], x, b)
+        others = set(_poly_roots(_poly_divmod(x_q_minus_x, g, b)[0], b))
+        return [r for r in b.element_payloads() if r not in others]
+    roots, todo, elems = [], [g], b.element_payloads()
+    while True:
+        roots += [b.neg(h[0]) for h in todo if len(h) == 2]
+        todo = [h for h in todo if len(h) > 2]
+        if not todo:
+            return sorted(roots)
+        a = next(elems)
+        todo = [part for h in todo for part in _poly_split(h, a, b)]
+
+
+def _poly_split(h, a, b) -> list:
+    """[gcd(h, s_a), its cofactor] for _poly_roots, or [h] when that gcd
+    is 1 or h."""
+    q = b.order
+    if q % 2:
+        s = _poly_sub(_poly_powmod([a, b.one], q // 2, h, b), [b.one], b)
+    else:
+        y = s = [b.zero, a]
+        for _ in range(q.bit_length() - 2):
+            y = _poly_mulmod(y, y, h, b)
+            s = _poly_sub(s, y, b)  # in characteristic 2, - is +
+    d = _poly_gcd(h, s, b)
+    return [d, _poly_divmod(h, d, b)[0]] if 1 < len(d) < len(h) else [h]
 
 
 def _rational_root_exists(m) -> bool:
@@ -1188,7 +1258,9 @@ def primitive_root_of_unity(
     in the field's canonical enumeration order.  Over QQ a fresh cyclotomic
     extension is constructed and its generator returned.  When n does not
     divide the group order and allow_extension is set, the smallest quotient
-    extension containing such a root is constructed (prime-field base only).
+    extension containing such a root is constructed (prime-field base only)
+    and the least root of Phi_n in it, by payload, is returned: found by
+    _poly_roots among the roots of Phi_n, not by scanning the extension.
     """
     if n < 2:
         raise NoSuchRootError("n must be >= 2")
@@ -1230,22 +1302,18 @@ def primitive_root_of_unity(
     k, power = 1, p % n
     while power != 1:
         k, power = k + 1, power * p % n
-    return primitive_root_of_unity(_find_extension_field(spec, k), n)
+    # p does not divide n, so the elements of order n are the roots of Phi_n
+    ext = _find_extension_field(spec, k)
+    phi = [ext.from_int(int(c)) for c in cyclotomic_polynomial(n)]
+    return FieldElement(ext, _poly_roots(phi, ext)[0])
 
 
 def _find_extension_field(base: PrimeField, k: int) -> QuotientExtension:
-    """Smallest-lexicographic monic irreducible of degree k over GF(p).
-
-    A modulus of degree k >= 4 is certified by trying every monic factor of
-    degree up to k // 2, so none can be once p^(k // 2) exceeds the factor
-    search budget; that is refused at once rather than after p^k candidates.
-    """
-    if k >= 4 and base.p ** (k // 2) > FACTOR_SEARCH_BUDGET:
-        raise NoSuchRootError(
-            f"cannot certify a degree-{k} modulus over {base}: "
-            f"{base.p}^{k // 2} monic factors exceed the search budget"
-        )
-    for tail in itertools.product(range(base.p), repeat=k):
+    """Smallest-lexicographic monic irreducible of degree k >= 2 over GF(p),
+    with the constant term varying slowest.  Every candidate with constant
+    term 0 is divisible by x, so the enumeration starts at c0 = 1; each
+    candidate is certified by Rabin's test, so no (p, k) is refused."""
+    for tail in itertools.product(range(1, base.p), *[range(base.p)] * (k - 1)):
         coeffs = tuple(tail) + (1,)
         try:
             return QuotientExtension(base, coeffs, gen="s")

@@ -5,7 +5,7 @@ all operations return fresh objects and are safe to share between threads.
 Includes one zero/nonzero pattern table per matrix shape (diagonal,
 tridiagonal, Hessenberg, circular Hessenberg), primitive idempotents via
 the Lagrange product, and the eigenvalues of a matrix over a finite field
-by evaluating its characteristic polynomial at every element.
+as the roots of its characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from .errors import (
     SingularError,
     UnsupportedFieldError,
 )
-from .fields import FieldElement, FieldSpec, _json_fields, _poly_eval, field_from_json
-
-BRUTEFORCE_FIELD_CAP = 1 << 16
+from .fields import FieldElement, FieldSpec, _json_fields, _poly_roots, field_from_json
 
 
 class Vector:
@@ -540,25 +538,18 @@ def _characteristic_polynomial(a: Matrix) -> list:
 
 
 def eigenvalues_bruteforce(a: Matrix) -> list[FieldElement] | None:
-    """All eigenvalues of a finite-field matrix by scanning the field.
-
-    The characteristic polynomial is computed once and evaluated by Horner
-    at each element.  Returns the roots in field-enumeration order when the
-    spectrum is split and multiplicity-free (n distinct roots); returns
-    None otherwise.
+    """All eigenvalues of a finite-field matrix: the distinct roots of its
+    characteristic polynomial, found by fields._poly_roots (a gcd with
+    x^q - x, then splitting), so no field is too large.  Returns the roots
+    in field-enumeration order when the spectrum is split and
+    multiplicity-free (n distinct roots); returns None otherwise.
     """
     if not a.is_square():
         raise DimensionMismatchError("eigenvalues of a non-square matrix")
     s = a.spec
     if s.order is None:
         raise UnsupportedFieldError(
-            "brute-force eigenvalues need a finite field; supply eigenvalues"
+            "eigenvalues need a finite field; supply eigenvalues"
         )
-    if s.order > BRUTEFORCE_FIELD_CAP:
-        raise UnsupportedFieldError(
-            f"field order {s.order} exceeds cap {BRUTEFORCE_FIELD_CAP}"
-        )
-    poly = _characteristic_polynomial(a)
-    found = [FieldElement(s, lam) for lam in s.element_payloads()
-             if s.is_zero(_poly_eval(poly, lam, s))]
-    return found if len(found) == a.nrows else None
+    found = _poly_roots(_characteristic_polynomial(a), s)
+    return [FieldElement(s, lam) for lam in found] if len(found) == a.nrows else None

@@ -38,6 +38,7 @@ from .fields import (
     QuotientExtension,
     Rationals,
     _cyclotomic_index,
+    _poly_roots,
     quotient_extension,
 )
 from .linalg import Matrix, Vector, commutator, matrix_inverse
@@ -217,7 +218,8 @@ def solve_unit_root(spec: FieldSpec, beta):
     """A root q of x^2 - beta x + 1 (so q + 1/q = beta), together with the
     field it lives in and whether that field is a fresh quadratic extension.
 
-    Finite fields are scanned exhaustively; over the rationals the
+    Over a finite field q is the least root by payload (field order), from
+    fields._poly_roots, so no field is too large; over the rationals the
     discriminant is tested for being a perfect square; over an extension of
     the rationals the roots are sought among powers of the generator (the
     case that arises for cyclotomic data), and over a quadratic one the
@@ -231,9 +233,9 @@ def solve_unit_root(spec: FieldSpec, beta):
         return (e * e - beta * e + one).is_zero()
 
     if spec.order is not None:
-        for e in spec.elements():
-            if is_root(e):
-                return e, spec, False
+        roots = _poly_roots([one.payload, (-beta).payload, one.payload], spec)
+        if roots:
+            return FieldElement(spec, roots[0]), spec, False
     elif isinstance(spec, Rationals):
         root = _qq_sqrt((beta * beta - 4).payload)
         if root is not None and is_root(q := (beta + spec.element(root)) / 2):

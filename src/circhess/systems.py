@@ -709,10 +709,12 @@ def cyclic_irreducibility_check(s: CHSystem, w_seed: Vector) -> bool:
 def ingest_pair(A: Matrix, A_star: Matrix) -> CHSystem | None:
     """Build a verified system from two bare matrices over a finite field.
 
-    Eigenvalues come from the brute-force scan.  Each side's idempotent
-    ordering is read off the other map's zero table by one forced walk of
-    its "maps into" graph and at most n pattern checks (see _ordering for
-    the proof that this finds an ordering whenever the axioms admit one).
+    Eigenvalues are the roots of each characteristic polynomial
+    (eigenvalues_bruteforce), for a field of any size.  Each side's
+    idempotent ordering is read off the other map's zero table by one forced
+    walk of its "maps into" graph and at most n pattern checks (see
+    _ordering for the proof that this finds an ordering whenever the axioms
+    admit one).
     Returns None when no ordering satisfies the axioms.
     """
     if A.spec != A_star.spec:

@@ -33,6 +33,19 @@ def gf9():
     return quotient_extension(prime_field(3), [1, 0, 1], gen="w")
 
 
+@pytest.fixture(scope="session", params=[
+    "gf:5", "gf:7", "ext:gf:2:1,1,1", "ext:gf:2:1,1,0,1", "ext:gf:3:1,0,1",
+    "tower"])
+def small_finite_field(request):
+    """GF(5), GF(7), GF(4), GF(8), GF(9) and GF(16) as the tower
+    GF(4)[s]/(s^2 + s + w): small enough to scan."""
+    if request.param != "tower":
+        return field_from_string(request.param)
+    gf4 = field_from_string("ext:gf:2:1,1,1")
+    one = gf4.one_element()
+    return quotient_extension(gf4, [gf4.generator(), one, one], gen="s")
+
+
 @pytest.fixture(scope="session")
 def cyclo4():
     return cyclotomic_field(4)

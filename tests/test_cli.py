@@ -29,6 +29,7 @@ from circhess import (
     split_form_build,
 )
 from circhess.cli import main
+from circhess.errors import InvalidFamilyParametersError
 from circhess.linalg import rank
 
 
@@ -215,6 +216,60 @@ def test_generic_pair_fails_promptly(tmp_path, capsys):
     assert code == 1
     assert json.loads(stdout) == {
         "is_ch": False, "detail": "no idempotent ordering satisfies the axioms"}
+
+
+def _f1_array(p, d, rng):
+    """A seeded F1 array over GF(p), q = a^((p - 1) / (d + 1)) for the least
+    a that makes it a primitive (d + 1)-th root of unity."""
+    q = next(q for a in range(2, p) if (q := pow(a, (p - 1) // (d + 1), p)) != 1
+             and all(pow(q, i, p) != 1 for i in range(2, d + 1)))
+    while True:
+        v = [rng.randrange(p) for _ in range(8)]
+        try:
+            return family_generate(FamilyParameters.make(
+                Family.F1_GENERIC_Q, prime_field(p), d, a=v[0], b=v[1], c=v[2],
+                a_star=v[3], b_star=v[4], c_star=v[5], y=v[6], z=v[7], q=q))
+        except InvalidFamilyParametersError:
+            continue
+
+
+def test_raw_pair_over_a_field_above_65536_verifies(tmp_path, capsys):
+    """A seeded F1, d = 3 system over GF(65537), conjugated by a seeded
+    invertible matrix, verifies as a raw pair: its eigenvalues are the
+    roots of the characteristic polynomials, with no cap on the field (the
+    element scan refused q > 65536)."""
+    p = 65537
+    rng = random.Random(3101)
+    s = split_form_build(_f1_array(p, 3, rng))
+    m = None
+    while m is None or rank(m) < 4:
+        m = Matrix.from_elements(
+            s.spec, [[rng.randrange(p) for _ in range(4)] for _ in range(4)])
+    m_inv = matrix_inverse(m)
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"A": (m * s.A * m_inv).to_json(),
+                                "A_star": (m * s.A_star * m_inv).to_json()}))
+    code, stdout, _ = run(capsys, "verify", "--in", str(pair))
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["is_ch"] and payload["parameter_array"]["field"]["p"] == p
+
+
+def test_classify_over_a_billion_element_field_is_prompt(tmp_path, capsys):
+    """classify of a seeded F1 array over GF(10^9 + 9) solves
+    x^2 - beta x + 1 by a gcd with x^q - x within a second (the element
+    scan did not finish in 30 s)."""
+    p = 10**9 + 9
+    f = tmp_path / "f1.json"
+    f.write_text(json.dumps(_f1_array(p, 3, random.Random(3102)).to_json()))
+    start = time.perf_counter()
+    code, stdout, _ = run(capsys, "classify", "--in", str(f))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["classified"] and payload["family"] == "F1"
+    q = int(payload["parameters"]["q"])
+    assert pow(q, 4, p) == 1 and pow(q, 2, p) != 1
 
 
 def test_gen_f1_over_prime_field_needs_q(capsys):

@@ -11,7 +11,7 @@ import pytest
 
 from circhess import field_from_string, prime_field, quotient_extension, rationals
 from circhess.errors import DivisionByZeroError, MixedFieldsError
-from circhess.fields import FACTOR_SEARCH_BUDGET, FieldElement, PrimeField, Rationals
+from circhess.fields import ZECH_TABLE_CAP, FieldElement, PrimeField, Rationals
 
 
 class Schoolbook:
@@ -179,10 +179,10 @@ def test_tables_are_built_on_the_q_minus_1st_operation():
 
 
 def test_short_computation_in_a_large_field_builds_no_tables():
-    # x^17 + x^3 + 1 over GF(2): q = 2^17 is within the budget, but a few
+    # x^17 + x^3 + 1 over GF(2): q = 2^17 is within the cap, but a few
     # hundred operations cost far less than the 2^17 - 1 table rows
     spec = quotient_extension(prime_field(2), [1, 0, 0, 1] + [0] * 13 + [1])
-    assert spec.order == 131_072 <= FACTOR_SEARCH_BUDGET
+    assert spec.order == 131_072 <= ZECH_TABLE_CAP
     ref = Schoolbook(spec)
     rng = random.Random(1204)
 
@@ -205,9 +205,9 @@ def test_cyclotomic_field_never_builds_tables():
 
 
 def test_field_above_budget_stays_on_coefficient_path():
-    # x^18 + x^15 + 1 over GF(2): q = 2^18 exceeds the budget
+    # x^18 + x^15 + 1 over GF(2): q = 2^18 exceeds the cap
     spec = quotient_extension(prime_field(2), [1] + [0] * 14 + [1, 0, 0, 1])
-    assert spec.order == 262_144 > FACTOR_SEARCH_BUDGET
+    assert spec.order == 262_144 > ZECH_TABLE_CAP
     ref = Schoolbook(spec)
     rng = random.Random(1203)
 

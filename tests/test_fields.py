@@ -44,6 +44,7 @@ from circhess.fields import (
     RationalExtension,
     _cyclotomic_index,
     _is_prime,
+    _poly_divmod,
     _prime_divisors,
     cyclotomic_polynomial,
     euler_phi,
@@ -513,11 +514,77 @@ def test_root_of_unity_refused_when_the_characteristic_divides_n(p, n):
         primitive_root_of_unity(prime_field(p), n, allow_extension=True)
 
 
-def test_root_of_unity_refused_when_the_modulus_cannot_be_certified():
-    """(5, 17) needs GF(5^16); certifying a degree-16 modulus would try
-    5^8 monic factors, beyond the search budget, so it is refused at once."""
-    with pytest.raises(NoSuchRootError, match="certify"):
-        primitive_root_of_unity(prime_field(5), 17, allow_extension=True)
+def test_root_of_unity_lifted_into_a_quartic_extension_promptly():
+    """(457, 5) needs GF(457^4).  Its modulus is certified by Rabin's test
+    (the factor enumeration refused it: 457^2 candidates), and the root is
+    the least of the four order-5 roots of x^5 - 1, found by splitting it,
+    not by a scan of the 4.4e10 elements, all within a second."""
+    start = time.perf_counter()
+    q = primitive_root_of_unity(prime_field(457), 5, allow_extension=True)
+    assert time.perf_counter() - start < 1
+    assert q.spec.modulus == (1, 0, 0, 3, 1) and q.spec.order == 457**4
+    assert q**5 == 1 and q != 1
+    assert q.payload < min((q**i).payload for i in (2, 3, 4))
+
+
+def _has_monic_factor(m, b):
+    """The certificate Rabin's test replaced, as a reference: a monic
+    factor of m of degree 1 (a root) up to deg(m) // 2 over the finite
+    field b, found by trying every one."""
+    for degf in range(1, (len(m) - 1) // 2 + 1):
+        for tail in itertools.product(list(b.element_payloads()), repeat=degf):
+            if not _poly_divmod(m, list(tail) + [b.one], b)[1]:
+                return True
+    return False
+
+
+# base, degrees, and the number of monic irreducibles of those degrees
+# (Gauss's formula (1/k) sum over d | k of mu(d) q^(k/d))
+@pytest.mark.parametrize("base, degrees, irreducible", [
+    ("gf:2", (2, 3, 4), 1 + 2 + 3), ("gf:3", (2, 3, 4), 3 + 8 + 18),
+    ("gf:5", (2, 3), 10 + 40), ("ext:gf:2:1,1,1", (2,), 6)])
+def test_rabin_certificate_matches_factor_enumeration(base, degrees, irreducible):
+    """Every monic polynomial of these degrees is accepted as a modulus
+    exactly when it has no monic factor of degree 1 .. deg // 2."""
+    b = field_from_string(base)
+    accepted = 0
+    for k in degrees:
+        for tail in itertools.product(list(b.element_payloads()), repeat=k):
+            m = tuple(tail) + (b.one,)
+            try:
+                QuotientExtension(b, m)
+                ok = True
+            except ReducibleModulusError:
+                ok = False
+            assert ok == (not _has_monic_factor(m, b)), m
+            accepted += ok
+    assert accepted == irreducible
+
+
+def test_rootless_quartics_over_gf701():
+    """701 = 1 mod 4 and 2 is not a square mod 701, so x^4 - 2 is
+    irreducible; (x^2 - 2)(x^2 - 8) = x^4 - 10 x^2 + 16 has no root (8 is
+    not a square either) but two quadratic factors.  The factor
+    enumeration refused both (701^2 candidates); Rabin's test decides."""
+    p = 701
+    gf = prime_field(p)
+    assert pow(2, p // 2, p) == pow(8, p // 2, p) == p - 1
+    assert all((x**4 - 10 * x * x + 16) % p for x in range(p))
+    start = time.perf_counter()
+    assert quotient_extension(gf, [-2, 0, 0, 0, 1]).order == p**4
+    with pytest.raises(ReducibleModulusError):
+        quotient_extension(gf, [16, 0, -10, 0, 1])
+    assert time.perf_counter() - start < 1
+
+
+def test_element_payloads_are_in_sorted_order():
+    """Roots are returned sorted by payload; that reproduces the field
+    order of a scan because element_payloads is itself sorted, for prime
+    fields, extensions and towers."""
+    for spec in (prime_field(7), field_from_string("ext:gf:3:1,0,1"),
+                 field_from_string("ext:gf:2:1,1,0,1"), _gf16()):
+        payloads = list(spec.element_payloads())
+        assert payloads == sorted(payloads)
 
 
 def test_root_of_unity_order_property():

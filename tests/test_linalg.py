@@ -510,6 +510,30 @@ def test_eigenvalues_match_determinant_definition(field):
     assert hits >= 10
 
 
+def test_eigenvalues_match_determinant_definition_small_fields(small_finite_field):
+    """The roots of the characteristic polynomial are the eigenvalues of the
+    determinant scan, in its order, on seeded dense and diagonalizable
+    matrices with n = 1..6 (at most the field's size), in prime fields,
+    extensions of GF(2) and GF(3), and a tower."""
+    spec = small_finite_field
+    rng = random.Random(1503)
+    elems = list(spec.elements())
+    hits = 0
+    for trial in range(24):
+        n = 1 + trial % min(6, len(elems))
+        a = _random_rect(spec, n, n, rng)
+        if trial % 2:
+            m = _random_rect(spec, n, n, rng)
+            while determinant(m).is_zero():
+                m = _random_rect(spec, n, n, rng)
+            evs = rng.sample(elems, n)
+            a = m * Matrix.diagonal(spec, evs) * matrix_inverse(m)
+        expected = _eigenvalues_by_determinants(a)
+        assert eigenvalues_bruteforce(a) == expected
+        hits += expected is not None
+    assert hits >= 12
+
+
 def test_eigenvalues_of_large_prime_field_are_prompt():
     """Over GF(65521) a dense 8 x 8 matrix is answered within seconds (one
     determinant per element took 16.8 s), and a diagonalizable one gives

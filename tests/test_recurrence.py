@@ -439,6 +439,26 @@ def _qq_quadratic(m0, m1):
     return quotient_extension(rationals(), [Fraction(m0), Fraction(m1), Fraction(1)])
 
 
+def test_unit_root_over_a_finite_field_is_the_least_root(small_finite_field):
+    """For every beta, solve_unit_root gives the first root of
+    x^2 - beta x + 1 in a scan of the field, or, when the scan finds none,
+    the generator of the quadratic extension by that polynomial."""
+    spec = small_finite_field
+    elems = list(spec.elements())
+    lifted_count = 0
+    for beta in elems:
+        roots = [e for e in elems if (e * e - beta * e + 1).is_zero()]
+        q, fit, lifted = solve_unit_root(spec, beta)
+        if roots:
+            assert (q, fit, lifted) == (roots[0], spec, False)
+        else:
+            lifted_count += 1
+            assert lifted and fit.base == spec and fit.deg == 2
+            assert q == fit.generator()
+            assert (q * q - beta.lift(fit) * q + 1).is_zero()
+    assert 0 < lifted_count < len(elems)
+
+
 def test_unit_root_in_quadratic_field_off_the_generator_powers():
     """Over QQ[t]/(t^2 - 2), q = 1 + t has q + 1/q = 2t, and no +-t^k is a
     root; the root is found in the field, not in a further extension."""

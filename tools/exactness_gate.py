@@ -21,7 +21,9 @@ real fields with no root of unity of order 4 or more, so these arrays are
 not CH and the commands report that.  It records the same four commands
 on a seeded F1 (d = 4) and F4 (d = 3) array over the tower
 GF(16) = GF(4)[s]/(s^2 + s + w), whose base is itself an extension, also
-written with the field as JSON.  Then it records the report bytes of the
+written with the field as JSON, and verify on each of those two systems as
+a raw pair (conjugated by a seeded invertible matrix) and swapped, whose
+eigenvalues come from root splitting in characteristic 2.  Then it records the report bytes of the
 GF(5) and GF(4), d = 3 exhaustive searches, and the report bytes of
 seeded random searches (seeds 1 and 2) on both of the random probe's
 paths.  On the table path,
@@ -148,6 +150,19 @@ def _tower_arrays(ch, seed: int) -> list:
     return out
 
 
+def _conjugated_pair(ch, params, rng) -> tuple:
+    """The split form of `params` conjugated by a seeded invertible matrix,
+    as the JSON of A and of A*."""
+    s = ch.split_form_build(params)
+    pool = [e.payload for e in s.spec.elements()]
+    n = s.A.nrows
+    while True:
+        m = ch.Matrix(s.spec, [[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+        if not ch.determinant(m).is_zero():
+            m_inv = ch.matrix_inverse(m)
+            return (m * s.A * m_inv).to_json(), (m * s.A_star * m_inv).to_json()
+
+
 def collect(tree: Path) -> list[list[str]]:
     """[label, digest] records for one checkout, in a fixed order."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
@@ -200,7 +215,8 @@ def collect(tree: Path) -> list[list[str]]:
                                             verify_pair(pair["A_star"], pair["A"])])
             records.append([f"seed {seed} generic pair ingest",
                             verify_pair(*_generic_pair(ch, seed))])
-            for label, params in _qq_arrays(ch, seed) + _tower_arrays(ch, seed):
+            tower = _tower_arrays(ch, seed)
+            for label, params in _qq_arrays(ch, seed) + tower:
                 label = f"seed {seed} {label}"
                 path = workdir / "qq-array.json"
                 path.write_text(json.dumps(params.to_json()))
@@ -210,6 +226,13 @@ def collect(tree: Path) -> list[list[str]]:
                     records.append([f"{label} {argv[0]}", run(
                         argv[:1] + ["--in", str(path)] + argv[1:]
                         + ["--out", str(workdir / "out.json")])])
+            rng = random.Random(seed)
+            for label, params in tower:
+                label = f"seed {seed} {label}"
+                a, b = _conjugated_pair(ch, params, rng)
+                records.append([f"{label} pair input", _sha(json.dumps([a, b]).encode())])
+                records.append([f"{label} ingest", verify_pair(a, b)])
+                records.append([f"{label} swapped ingest", verify_pair(b, a)])
     for field, d in EXHAUSTIVE:
         cfg = ch.SearchConfig(ch.field_from_string(field), d, "exhaustive")
         records.append([f"exhaustive {field} d={d}",
