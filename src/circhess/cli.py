@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from fractions import Fraction
 
 from . import bases as bases_mod
@@ -194,11 +195,11 @@ def cmd_bases(args) -> int:
         "transitions": [t.to_json() for t in transitions.values()],
     }
     if args.check_all:
-        ledger, failed = _bases_ledger(params, catalog, reps, transitions)
+        ledger, failed, seconds = _bases_ledger(params, catalog, reps, transitions)
         payload["checks"] = ledger
-        for line in ledger:
-            print(("PASS " if line["passed"] else "FAIL ") + line["check"],
-                  file=sys.stderr)
+        for line, t in zip(ledger, seconds):
+            print(("PASS " if line["passed"] else "FAIL ") + line["check"]
+                  + f" ({t * 1e3:.3f} ms)", file=sys.stderr)
         _emit(payload, args.out)
         return EXIT_MATH if failed else EXIT_OK
     _emit(payload, args.out)
@@ -206,20 +207,24 @@ def cmd_bases(args) -> int:
 
 
 def _bases_ledger(params, catalog, reps, transitions):
-    """The --check-all ledger.  `reps` (every basis) and `transitions` (the
-    diagram edges) already passed their assertions for the payload, so
-    only the other transitions are checked here."""
-    checks = []
+    """The --check-all ledger, whether any check failed, and each check's
+    time in seconds (for stderr only: the ledger is output bytes and holds
+    no time).  `reps` (every basis) and `transitions` (the diagram edges)
+    already passed their assertions for the payload, so only the other
+    transitions are checked here."""
+    checks, seconds = [], []
     failed = False
 
     def run(name, fn):
         nonlocal failed
+        start = time.perf_counter()
         try:
             fn()
             checks.append({"check": name, "passed": True})
         except CircHessError as e:
             checks.append({"check": name, "passed": False, "detail": str(e)})
             failed = True
+        seconds.append(time.perf_counter() - start)
 
     for a in bases_mod.BASIS_NAMES:
         for b in bases_mod.BASIS_NAMES:
@@ -235,7 +240,7 @@ def _bases_ledger(params, catalog, reps, transitions):
         run("psi products", lambda: bases_mod.psi_check(params))
         run("wrap-scalar combinations",
             lambda: vartheta_combination(params, status.betas[0]))
-    return checks, failed
+    return checks, failed, seconds
 
 
 def cmd_fuzz(args) -> int:

@@ -1254,8 +1254,18 @@ def primitive_root_of_unity(
 ) -> FieldElement:
     """Return q with q^n = 1 and q^k != 1 for 1 <= k < n.
 
-    Finite fields are searched exhaustively over the multiplicative group,
-    in the field's canonical enumeration order.  Over QQ a fresh cyclotomic
+    Over a finite field of q elements with n | q - 1 the answer is the
+    least element of order n by payload, which is element_payloads order.
+    Those elements are exactly the roots of Phi_n, since p divides no
+    divisor of q - 1.  Which way finds it is a cost choice between two
+    estimates.  Scanning the group meets the first of its phi(n) elements
+    of order n after about (q - 1) / phi(n) elements, at O(log n) products
+    each.  _poly_roots of Phi_n costs O(phi(n)^2) products per squaring,
+    over O(log q) squarings.  With the log factors taken alike, the roots
+    are cheaper when phi(n)^3 < q - 1: order-4 roots in GF(10^9 + 9) take
+    a few products, not a scan of the field.  The Zech-table generator
+    (n = q - 1 > 2, elements of order n dense) always scans, because
+    phi(n)^3 >= n there.  Over QQ a fresh cyclotomic
     extension is constructed and its generator returned.  When n does not
     divide the group order and allow_extension is set, the smallest quotient
     extension containing such a root is constructed (prime-field base only)
@@ -1274,6 +1284,10 @@ def primitive_root_of_unity(
         raise NoSuchRootError(f"no primitive {n}-th root found in {spec}")
     group = spec.order - 1
     if group % n == 0:
+        # the cheaper way, by the cost estimates in the docstring
+        if euler_phi(n) ** 3 < group:
+            phi = [spec.from_int(int(c)) for c in cyclotomic_polynomial(n)]
+            return FieldElement(spec, _poly_roots(phi, spec)[0])
         pds = _prime_divisors(n)
         for p in spec.element_payloads():
             if spec.is_zero(p):

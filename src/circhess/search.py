@@ -6,9 +6,12 @@ complete up to isomorphism.  Candidates are screened by an exact
 division-free probe that reads the one circular Hessenberg pattern
 (the CIRCULAR_HESSENBERG table of linalg._shape_pattern) the axiom oracle
 reads, and evaluates it through the rank-one spectral decomposition of the
-bidiagonal split matrices.  Each entry the probe tests is an affine form in
-phi; the E* side is the E side of the dual array (theta*, theta, phi
-reversed).  The forms are read off the division-free eigenvectors of the
+bidiagonal split matrices.  Each entry the probe tests is a linear form in
+theta* and phi, held as one vector, form = vu || coeffs, and tested by one
+dot product with theta* || phi; the E* side is the E side of the dual array
+(theta*, theta, phi reversed), held beside it as dual_form = vu ||
+reversed(coeffs) and tested against theta || phi, so no side reverses phi
+per candidate.  The forms are read off the division-free eigenvectors of the
 split form's A, whose one eager definition is the memoized unit-chain table
 systems._unit_chain_eigenvectors; random mode tests them at each seeded
 candidate, stopping at the first violated entry, and leaves its probe loop
@@ -17,8 +20,8 @@ _random_candidates draws the candidates on the getrandbits stream of
 random.Random(seed), with the rejection rule and both sampling methods of
 CPython's sample and choice, so every candidate (and every report byte)
 is the one sample and choice give; over a field whose eigenvalue
-sequences fit the memo it reads each sequence off a per-search list by
-the code of its draws.  Exhaustive mode
+sequences fit the memo it reads each sequence, and each phi, off a
+per-search list by the code of its draws.  Exhaustive mode
 solves for phi instead of enumerating it: per (theta, theta*) pair, the
 zero entries are linear equations in phi, solved by exact elimination, and
 their solutions are filtered for nonzero phi and nonzero corners.  The
@@ -67,7 +70,7 @@ from .errors import (
     UnknownSearchModeError,
     UnsupportedFieldError,
 )
-from .fields import FieldElement, FieldSpec, JsonFields, field_to_string
+from .fields import FieldSpec, JsonFields, field_to_string
 from .recurrence import recurrence_status, td_witness, vartheta_from_array
 from .systems import (
     _MEMO_SIZE,
@@ -138,17 +141,21 @@ def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
 def _pattern_probe(spec, forms):
     """The probe of _split_pattern_probe as a function of one candidate
     (theta, theta*, phi), reading each sequence's forms from forms(theta)
-    and evaluating them at theta* and phi in pattern order, E side first,
-    stopping at the first violated entry."""
-    add, dot, is_zero = spec.add, spec.dot, spec.is_zero
+    in pattern order, E side first, stopping at the first violated entry.
+    Each entry costs one dot product and one zero test: form . (theta* ||
+    phi) on the E side, from theta's forms, and dual_form . (theta || phi)
+    on the E* side, from theta*'s."""
+    # spec.is_zero(a) is a == spec.zero, for every field
+    dot, zero = spec.dot, spec.zero
 
     def probe(th, ths, ph):
-        for must_zero, vu, coeffs in forms(th):
-            if is_zero(add(dot(vu, ths), dot(coeffs, ph))) != must_zero:
+        point = ths + ph
+        for must_zero, form, _ in forms(th):
+            if (dot(form, point) == zero) != must_zero:
                 return False
-        ph = ph[::-1]
-        for must_zero, vu, coeffs in forms(ths):
-            if is_zero(add(dot(vu, th), dot(coeffs, ph))) != must_zero:
+        point = th + ph
+        for must_zero, _, dual_form in forms(ths):
+            if (dot(dual_form, point) == zero) != must_zero:
                 return False
         return True
 
@@ -157,9 +164,13 @@ def _pattern_probe(spec, forms):
 
 def _probe_forms(spec, theta, d):
     """The probe's scalars for split(theta, theta*, phi), for every theta*
-    and phi, as affine forms: (must_zero, vu, coeffs) per pattern entry
-    (i, j) with j > i, computed lazily in pattern order, with
-    vu = v (.) u and coeffs[t] = v[t] u[t+1].
+    and phi, as linear forms: (must_zero, form, dual_form) per pattern
+    entry (i, j) with j > i, computed lazily in pattern order, with
+    vu = v (.) u, coeffs[t] = v[t] u[t+1], form = vu || coeffs (its scalar
+    is form . (theta* || phi)) and dual_form = vu || reversed(coeffs), the
+    same entry for the dual array (theta', theta*', phi') = (theta*, theta,
+    phi reversed): coeffs . phi' is reversed(coeffs) . phi, so theta*'s
+    dual_form . (theta || phi) is the dual array's E side.
 
     A is lower bidiagonal with diagonal l_t = theta_{d-t} and ones below,
     so theta_i is its l_{d-i}.  In the unit-chain closed form of
@@ -196,6 +207,10 @@ def _probe_forms(spec, theta, d):
     0.135-0.154 to 0.110-0.123 s on GF(5), d = 3; on the lazy GF(7) and
     GF(13), d = 4 neither code was faster (1 seed x 4,000 trials, 80
     rounds: the same 10th-percentile time, faster in 37/80 and 40/80).
+    Fusing each entry into one form and drawing phi by index then took
+    20 GF(5), d = 4 searches of 4,000 trials (CPU time, best of 8, 5
+    alternated processes per tree, same host) from 0.263-0.284 to
+    0.218-0.234 s.
     """
     sub, mul, one, zero = spec.sub, spec.mul, spec.one, spec.zero
     for i, j, must_zero in _upper_pattern(d + 1):
@@ -207,7 +222,8 @@ def _probe_forms(spec, theta, d):
             v[t + 1] = mul(sub(ti, theta[d - t]), v[t])
         for t in range(j):
             u[d - t - 1] = mul(sub(tj, theta[t]), u[d - t])
-        yield must_zero, list(map(mul, v, u)), list(map(mul, v, u[1:]))
+        vu, coeffs = tuple(map(mul, v, u)), tuple(map(mul, v, u[1:]))
+        yield must_zero, vu + coeffs, vu + coeffs[::-1]
 
 
 @functools.cache
@@ -220,12 +236,12 @@ def _upper_pattern(n: int) -> tuple:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _theta_forms(spec, theta: tuple) -> tuple:
-    """All the forms of _probe_forms for theta, as one table, read off the
-    unit-chain table of A's diagonal (theta reversed): entry (i, j) takes
-    the left row v_{d-i} and the right column u_{d-j}.  Those are
-    _probe_forms's v and u, so the forms are its payloads, and the
-    oracle's builds of every array with this theta read the same memoized
-    table.
+    """All the (must_zero, form, dual_form) entries of _probe_forms for
+    theta, as one table, read off the unit-chain table of A's diagonal
+    (theta reversed): entry (i, j) takes the left row v_{d-i} and the
+    right column u_{d-j}.  Those are _probe_forms's v and u, so the forms
+    are its payloads, and the oracle's builds of every array with this
+    theta read the same memoized table.
 
     Memoized by (field, theta payloads), keeping the _MEMO_SIZE most
     recently used thetas: a search over a field of q elements meets
@@ -233,10 +249,12 @@ def _theta_forms(spec, theta: tuple) -> tuple:
     it builds.  Exhaustive mode reads it, and random mode when the field's
     perm(q, d + 1) thetas all fit the memo (see _probe_forms).
     """
-    table = _unit_chain_eigenvectors(spec, theta[::-1])[::-1]
-    return tuple([(must_zero, tuple(map(spec.mul, table[i][1], table[j][0])),
-                   tuple(map(spec.mul, table[i][1], table[j][0][1:])))
-                  for i, j, must_zero in _upper_pattern(len(theta))])
+    table, forms = _unit_chain_eigenvectors(spec, theta[::-1])[::-1], []
+    for i, j, must_zero in _upper_pattern(len(theta)):
+        v, u = table[i][1], table[j][0]
+        vu, coeffs = tuple(map(spec.mul, v, u)), tuple(map(spec.mul, v, u[1:]))
+        forms.append((must_zero, vu + coeffs, vu + coeffs[::-1]))
+    return tuple(forms)
 
 
 def _solve_pair(spec, theta, theta_star, d, nonzero) -> list:
@@ -245,23 +263,26 @@ def _solve_pair(spec, theta, theta_star, d, nonzero) -> list:
 
     Both sides' forms are affine in phi, so the zero entries of the
     pattern are linear equations.  They are read off the memoized per-theta
-    tables (_theta_forms): the E side's from theta's, with
-    const = vu . theta*, and the E* side's from theta*'s, the E side of the
-    dual array, with const = vu . theta and its coefficients reversed (the
-    dual's phi'_t is phi_{d-1-t}).  So a pair costs one dot product per
-    pattern entry.  The solution set is walked through its free
+    tables (_theta_forms), the probe's own: the E side's from theta's
+    form, tested against theta* || phi, and the E* side's from theta*'s
+    dual_form, tested against theta || phi.  Either way the constant is
+    form[:d + 1] . other, where other is the other sequence, and the
+    coefficients of phi are form[d + 1:].  So a pair costs one dot product
+    per pattern entry.  The solution set is walked through its free
     coordinates, and a solution is a hit when every phi_t and both corner
     forms are nonzero.
     """
     add, sub, dot, neg, is_zero = spec.add, spec.sub, spec.dot, spec.neg, spec.is_zero
     equations, corners = [], []
-    for forms, other, step in ((_theta_forms(spec, theta), theta_star, 1),
-                               (_theta_forms(spec, theta_star), theta, -1)):
-        for must_zero, vu, coeffs in forms:
-            if must_zero:
-                equations.append(coeffs[::step] + (neg(dot(vu, other)),))
+    for forms, other, side in ((_theta_forms(spec, theta), theta_star, 1),
+                               (_theta_forms(spec, theta_star), theta, 2)):
+        for entry in forms:
+            form = entry[side]
+            const, coeffs = dot(form[:d + 1], other), form[d + 1:]
+            if entry[0]:
+                equations.append(coeffs + (neg(const),))
             else:
-                corners.append((dot(vu, other), coeffs[::step]))
+                corners.append((const, coeffs))
     rows, pivots, _ = _gauss_jordan(spec, equations, d)
     # rows past the pivots are zero in phi: each must have a zero constant
     if not all(is_zero(row[d]) for row in rows[len(pivots):]):
@@ -317,13 +338,12 @@ def _probe_hits(cfg: SearchConfig):
             # _theta_forms through a per-search dict keyed by theta alone:
             # its lru key (spec, theta) hashes the frozen field spec in
             # Python, twice per candidate
-            tables = {}
+            class Tables(dict):
+                def __missing__(self, theta):
+                    table = self[theta] = _theta_forms(spec, theta)
+                    return table
 
-            def forms(theta):
-                table = tables.get(theta)
-                if table is None:
-                    table = tables[theta] = _theta_forms(spec, theta)
-                return table
+            forms = Tables().__getitem__
         else:
             forms = functools.partial(_probe_forms, spec, d=d)
         probe = _pattern_probe(spec, forms)
@@ -357,7 +377,13 @@ def _random_candidates(seed, elems, nonzero, d, trials):
     b_i = n - i, and the sample is samples[code].  That list is the pool
     rule run once per search on every code, in code order, so the
     code -> sample map is the pool method's bijection onto the perm(n, k)
-    sequences, and a draw copies no pool and builds no tuple.
+    sequences, and a draw copies no pool and builds no tuple.  phi is drawn
+    the same way there: its d accepted choice draws, each below m =
+    len(nonzero), fold into ((j_1 m + j_2) m + ...) m + j_d, and phi is
+    phis[code], with phis = list(product(nonzero, repeat=d)), whose
+    code-th tuple is (nonzero[j_1], ..., nonzero[j_d]).  That list has
+    m^d <= 4^4 entries, since perm(n, k) <= _MEMO_SIZE needs n <= 5 for
+    k >= 4.
     """
     getrandbits = random.Random(seed).getrandbits
     n, k, m = len(elems), d + 1, len(nonzero)
@@ -376,19 +402,33 @@ def _random_candidates(seed, elems, nonzero, d, trials):
             pool[j] = pool[b - 1]
         return tuple(out)
 
+    phi_bounds = [(m, m.bit_length())] * d
+
+    def phi():
+        out = []
+        for b, width in phi_bounds:
+            j = getrandbits(width)
+            while j >= b:
+                j = getrandbits(width)
+            out.append(nonzero[j])
+        return tuple(out)
+
+    def indexed(items, bounds):
+        code = 0
+        for b, width in bounds:
+            j = getrandbits(width)
+            while j >= b:
+                j = getrandbits(width)
+            code = code * b + j
+        return items[code]
+
     if math.perm(n, k) <= _MEMO_SIZE:
         # each code's digits, drawn in turn; every digit is below its bound
         samples = [pool_sample(lambda width, it=iter(js): next(it))
                    for js in itertools.product(*(range(b) for b, _ in bounds))]
-
-        def sample():
-            code = 0
-            for b, width in bounds:
-                j = getrandbits(width)
-                while j >= b:
-                    j = getrandbits(width)
-                code = code * b + j
-            return samples[code]
+        sample = functools.partial(indexed, samples, bounds)
+        phi = functools.partial(
+            indexed, list(itertools.product(nonzero, repeat=d)), phi_bounds)
     elif n <= setsize:
         sample = functools.partial(pool_sample, getrandbits)
     else:
@@ -403,15 +443,8 @@ def _random_candidates(seed, elems, nonzero, d, trials):
                 selected.add(j)
                 out.append(elems[j])
             return tuple(out)
-    m_width = m.bit_length()
     for _ in range(trials):
-        th, ths, ph = sample(), sample(), []
-        for _ in range(d):
-            j = getrandbits(m_width)
-            while j >= m:
-                j = getrandbits(m_width)
-            ph.append(nonzero[j])
-        yield th, ths, tuple(ph)
+        yield sample(), sample(), phi()
 
 
 def search(cfg: SearchConfig) -> SearchReport:
@@ -440,13 +473,7 @@ def search(cfg: SearchConfig) -> SearchReport:
     for examined, hits in _probe_hits(cfg):
         report.candidates_examined += examined
         for th, ths, ph in hits:
-            params = ParameterArray(
-                spec,
-                cfg.d,
-                tuple(FieldElement(spec, x) for x in th),
-                tuple(FieldElement(spec, x) for x in ths),
-                tuple(FieldElement(spec, x) for x in ph),
-            )
+            params = ParameterArray._trusted(spec, th, ths, ph)
             if not verify_ch_axioms(split_form_build(params)).is_ch:
                 raise InternalContradictionError(
                     "the exact probe accepted an array the axiom oracle "

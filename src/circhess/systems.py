@@ -124,6 +124,21 @@ class ParameterArray:
         ph = tuple(spec.element(x) for x in phi)
         return cls(spec, len(th) - 1, th, ths, ph)
 
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, theta, theta_star, phi) -> "ParameterArray":
+        """The array of payload tuples that are already certified: payloads
+        of spec, theta and theta* each mutually distinct, every phi_t
+        nonzero, len(theta) >= 4 (a search hit, drawn from the field and
+        screened by the probe or solved by _solve_pair).  Builds its
+        elements and skips the checks of public construction."""
+        array = object.__new__(cls)
+        array.__dict__.update(
+            spec=spec, d=len(phi),
+            theta=tuple([FieldElement(spec, x) for x in theta]),
+            theta_star=tuple([FieldElement(spec, x) for x in theta_star]),
+            phi=tuple([FieldElement(spec, x) for x in phi]))
+        return array
+
     def lift(self, ext) -> "ParameterArray":
         """Embed the array into `ext`, which is its own field (the array is
         returned unchanged) or a quotient extension of it."""

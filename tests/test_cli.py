@@ -145,6 +145,24 @@ def test_bases_cli_check_all(tmp_path, capsys, w5_array):
     assert "PASS" in err and "FAIL" not in err
 
 
+def test_bases_check_all_times_each_check_on_stderr(tmp_path, capsys, w5_array):
+    """Each stderr line is one ledger check, in ledger order, ending with
+    that check's time in milliseconds; the ledger itself holds no time,
+    so two runs print the same stdout."""
+    f = tmp_path / "w5.json"
+    f.write_text(json.dumps(w5_array.to_json()))
+    _, first, _ = run(capsys, "bases", "--in", str(f), "--check-all")
+    code, stdout, err = run(capsys, "bases", "--in", str(f), "--check-all")
+    assert code == 0 and stdout == first
+    checks = json.loads(stdout)["checks"]
+    lines = err.splitlines()
+    assert len(lines) == len(checks) > 0
+    for line, check in zip(lines, checks):
+        head, _, tail = line.rpartition(" (")
+        assert head == "PASS " + check["check"]
+        assert tail.endswith(" ms)") and float(tail[:-4]) >= 0
+
+
 def test_bases_cli_without_check_all(tmp_path, capsys, w5_array):
     """Without --check-all, bases prints the --check-all payload less its
     ledger, and no PASS/FAIL lines."""

@@ -39,12 +39,14 @@ from circhess.errors import (
 )
 from circhess.cli import main
 from circhess.fields import (
+    FieldElement,
     FiniteExtension,
     QuotientExtension,
     RationalExtension,
     _cyclotomic_index,
     _is_prime,
     _poly_divmod,
+    _poly_roots,
     _prime_divisors,
     cyclotomic_polynomial,
     euler_phi,
@@ -525,6 +527,61 @@ def test_root_of_unity_lifted_into_a_quartic_extension_promptly():
     assert q.spec.modulus == (1, 0, 0, 3, 1) and q.spec.order == 457**4
     assert q**5 == 1 and q != 1
     assert q.payload < min((q**i).payload for i in (2, 3, 4))
+
+
+def test_root_of_unity_in_a_billion_element_field_is_prompt():
+    """An order-4 root in GF(10^9 + 9) is the least root of x^2 + 1, found
+    by a gcd with x^q - x, within a second (the element scan had not
+    finished after 20 s).  It runs in a subprocess with a timeout, so that
+    a hang fails the test instead of the suite."""
+    code = (
+        "import time\n"
+        "from circhess import prime_field, primitive_root_of_unity\n"
+        "start = time.perf_counter()\n"
+        "q = primitive_root_of_unity(prime_field(10**9 + 9), 4)\n"
+        "print(time.perf_counter() - start, q)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=20, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    seconds, q = done.stdout.split()
+    assert float(seconds) < 1, done.stdout + done.stderr
+    p = 10**9 + 9
+    # the two order-4 roots are q and -q; the answer is the lesser
+    assert pow(int(q), 2, p) == p - 1 and int(q) < p - int(q)
+
+
+def _scanned_root_of_unity(spec, n):
+    """The first payload of order n in element_payloads order."""
+    for x in spec.element_payloads():
+        e = FieldElement(spec, x)
+        if not spec.is_zero(x) and e**n == 1 and all(
+                e**k != 1 for k in range(1, n)):
+            return e
+    return None
+
+
+def test_root_of_unity_equals_the_scan(small_finite_field):
+    """For every n | q - 1 the answer is the scan's first element of order
+    n, whichever way primitive_root_of_unity takes (the least root of Phi_n
+    where phi(n)^3 < q - 1, the scan otherwise), and the least root of
+    Phi_n is that element for every n, so both ways agree everywhere."""
+    spec = small_finite_field
+    group = spec.order - 1
+    roots_taken = 0  # the n that take the roots of Phi_n
+    for n in range(2, group + 1):
+        if group % n:
+            continue
+        want = _scanned_root_of_unity(spec, n)
+        assert primitive_root_of_unity(spec, n) == want
+        phi = [spec.from_int(int(c)) for c in cyclotomic_polynomial(n)]
+        assert _poly_roots(phi, spec)[0] == want.payload
+        roots_taken += euler_phi(n) ** 3 < group
+    # n = 2 over GF(5), GF(7) and GF(9), n = 3 over GF(16); none over GF(4)
+    # or GF(8), whose q - 1 is prime
+    assert roots_taken == {5: 1, 7: 1, 4: 0, 8: 0, 9: 1, 16: 1}[spec.order]
 
 
 def _has_monic_factor(m, b):

@@ -39,6 +39,7 @@ from circhess.search import (
     _solve_pair,
     _split_pattern_probe,
     _theta_forms,
+    _upper_pattern,
 )
 from circhess.systems import _MEMO_SIZE, _unit_chain_eigenvectors
 
@@ -240,10 +241,12 @@ class _ScriptedRandom(random.Random):
 ])
 def test_samples_by_index_are_the_pool_rule(monkeypatch, field, d):
     """Where the perm(q, d + 1) eigenvalue sequences fit the memo, theta is
-    read off a list by the mixed-radix code of its accepted draws.  Fed
-    every digit tuple in code order (each digit below its bound, so none is
-    rejected), theta runs through the perm(q, d + 1) sequences once each,
-    and each equals what CPython's sample makes of the same digits."""
+    read off a list by the mixed-radix code of its accepted draws, and so is
+    phi.  Fed every digit tuple in code order (each digit below its bound,
+    so none is rejected), theta runs through the perm(q, d + 1) sequences
+    once each, and each equals what CPython's sample makes of the same
+    digits; phi runs through product(nonzero, repeat=d) once each, in that
+    order, and each equals d of CPython's choice on the same digits."""
     spec = field_from_string(field)
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
@@ -251,14 +254,23 @@ def test_samples_by_index_are_the_pool_rule(monkeypatch, field, d):
     n = len(elems)
     codes = list(itertools.product(*(range(b) for b in range(n, n - k, -1))))
     assert len(codes) == math.perm(n, k) <= _MEMO_SIZE
-    # per candidate: theta's digits, theta*'s (code 0) and phi's (all 0)
-    script = [j for digits in codes for j in digits + codes[0] + (0,) * d]
+    phi_codes = list(itertools.product(range(len(nonzero)), repeat=d))
+    trials = max(len(codes), len(phi_codes))
+    # per candidate: theta's digits, theta*'s (code 0) and phi's, each code
+    # list in code order, cycled up to the longer one
+    script = [j for c in range(trials) for j in codes[c % len(codes)] + codes[0]
+              + phi_codes[c % len(phi_codes)]]
     search_mod = importlib.import_module("circhess.search")
     monkeypatch.setattr(search_mod, "random", SimpleNamespace(
         Random=lambda seed: _ScriptedRandom(script)))
-    thetas = [th for th, _, _ in _random_candidates(0, elems, nonzero, d, len(codes))]
+    got = list(_random_candidates(0, elems, nonzero, d, trials))
+    thetas = [th for th, _, _ in got[:len(codes)]]
     assert thetas == [tuple(_ScriptedRandom(digits).sample(elems, k)) for digits in codes]
     assert set(thetas) == set(itertools.permutations(elems, k))
+    phis = [ph for _, _, ph in got[:len(phi_codes)]]
+    choices = [_ScriptedRandom(digits) for digits in phi_codes]
+    assert phis == [tuple(r.choice(nonzero) for _ in range(d)) for r in choices]
+    assert phis == list(itertools.product(nonzero, repeat=d))
 
 
 @pytest.mark.parametrize("field, d, hits", [("gf:5", 4, 3), ("gf:7", 3, 25)])
@@ -427,7 +439,9 @@ def test_theta_forms_match_probe_forms(field):
     """The exhaustive solver's table (_theta_forms, read off the unit-chain
     eigenvectors) equals random mode's lazy recurrence (_probe_forms)
     entry by entry, payload for payload, on seeded thetas for every
-    d = 3..6 the field has room for."""
+    d = 3..6 the field has room for: each entry is (must_zero, form,
+    dual_form), whose dual_form is form with its phi coefficients
+    reversed."""
     spec = field_from_string(field)
     elems = list(spec.element_payloads())
     rng = random.Random(f"forms/{field}")
@@ -438,10 +452,62 @@ def test_theta_forms_match_probe_forms(field):
             lazy = tuple(_probe_forms(spec, theta, d))
             table = _theta_forms(spec, theta)
             assert len(table) == len(lazy) > 0
-            for (mz, vu, coeffs), (lmz, lvu, lcoeffs) in zip(table, lazy):
-                assert (mz, vu, coeffs) == (lmz, tuple(lvu), tuple(lcoeffs))
+            for (mz, form, dual_form), entry in zip(table, lazy):
+                assert (mz, form, dual_form) == entry
+                # vu || coeffs and vu || reversed(coeffs)
+                assert len(form) == 2 * d + 1
+                assert dual_form == form[:d + 1] + form[d + 1:][::-1]
             checked += 1
     assert checked == 6 * (min(6, len(elems) - 1) - 2)
+
+
+@pytest.mark.parametrize("field", ["gf:5", "gf:13", "ext:gf:2:1,1,1"])
+def test_dual_forms_are_the_e_side_of_the_dual_array(field):
+    """dual_form . (theta || phi), from theta*'s table, is the E side of
+    ParameterArray.dual() entry by entry: the same scalar as the dual
+    array's own form at (theta, phi reversed), and zero exactly when
+    E_i A* E_j of the dual's split form is the zero matrix.  Checked on
+    seeded arrays, systems or not, for every d = 3..5 the field has room
+    for."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    rng = random.Random(f"dual-forms/{field}")
+    zeros = set()
+    for d in range(3, min(5, len(elems) - 1) + 1):
+        for _ in range(4):
+            th, ths = tuple(rng.sample(elems, d + 1)), tuple(rng.sample(elems, d + 1))
+            ph = tuple(rng.choice(nonzero) for _ in range(d))
+            dual = ParameterArray._trusted(spec, th, ths, ph).dual()
+            point = tuple(e.payload for e in dual.theta_star + dual.phi)
+            t = split_form_build(dual)
+            for (i, j, _), (_, form, dual_form) in zip(
+                    _upper_pattern(d + 1), _theta_forms(spec, ths)):
+                got = spec.dot(dual_form, th + ph)
+                assert got == spec.dot(form, point)
+                zero = (t.E[i] * t.A_star * t.E[j]).is_zero()
+                assert spec.is_zero(got) == zero
+                zeros.add(zero)
+    assert zeros == {True, False}
+
+
+def test_trusted_hit_arrays_equal_validated_ones(gf4):
+    """The arrays search() builds from certified hits without validation
+    equal, hash and serialize as the validated public construction of the
+    same payloads, over all 2,304 GF(4), d = 3 solver hits."""
+    elems = list(gf4.element_payloads())
+    nonzero = [e for e in elems if not gf4.is_zero(e)]
+    count = 0
+    for th in itertools.permutations(elems, 4):
+        for ths in itertools.permutations(elems, 4):
+            for ph in _solve_pair(gf4, th, ths, 3, nonzero):
+                trusted = ParameterArray._trusted(gf4, th, ths, ph)
+                public = ParameterArray(gf4, 3, *(
+                    tuple(FieldElement(gf4, x) for x in seq) for seq in (th, ths, ph)))
+                assert trusted == public and hash(trusted) == hash(public)
+                assert trusted.to_json() == public.to_json()
+                count += 1
+    assert count == 2304
 
 
 def test_exhaustive_search_builds_each_table_once(gf4):

@@ -32,7 +32,8 @@ GF(5), d = 3 and 4, and GF(4), d = 3, with 4,000 trials, and GF(5), d = 4
 with 40,000 trials, whose seeds reach 15 and 18 hits (at 4,000 trials
 they reach 0 and 3).  On the lazy path, where they do not: GF(7), d = 3
 (31 and 25 hits) and GF(7), d = 4 (no CH system exists), with 4,000
-trials.  Temporary paths are masked before hashing.
+trials.  Temporary paths, and the check times that end bases
+--check-all's PASS and FAIL lines on stderr, are masked before hashing.
 
 Prints one SHA-256 digest per tree, with the two exhaustive report
 prefixes, and the first record that differs.  Exits 0 when every record
@@ -48,6 +49,7 @@ import importlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -55,6 +57,8 @@ from fractions import Fraction
 from pathlib import Path
 
 SEEDS = (1, 2)
+# the time a bases --check-all stderr line ends with, which no output holds
+CHECK_TIME = re.compile(rb"^((?:PASS|FAIL) .*) \(\d+\.\d+ ms\)$", re.M)
 # F1 arrays over cyclotomic fields: (field, d, q as sign * t^power), q a
 # primitive (d + 1)-th root of unity
 QQ_F1 = (("cyclo:3", 5, -1, 1), ("cyclo:5", 4, 1, 1), ("cyclo:12", 3, 1, 3))
@@ -188,8 +192,8 @@ def collect(tree: Path) -> list[list[str]]:
                     except Exception as e:  # noqa: BLE001 - recorded
                         rc = f"raised {type(e).__name__}: {e}"
                 out = out_path.read_bytes() if out_path.exists() else b"<none>"
-                return _sha(mask(b"\0".join([stdout.getvalue().encode(),
-                                              stderr.getvalue().encode(),
+                err = CHECK_TIME.sub(rb"\1", stderr.getvalue().encode())
+                return _sha(mask(b"\0".join([stdout.getvalue().encode(), err,
                                               rc.encode(), out])))
 
             def verify_pair(a, b) -> str:
