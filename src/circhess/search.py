@@ -19,9 +19,13 @@ only at a hit, so each hit reaches the oracle before the next draw.
 _random_candidates draws the candidates on the getrandbits stream of
 random.Random(seed), with the rejection rule and both sampling methods of
 CPython's sample and choice, so every candidate (and every report byte)
-is the one sample and choice give; over a field whose eigenvalue
-sequences fit the memo it reads each sequence, and each phi, off a
-per-search list by the code of its draws.  Exhaustive mode
+is the one sample and choice give.  Over a field whose eigenvalue
+sequences fit the memo, random mode draws the mixed-radix codes of the
+same draws instead (_random_codes), and tests the first pattern entry,
+(0, 2), by two lookups in tables memoized per sequence (_theta_screen):
+about 4 in 5 candidates fail it and build nothing, and only the rest are
+read off per-(field, d) lists of every sequence and every phi
+(_code_lists) and probed.  Exhaustive mode
 solves for phi instead of enumerating it: per (theta, theta*) pair, the
 zero entries are linear equations in phi, solved by exact elimination, and
 their solutions are filtered for nonzero phi and nonzero corners.  The
@@ -210,7 +214,13 @@ def _probe_forms(spec, theta, d):
     Fusing each entry into one form and drawing phi by index then took
     20 GF(5), d = 4 searches of 4,000 trials (CPU time, best of 8, 5
     alternated processes per tree, same host) from 0.263-0.284 to
-    0.218-0.234 s.
+    0.218-0.234 s.  Drawing codes and rejecting at the first entry by two
+    lookups (_theta_screen) then took the same 20 searches, the two trees
+    loaded side by side in one process and alternated (CPU time, fastest
+    of 20 rounds), from 0.239 to 0.170 s, and 20 GF(5), d = 3 searches
+    from 0.390 to 0.320 s; on the lazy GF(7) and GF(13), d = 4 (5 seeds
+    x 4,000 trials, which run the same code) it was faster in 23/40
+    rounds on GF(7), and in 17/40 and 39/60 on GF(13).
     """
     sub, mul, one, zero = spec.sub, spec.mul, spec.one, spec.zero
     for i, j, must_zero in _upper_pattern(d + 1):
@@ -318,7 +328,10 @@ def _probe_hits(cfg: SearchConfig):
     the candidates drawn since the last one, and a final yield of the
     rest: the loop over candidates is left only at a hit, which still
     reaches the oracle (and, if it is a counterexample, the report file)
-    before the next draw."""
+    before the next draw.  Where the field's perm(q, d + 1) eigenvalue
+    sequences fit the memo, random mode draws codes (_random_codes), and
+    only the candidates that pass the first pattern entry's screen
+    (_theta_screen) are built and probed."""
     spec = cfg.spec
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
@@ -332,27 +345,110 @@ def _probe_hits(cfg: SearchConfig):
                 yield per_pair, [
                     (th, ths, ph) for ph in _solve_pair(spec, th, ths, d, nonzero)
                 ]
+        return
+    if math.perm(spec.order, d + 1) <= _MEMO_SIZE:
+        samples, phis = _code_lists(tuple(elems), tuple(nonzero), d)
+        # _theta_screen and _theta_forms read once per search, into a list
+        # by code and a dict by theta: their lru key (spec, theta) hashes
+        # the frozen field spec in Python
+        screens = [_theta_screen(spec, th) for th in samples]
+        forms = dict(zip(samples, map(functools.partial(_theta_forms, spec), samples)))
+        probe = _pattern_probe(spec, forms.__getitem__)
+        passed = ((i, (samples[c], samples[cs], phis[f])) for i, c, cs, f in _random_codes(
+            cfg.seed, len(elems), len(nonzero), d, cfg.trials, screens))
     else:
-        candidates = _random_candidates(cfg.seed, elems, nonzero, d, cfg.trials)
-        if math.perm(spec.order, d + 1) <= _MEMO_SIZE:
-            # _theta_forms through a per-search dict keyed by theta alone:
-            # its lru key (spec, theta) hashes the frozen field spec in
-            # Python, twice per candidate
-            class Tables(dict):
-                def __missing__(self, theta):
-                    table = self[theta] = _theta_forms(spec, theta)
-                    return table
+        probe = _pattern_probe(spec, functools.partial(_probe_forms, spec, d=d))
+        passed = enumerate(_random_candidates(cfg.seed, elems, nonzero, d, cfg.trials), 1)
+    last = 0
+    for i, c in passed:
+        if probe(*c):
+            yield i - last, [c]
+            last = i
+    yield max(cfg.trials, 0) - last, ()
 
-            forms = Tables().__getitem__
-        else:
-            forms = functools.partial(_probe_forms, spec, d=d)
-        probe = _pattern_probe(spec, forms)
-        last = i = 0
-        for i, c in enumerate(candidates, 1):
-            if probe(*c):
-                yield i - last, [c]
-                last = i
-        yield i - last, ()
+
+def _sample_bounds(n, k) -> list:
+    """(bound, width) of sample(population of n, k)'s draws in the pool
+    method: the i-th draw is below n - i, in getrandbits(width) words."""
+    return [(b, b.bit_length()) for b in range(n, n - k, -1)]
+
+
+def _pool_sample(elems, bounds, draw) -> tuple:
+    """CPython's sample by the pool method, each draw below its bound b
+    made by draw(width) and redrawn while >= b: the pool's last unselected
+    element moves into the vacancy."""
+    pool, out = list(elems), []
+    for b, width in bounds:
+        j = draw(width)
+        while j >= b:
+            j = draw(width)
+        out.append(pool[j])
+        pool[j] = pool[b - 1]
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _code_lists(elems: tuple, nonzero: tuple, d: int) -> tuple:
+    """(samples, phis): every sample of d + 1 of elems and every phi, each
+    at the mixed-radix code of its draws (see _random_candidates).
+    samples is the pool rule run on every digit tuple, in code order, and
+    phis is product(nonzero, repeat=d).  Built on first use, once per
+    (field, d) while the memo keeps it."""
+    bounds = _sample_bounds(len(elems), d + 1)
+    samples = tuple(_pool_sample(elems, bounds, lambda width, it=iter(js): next(it))
+                    for js in itertools.product(*(range(b) for b, _ in bounds)))
+    return samples, tuple(itertools.product(nonzero, repeat=d))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _theta_screen(spec, theta: tuple) -> tuple:
+    """The first entry of theta's forms, (0, 2), which must be zero for
+    every d >= 3, tabulated over the field's code lists (_code_lists) as
+    (consts, lins): consts[c] = vu . samples[c] and lins[f] = -(coeffs .
+    phis[f]), the constant/coefficient split of _solve_pair.  So the
+    entry of (theta, samples[c], phis[f]) is zero exactly when consts[c]
+    == lins[f] (payloads are canonical), and a candidate that fails this
+    equality fails the probe.  Memoized like _theta_forms, whose first
+    entry it reads."""
+    d, elems = len(theta) - 1, tuple(spec.element_payloads())
+    samples, phis = _code_lists(elems, tuple(e for e in elems if not spec.is_zero(e)), d)
+    form = _theta_forms(spec, theta)[0][1]
+    vu, coeffs = form[:d + 1], form[d + 1:]
+    return (tuple(spec.dot(vu, s) for s in samples),
+            tuple(spec.neg(spec.dot(coeffs, ph)) for ph in phis))
+
+
+def _random_codes(seed, n, m, d, trials, screens):
+    """The codes (c, c*, f) of random mode's candidates (samples[c],
+    samples[c*], phis[f]) over a field of n elements, m nonzero, whose
+    perm(n, d + 1) sequences fit the memo, drawn on the getrandbits stream
+    of _random_candidates: each accepted digit j below its bound b (the
+    pool method's for theta and theta*, m for each phi_t) folds into its
+    code as code * b + j.  Yields (trial number from 1, c, c*, f) for each
+    candidate that passes its theta's screen, screens[c] = (consts, lins)
+    with consts[c*] == lins[f]; the rest build nothing."""
+    getrandbits = random.Random(seed).getrandbits
+    bounds, width = _sample_bounds(n, d + 1), m.bit_length()
+    for i in range(1, trials + 1):
+        c = cs = f = 0
+        for b, w in bounds:
+            j = getrandbits(w)
+            while j >= b:
+                j = getrandbits(w)
+            c = c * b + j
+        for b, w in bounds:
+            j = getrandbits(w)
+            while j >= b:
+                j = getrandbits(w)
+            cs = cs * b + j
+        for _ in range(d):
+            j = getrandbits(width)
+            while j >= m:
+                j = getrandbits(width)
+            f = f * m + j
+        consts, lins = screens[c]
+        if consts[cs] == lins[f]:
+            yield i, c, cs, f
 
 
 def _random_candidates(seed, elems, nonzero, d, trials):
@@ -371,37 +467,28 @@ def _random_candidates(seed, elems, nonzero, d, trials):
     when k > 5.  Bounds, widths and the method are fixed once per search.
 
     When the perm(n, k) sequences fit the memo (with k >= 4 that means
-    n <= 5, so the pool method applies), a sample is drawn by index: its
-    accepted draws j_0..j_{k-1}, made and rejected as above, fold into the
-    mixed-radix code ((j_0 b_1 + j_1) b_2 + ...) b_{k-1} + j_{k-1} with
-    b_i = n - i, and the sample is samples[code].  That list is the pool
-    rule run once per search on every code, in code order, so the
-    code -> sample map is the pool method's bijection onto the perm(n, k)
-    sequences, and a draw copies no pool and builds no tuple.  phi is drawn
-    the same way there: its d accepted choice draws, each below m =
-    len(nonzero), fold into ((j_1 m + j_2) m + ...) m + j_d, and phi is
-    phis[code], with phis = list(product(nonzero, repeat=d)), whose
-    code-th tuple is (nonzero[j_1], ..., nonzero[j_d]).  That list has
-    m^d <= 4^4 entries, since perm(n, k) <= _MEMO_SIZE needs n <= 5 for
-    k >= 4.
+    n <= 5, so the pool method applies), the draws are _random_codes's: a
+    sample's accepted draws j_0..j_{k-1} fold into the mixed-radix code
+    ((j_0 b_1 + j_1) b_2 + ...) b_{k-1} + j_{k-1} with b_i = n - i, and
+    the sample is samples[code], from _code_lists, the pool rule run on
+    every code in code order, so the code -> sample map is the pool
+    method's bijection onto the perm(n, k) sequences.  phi's d accepted
+    choice draws, each below m = len(nonzero), fold into ((j_1 m + j_2) m
+    + ...) m + j_d, and phi is phis[code], the code-th tuple of
+    product(nonzero, repeat=d), (nonzero[j_1], ..., nonzero[j_d]).  Here
+    every screen passes, so this is every candidate; random mode's search
+    draws the same codes and screens them (_probe_hits).
     """
-    getrandbits = random.Random(seed).getrandbits
     n, k, m = len(elems), d + 1, len(nonzero)
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    bounds = [(b, b.bit_length()) for b in range(n, n - k, -1)]
-
-    def pool_sample(draw):
-        pool, out = elems[:], []
-        for b, width in bounds:
-            j = draw(width)
-            while j >= b:
-                j = draw(width)
-            out.append(pool[j])
-            pool[j] = pool[b - 1]
-        return tuple(out)
-
+    if math.perm(n, k) <= _MEMO_SIZE:
+        samples, phis = _code_lists(tuple(elems), tuple(nonzero), d)
+        # the screen of zeros, which every candidate passes
+        passing = [((0,) * len(samples), (0,) * len(phis))] * len(samples)
+        for _, c, cs, f in _random_codes(seed, n, m, d, trials, passing):
+            yield samples[c], samples[cs], phis[f]
+        return
+    getrandbits = random.Random(seed).getrandbits
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
     phi_bounds = [(m, m.bit_length())] * d
 
     def phi():
@@ -413,24 +500,8 @@ def _random_candidates(seed, elems, nonzero, d, trials):
             out.append(nonzero[j])
         return tuple(out)
 
-    def indexed(items, bounds):
-        code = 0
-        for b, width in bounds:
-            j = getrandbits(width)
-            while j >= b:
-                j = getrandbits(width)
-            code = code * b + j
-        return items[code]
-
-    if math.perm(n, k) <= _MEMO_SIZE:
-        # each code's digits, drawn in turn; every digit is below its bound
-        samples = [pool_sample(lambda width, it=iter(js): next(it))
-                   for js in itertools.product(*(range(b) for b, _ in bounds))]
-        sample = functools.partial(indexed, samples, bounds)
-        phi = functools.partial(
-            indexed, list(itertools.product(nonzero, repeat=d)), phi_bounds)
-    elif n <= setsize:
-        sample = functools.partial(pool_sample, getrandbits)
+    if n <= setsize:
+        sample = functools.partial(_pool_sample, elems, _sample_bounds(n, k), getrandbits)
     else:
         width = n.bit_length()
 

@@ -5,7 +5,11 @@ import importlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -33,12 +37,15 @@ from circhess.errors import (
     UnsupportedFieldError,
 )
 from circhess.search import (
+    _code_lists,
     _probe_forms,
     _probe_hits,
     _random_candidates,
+    _random_codes,
     _solve_pair,
     _split_pattern_probe,
     _theta_forms,
+    _theta_screen,
     _upper_pattern,
 )
 from circhess.systems import _MEMO_SIZE, _unit_chain_eigenvectors
@@ -273,33 +280,62 @@ def test_samples_by_index_are_the_pool_rule(monkeypatch, field, d):
     assert phis == list(itertools.product(nonzero, repeat=d))
 
 
+_WORD = object()
+
+
+class _RecordingRandom(random.Random):
+    """A Random that appends _WORD to `events` at each getrandbits call;
+    every call here asks for at most 32 bits, so each draws one word."""
+
+    def __init__(self, seed, events):
+        super().__init__(seed)
+        self.events = events
+
+    def getrandbits(self, k):
+        self.events.append(_WORD)
+        return super().getrandbits(k)
+
+
 @pytest.mark.parametrize("field, d, hits", [("gf:5", 4, 3), ("gf:7", 3, 25)])
 def test_random_hits_reach_oracle_before_next_draw(monkeypatch, field, d, hits):
     """Random mode hands each probe hit to the oracle as soon as it is
-    drawn: a wrapped split_form_build sees every hit before
-    _random_candidates yields the next candidate, on the table path
-    (GF(5), d = 4) and on the lazy one (GF(7), d = 3)."""
-    search_mod = importlib.import_module("circhess.search")
+    drawn, on the table path (GF(5), d = 4, which draws codes and screens
+    them) and on the lazy one (GF(7), d = 3), recorded at the getrandbits
+    level: split_form_build sees each hit once the last word of its trial
+    is drawn and before the next word, and the search draws exactly the
+    words of rng.sample and rng.choice."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    ref_words = []
+    rng = _RecordingRandom(2, ref_words)
+    # words drawn by the end of each trial -> that trial's candidate
+    ends = {}
+    for _ in range(4000):
+        c = (tuple(rng.sample(elems, d + 1)), tuple(rng.sample(elems, d + 1)),
+             tuple(rng.choice(nonzero) for _ in range(d)))
+        ends[len(ref_words)] = c
     events = []
 
-    def drawn(*args):
-        for c in _random_candidates(*args):
-            events.append(("draw", c))
-            yield c
-
     def build(params):
-        events.append(("build", tuple(tuple(e.payload for e in seq) for seq in (
-            params.theta, params.theta_star, params.phi))))
+        events.append(tuple(tuple(e.payload for e in seq) for seq in (
+            params.theta, params.theta_star, params.phi)))
         return split_form_build(params)
 
-    monkeypatch.setattr(search_mod, "_random_candidates", drawn)
+    search_mod = importlib.import_module("circhess.search")
+    monkeypatch.setattr(search_mod, "random", SimpleNamespace(
+        Random=lambda seed: _RecordingRandom(seed, events)))
     monkeypatch.setattr(search_mod, "split_form_build", build)
-    rep = search(SearchConfig(field_from_string(field), d, "random", 2, 4000))
-    builds = [i for i, (kind, _) in enumerate(events) if kind == "build"]
-    assert len(builds) == rep.ch_systems_found == hits
-    for i in builds:
-        assert events[i - 1] == ("draw", events[i][1])
-    assert len(events) == 4000 + len(builds)
+    rep = search(SearchConfig(spec, d, "random", 2, 4000))
+    words, built = 0, 0
+    for e in events:
+        if e is _WORD:
+            words += 1
+        else:
+            assert ends.get(words) == e
+            built += 1
+    assert words == len(ref_words)
+    assert built == rep.ch_systems_found == hits
 
 
 @pytest.mark.parametrize("field, d, seed, trials, prefix, hits", [
@@ -432,6 +468,20 @@ def test_solver_hits_equal_probe_hits_per_pair(field, d, family):
         assert _solve_pair(spec, th, ths, d, nonzero) == want
         total += len(want)
     assert total > 0 or family is None
+
+
+def test_solver_hits_equal_probe_hits_on_one_theta_slice(gf5):
+    """Per pair, the solve equals the probe over all phi on the 120 GF(5),
+    d = 3 pairs with theta = (0, 1, 3, 2), 20 of which have hits that a
+    solver reading phi's coefficients in reverse order gets wrong: a fast
+    guard of phi's orientation in the solver, beside the full-space test."""
+    nonzero = [e for e in gf5.element_payloads() if not gf5.is_zero(e)]
+    th, total = (0, 1, 3, 2), 0
+    for ths in itertools.permutations(gf5.element_payloads(), 4):
+        want = [ph for _, _, ph in _reference_hits(gf5, 3, [(th, ths)])]
+        assert _solve_pair(gf5, th, ths, 3, nonzero) == want
+        total += len(want)
+    assert total > 0
 
 
 @pytest.mark.parametrize("field", ["gf:5", "gf:13", "ext:gf:2:1,1,1", "ext:gf:3:1,0,1"])
@@ -610,22 +660,86 @@ def test_random_report_bytes_match_reference_loop(monkeypatch, field, d):
         assert ref.candidates_examined == 500
 
 
+@pytest.mark.parametrize("field, d, sample", [
+    ("ext:gf:2:1,1,1", 3, None), ("gf:5", 3, 20_000), ("gf:5", 4, 20_000),
+])
+def test_first_entry_screen_is_exact(field, d, sample):
+    """The screen of random mode's table path rejects a candidate exactly
+    when the first pattern entry, (0, 2), which must be zero, fails in the
+    lazy _probe_forms (which shares no table code with the screen), and
+    no rejected candidate is a _split_pattern_probe hit: over every code
+    triple of GF(4), d = 3 (24 x 24 x 27), and a seeded sample of the
+    GF(5), d = 3 and d = 4 triples."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    samples, phis = _code_lists(tuple(elems), tuple(nonzero), d)
+    assert _upper_pattern(d + 1)[0] == (0, 2, True)
+    triples = itertools.product(range(len(samples)), range(len(samples)), range(len(phis)))
+    if sample is not None:
+        rng = random.Random(f"screen/{field}/{d}")
+        triples = [(rng.randrange(len(samples)), rng.randrange(len(samples)),
+                    rng.randrange(len(phis))) for _ in range(sample)]
+    outcomes = set()
+    for c, cs, f in triples:
+        th, ths, ph = samples[c], samples[cs], phis[f]
+        consts, lins = _theta_screen(spec, th)
+        passes = consts[cs] == lins[f]
+        _, form, _ = next(_probe_forms(spec, th, d))
+        assert passes == spec.is_zero(spec.dot(form, ths + ph))
+        assert passes or not _split_pattern_probe(spec, th, ths, ph, d)
+        outcomes.add(passes)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("field, d", [("gf:5", 4), ("ext:gf:2:1,1,1", 3)])
+def test_random_codes_yield_the_screened_candidates(field, d):
+    """Over a field whose sequences fit the memo, the codes random mode
+    draws with the real screens are the trials of _random_candidates
+    (the reference draw) whose first entry is zero, with their trial
+    numbers."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    samples, phis = _code_lists(tuple(elems), tuple(nonzero), d)
+    screens = [_theta_screen(spec, th) for th in samples]
+    for seed in range(5):
+        got = [(i, (samples[c], samples[cs], phis[f])) for i, c, cs, f in _random_codes(
+            seed, len(elems), len(nonzero), d, 500, screens)]
+        want = [(i, (th, ths, ph)) for i, (th, ths, ph) in enumerate(
+            _random_candidates(seed, elems, nonzero, d, 500), 1)
+            if spec.is_zero(spec.dot(next(_probe_forms(spec, th, d))[1], ths + ph))]
+        assert got == want and 0 < len(got) < 500
+
+
 def test_random_search_reads_tables_when_theta_space_fits(gf5, gf7):
-    """Random mode reads the per-theta tables exactly when every eigenvalue
-    sequence of the field fits the memo: a GF(5), d = 4 search builds at
-    most perm(5, 5) = 120 tables and a repeat builds none, while GF(7),
-    d = 4 (perm(7, 5) = 2,520 > _MEMO_SIZE) keeps the lazy forms and builds
-    none."""
+    """Random mode reads the per-theta tables and the first-entry screens
+    exactly when every eigenvalue sequence of the field fits the memo: a
+    GF(5), d = 4 search builds at most perm(5, 5) = 120 of each and one
+    code list, and a repeat builds none, while GF(7), d = 4 (perm(7, 5) =
+    2,520 > _MEMO_SIZE) keeps the lazy forms and builds none.  Importing
+    the module builds no screen and no code list."""
     assert math.perm(5, 5) <= _MEMO_SIZE < math.perm(7, 5)
-    _theta_forms.cache_clear()
+    memos = (_theta_forms, _theta_screen, _code_lists)
+    for memo in memos:
+        memo.cache_clear()
+        assert memo.cache_info().maxsize == _MEMO_SIZE
     cfg = SearchConfig(gf5, 4, "random", seed=3, trials=2000)
     search(cfg)
-    misses = _theta_forms.cache_info().misses
-    assert 1 <= misses <= math.perm(5, 5)
+    misses = [memo.cache_info().misses for memo in memos]
+    assert 1 <= misses[0] <= math.perm(5, 5) and 1 <= misses[1] <= math.perm(5, 5)
+    assert misses[2] == 1
     search(cfg)
-    assert _theta_forms.cache_info().misses == misses
+    assert [memo.cache_info().misses for memo in memos] == misses
     search(SearchConfig(gf7, 4, "random", seed=3, trials=2000))
-    assert _theta_forms.cache_info().misses == misses
+    assert [memo.cache_info().misses for memo in memos] == misses
+    src = Path(importlib.import_module("circhess").__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import importlib; s = importlib.import_module("
+         "'circhess.search'); print(s._theta_screen.cache_info().currsize, "
+         "s._code_lists.cache_info().currsize)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_exhaustive_gf5_full():
