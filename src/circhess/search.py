@@ -22,10 +22,12 @@ CPython's sample and choice, so every candidate (and every report byte)
 is the one sample and choice give.  Over a field whose eigenvalue
 sequences fit the memo, random mode draws the mixed-radix codes of the
 same draws instead (_random_codes), and tests the first pattern entry,
-(0, 2), by two lookups in tables memoized per sequence (_theta_screen):
-about 4 in 5 candidates fail it and build nothing, and only the rest are
-read off per-(field, d) lists of every sequence and every phi
-(_code_lists) and probed.  Exhaustive mode
+(0, 2), of each side by two lookups in the one table memoized per
+sequence (_theta_screen): the E side's in theta's table, the E* side's in
+theta*'s, at theta's code and at the code of phi reversed.  At GF(5),
+d = 4 about 24 in 25 candidates fail one of them and build nothing, and
+only the rest are read off per-(field, d) lists of every sequence and
+every phi (_code_lists) and probed.  Exhaustive mode
 solves for phi instead of enumerating it: per (theta, theta*) pair, the
 zero entries are linear equations in phi, solved by exact elimination, and
 their solutions are filtered for nonzero phi and nonzero corners.  The
@@ -220,7 +222,12 @@ def _probe_forms(spec, theta, d):
     of 20 rounds), from 0.239 to 0.170 s, and 20 GF(5), d = 3 searches
     from 0.390 to 0.320 s; on the lazy GF(7) and GF(13), d = 4 (5 seeds
     x 4,000 trials, which run the same code) it was faster in 23/40
-    rounds on GF(7), and in 17/40 and 39/60 on GF(13).
+    rounds on GF(7), and in 17/40 and 39/60 on GF(13).  Screening the E*
+    side's first entry from theta*'s same table, before anything is
+    built, then took 20 GF(5), d = 4 searches of 4,000 trials (CPU time,
+    best of 7, 3 alternated processes per tree) from 0.150-0.154 to
+    0.125-0.132 s, and 1 in 25 of their candidates reach the probe, not
+    1 in 5.
     """
     sub, mul, one, zero = spec.sub, spec.mul, spec.one, spec.zero
     for i, j, must_zero in _upper_pattern(d + 1):
@@ -330,8 +337,8 @@ def _probe_hits(cfg: SearchConfig):
     reaches the oracle (and, if it is a counterexample, the report file)
     before the next draw.  Where the field's perm(q, d + 1) eigenvalue
     sequences fit the memo, random mode draws codes (_random_codes), and
-    only the candidates that pass the first pattern entry's screen
-    (_theta_screen) are built and probed."""
+    only the candidates whose first pattern entry passes the screen
+    (_theta_screen) on both sides are built and probed."""
     spec = cfg.spec
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
@@ -347,7 +354,7 @@ def _probe_hits(cfg: SearchConfig):
                 ]
         return
     if math.perm(spec.order, d + 1) <= _MEMO_SIZE:
-        samples, phis = _code_lists(tuple(elems), tuple(nonzero), d)
+        samples, phis, rev = _code_lists(tuple(elems), tuple(nonzero), d)
         # _theta_screen and _theta_forms read once per search, into a list
         # by code and a dict by theta: their lru key (spec, theta) hashes
         # the frozen field spec in Python
@@ -355,7 +362,7 @@ def _probe_hits(cfg: SearchConfig):
         forms = dict(zip(samples, map(functools.partial(_theta_forms, spec), samples)))
         probe = _pattern_probe(spec, forms.__getitem__)
         passed = ((i, (samples[c], samples[cs], phis[f])) for i, c, cs, f in _random_codes(
-            cfg.seed, len(elems), len(nonzero), d, cfg.trials, screens))
+            cfg.seed, len(elems), len(nonzero), d, cfg.trials, screens, rev))
     else:
         probe = _pattern_probe(spec, functools.partial(_probe_forms, spec, d=d))
         passed = enumerate(_random_candidates(cfg.seed, elems, nonzero, d, cfg.trials), 1)
@@ -389,15 +396,18 @@ def _pool_sample(elems, bounds, draw) -> tuple:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _code_lists(elems: tuple, nonzero: tuple, d: int) -> tuple:
-    """(samples, phis): every sample of d + 1 of elems and every phi, each
-    at the mixed-radix code of its draws (see _random_candidates).
-    samples is the pool rule run on every digit tuple, in code order, and
-    phis is product(nonzero, repeat=d).  Built on first use, once per
-    (field, d) while the memo keeps it."""
+    """(samples, phis, rev): every sample of d + 1 of elems and every phi,
+    each at the mixed-radix code of its draws (see _random_candidates),
+    and rev[f], the code of phis[f] reversed.  samples is the pool rule
+    run on every digit tuple, in code order, and phis is
+    product(nonzero, repeat=d).  Built on first use, once per (field, d)
+    while the memo keeps it."""
     bounds = _sample_bounds(len(elems), d + 1)
     samples = tuple(_pool_sample(elems, bounds, lambda width, it=iter(js): next(it))
                     for js in itertools.product(*(range(b) for b, _ in bounds)))
-    return samples, tuple(itertools.product(nonzero, repeat=d))
+    phis = tuple(itertools.product(nonzero, repeat=d))
+    code = {ph: f for f, ph in enumerate(phis)}
+    return samples, phis, tuple(code[ph[::-1]] for ph in phis)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -408,25 +418,37 @@ def _theta_screen(spec, theta: tuple) -> tuple:
     phis[f]), the constant/coefficient split of _solve_pair.  So the
     entry of (theta, samples[c], phis[f]) is zero exactly when consts[c]
     == lins[f] (payloads are canonical), and a candidate that fails this
-    equality fails the probe.  Memoized like _theta_forms, whose first
-    entry it reads."""
+    equality fails the probe.  The same table screens the E* side: the
+    dual_form of theta's first entry is vu || reversed(coeffs), so for a
+    candidate (samples[c'], theta, phis[f]) its dual_form . (samples[c'] ||
+    phis[f]) is zero exactly when consts[c'] == lins[rev[f]].  lins is
+    summed coordinate by coordinate in the code order of phis, from one
+    row of products -(coeffs[t] x) per position, so it costs m + m^2 + ...
+    + m^d additions over m nonzero elements, not m^d dot products.
+    Memoized like _theta_forms, whose first entry it reads."""
     d, elems = len(theta) - 1, tuple(spec.element_payloads())
-    samples, phis = _code_lists(elems, tuple(e for e in elems if not spec.is_zero(e)), d)
+    nonzero = tuple(e for e in elems if not spec.is_zero(e))
     form = _theta_forms(spec, theta)[0][1]
     vu, coeffs = form[:d + 1], form[d + 1:]
-    return (tuple(spec.dot(vu, s) for s in samples),
-            tuple(spec.neg(spec.dot(coeffs, ph)) for ph in phis))
+    lins = (spec.zero,)
+    for a in coeffs:
+        row = [spec.neg(spec.mul(a, x)) for x in nonzero]
+        lins = [spec.add(s, r) for s in lins for r in row]
+    return tuple(spec.dot(vu, s) for s in _code_lists(elems, nonzero, d)[0]), tuple(lins)
 
 
-def _random_codes(seed, n, m, d, trials, screens):
+def _random_codes(seed, n, m, d, trials, screens, rev):
     """The codes (c, c*, f) of random mode's candidates (samples[c],
     samples[c*], phis[f]) over a field of n elements, m nonzero, whose
     perm(n, d + 1) sequences fit the memo, drawn on the getrandbits stream
     of _random_candidates: each accepted digit j below its bound b (the
     pool method's for theta and theta*, m for each phi_t) folds into its
     code as code * b + j.  Yields (trial number from 1, c, c*, f) for each
-    candidate that passes its theta's screen, screens[c] = (consts, lins)
-    with consts[c*] == lins[f]; the rest build nothing."""
+    candidate whose first pattern entry passes the screen on both sides:
+    on the E side in theta's screen, screens[c] = (consts, lins) with
+    consts[c*] == lins[f], then on the E* side in theta*'s, with
+    consts[c] == lins[rev[f]] (rev from _code_lists; see _theta_screen).
+    The rest build nothing."""
     getrandbits = random.Random(seed).getrandbits
     bounds, width = _sample_bounds(n, d + 1), m.bit_length()
     for i in range(1, trials + 1):
@@ -448,7 +470,9 @@ def _random_codes(seed, n, m, d, trials, screens):
             f = f * m + j
         consts, lins = screens[c]
         if consts[cs] == lins[f]:
-            yield i, c, cs, f
+            consts, lins = screens[cs]
+            if consts[c] == lins[rev[f]]:
+                yield i, c, cs, f
 
 
 def _random_candidates(seed, elems, nonzero, d, trials):
@@ -481,10 +505,10 @@ def _random_candidates(seed, elems, nonzero, d, trials):
     """
     n, k, m = len(elems), d + 1, len(nonzero)
     if math.perm(n, k) <= _MEMO_SIZE:
-        samples, phis = _code_lists(tuple(elems), tuple(nonzero), d)
+        samples, phis, rev = _code_lists(tuple(elems), tuple(nonzero), d)
         # the screen of zeros, which every candidate passes
         passing = [((0,) * len(samples), (0,) * len(phis))] * len(samples)
-        for _, c, cs, f in _random_codes(seed, n, m, d, trials, passing):
+        for _, c, cs, f in _random_codes(seed, n, m, d, trials, passing, rev):
             yield samples[c], samples[cs], phis[f]
         return
     getrandbits = random.Random(seed).getrandbits

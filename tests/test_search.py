@@ -673,13 +673,9 @@ def test_first_entry_screen_is_exact(field, d, sample):
     spec = field_from_string(field)
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
-    samples, phis = _code_lists(tuple(elems), tuple(nonzero), d)
+    samples, phis, _ = _code_lists(tuple(elems), tuple(nonzero), d)
     assert _upper_pattern(d + 1)[0] == (0, 2, True)
-    triples = itertools.product(range(len(samples)), range(len(samples)), range(len(phis)))
-    if sample is not None:
-        rng = random.Random(f"screen/{field}/{d}")
-        triples = [(rng.randrange(len(samples)), rng.randrange(len(samples)),
-                    rng.randrange(len(phis))) for _ in range(sample)]
+    triples = _code_triples(f"screen/{field}/{d}", len(samples), len(phis), sample)
     outcomes = set()
     for c, cs, f in triples:
         th, ths, ph = samples[c], samples[cs], phis[f]
@@ -692,23 +688,84 @@ def test_first_entry_screen_is_exact(field, d, sample):
     assert outcomes == {True, False}
 
 
+def _code_triples(tag, samples, phis, sample):
+    """Every code triple (c, c*, f) below (samples, samples, phis), or
+    `sample` of them drawn by a Random seeded with `tag`."""
+    if sample is None:
+        return itertools.product(range(samples), range(samples), range(phis))
+    rng = random.Random(tag)
+    return [(rng.randrange(samples), rng.randrange(samples), rng.randrange(phis))
+            for _ in range(sample)]
+
+
+@pytest.mark.parametrize("field, d, sample", [
+    ("ext:gf:2:1,1,1", 3, None), ("gf:5", 3, 20_000), ("gf:5", 4, 20_000),
+])
+def test_dual_first_entry_lookup_is_exact(field, d, sample):
+    """The second lookup of random mode's table path, in theta*'s screen at
+    theta's code and at reversed phi's code, passes exactly when the E*
+    side's first entry, dual_form . (theta || phi) from the lazy
+    _probe_forms(spec, theta*, d), is zero, and no candidate that either
+    lookup rejects is a _split_pattern_probe hit: over every code triple of
+    GF(4), d = 3, and a seeded sample of the GF(5), d = 3 and d = 4
+    triples.  rev maps each phi's code to its reversal's, and is an
+    involution."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    samples, phis, rev = _code_lists(tuple(elems), tuple(nonzero), d)
+    assert all(phis[rev[f]] == phis[f][::-1] for f in range(len(phis)))
+    assert all(rev[rev[f]] == f for f in range(len(phis)))
+    outcomes = set()
+    for c, cs, f in _code_triples(f"dual-screen/{field}/{d}", len(samples), len(phis), sample):
+        th, ths, ph = samples[c], samples[cs], phis[f]
+        consts, lins = _theta_screen(spec, ths)
+        passes = consts[c] == lins[rev[f]]
+        _, _, dual_form = next(_probe_forms(spec, ths, d))
+        assert passes == spec.is_zero(spec.dot(dual_form, th + ph))
+        consts, lins = _theta_screen(spec, th)
+        if not (passes and consts[cs] == lins[f]):
+            assert not _split_pattern_probe(spec, th, ths, ph, d)
+        outcomes.add(passes)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("field, d", [("ext:gf:2:1,1,1", 3), ("gf:5", 3), ("gf:5", 4)])
+def test_theta_screen_equals_dot_definition(field, d):
+    """For every theta of the field, the screen's tables equal their dot
+    product definition: consts[c] = vu . samples[c] and lins[f] =
+    -(coeffs . phis[f]), with (vu, coeffs) the first entry's form, although
+    lins is summed coordinate by coordinate."""
+    spec = field_from_string(field)
+    elems = list(spec.element_payloads())
+    nonzero = [e for e in elems if not spec.is_zero(e)]
+    samples, phis, _ = _code_lists(tuple(elems), tuple(nonzero), d)
+    for th in samples:
+        _, form, _ = next(_probe_forms(spec, th, d))
+        vu, coeffs = form[:d + 1], form[d + 1:]
+        assert _theta_screen(spec, th) == (
+            tuple(spec.dot(vu, s) for s in samples),
+            tuple(spec.neg(spec.dot(coeffs, ph)) for ph in phis))
+
+
 @pytest.mark.parametrize("field, d", [("gf:5", 4), ("ext:gf:2:1,1,1", 3)])
 def test_random_codes_yield_the_screened_candidates(field, d):
     """Over a field whose sequences fit the memo, the codes random mode
     draws with the real screens are the trials of _random_candidates
-    (the reference draw) whose first entry is zero, with their trial
-    numbers."""
+    (the reference draw) whose first E-side entry and first E*-side entry
+    are both zero, with their trial numbers."""
     spec = field_from_string(field)
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
-    samples, phis = _code_lists(tuple(elems), tuple(nonzero), d)
+    samples, phis, rev = _code_lists(tuple(elems), tuple(nonzero), d)
     screens = [_theta_screen(spec, th) for th in samples]
     for seed in range(5):
         got = [(i, (samples[c], samples[cs], phis[f])) for i, c, cs, f in _random_codes(
-            seed, len(elems), len(nonzero), d, 500, screens)]
+            seed, len(elems), len(nonzero), d, 500, screens, rev)]
         want = [(i, (th, ths, ph)) for i, (th, ths, ph) in enumerate(
             _random_candidates(seed, elems, nonzero, d, 500), 1)
-            if spec.is_zero(spec.dot(next(_probe_forms(spec, th, d))[1], ths + ph))]
+            if spec.is_zero(spec.dot(next(_probe_forms(spec, th, d))[1], ths + ph))
+            and spec.is_zero(spec.dot(next(_probe_forms(spec, ths, d))[2], th + ph))]
         assert got == want and 0 < len(got) < 500
 
 
