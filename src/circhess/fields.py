@@ -1398,7 +1398,11 @@ def field_from_json(d: dict) -> FieldSpec:
             base_json, modulus = _json_fields(d, "base", "modulus")
             base = field_from_json(base_json)
             coeffs = tuple(base.parse(c) for c in modulus)
-            return QuotientExtension(base, coeffs, d.get("generator", "t"))
+            gen = d.get("generator", "t")
+            # elements render and parse by this name
+            if not (isinstance(gen, str) and gen.isidentifier()):
+                raise ParseError(f"extension generator must be an identifier, got {gen!r}")
+            return QuotientExtension(base, coeffs, gen)
     except (TypeError, ValueError, NotPrimeError, ReducibleModulusError) as e:
         raise ParseError(f"bad field JSON {d!r}: {e}") from e
     raise ParseError(f"bad field JSON {d!r}")

@@ -3,56 +3,24 @@
 The search space is parameter-array data (distinct eigenvalue tuples plus a
 nonzero split tuple): every system has a split form, so this space is
 complete up to isomorphism.  Candidates are screened by an exact
-division-free probe that reads the one circular Hessenberg pattern
-(the CIRCULAR_HESSENBERG table of linalg._shape_pattern) the axiom oracle
-reads, and evaluates it through the rank-one spectral decomposition of the
-bidiagonal split matrices.  Each entry the probe tests is a linear form in
-theta* and phi, held as one vector, form = vu || coeffs, and tested by one
-dot product with theta* || phi; the E* side is the E side of the dual array
-(theta*, theta, phi reversed), held beside it as dual_form = vu ||
-reversed(coeffs) and tested against theta || phi, so no side reverses phi
-per candidate.  The forms are read off the division-free eigenvectors of the
-split form's A, whose one eager definition is the memoized unit-chain table
-systems._unit_chain_eigenvectors; random mode tests them at each seeded
-candidate, stopping at the first violated entry, and leaves its probe loop
-only at a hit, so each hit reaches the oracle before the next draw.
-_random_candidates draws the candidates on the getrandbits stream of
-random.Random(seed), with the rejection rule and both sampling methods of
-CPython's sample and choice, so every candidate (and every report byte)
-is the one sample and choice give.  Over a field whose eigenvalue
-sequences fit the memo, random mode draws the mixed-radix codes of the
-same draws instead (_random_codes), and tests the first pattern entry,
-(0, 2), of each side by two lookups in the one table memoized per
-sequence (_theta_screen): the E side's in theta's table, the E* side's in
-theta*'s, at theta's code and at the code of phi reversed.  At GF(5),
-d = 4 about 24 in 25 candidates fail one of them and build nothing, and
-only the rest are read off per-(field, d) lists of every sequence and
-every phi (_code_lists) and probed.  Exhaustive mode
-solves for phi instead of enumerating it: per (theta, theta*) pair, the
-zero entries are linear equations in phi, solved by exact elimination, and
-their solutions are filtered for nonzero phi and nonzero corners.  The
-forms depend on one eigenvalue sequence alone (theta* and phi enter them
-linearly), so exhaustive mode reads them from a table memoized per
-sequence (_theta_forms), built once for each of the perm(q, d + 1)
-sequences from the unit-chain table and shared by every pair that
-sequence is in, on either side, and by the oracle's builds.
-Random mode reads the same tables when all perm(q, d + 1) sequences fit
-the memo (through a per-search dict), and otherwise evaluates the forms
-lazily (_probe_forms), because over a larger field almost every
-candidate brings new sequences; either source feeds the one probe loop
-(_pattern_probe).  Every
-probe hit, in either mode, is then re-verified by the axiom oracle
+division-free probe (_pattern_probe) that reads the one circular Hessenberg
+pattern (the CIRCULAR_HESSENBERG table of linalg._shape_pattern) the axiom
+oracle reads; each entry it tests is a linear form in theta* and phi, read
+off the eigenvectors of the split form's A.  Exhaustive mode solves for phi
+per (theta, theta*) pair (_solve_pair), from tables memoized per eigenvalue
+sequence (_theta_forms).  Random mode draws the candidates of
+random.Random(seed).sample and choice (_random_candidates).  Over a field
+whose perm(q, d + 1) eigenvalue sequences fit the memo it draws their codes
+instead (_random_codes) and reads tables built once per (field, d)
+(_code_tables); otherwise it evaluates the forms lazily (_probe_forms).
+Every probe hit, in either mode, is then re-verified by the axiom oracle
 (split_form_build, which only constructs, then verify_ch_axioms), which is
 authoritative and shares only the pattern's specification with the probe
 (the probe is exact, so a hit the oracle rejects is an internal
-contradiction and raises).  split_form_build hands each idempotent family
-over as its members' rank-one factors, and builds no matrix but A and A*;
-verify_ch_axioms checks each family's algebra and that it belongs to its
-matrix on those factors, trusting none of them, and decides every
-constrained product E_i A* E_j and E*_i A E*_j as one dot product.
-Hits that fail to be recurrent are counterexamples to the open conjecture
-that all such systems are recurrent: they are persisted as replayable JSON
-before any post-processing.
+contradiction and raises).  Hits that fail to be recurrent are
+counterexamples to the open conjecture that all such systems are
+recurrent: they are persisted as replayable JSON before any
+post-processing.
 """
 
 from __future__ import annotations
@@ -198,36 +166,10 @@ def _probe_forms(spec, theta, d):
     the memoized table, payload for payload.  Exhaustive mode meets each
     theta in many pairs and reads every entry, so it reads _theta_forms.
     Random mode reads it when all perm(q, d + 1) thetas of the field fit
-    the memo (_probe_hits decides once per search), so a search builds
-    each table at most once; otherwise almost every candidate brings a new
-    theta, whose whole table costs many times the entries the probe reads.
-    Random searches, 5 seeds x 4,000 trials, best of 5, twice per tree on
-    a shared 2-CPU host (Python 3.11.7), lazy -> table: GF(5), d = 4
-    0.17-0.18 -> 0.09-0.13 s; GF(5), d = 3 0.22 -> 0.13-0.20 s.  Over
-    GF(9), d = 5, GF(13), d = 4 and GF(101), d = 3 and 6 the table was
-    1.1-8x slower, so those fields stay lazy.  Drawing theta and theta* by
-    index, reading the tables through a per-search dict and
-    yielding only at hits then took the same searches, alternated with the
-    previous code in one process (CPU time, fastest of 20 rounds, twice),
-    from 0.091-0.096 to 0.067-0.075 s on GF(5), d = 4 and from
-    0.135-0.154 to 0.110-0.123 s on GF(5), d = 3; on the lazy GF(7) and
-    GF(13), d = 4 neither code was faster (1 seed x 4,000 trials, 80
-    rounds: the same 10th-percentile time, faster in 37/80 and 40/80).
-    Fusing each entry into one form and drawing phi by index then took
-    20 GF(5), d = 4 searches of 4,000 trials (CPU time, best of 8, 5
-    alternated processes per tree, same host) from 0.263-0.284 to
-    0.218-0.234 s.  Drawing codes and rejecting at the first entry by two
-    lookups (_theta_screen) then took the same 20 searches, the two trees
-    loaded side by side in one process and alternated (CPU time, fastest
-    of 20 rounds), from 0.239 to 0.170 s, and 20 GF(5), d = 3 searches
-    from 0.390 to 0.320 s; on the lazy GF(7) and GF(13), d = 4 (5 seeds
-    x 4,000 trials, which run the same code) it was faster in 23/40
-    rounds on GF(7), and in 17/40 and 39/60 on GF(13).  Screening the E*
-    side's first entry from theta*'s same table, before anything is
-    built, then took 20 GF(5), d = 4 searches of 4,000 trials (CPU time,
-    best of 7, 3 alternated processes per tree) from 0.150-0.154 to
-    0.125-0.132 s, and 1 in 25 of their candidates reach the probe, not
-    1 in 5.
+    the memo (_probe_hits decides once per search, and _code_tables builds
+    the tables once per (field, d)); otherwise almost every candidate
+    brings a new theta, whose whole table costs many times the entries the
+    probe reads.  CHANGES.md records the measurements behind both choices.
     """
     sub, mul, one, zero = spec.sub, spec.mul, spec.one, spec.zero
     for i, j, must_zero in _upper_pattern(d + 1):
@@ -336,9 +278,10 @@ def _probe_hits(cfg: SearchConfig):
     rest: the loop over candidates is left only at a hit, which still
     reaches the oracle (and, if it is a counterexample, the report file)
     before the next draw.  Where the field's perm(q, d + 1) eigenvalue
-    sequences fit the memo, random mode draws codes (_random_codes), and
-    only the candidates whose first pattern entry passes the screen
-    (_theta_screen) on both sides are built and probed."""
+    sequences fit the memo, random mode draws codes (_random_codes) and
+    reads its tables with one lookup (_code_tables), and only the
+    candidates whose first pattern entry passes the screen on both sides
+    are built and probed."""
     spec = cfg.spec
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
@@ -354,12 +297,7 @@ def _probe_hits(cfg: SearchConfig):
                 ]
         return
     if math.perm(spec.order, d + 1) <= _MEMO_SIZE:
-        samples, phis, rev = _code_lists(tuple(elems), tuple(nonzero), d)
-        # _theta_screen and _theta_forms read once per search, into a list
-        # by code and a dict by theta: their lru key (spec, theta) hashes
-        # the frozen field spec in Python
-        screens = [_theta_screen(spec, th) for th in samples]
-        forms = dict(zip(samples, map(functools.partial(_theta_forms, spec), samples)))
+        samples, phis, rev, forms, screens = _code_tables(spec, d)
         probe = _pattern_probe(spec, forms.__getitem__)
         passed = ((i, (samples[c], samples[cs], phis[f])) for i, c, cs, f in _random_codes(
             cfg.seed, len(elems), len(nonzero), d, cfg.trials, screens, rev))
@@ -395,46 +333,60 @@ def _pool_sample(elems, bounds, draw) -> tuple:
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _code_lists(elems: tuple, nonzero: tuple, d: int) -> tuple:
-    """(samples, phis, rev): every sample of d + 1 of elems and every phi,
-    each at the mixed-radix code of its draws (see _random_candidates),
-    and rev[f], the code of phis[f] reversed.  samples is the pool rule
-    run on every digit tuple, in code order, and phis is
-    product(nonzero, repeat=d).  Built on first use, once per (field, d)
-    while the memo keeps it."""
+def _code_tables(spec, d: int) -> tuple:
+    """(samples, phis, rev, forms, screens): random mode's tables over a
+    field whose perm(q, d + 1) eigenvalue sequences fit the memo, built on
+    first use, once per (field, d) while the memo keeps them.
+
+    samples and phis hold every sample of d + 1 elements and every phi at
+    the mixed-radix code of its draws (see _random_candidates and
+    _random_codes).  A sample's accepted draws j_0..j_{k-1} (k = d + 1, all
+    by the pool method, since with k >= 4 the sequences fit the memo only
+    for n <= 5 elements) fold into ((j_0 b_1 + j_1) b_2 + ...) b_{k-1} +
+    j_{k-1} with b_i = n - i, and samples is the pool rule run on every
+    digit tuple in code order, so code -> samples[code] is the pool
+    method's bijection onto the perm(n, k) sequences.  phi's d accepted
+    choice draws, each below m nonzero elements, fold into ((j_1 m + j_2) m
+    + ...) m + j_d, and phis is product(nonzero, repeat=d), whose code-th
+    tuple is (nonzero[j_1], ..., nonzero[j_d]).  rev[f] is the code of
+    phis[f] reversed.  forms maps each sequence to its _theta_forms table,
+    in a dict, because the lru key (spec, theta) hashes the frozen field
+    spec in Python; screens[c] is samples[c]'s first-entry screen
+    (_theta_screen)."""
+    elems = tuple(spec.element_payloads())
+    nonzero = tuple(e for e in elems if not spec.is_zero(e))
     bounds = _sample_bounds(len(elems), d + 1)
     samples = tuple(_pool_sample(elems, bounds, lambda width, it=iter(js): next(it))
                     for js in itertools.product(*(range(b) for b, _ in bounds)))
     phis = tuple(itertools.product(nonzero, repeat=d))
     code = {ph: f for f, ph in enumerate(phis)}
-    return samples, phis, tuple(code[ph[::-1]] for ph in phis)
+    forms = {th: _theta_forms(spec, th) for th in samples}
+    screens = tuple(_theta_screen(spec, forms[th][0][1], samples, nonzero) for th in samples)
+    return samples, phis, tuple(code[ph[::-1]] for ph in phis), forms, screens
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _theta_screen(spec, theta: tuple) -> tuple:
-    """The first entry of theta's forms, (0, 2), which must be zero for
-    every d >= 3, tabulated over the field's code lists (_code_lists) as
-    (consts, lins): consts[c] = vu . samples[c] and lins[f] = -(coeffs .
-    phis[f]), the constant/coefficient split of _solve_pair.  So the
-    entry of (theta, samples[c], phis[f]) is zero exactly when consts[c]
-    == lins[f] (payloads are canonical), and a candidate that fails this
-    equality fails the probe.  The same table screens the E* side: the
-    dual_form of theta's first entry is vu || reversed(coeffs), so for a
-    candidate (samples[c'], theta, phis[f]) its dual_form . (samples[c'] ||
-    phis[f]) is zero exactly when consts[c'] == lins[rev[f]].  lins is
-    summed coordinate by coordinate in the code order of phis, from one
-    row of products -(coeffs[t] x) per position, so it costs m + m^2 + ...
-    + m^d additions over m nonzero elements, not m^d dot products.
-    Memoized like _theta_forms, whose first entry it reads."""
-    d, elems = len(theta) - 1, tuple(spec.element_payloads())
-    nonzero = tuple(e for e in elems if not spec.is_zero(e))
-    form = _theta_forms(spec, theta)[0][1]
-    vu, coeffs = form[:d + 1], form[d + 1:]
+def _theta_screen(spec, form, samples, nonzero) -> tuple:
+    """The first entry of a theta's forms, (0, 2), which must be zero for
+    every d >= 3, from its form = vu || coeffs, tabulated over the code
+    lists of _code_tables as (consts, lins): consts[c] = vu . samples[c]
+    and lins[f] = -(coeffs . phis[f]), the constant/coefficient split of
+    _solve_pair.  So the entry of (theta, samples[c], phis[f]) is zero
+    exactly when consts[c] == lins[f] (payloads are canonical), and a
+    candidate that fails this equality fails the probe.  The same table
+    screens the E* side: the dual_form of theta's first entry is vu ||
+    reversed(coeffs), so for a candidate (samples[c'], theta, phis[f]) its
+    dual_form . (samples[c'] || phis[f]) is zero exactly when consts[c'] ==
+    lins[rev[f]].  lins is summed coordinate by coordinate in the code
+    order of phis, from one row of products -(coeffs[t] x) per position, so
+    it costs m + m^2 + ... + m^d additions over m nonzero elements, not m^d
+    dot products."""
+    k = len(samples[0])
+    vu, coeffs = form[:k], form[k:]
     lins = (spec.zero,)
     for a in coeffs:
         row = [spec.neg(spec.mul(a, x)) for x in nonzero]
         lins = [spec.add(s, r) for s in lins for r in row]
-    return tuple(spec.dot(vu, s) for s in _code_lists(elems, nonzero, d)[0]), tuple(lins)
+    return tuple(spec.dot(vu, s) for s in samples), tuple(lins)
 
 
 def _random_codes(seed, n, m, d, trials, screens, rev):
@@ -447,7 +399,7 @@ def _random_codes(seed, n, m, d, trials, screens, rev):
     candidate whose first pattern entry passes the screen on both sides:
     on the E side in theta's screen, screens[c] = (consts, lins) with
     consts[c*] == lins[f], then on the E* side in theta*'s, with
-    consts[c] == lins[rev[f]] (rev from _code_lists; see _theta_screen).
+    consts[c] == lins[rev[f]] (see _code_tables and _theta_screen).
     The rest build nothing."""
     getrandbits = random.Random(seed).getrandbits
     bounds, width = _sample_bounds(n, d + 1), m.bit_length()
@@ -489,28 +441,11 @@ def _random_candidates(seed, elems, nonzero, d, trials):
     set of selected indices otherwise (each draw is below n, redrawn while
     already selected).  setsize is sample's: 21, plus 4 ** ceil(log(3k, 4))
     when k > 5.  Bounds, widths and the method are fixed once per search.
-
-    When the perm(n, k) sequences fit the memo (with k >= 4 that means
-    n <= 5, so the pool method applies), the draws are _random_codes's: a
-    sample's accepted draws j_0..j_{k-1} fold into the mixed-radix code
-    ((j_0 b_1 + j_1) b_2 + ...) b_{k-1} + j_{k-1} with b_i = n - i, and
-    the sample is samples[code], from _code_lists, the pool rule run on
-    every code in code order, so the code -> sample map is the pool
-    method's bijection onto the perm(n, k) sequences.  phi's d accepted
-    choice draws, each below m = len(nonzero), fold into ((j_1 m + j_2) m
-    + ...) m + j_d, and phi is phis[code], the code-th tuple of
-    product(nonzero, repeat=d), (nonzero[j_1], ..., nonzero[j_d]).  Here
-    every screen passes, so this is every candidate; random mode's search
-    draws the same codes and screens them (_probe_hits).
+    Over a field whose perm(n, k) sequences fit the memo, random mode's
+    search draws the same words as codes (_random_codes); this draw is the
+    independent reference for that path.
     """
     n, k, m = len(elems), d + 1, len(nonzero)
-    if math.perm(n, k) <= _MEMO_SIZE:
-        samples, phis, rev = _code_lists(tuple(elems), tuple(nonzero), d)
-        # the screen of zeros, which every candidate passes
-        passing = [((0,) * len(samples), (0,) * len(phis))] * len(samples)
-        for _, c, cs, f in _random_codes(seed, n, m, d, trials, passing, rev):
-            yield samples[c], samples[cs], phis[f]
-        return
     getrandbits = random.Random(seed).getrandbits
     setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
     phi_bounds = [(m, m.bit_length())] * d

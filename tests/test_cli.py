@@ -551,6 +551,22 @@ def test_malformed_json_is_usage_error(tmp_path, capsys, command, doc):
     assert "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("generator", ["a+b", 7])
+def test_extension_generator_not_a_name_is_usage_error(tmp_path, capsys, generator):
+    """An extension field whose generator is not an identifier renders
+    elements (1+0*a+b, 1+0*7) that do not read back as written: verify
+    refuses the array, with its entries written in that rendering, by exit
+    2 and an error line that names the generator."""
+    field = {"kind": "extension", "base": _GF5, "modulus": ["2", "0", "1"],
+             "generator": generator}
+    doc = {key: [f"{x}+0*{generator}" for x in seq] for key, seq in _W5_SEQS.items()}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, "field": field}))
+    code, stdout, err = run(capsys, "verify", "--in", str(bad))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error:") and "generator" in err
+
 def _eye(n, field=_GF5, cols=None):
     cols = n if cols is None else cols
     return {"field": field, "rows": n, "cols": cols,

@@ -158,6 +158,15 @@ def test_field_json_prime_needs_integer(p):
         field_from_json({"kind": "prime", "p": p})
 
 
+
+@pytest.mark.parametrize("generator", ["a+b", 7, "", None])
+def test_field_json_extension_generator_must_be_a_name(generator):
+    """An extension's generator names it in every rendered element, so only
+    an identifier reads back."""
+    with pytest.raises(ParseError):
+        field_from_json({"kind": "extension", "base": {"kind": "prime", "p": 5},
+                         "modulus": ["2", "0", "1"], "generator": generator})
+
 def _gf16():
     """GF(16) as the tower GF(4)[s]/(s^2 + s + w)."""
     gf4 = field_from_string("ext:gf:2:1,1,1")

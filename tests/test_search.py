@@ -37,7 +37,7 @@ from circhess.errors import (
     UnsupportedFieldError,
 )
 from circhess.search import (
-    _code_lists,
+    _code_tables,
     _probe_forms,
     _probe_hits,
     _random_candidates,
@@ -45,7 +45,6 @@ from circhess.search import (
     _solve_pair,
     _split_pattern_probe,
     _theta_forms,
-    _theta_screen,
     _upper_pattern,
 )
 from circhess.systems import _MEMO_SIZE, _unit_chain_eigenvectors
@@ -253,7 +252,9 @@ def test_samples_by_index_are_the_pool_rule(monkeypatch, field, d):
     so none is rejected), theta runs through the perm(q, d + 1) sequences
     once each, and each equals what CPython's sample makes of the same
     digits; phi runs through product(nonzero, repeat=d) once each, in that
-    order, and each equals d of CPython's choice on the same digits."""
+    order, and each equals d of CPython's choice on the same digits.  The
+    digits go through _random_codes, with a screen every candidate passes,
+    and are read off the lists of _code_tables."""
     spec = field_from_string(field)
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
@@ -270,7 +271,11 @@ def test_samples_by_index_are_the_pool_rule(monkeypatch, field, d):
     search_mod = importlib.import_module("circhess.search")
     monkeypatch.setattr(search_mod, "random", SimpleNamespace(
         Random=lambda seed: _ScriptedRandom(script)))
-    got = list(_random_candidates(0, elems, nonzero, d, trials))
+    samples, phi_list, rev, _, _ = _code_tables(spec, d)
+    # the screen of zeros, which every candidate passes
+    passing = [((0,) * len(samples), (0,) * len(phi_list))] * len(samples)
+    got = [(samples[c], samples[cs], phi_list[f]) for _, c, cs, f in _random_codes(
+        0, n, len(nonzero), d, trials, passing, rev)]
     thetas = [th for th, _, _ in got[:len(codes)]]
     assert thetas == [tuple(_ScriptedRandom(digits).sample(elems, k)) for digits in codes]
     assert set(thetas) == set(itertools.permutations(elems, k))
@@ -673,13 +678,13 @@ def test_first_entry_screen_is_exact(field, d, sample):
     spec = field_from_string(field)
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
-    samples, phis, _ = _code_lists(tuple(elems), tuple(nonzero), d)
+    samples, phis, _, _, screens = _code_tables(spec, d)
     assert _upper_pattern(d + 1)[0] == (0, 2, True)
     triples = _code_triples(f"screen/{field}/{d}", len(samples), len(phis), sample)
     outcomes = set()
     for c, cs, f in triples:
         th, ths, ph = samples[c], samples[cs], phis[f]
-        consts, lins = _theta_screen(spec, th)
+        consts, lins = screens[c]
         passes = consts[cs] == lins[f]
         _, form, _ = next(_probe_forms(spec, th, d))
         assert passes == spec.is_zero(spec.dot(form, ths + ph))
@@ -713,17 +718,17 @@ def test_dual_first_entry_lookup_is_exact(field, d, sample):
     spec = field_from_string(field)
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
-    samples, phis, rev = _code_lists(tuple(elems), tuple(nonzero), d)
+    samples, phis, rev, _, screens = _code_tables(spec, d)
     assert all(phis[rev[f]] == phis[f][::-1] for f in range(len(phis)))
     assert all(rev[rev[f]] == f for f in range(len(phis)))
     outcomes = set()
     for c, cs, f in _code_triples(f"dual-screen/{field}/{d}", len(samples), len(phis), sample):
         th, ths, ph = samples[c], samples[cs], phis[f]
-        consts, lins = _theta_screen(spec, ths)
+        consts, lins = screens[cs]
         passes = consts[c] == lins[rev[f]]
         _, _, dual_form = next(_probe_forms(spec, ths, d))
         assert passes == spec.is_zero(spec.dot(dual_form, th + ph))
-        consts, lins = _theta_screen(spec, th)
+        consts, lins = screens[c]
         if not (passes and consts[cs] == lins[f]):
             assert not _split_pattern_probe(spec, th, ths, ph, d)
         outcomes.add(passes)
@@ -739,11 +744,11 @@ def test_theta_screen_equals_dot_definition(field, d):
     spec = field_from_string(field)
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
-    samples, phis, _ = _code_lists(tuple(elems), tuple(nonzero), d)
-    for th in samples:
+    samples, phis, _, _, screens = _code_tables(spec, d)
+    for th, screen in zip(samples, screens):
         _, form, _ = next(_probe_forms(spec, th, d))
         vu, coeffs = form[:d + 1], form[d + 1:]
-        assert _theta_screen(spec, th) == (
+        assert screen == (
             tuple(spec.dot(vu, s) for s in samples),
             tuple(spec.neg(spec.dot(coeffs, ph)) for ph in phis))
 
@@ -757,8 +762,7 @@ def test_random_codes_yield_the_screened_candidates(field, d):
     spec = field_from_string(field)
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
-    samples, phis, rev = _code_lists(tuple(elems), tuple(nonzero), d)
-    screens = [_theta_screen(spec, th) for th in samples]
+    samples, phis, rev, _, screens = _code_tables(spec, d)
     for seed in range(5):
         got = [(i, (samples[c], samples[cs], phis[f])) for i, c, cs, f in _random_codes(
             seed, len(elems), len(nonzero), d, 500, screens, rev)]
@@ -770,33 +774,52 @@ def test_random_codes_yield_the_screened_candidates(field, d):
 
 
 def test_random_search_reads_tables_when_theta_space_fits(gf5, gf7):
-    """Random mode reads the per-theta tables and the first-entry screens
-    exactly when every eigenvalue sequence of the field fits the memo: a
-    GF(5), d = 4 search builds at most perm(5, 5) = 120 of each and one
-    code list, and a repeat builds none, while GF(7), d = 4 (perm(7, 5) =
-    2,520 > _MEMO_SIZE) keeps the lazy forms and builds none.  Importing
-    the module builds no screen and no code list."""
+    """Random mode reads its tables from one memo per (field, d) exactly
+    when every eigenvalue sequence of the field fits the memo: a GF(5),
+    d = 4 search builds the perm(5, 5) = 120 per-theta tables and one set
+    of code tables, and a repeat builds none, nor does a GF(7), d = 4
+    search (perm(7, 5) = 2,520 > _MEMO_SIZE), which keeps the lazy forms.
+    Importing the module builds no tables."""
     assert math.perm(5, 5) <= _MEMO_SIZE < math.perm(7, 5)
-    memos = (_theta_forms, _theta_screen, _code_lists)
-    for memo in memos:
-        memo.cache_clear()
-        assert memo.cache_info().maxsize == _MEMO_SIZE
+    assert _code_tables.cache_info().maxsize == _theta_forms.cache_info().maxsize == _MEMO_SIZE
+    _theta_forms.cache_clear()
+    _code_tables.cache_clear()
+
+    def misses():
+        return _theta_forms.cache_info().misses, _code_tables.cache_info().misses
+
     cfg = SearchConfig(gf5, 4, "random", seed=3, trials=2000)
     search(cfg)
-    misses = [memo.cache_info().misses for memo in memos]
-    assert 1 <= misses[0] <= math.perm(5, 5) and 1 <= misses[1] <= math.perm(5, 5)
-    assert misses[2] == 1
+    assert misses() == (math.perm(5, 5), 1)
     search(cfg)
-    assert [memo.cache_info().misses for memo in memos] == misses
     search(SearchConfig(gf7, 4, "random", seed=3, trials=2000))
-    assert [memo.cache_info().misses for memo in memos] == misses
+    assert misses() == (math.perm(5, 5), 1)
     src = Path(importlib.import_module("circhess").__file__).parents[1]
     out = subprocess.run(
         [sys.executable, "-c", "import importlib; s = importlib.import_module("
-         "'circhess.search'); print(s._theta_screen.cache_info().currsize, "
-         "s._code_lists.cache_info().currsize)"],
+         "'circhess.search'); print(s._code_tables.cache_info().currsize, "
+         "s._theta_forms.cache_info().currsize)"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["0", "0"]
+
+
+def test_code_tables_outlive_theta_forms_eviction(gf5, gf7):
+    """The code tables hold their per-theta forms: once 300 GF(7), d = 3
+    sequences have passed through _theta_forms, which keeps the _MEMO_SIZE
+    = 256 most recent, no GF(5) table is left there, and a GF(5), d = 4
+    search still gives the report bytes it gave before, building
+    nothing."""
+    cfg = SearchConfig(gf5, 4, "random", seed=2, trials=4000)
+    before = search(cfg)
+    assert before.ch_systems_found == 3
+    for th in itertools.islice(itertools.permutations(range(7), 4), 300):
+        _theta_forms(gf7, th)
+    misses = _theta_forms.cache_info().misses, _code_tables.cache_info().misses
+    assert search(cfg).to_bytes() == before.to_bytes()
+    assert (_theta_forms.cache_info().misses, _code_tables.cache_info().misses) == misses
+    for th in _code_tables(gf5, 4)[0]:
+        _theta_forms(gf5, th)
+    assert _theta_forms.cache_info().misses == misses[0] + math.perm(5, 5)
 
 
 def test_exhaustive_gf5_full():

@@ -26,9 +26,10 @@ a raw pair (conjugated by a seeded invertible matrix) and swapped, whose
 eigenvalues come from root splitting in characteristic 2.  Then it records the report bytes of the
 GF(5) and GF(4), d = 3 exhaustive searches, and the report bytes of
 seeded random searches (seeds 1 and 2) on both of the random probe's
-paths.  On the table path,
-where the field's eigenvalue sequences all fit the per-sequence memo:
-GF(5), d = 3 and 4, and GF(4), d = 3, with 4,000 trials, and GF(5), d = 4
+paths.  On the table path, where the field's eigenvalue sequences all
+fit the per-sequence memo, and whose code lists, screens and per-sequence
+tables are built once per field and d: GF(5), d = 3 and 4, and GF(4),
+d = 3, with 4,000 trials, and GF(5), d = 4
 with 40,000 trials, whose seeds reach 15 and 18 hits (at 4,000 trials
 they reach 0 and 3).  On the lazy path, where they do not: GF(7), d = 3
 (31 and 25 hits) and GF(7), d = 4 (no CH system exists), with 4,000
