@@ -370,6 +370,9 @@ class QuotientExtension(FieldSpec):
         return super().__new__(cls)
 
     def __post_init__(self):
+        # elements render and parse by this name
+        if not (isinstance(self.gen, str) and self.gen.isidentifier()):
+            raise ParseError(f"extension generator must be an identifier, got {self.gen!r}")
         if self.deg < 2:
             raise ReducibleModulusError("modulus degree must be >= 2")
         if self.modulus[-1] != self.base.one:
@@ -1398,11 +1401,7 @@ def field_from_json(d: dict) -> FieldSpec:
             base_json, modulus = _json_fields(d, "base", "modulus")
             base = field_from_json(base_json)
             coeffs = tuple(base.parse(c) for c in modulus)
-            gen = d.get("generator", "t")
-            # elements render and parse by this name
-            if not (isinstance(gen, str) and gen.isidentifier()):
-                raise ParseError(f"extension generator must be an identifier, got {gen!r}")
-            return QuotientExtension(base, coeffs, gen)
+            return QuotientExtension(base, coeffs, d.get("generator", "t"))
     except (TypeError, ValueError, NotPrimeError, ReducibleModulusError) as e:
         raise ParseError(f"bad field JSON {d!r}: {e}") from e
     raise ParseError(f"bad field JSON {d!r}")

@@ -13,14 +13,16 @@ random.Random(seed).sample and choice (_random_candidates).  Over a field
 whose perm(q, d + 1) eigenvalue sequences fit the memo it draws their codes
 instead (_random_codes) and reads tables built once per (field, d)
 (_code_tables); otherwise it evaluates the forms lazily (_probe_forms).
-Every probe hit, in either mode, is then re-verified by the axiom oracle
-(split_form_build, which only constructs, then verify_ch_axioms), which is
-authoritative and shares only the pattern's specification with the probe
-(the probe is exact, so a hit the oracle rejects is an internal
-contradiction and raises).  Hits that fail to be recurrent are
-counterexamples to the open conjecture that all such systems are
-recurrent: they are persisted as replayable JSON before any
-post-processing.
+Each mode is one generator of units, (candidates examined, probe hits
+among them), in the mode table _UNITS: SEARCH_MODES (the CLI's --mode
+choices) and search()'s dispatch both read it.  Every probe hit, in either
+mode, is then re-verified by the axiom oracle (split_form_build, which
+only constructs, then verify_ch_axioms), which is authoritative and shares
+only the pattern's specification with the probe (the probe is exact, so a
+hit the oracle rejects is an internal contradiction and raises).  Hits
+that fail to be recurrent are counterexamples to the open conjecture that
+all such systems are recurrent: they are persisted as replayable JSON
+before any post-processing.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
     InternalContradictionError,
     NotCircularError,
     NotRecurrentError,
+    ParseError,
     UnknownSearchModeError,
     UnsupportedFieldError,
 )
@@ -58,22 +61,25 @@ from .linalg import ShapeClass, Vector, _gauss_jordan, _shape_pattern
 
 DEFAULT_EXHAUSTIVE_CAP = 10_000_000
 DEFAULT_RANDOM_TRIALS = 100_000
-SEARCH_MODES = ("exhaustive", "random")
 
 
 @dataclass
 class SearchConfig:
     spec: FieldSpec
     d: int
-    mode: str  # "exhaustive" | "random"
+    mode: str  # one of SEARCH_MODES
     seed: int = 0
     trials: int = DEFAULT_RANDOM_TRIALS
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
     report_path: str | None = None
 
     def to_json(self) -> dict:
+        try:
+            field_doc = field_to_string(self.spec)
+        except ParseError:  # no descriptor string, as for a tower
+            field_doc = self.spec.to_json()
         return {
-            "field": field_to_string(self.spec),
+            "field": field_doc,
             "d": self.d,
             "mode": self.mode,
             "seed": self.seed if self.mode == "random" else None,
@@ -166,7 +172,7 @@ def _probe_forms(spec, theta, d):
     the memoized table, payload for payload.  Exhaustive mode meets each
     theta in many pairs and reads every entry, so it reads _theta_forms.
     Random mode reads it when all perm(q, d + 1) thetas of the field fit
-    the memo (_probe_hits decides once per search, and _code_tables builds
+    the memo (_random_units decides once per search, and _code_tables builds
     the tables once per (field, d)); otherwise almost every candidate
     brings a new theta, whose whole table costs many times the entries the
     probe reads.  CHANGES.md records the measurements behind both choices.
@@ -262,40 +268,43 @@ def _solve_pair(spec, theta, theta_star, d, nonzero) -> list:
     return hits
 
 
-def _exhaustive_count(order: int, d: int) -> int:
-    n = d + 1
-    if order < n:
-        return 0
-    perms = math.perm(order, n)
-    return perms * perms * (order - 1) ** d
-
-
-def _probe_hits(cfg: SearchConfig):
-    """The search space as (candidates examined, probe hits among them):
-    one (theta, theta*) pair at a time in exhaustive mode, in lexicographic
-    (theta, theta*, phi) order.  In random mode, one yield per hit, with
-    the candidates drawn since the last one, and a final yield of the
-    rest: the loop over candidates is left only at a hit, which still
-    reaches the oracle (and, if it is a counterexample, the report file)
-    before the next draw.  Where the field's perm(q, d + 1) eigenvalue
-    sequences fit the memo, random mode draws codes (_random_codes) and
-    reads its tables with one lookup (_code_tables), and only the
-    candidates whose first pattern entry passes the screen on both sides
-    are built and probed."""
-    spec = cfg.spec
+def _elements(spec) -> tuple:
+    """(elems, nonzero): the field's payloads in element_payloads order,
+    and those of its nonzero elements."""
     elems = list(spec.element_payloads())
-    nonzero = [e for e in elems if not spec.is_zero(e)]
-    d = cfg.d
+    return elems, [e for e in elems if not spec.is_zero(e)]
+
+
+def _exhaustive_units(cfg: SearchConfig):
+    """Exhaustive mode's units of the search, (candidates examined, probe
+    hits among them): one per (theta, theta*) pair, in lexicographic
+    (theta, theta*, phi) order.  The space of perm(q, d + 1)^2 (q - 1)^d
+    candidates is refused above the cap before the field is enumerated, so
+    a field too large to list is refused at once."""
+    spec, d, q = cfg.spec, cfg.d, cfg.spec.order
+    per_pair = (q - 1) ** d
+    count = math.perm(q, d + 1) ** 2 * per_pair
+    if count > cfg.exhaustive_cap:
+        raise BudgetExceededError(f"exhaustive count {count} exceeds cap {cfg.exhaustive_cap}")
+    elems, nonzero = _elements(spec)
+    for th in itertools.permutations(elems, d + 1):
+        for ths in itertools.permutations(elems, d + 1):
+            yield per_pair, [(th, ths, ph) for ph in _solve_pair(spec, th, ths, d, nonzero)]
+
+
+def _random_units(cfg: SearchConfig):
+    """Random mode's units of the search: one yield per probe hit, with the
+    candidates drawn since the last one, and a final yield of the rest:
+    the loop over candidates is left only at a hit, which still reaches
+    the oracle (and, if it is a counterexample, the report file) before
+    the next draw.  Where the field's perm(q, d + 1) eigenvalue sequences
+    fit the memo, it draws codes (_random_codes) and reads its tables with
+    one lookup (_code_tables), and only the candidates whose first pattern
+    entry passes the screen on both sides are built and probed."""
+    spec, d = cfg.spec, cfg.d
     if spec.order < d + 1:
-        return  # no d + 1 distinct eigenvalues exist: both spaces are empty
-    if cfg.mode == "exhaustive":
-        per_pair = len(nonzero) ** d
-        for th in itertools.permutations(elems, d + 1):
-            for ths in itertools.permutations(elems, d + 1):
-                yield per_pair, [
-                    (th, ths, ph) for ph in _solve_pair(spec, th, ths, d, nonzero)
-                ]
-        return
+        return  # no d + 1 distinct eigenvalues exist: the space is empty
+    elems, nonzero = _elements(spec)
     if math.perm(spec.order, d + 1) <= _MEMO_SIZE:
         samples, phis, rev, forms, screens = _code_tables(spec, d)
         probe = _pattern_probe(spec, forms.__getitem__)
@@ -310,6 +319,10 @@ def _probe_hits(cfg: SearchConfig):
             yield i - last, [c]
             last = i
     yield max(cfg.trials, 0) - last, ()
+
+
+_UNITS = {"exhaustive": _exhaustive_units, "random": _random_units}
+SEARCH_MODES = tuple(_UNITS)
 
 
 def _sample_bounds(n, k) -> list:
@@ -353,8 +366,7 @@ def _code_tables(spec, d: int) -> tuple:
     in a dict, because the lru key (spec, theta) hashes the frozen field
     spec in Python; screens[c] is samples[c]'s first-entry screen
     (_theta_screen)."""
-    elems = tuple(spec.element_payloads())
-    nonzero = tuple(e for e in elems if not spec.is_zero(e))
+    elems, nonzero = _elements(spec)
     bounds = _sample_bounds(len(elems), d + 1)
     samples = tuple(_pool_sample(elems, bounds, lambda width, it=iter(js): next(it))
                     for js in itertools.product(*(range(b) for b, _ in bounds)))
@@ -492,15 +504,9 @@ def search(cfg: SearchConfig) -> SearchReport:
         raise UnsupportedFieldError("search requires a finite field")
     if cfg.d < 3:
         raise DimensionMismatchError("search needs d >= 3")
-    if cfg.mode == "exhaustive":
-        count = _exhaustive_count(spec.order, cfg.d)
-        if count > cfg.exhaustive_cap:
-            raise BudgetExceededError(
-                f"exhaustive count {count} exceeds cap {cfg.exhaustive_cap}"
-            )
     report = SearchReport(config=cfg.to_json())
     histogram: dict[str, int] = {}
-    for examined, hits in _probe_hits(cfg):
+    for examined, hits in _UNITS[cfg.mode](cfg):
         report.candidates_examined += examined
         for th, ths, ph in hits:
             params = ParameterArray._trusted(spec, th, ths, ph)

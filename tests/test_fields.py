@@ -167,6 +167,18 @@ def test_field_json_extension_generator_must_be_a_name(generator):
         field_from_json({"kind": "extension", "base": {"kind": "prime", "p": 5},
                          "modulus": ["2", "0", "1"], "generator": generator})
 
+
+@pytest.mark.parametrize("generator", ["a+b", 7, "", None, "x y"])
+def test_extension_generator_must_be_a_name_at_construction(generator):
+    """Every route to an extension checks its generator's name once, at
+    construction: quotient_extension(GF(5), x^2 + 2, gen="a+b") would
+    render its one as 1+0*a+b, which its own parse rejects."""
+    with pytest.raises(ParseError, match="generator must be an identifier"):
+        quotient_extension(prime_field(5), [2, 0, 1], gen=generator)
+    with pytest.raises(ParseError, match="generator must be an identifier"):
+        cyclotomic_field(5, gen=generator)
+
+
 def _gf16():
     """GF(16) as the tower GF(4)[s]/(s^2 + s + w)."""
     gf4 = field_from_string("ext:gf:2:1,1,1")

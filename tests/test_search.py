@@ -22,9 +22,11 @@ from circhess import (
     SearchConfig,
     SearchReport,
     family_generate,
+    field_from_json,
     field_from_string,
     iter_family_instances,
     prime_field,
+    quotient_extension,
     recurrence_status,
     replay,
     search,
@@ -38,8 +40,8 @@ from circhess.errors import (
 )
 from circhess.search import (
     _code_tables,
+    _exhaustive_units,
     _probe_forms,
-    _probe_hits,
     _random_candidates,
     _random_codes,
     _solve_pair,
@@ -375,6 +377,40 @@ def test_exhaustive_budget_gate(gf5):
         search(SearchConfig(gf5, 3, "exhaustive", exhaustive_cap=100))
 
 
+def test_exhaustive_budget_refuses_before_any_unit(tmp_path):
+    """The cap refuses with the space's count, before any unit is examined
+    or any file written: an empty space (GF(3), d = 3) counts 0."""
+    with pytest.raises(BudgetExceededError, match=r"^exhaustive count 0 exceeds cap -1$"):
+        search(SearchConfig(prime_field(3), 3, "exhaustive", exhaustive_cap=-1))
+    path = tmp_path / "report.json"
+    with pytest.raises(BudgetExceededError, match=r"^exhaustive count 921600 exceeds cap 100$"):
+        search(SearchConfig(prime_field(5), 3, "exhaustive", exhaustive_cap=100,
+                            report_path=str(path)))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exhaustive_budget_refuses_before_listing_the_field(monkeypatch):
+    """Over GF(10^9 + 9) the default cap refuses without enumerating the
+    field's elements, which would not fit in memory."""
+    spec = prime_field(10**9 + 9)
+    monkeypatch.setattr(type(spec), "element_payloads",
+                        lambda self: pytest.fail("the field was enumerated"))
+    with pytest.raises(BudgetExceededError):
+        search(SearchConfig(spec, 3, "exhaustive"))
+
+
+def test_search_over_a_tower(gf4):
+    """A field with no descriptor string, such as the tower GF(16) =
+    GF(4)[s]/(s^2 + s + w), is searched like any other, and its report
+    carries the field as its JSON document, which reads back."""
+    one = gf4.one_element()
+    spec = quotient_extension(gf4, [gf4.generator(), one, one], gen="s")
+    rep = search(SearchConfig(spec, 3, "random", seed=1, trials=4000))
+    assert (rep.candidates_examined, rep.ch_systems_found, rep.recurrent_count) == (4000, 1, 1)
+    assert rep.config["field"] == spec.to_json()
+    assert field_from_json(rep.config["field"]) == spec
+
+
 def test_search_needs_finite_field():
     from circhess import rationals
 
@@ -435,7 +471,7 @@ def test_solver_hits_equal_probe_hits_full_space(field):
     probe's hits, in the same order, and counts every candidate."""
     spec = field_from_string(field)
     examined, hits = 0, []
-    for n, pair_hits in _probe_hits(SearchConfig(spec, 3, "exhaustive")):
+    for n, pair_hits in _exhaustive_units(SearchConfig(spec, 3, "exhaustive")):
         examined += n
         hits += pair_hits
     assert examined == sum(1 for _ in _reference_candidates(spec, 3))
