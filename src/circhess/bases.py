@@ -17,9 +17,20 @@ inv_dual_split are split and dual_split reversed, so they share their
 ranks.  Each identity therefore holds exactly when the closed form equals
 the definitional solve X_a^-1 X_b or X^-1 A X, and no inverse is formed.
 Verifying those formulas is the point of this module, so nothing is
-trusted.  The displayed standard <-> inv_split transitions are the left and
-right eigenvectors of the split form's A (systems._bidiagonal_eigenvectors),
-the same vectors whose outer products are the split form's idempotents.
+trusted: every transition and represent call compares its own identity.
+The displayed standard <-> inv_split transitions are the left and right
+eigenvectors of the split form's A (systems._bidiagonal_eigenvectors), the
+same vectors whose outer products are the split form's idempotents.
+
+What the identities share is computed once per catalog and kept in it:
+each basis matrix X (inv_split and inv_dual_split are split's and
+dual_split's with the columns reversed), each basis's images (A X, A* X)
+(an inv_ basis reads its pair off split's or dual_split's by the same
+column reversal), each closed-form diagram edge, and each composed
+transition, which is the memoized transition to the last-but-one basis of
+its fixed path times that path's last edge, so every non-adjacent pair
+costs one product.  Nothing in these memos is trusted: a wrong edge makes
+every transition whose path crosses it fail its own check.
 
 Each dual-side basis is the primal one for the pair (A*, A), whose array is
 ParameterArray.dual() = (theta*; theta; phi reversed).  So every dual-side
@@ -103,13 +114,23 @@ class BasisCatalog:
     system: CHSystem
     vectors: dict
     scalars: NormalizationScalars
+    # basis name -> X, the basis vectors as columns
+    matrices: dict = field(repr=False, compare=False)
     # closed-form diagram edges (a, b) -> T, filled by _closed_transition
     edges: dict = field(default_factory=dict, repr=False, compare=False)
+    # composed closed forms (a, b) -> T, filled by _composed_transition
+    transitions: dict = field(default_factory=dict, repr=False, compare=False)
+    # basis name -> (A X, A* X), filled by _images
+    images: dict = field(default_factory=dict, repr=False, compare=False)
 
     def basis_matrix(self, name: str) -> Matrix:
         if name not in BASIS_NAMES:
             raise UnknownBasisError(f"unknown basis {name!r}")
-        return Matrix.from_columns(self.vectors[name])
+        return self.matrices[name]
+
+
+def _reverse_columns(m: Matrix) -> Matrix:
+    return Matrix(m.spec, [r[::-1] for r in m.rows])
 
 
 def _prod(spec, elems) -> FieldElement:
@@ -146,10 +167,14 @@ def build_basis_catalog(s: CHSystem, u_star: Vector | None = None):
         "dual_split": dual_split,
         "inv_dual_split": dual_split[::-1],
     }
-    # inv_split and inv_dual_split are the same columns reversed
+    matrices = {}
     for name in ("standard", "split", "dual_standard", "dual_split"):
-        if rank(Matrix.from_columns(vectors[name])) != d + 1:
+        x = matrices[name] = Matrix.from_columns(vectors[name])
+        if rank(x) != d + 1:
             raise IdentityCheckError(f"{name} vectors are not a basis")
+    # inv_split and inv_dual_split are the same columns reversed
+    for name in ("split", "dual_split"):
+        matrices["inv_" + name] = _reverse_columns(matrices[name])
 
     # standard[0] = E_0 u* and dual_standard[0] = E*_0 u
     epsilon = _proportionality(standard[0], u)  # = 1 by the gauge choice
@@ -163,11 +188,14 @@ def build_basis_catalog(s: CHSystem, u_star: Vector | None = None):
         raise IdentityCheckError(
             "epsilon * epsilon* disagrees with its closed product formula"
         )
-    tr = (s.E[0] * s.E_star[0]).trace()
-    if tr != prod:
+    # tr(E_0 E*_0) = sum_ij (E_0)_ij (E*_0)_ji, one dot of n^2 terms
+    e, e_star = s.E[0], s.E_star[0]
+    tr = s.spec.dot([x for r in e.rows for x in r],
+                    [x for c in zip(*e_star.rows) for x in c])
+    if tr != prod.payload:
         raise IdentityCheckError("tr(E_0 E*_0) != epsilon * epsilon*")
     scalars = NormalizationScalars(epsilon, epsilon_star, prod.inverse())
-    return BasisCatalog(s, vectors, scalars), scalars
+    return BasisCatalog(s, vectors, scalars, matrices), scalars
 
 
 # --- closed-form transitions -----------------------------------------------
@@ -245,12 +273,30 @@ _DIAGRAM_PATHS = {(a, b): tuple(_diagram_path(a, b))
                   for a in BASIS_NAMES for b in BASIS_NAMES}
 
 
+def _composed_transition(catalog: BasisCatalog, a: str, b: str) -> Matrix:
+    """The closed form of a -> b along the fixed diagram path: an edge
+    itself, else the composed form to the path's last-but-one basis times
+    the last edge, kept in catalog.transitions.  Breadth-first paths from
+    one source form a tree, so that prefix is the fixed path to the
+    last-but-one basis, and each composed pair costs one product."""
+    path = _DIAGRAM_PATHS[a, b]
+    if len(path) == 2:
+        return _closed_transition(catalog, a, b)
+    t = catalog.transitions.get((a, b))
+    if t is None:
+        t = catalog.transitions[a, b] = (_composed_transition(catalog, a, path[-2])
+                                         * _closed_transition(catalog, path[-2], b))
+    return t
+
+
 def transition(catalog: BasisCatalog, from_name: str, to_name: str) -> TransitionMatrix:
     """Transition matrix T with (to)_j = sum_i T_ij (from)_i.
 
     Adjacent pairs use the closed forms; other pairs compose along the
-    fixed diagram's path, found once per pair at import.  Every result is
-    checked against its defining identity X_from T = X_to on the bases.
+    fixed diagram's path, found once per pair at import, and each
+    composition is kept in the catalog (_composed_transition).  Every
+    call checks its result against the defining identity X_from T = X_to
+    on the bases.
     """
     for n in (from_name, to_name):
         if n not in BASIS_NAMES:
@@ -258,11 +304,7 @@ def transition(catalog: BasisCatalog, from_name: str, to_name: str) -> Transitio
     x = catalog.basis_matrix(from_name)
     if from_name == to_name:
         return TransitionMatrix(from_name, to_name, Matrix.identity(x.spec, x.ncols))
-    path = _DIAGRAM_PATHS[from_name, to_name]
-    t = None
-    for a, b in zip(path, path[1:]):
-        step = _closed_transition(catalog, a, b)
-        t = step if t is None else t * step
+    t = _composed_transition(catalog, from_name, to_name)
     if x * t != catalog.basis_matrix(to_name):
         raise IdentityCheckError(
             f"closed-form transition {from_name} -> {to_name} "
@@ -301,7 +343,8 @@ def represent(catalog: BasisCatalog, name: str) -> RepresentationPair:
     pair = _closed_representation(p, primal)
     b, b_star = pair[::-1] if dual else pair
     x = catalog.basis_matrix(name)
-    if x * b != s.A * x or x * b_star != s.A_star * x:
+    ax, a_star_x = _images(catalog, name)
+    if x * b != ax or x * b_star != a_star_x:
         raise IdentityCheckError(
             f"representation in {name} basis disagrees with its closed form"
         )
@@ -313,6 +356,21 @@ def represent(catalog: BasisCatalog, name: str) -> RepresentationPair:
             )
         _assert_row_sums(pair[1], p.theta_star[0])
     return RepresentationPair(name, b, b_star)
+
+
+def _images(catalog: BasisCatalog, name: str) -> tuple:
+    """(A X, A* X) for the named basis X, kept in catalog.images; an inv_
+    basis is its split basis with the columns reversed, and so are its
+    images."""
+    pair = catalog.images.get(name)
+    if pair is None:
+        if name.startswith("inv_"):
+            pair = tuple(map(_reverse_columns, _images(catalog, name[4:])))
+        else:
+            s, x = catalog.system, catalog.basis_matrix(name)
+            pair = s.A * x, s.A_star * x
+        catalog.images[name] = pair
+    return pair
 
 
 def _assert_row_sums(m: Matrix, value: FieldElement):

@@ -42,6 +42,7 @@ from .recurrence import (
     RecurrenceCase,
     _binom2_mod4,
     _case_basis,
+    _fit_basis,
     fit_closed_form,
     recurrence_status,
     select_case,
@@ -284,9 +285,13 @@ def classify_family(p: ParameterArray) -> Classification:
     additive gauge (a is a free shift absorbed into theta_0) is fixed by the
     closed-form fit from the first three terms; for the generic case both
     roots q, 1/q are acceptable and the first that regenerates the array under
-    the fixed enumeration order is kept.  Recovered data that violates its
-    family's hypotheses or fails to regenerate the array is an internal
-    contradiction.
+    the fixed enumeration order is kept.  Per root, the case basis rows
+    (d + 2 of them, enough for vartheta) and the inverse of their first
+    3 x 3 block are built once and shared by the three fits of theta,
+    theta* and vartheta; each fit still checks its own sequence's
+    recurrence, the root q and every term.  Recovered data that violates
+    its family's hypotheses or fails to regenerate the array is an
+    internal contradiction.
     """
     st = recurrence_status(p)
     if not st.recurrent:
@@ -306,12 +311,15 @@ def classify_family(p: ParameterArray) -> Classification:
         fit_spec, lifted, roots = p.spec, False, (None,)
     target = p.lift(fit_spec)
     beta_l = beta.lift(fit_spec)
+    vth_l = vartheta_from_array(target)
     last_error = None
     for q in roots:
-        ft = fit_closed_form(target.theta, beta_l, q=q)
-        fts = fit_closed_form(target.theta_star, beta_l, q=q)
+        # the d + 2 terms of vartheta cover theta's and theta*'s d + 1
+        basis = _fit_basis(case, fit_spec, q, p.d + 2)
+        ft = fit_closed_form(target.theta, beta_l, q=q, basis=basis)
+        fts = fit_closed_form(target.theta_star, beta_l, q=q, basis=basis)
         # the fit reproduces vartheta_0 = 0, so its constant term is implied
-        ftv = fit_closed_form(vartheta_from_array(target), beta_l, q=q)
+        ftv = fit_closed_form(vth_l, beta_l, q=q, basis=basis)
         fp = FamilyParameters(
             fam, fit_spec, p.d, *ft.alpha, *fts.alpha, *ftv.alpha[1:], q
         )

@@ -158,7 +158,7 @@ class FieldSpec:
         """Build a FieldElement from an int, Fraction, canonical string, or
         an existing element of this same field."""
         if isinstance(x, FieldElement):
-            if x.spec != self:
+            if x.spec is not self and x.spec != self:
                 raise MixedFieldsError(f"element of {x.spec} used in {self}")
             return x
         if isinstance(x, bool):
@@ -724,11 +724,11 @@ class RationalExtension(QuotientExtension):
 
     The arithmetic runs on the integer payloads alone and builds no
     Fraction: a sum or difference works on the numerators over the product
-    of the two denominators, dot (and mul, the dot of one pair) convolves
-    the numerators, each pair scaled to the lcm of its side's denominators,
-    and reduces by `_int_red_rows`, and each normalizes its result with one
-    gcd.  An inverse is fraction-free (Bareiss) Gauss-Jordan elimination on
-    the integer multiplication matrix.  Only the coefficient boundary
+    of the two denominators, dot convolves the numerators, each pair scaled
+    to the lcm of its side's denominators, mul convolves its one pair
+    unscaled, both reduce by `_int_red_rows`, and each normalizes its result
+    with one gcd.  An inverse is fraction-free (Bareiss) Gauss-Jordan
+    elimination on the integer multiplication matrix.  Only the coefficient boundary
     (from_coefficients, coefficients, parse, render) builds a Fraction.
     """
 
@@ -765,7 +765,16 @@ class RationalExtension(QuotientExtension):
         return tuple([-x for x in a[:-1]] + [a[-1]])
 
     def mul(self, a, b):
-        return self.dot((a,), (b,))
+        """dot of the one pair, with no lcm or scaling: over D_a D_b dm."""
+        k = self.deg
+        conv = [0] * (2 * k - 1)
+        y = b[:k]
+        for i in range(k):
+            xi = a[i]
+            if xi:
+                for j, yj in enumerate(y):
+                    conv[i + j] += xi * yj
+        return _qq_normal(self._int_reduce(conv), a[k] * b[k] * self._int_red_rows[0])
 
     def dot(self, xs, ys):
         """Sum of x * y over the pairs: one convolution of them all, then one

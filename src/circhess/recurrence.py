@@ -172,8 +172,11 @@ def _constant_gamma_rho(theta, beta):
 
 
 def _td_commutator(x: Matrix, y: Matrix, beta, gamma, rho) -> Matrix:
-    inner = x * x * y - (x * y * x).scale(beta) + y * x * x \
-        - (x * y + y * x).scale(gamma) - y.scale(rho)
+    """[x, x^2 y - beta x y x + y x^2 - gamma (x y + y x) - rho y], with
+    x y and y x formed once: 7 products, not 10."""
+    xy, yx = x * y, y * x
+    inner = x * xy - (xy * x).scale(beta) + yx * x \
+        - (xy + yx).scale(gamma) - y.scale(rho)
     return commutator(x, inner)
 
 
@@ -332,13 +335,33 @@ class RecurrenceClosedForm:
         return self.alpha[0] * f1 + self.alpha[1] * f2 + self.alpha[2] * f3
 
 
-def fit_closed_form(seq, beta, q=None) -> RecurrenceClosedForm:
+def _fit_basis(case: RecurrenceCase, spec: FieldSpec, q, n: int) -> tuple:
+    """(rows, inverse) for fitting a sequence of up to n terms in the
+    closed form of `case` over `spec` (with unit root q in the generic
+    case): rows[i] = (f1(i), f2(i), f3(i)) for i < n, and the inverse of
+    the 3 x 3 matrix of the first three rows, from which a fit solves its
+    coefficients."""
+    basis = _case_basis(case, spec, q)
+    rows = [basis(i) for i in range(n)]
+    try:
+        inverse = matrix_inverse(Matrix.from_elements(spec, rows[:3]))
+    except SingularError as e:
+        raise SingularBasisError(f"fit basis is singular: {e}") from e
+    return rows, inverse
+
+
+def fit_closed_form(seq, beta, q=None, basis=None) -> RecurrenceClosedForm:
     """Fit the case closed form to a beta-recurrent sequence.
 
-    The coefficients are solved from the first three terms and the fit is
-    then checked against every term.  For the generic case a root q of
-    x^2 - beta x + 1 is found (or supplied); if none exists in the field the
-    sequence is lifted into the quadratic extension.
+    The sequence is first checked to be beta-recurrent.  The coefficients
+    are solved from the first three terms and the fit is then checked
+    against every term.  For the generic case a root q of x^2 - beta x + 1
+    is found (or supplied, and then checked to be a root); if none exists
+    in the field the sequence is lifted into the quadratic extension.
+    `basis`, when given, is _fit_basis's (rows, inverse) for this case,
+    field and q with at least len(seq) rows, so that fits sharing it (as
+    classify_family's three do) build and invert it once; every check
+    above still runs per fit.
     """
     vals = list(seq)
     if len(vals) < 3:
@@ -361,24 +384,15 @@ def fit_closed_form(seq, beta, q=None) -> RecurrenceClosedForm:
     else:
         q = None
         fit_spec = spec
-    basis = _case_basis(case, fit_spec, q)
-    rows = [basis(i) for i in range(3)]
-    m = Matrix.from_elements(fit_spec, rows)
-    try:
-        alpha_vec = matrix_inverse(m) * Vector.from_elements(
-            fit_spec, [vals[0], vals[1], vals[2]]
-        )
-    except SingularError as e:
-        raise SingularBasisError(f"fit basis is singular: {e}") from e
-    form = RecurrenceClosedForm(
-        case, tuple(alpha_vec.entries()), q, fit_spec, lifted
-    )
+    rows, inverse = basis or _fit_basis(case, fit_spec, q, len(vals))
+    alpha = tuple((inverse * Vector.from_elements(fit_spec, vals[:3])).entries())
     for i, v in enumerate(vals):
-        if form.evaluate(i) != v:
+        f1, f2, f3 = rows[i]
+        if alpha[0] * f1 + alpha[1] * f2 + alpha[2] * f3 != v:
             raise SingularBasisError(
                 f"closed form fails to reproduce term {i}; basis degenerate"
             )
-    return form
+    return RecurrenceClosedForm(case, alpha, q, fit_spec, lifted)
 
 
 def recurrent_quotient(seq, beta, i: int, j: int, r: int, s: int) -> FieldElement:

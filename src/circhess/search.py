@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from .errors import (
     UnknownSearchModeError,
     UnsupportedFieldError,
 )
-from .fields import FieldSpec, JsonFields, field_to_string
+from .fields import FieldSpec, JsonFields, PrimeField, field_to_string
 from .recurrence import recurrence_status, td_witness, vartheta_from_array
 from .systems import (
     _MEMO_SIZE,
@@ -275,6 +276,37 @@ def _elements(spec) -> tuple:
     return elems, [e for e in elems if not spec.is_zero(e)]
 
 
+def _indexed_elements(spec) -> tuple:
+    """_elements's two sequences, indexed without listing the field: over
+    GF(p) the payload at index j is j, and over an extension it is the
+    tuple of the base payloads at j's base-|base| digits, most significant
+    first (element_payloads' lexicographic order).  Zero is at index 0,
+    so nonzero[j] is elems[j + 1]."""
+    if isinstance(spec, PrimeField):
+        return range(spec.p), range(1, spec.p)
+    return _IndexedPayloads(spec, 0), _IndexedPayloads(spec, 1)
+
+
+class _IndexedPayloads(Sequence):
+    """The payloads of a finite extension from index `start` on, in
+    element_payloads order, each computed when it is read."""
+
+    def __init__(self, spec, start):
+        self.spec, self.start, self.base = spec, start, _indexed_elements(spec.base)[0]
+
+    def __len__(self):
+        return self.spec.order - self.start
+
+    def __getitem__(self, j):
+        if not 0 <= j < len(self):
+            raise IndexError(j)
+        j, base, digits = j + self.start, self.base, []
+        for _ in range(self.spec.deg):
+            j, r = divmod(j, len(base))
+            digits.append(base[r])
+        return tuple(digits[::-1])
+
+
 def _exhaustive_units(cfg: SearchConfig):
     """Exhaustive mode's units of the search, (candidates examined, probe
     hits among them): one per (theta, theta*) pair, in lexicographic
@@ -300,17 +332,20 @@ def _random_units(cfg: SearchConfig):
     the next draw.  Where the field's perm(q, d + 1) eigenvalue sequences
     fit the memo, it draws codes (_random_codes) and reads its tables with
     one lookup (_code_tables), and only the candidates whose first pattern
-    entry passes the screen on both sides are built and probed."""
+    entry passes the screen on both sides are built and probed.  Otherwise
+    it reads only the drawn indices of the field's elements, so it indexes
+    them (_indexed_elements) and never lists the field."""
     spec, d = cfg.spec, cfg.d
     if spec.order < d + 1:
         return  # no d + 1 distinct eigenvalues exist: the space is empty
-    elems, nonzero = _elements(spec)
     if math.perm(spec.order, d + 1) <= _MEMO_SIZE:
         samples, phis, rev, forms, screens = _code_tables(spec, d)
         probe = _pattern_probe(spec, forms.__getitem__)
+        q = spec.order
         passed = ((i, (samples[c], samples[cs], phis[f])) for i, c, cs, f in _random_codes(
-            cfg.seed, len(elems), len(nonzero), d, cfg.trials, screens, rev))
+            cfg.seed, q, q - 1, d, cfg.trials, screens, rev))
     else:
+        elems, nonzero = _indexed_elements(spec)
         probe = _pattern_probe(spec, functools.partial(_probe_forms, spec, d=d))
         passed = enumerate(_random_candidates(cfg.seed, elems, nonzero, d, cfg.trials), 1)
     last = 0
@@ -373,11 +408,14 @@ def _code_tables(spec, d: int) -> tuple:
     phis = tuple(itertools.product(nonzero, repeat=d))
     code = {ph: f for f, ph in enumerate(phis)}
     forms = {th: _theta_forms(spec, th) for th in samples}
-    screens = tuple(_theta_screen(spec, forms[th][0][1], samples, nonzero) for th in samples)
+    tails = {}  # the distinct last three entries, indexed by first sight
+    tail_of = [tails.setdefault(th[d - 2:], len(tails)) for th in samples]
+    screens = tuple(_theta_screen(spec, forms[th][0][1], tuple(tails), tail_of, nonzero)
+                    for th in samples)
     return samples, phis, tuple(code[ph[::-1]] for ph in phis), forms, screens
 
 
-def _theta_screen(spec, form, samples, nonzero) -> tuple:
+def _theta_screen(spec, form, tails, tail_of, nonzero) -> tuple:
     """The first entry of a theta's forms, (0, 2), which must be zero for
     every d >= 3, from its form = vu || coeffs, tabulated over the code
     lists of _code_tables as (consts, lins): consts[c] = vu . samples[c]
@@ -388,17 +426,25 @@ def _theta_screen(spec, form, samples, nonzero) -> tuple:
     screens the E* side: the dual_form of theta's first entry is vu ||
     reversed(coeffs), so for a candidate (samples[c'], theta, phis[f]) its
     dual_form . (samples[c'] || phis[f]) is zero exactly when consts[c'] ==
-    lins[rev[f]].  lins is summed coordinate by coordinate in the code
-    order of phis, from one row of products -(coeffs[t] x) per position, so
-    it costs m + m^2 + ... + m^d additions over m nonzero elements, not m^d
-    dot products."""
-    k = len(samples[0])
-    vu, coeffs = form[:k], form[k:]
-    lins = (spec.zero,)
+    lins[rev[f]].
+
+    u, the right column of theta_2, vanishes before position d - 2 (see
+    _probe_forms), so vu = v (.) u does too, and coeffs[t] = v[t] u[t + 1]
+    before d - 3.  So consts[c] is the dot of vu's last three entries with
+    samples[c]'s, tails[tail_of[c]]: one dot per distinct tail, perm(n, 3)
+    of them, not one per sample.  And lins[f] depends only on phis[f]'s
+    last three entries, the last three digits of f: it is summed over
+    those coordinate by coordinate in code order, from one row of products
+    -(coeffs[t] x) per position (m + m^2 + m^3 additions over m nonzero
+    elements), and repeated once per value of the leading digits."""
+    d = len(form) // 2
+    vu, coeffs = form[d - 2:d + 1], form[2 * d - 2:]
+    consts = [spec.dot(vu, t) for t in tails]
+    lins = [spec.zero]
     for a in coeffs:
         row = [spec.neg(spec.mul(a, x)) for x in nonzero]
         lins = [spec.add(s, r) for s in lins for r in row]
-    return tuple(spec.dot(vu, s) for s in samples), tuple(lins)
+    return tuple(map(consts.__getitem__, tail_of)), tuple(lins * len(nonzero) ** (d - 3))
 
 
 def _random_codes(seed, n, m, d, trials, screens, rev):
@@ -453,6 +499,8 @@ def _random_candidates(seed, elems, nonzero, d, trials):
     set of selected indices otherwise (each draw is below n, redrawn while
     already selected).  setsize is sample's: 21, plus 4 ** ceil(log(3k, 4))
     when k > 5.  Bounds, widths and the method are fixed once per search.
+    elems and nonzero may be any sequences (_indexed_elements's, say): the
+    set method only indexes them, and the pool method lists them once.
     Over a field whose perm(n, k) sequences fit the memo, random mode's
     search draws the same words as codes (_random_codes); this draw is the
     independent reference for that path.
@@ -472,6 +520,8 @@ def _random_candidates(seed, elems, nonzero, d, trials):
         return tuple(out)
 
     if n <= setsize:
+        # the pool copies the whole field per sample, so list a small one once
+        elems, nonzero = list(elems), list(nonzero)
         sample = functools.partial(_pool_sample, elems, _sample_bounds(n, k), getrandbits)
     else:
         width = n.bit_length()

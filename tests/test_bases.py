@@ -27,6 +27,35 @@ def w5_catalog(w5_system):
     return catalog, scalars
 
 
+def test_corrupted_edge_in_the_catalog_fails_every_path_across_it(w5_system):
+    """With one closed-form edge in catalog.edges changed after its first
+    use, every transition whose diagram path crosses it raises
+    IdentityCheckError, and every other one passes, over two passes: in
+    the second every composed transition is read back from
+    catalog.transitions, so the memo holds no form that a call trusts."""
+    import circhess.bases as bases_mod
+
+    for edge in bases_mod._DIAGRAM_EDGES + tuple(e[::-1] for e in bases_mod._DIAGRAM_EDGES):
+        catalog, _ = build_basis_catalog(w5_system)
+        transition(catalog, *edge)
+        m = catalog.edges[edge]
+        rows = [list(r) for r in m.rows]
+        rows[-1][0] = m.spec.add(rows[-1][0], m.spec.one)
+        catalog.edges[edge] = Matrix(m.spec, rows)
+        crossing = {(a, b) for a, b in itertools.product(BASIS_NAMES, repeat=2)
+                    if edge in zip(bases_mod._DIAGRAM_PATHS[a, b],
+                                   bases_mod._DIAGRAM_PATHS[a, b][1:])}
+        for _ in range(2):
+            for a, b in itertools.product(BASIS_NAMES, repeat=2):
+                if (a, b) in crossing:
+                    with pytest.raises(IdentityCheckError, match=f"{a} -> {b}"):
+                        transition(catalog, a, b)
+                else:
+                    transition(catalog, a, b)
+        assert len(catalog.transitions) == 18
+        assert crossing & set(catalog.transitions)
+
+
 def test_normalization_w5(w5_catalog, gf5):
     _, scalars = w5_catalog
     assert scalars.epsilon == gf5.element(1)  # forced by the gauge u = E_0 u*

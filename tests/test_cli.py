@@ -342,9 +342,37 @@ def test_bases_check_all_solves_each_once(tmp_path, capsys, monkeypatch, w5_arra
     )
 
 
+def test_bases_check_all_product_counts(tmp_path, capsys, monkeypatch, w5_array):
+    """One W5 `bases --check-all` forms 68 Matrix x Matrix products: the 30
+    transitions that are not identities each check X_from T = X_to (30),
+    the 18 composed ones cost one product each (18), the 6 representations
+    each check X B and X B* against the memoized images (12), and those
+    images are formed for the 4 rank-checked bases (8), inv_split's and
+    inv_dual_split's being read off them.  Its 4 Matrix.from_columns calls
+    are those 4 bases; the inv_ bases reverse their columns."""
+    counts = {"products": 0, "from_columns": 0}
+    mul, from_columns = Matrix.__mul__, Matrix.from_columns.__func__
+
+    def counted_mul(self, other):
+        counts["products"] += isinstance(other, Matrix)
+        return mul(self, other)
+
+    def counted_from_columns(cls, columns):
+        counts["from_columns"] += 1
+        return from_columns(cls, columns)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted_mul)
+    monkeypatch.setattr(Matrix, "from_columns", classmethod(counted_from_columns))
+    f = tmp_path / "w5.json"
+    f.write_text(json.dumps(w5_array.to_json()))
+    code, _, _ = run(capsys, "bases", "--in", str(f), "--check-all")
+    assert code == 0
+    assert counts == {"products": 68, "from_columns": 4}
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["bases", "--check-all"], 4),
-    (["replay"], 7),
+    (["replay"], 5),
 ])
 def test_elimination_count(tmp_path, capsys, monkeypatch, w5_array, argv,
                            expected):
@@ -353,7 +381,8 @@ def test_elimination_count(tmp_path, capsys, monkeypatch, w5_array, argv,
     `systems` calls the routine directly and is not counted): `bases
     --check-all` runs the catalog's 4 rank checks and nothing else, since
     every transition and representation is checked as a product identity;
-    `replay` adds the 3 closed-form fits of the family classification."""
+    `replay` adds the one fit-basis inverse of the family classification,
+    which its 3 closed-form fits share."""
     from circhess import linalg
 
     gauss_jordan = linalg._gauss_jordan

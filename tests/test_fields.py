@@ -889,3 +889,24 @@ def test_lift_into_own_field_or_extension_only(gf5, gf7, w5_array):
             w5_array.lift(target)
     with pytest.raises(MixedFieldsError):
         ext.one_element().lift(gf5)
+
+
+def test_rational_mul_equals_the_dot_of_one_pair():
+    """RationalExtension.mul, which convolves its one pair directly, gives
+    the payload of dot((a,), (b,)) on seeded payloads, over cyclotomic
+    fields and over moduli whose reduction rows have denominators."""
+    rng = random.Random(38)
+    specs = [cyclotomic_field(4), cyclotomic_field(5), cyclotomic_field(12),
+             quotient_extension(rationals(), [Fraction(-1, 2), 0, 1]),
+             quotient_extension(rationals(), [-2, 0, 0, 1])]
+    for spec in specs:
+        assert isinstance(spec, RationalExtension)
+
+        def payload():
+            return spec.from_coefficients(
+                [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) * rng.randint(0, 1)
+                 for _ in range(spec.deg)])
+
+        for _ in range(100):
+            a, b = payload(), payload()
+            assert spec.mul(a, b) == spec.dot((a,), (b,))

@@ -207,6 +207,28 @@ def test_td_commutators_explicit(w5_system, gf5):
         assert commutator(x, inner).is_zero()
 
 
+def test_td_commutator_equals_its_literal_expansion(gf5):
+    """_td_commutator, which forms x y and y x once, equals the literal
+    [x, x^2 y - beta x y x + y x^2 - gamma (x y + y x) - rho y] on seeded
+    random pairs that do not commute."""
+    import random
+
+    from circhess.recurrence import _td_commutator
+
+    rng = random.Random(38)
+    tested = 0
+    while tested < 20:
+        x, y = (Matrix.from_elements(gf5, [[rng.randrange(5) for _ in range(4)]
+                                           for _ in range(4)]) for _ in range(2))
+        if commutator(x, y).is_zero():
+            continue
+        beta, gamma, rho = (gf5.element(rng.randrange(5)) for _ in range(3))
+        inner = (x * x * y - (x * y * x).scale(beta) + y * x * x
+                 - (x * y + y * x).scale(gamma) - y.scale(rho))
+        assert _td_commutator(x, y, beta, gamma, rho) == commutator(x, inner)
+        tested += 1
+
+
 def test_td_witness_wrong_beta(w5_system):
     with pytest.raises(NotRecurrentAtBetaError):
         td_witness(w5_system, 1)

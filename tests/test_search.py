@@ -40,7 +40,9 @@ from circhess.errors import (
 )
 from circhess.search import (
     _code_tables,
+    _elements,
     _exhaustive_units,
+    _indexed_elements,
     _probe_forms,
     _random_candidates,
     _random_codes,
@@ -397,6 +399,29 @@ def test_exhaustive_budget_refuses_before_listing_the_field(monkeypatch):
                         lambda self: pytest.fail("the field was enumerated"))
     with pytest.raises(BudgetExceededError):
         search(SearchConfig(spec, 3, "exhaustive"))
+
+
+def test_random_lazy_path_indexes_the_field(monkeypatch):
+    """Random mode's lazy path reads only drawn indices, so 10 trials over
+    GF(2,000,003) run without enumerating the field's elements."""
+    spec = prime_field(2_000_003)
+    monkeypatch.setattr(type(spec), "element_payloads",
+                        lambda self: pytest.fail("the field was enumerated"))
+    rep = search(SearchConfig(spec, 3, "random", seed=1, trials=10))
+    assert rep.candidates_examined == 10
+
+
+def test_indexed_elements_equal_the_listed_ones(gf4):
+    """Over prime fields, extensions and a tower, the indexed sequences
+    hold _elements's payloads in the same order, zero first."""
+    one = gf4.one_element()
+    tower = quotient_extension(gf4, [gf4.generator(), one, one], gen="s")
+    for spec in (prime_field(7), field_from_string("ext:gf:3:1,0,1"), gf4, tower):
+        elems, nonzero = _indexed_elements(spec)
+        assert (list(elems), list(nonzero)) == _elements(spec)
+        assert elems[0] == spec.zero
+        with pytest.raises(IndexError):
+            elems[len(elems)]
 
 
 def test_search_over_a_tower(gf4):
