@@ -122,8 +122,16 @@ class FieldSpec:
         return self.mul(a, self.inv(b))
 
     def dot(self, xs, ys):
-        """Sum of products; matrix multiplication hot path."""
+        """Sum of the products x * y over the pairs; a table of them is
+        `dots`."""
         raise NotImplementedError
+
+    def dots(self, xss, yss):
+        """The table of dot(xs, ys), one tuple per xs holding one entry per
+        ys: every Matrix product and the oracle's tables make one call.
+        Fields whose dot can share work across a table override it."""
+        dot = self.dot
+        return [tuple([dot(xs, ys) for ys in yss]) for xs in xss]
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -293,6 +301,10 @@ class PrimeField(FieldSpec):
 
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys)) % self.p
+
+    def dots(self, xss, yss):
+        p, mul = self.p, operator.mul
+        return [tuple([sum(map(mul, xs, ys)) % p for ys in yss]) for xs in xss]
 
     def element_payloads(self):
         return iter(range(self.p))
@@ -492,7 +504,8 @@ class FiniteExtension(QuotientExtension):
     remainders with the cofactor kept as a payload.  The (q - 1)-th
     operation builds `_tables`, Zech logarithms over a primitive element,
     and from then on mul and inv are exponent arithmetic mod q - 1, add,
-    sub and neg are one Zech lookup each, and dot sums in the log domain.
+    sub and neg are one Zech lookup each, and dot and dots sum in the log
+    domain.
     The tables hold three rows of q - 1 entries, never a q x q grid: about
     250 bytes per element, 44 MB at q = 3^11.  A field with more than
     ZECH_TABLE_CAP elements never builds them, which caps the tables at
@@ -621,6 +634,9 @@ class FiniteExtension(QuotientExtension):
         return exp[(i + j) % len(exp)]
 
     def dot(self, xs, ys):
+        """One pair, looking up only the logs it needs.  It is not the
+        one-pair case of `dots`, which costs about twice as much per call:
+        the search probe makes one such call per pattern entry."""
         t = self._tables
         if t is None:
             return self._coeff_dot(xs, ys)
@@ -640,6 +656,37 @@ class FiniteExtension(QuotientExtension):
                 z = zech[(i + j - acc) % n]
                 acc = None if z is None else (acc + z) % n
         return self.zero if acc is None else exp[acc]
+
+    def dots(self, xss, yss):
+        """On the tables each entry is dot's log-domain sum, with each
+        vector's logs looked up once for the whole table and the zero
+        entries of each xs skipped; before they exist, one coefficient-path
+        dot per entry, each counted towards their build."""
+        t = vars(self).get("_tables")
+        if t is None:
+            return super().dots(xss, yss)
+        exp, log, zech, _ = t
+        n, zero, log = len(exp), self.zero, log.get
+        lyss = [list(map(log, ys)) for ys in yss]
+        table = []
+        for xs in xss:
+            # (position, log) of each nonzero entry of xs
+            lxs = [(k, i) for k, i in enumerate(map(log, xs)) if i is not None]
+            row = []
+            for lys in lyss:
+                acc = None  # log of the running sum; None while it is zero
+                for k, i in lxs:
+                    j = lys[k]
+                    if j is None:
+                        continue
+                    if acc is None:
+                        acc = (i + j) % n
+                    else:
+                        z = zech[(i + j - acc) % n]
+                        acc = None if z is None else (acc + z) % n
+                row.append(zero if acc is None else exp[acc])
+            table.append(tuple(row))
+        return table
 
     def inv(self, a):
         t = self._tables
@@ -724,12 +771,13 @@ class RationalExtension(QuotientExtension):
 
     The arithmetic runs on the integer payloads alone and builds no
     Fraction: a sum or difference works on the numerators over the product
-    of the two denominators, dot convolves the numerators, each pair scaled
-    to the lcm of its side's denominators, mul convolves its one pair
-    unscaled, both reduce by `_int_red_rows`, and each normalizes its result
-    with one gcd.  An inverse is fraction-free (Bareiss) Gauss-Jordan
-    elimination on the integer multiplication matrix.  Only the coefficient boundary
-    (from_coefficients, coefficients, parse, render) builds a Fraction.
+    of the two denominators; mul convolves the numerators of its one pair,
+    and dots (dot is its one-pair case) those of vectors brought over one
+    denominator each; both reduce by `_int_red_rows` and normalize each
+    result with one gcd.  An inverse is fraction-free (Bareiss)
+    Gauss-Jordan elimination on the integer multiplication matrix.  Only
+    the coefficient boundary (from_coefficients, coefficients, parse,
+    render) builds a Fraction.
     """
 
     order = None
@@ -777,27 +825,43 @@ class RationalExtension(QuotientExtension):
         return _qq_normal(self._int_reduce(conv), a[k] * b[k] * self._int_red_rows[0])
 
     def dot(self, xs, ys):
-        """Sum of x * y over the pairs: one convolution of them all, then one
-        reduction by the modulus rows.  dx and dy are the lcm of the xs' and
-        of the ys' denominators, each pair's products are scaled by
-        (dx / D_x)(dy / D_y) so that all are over dx dy, the reduction uses
-        _int_red_rows (rows scaled by dm), and the sum over dx dy dm is
-        normalized once."""
-        k = self.deg
+        return self.dots((xs,), (ys,))[0][0]
+
+    def dots(self, xss, yss):
+        """Each vector is brought over its own common denominator D once
+        for the whole table: its nonzero entries' numerators scaled to D,
+        the lcm of their denominators, and its zero entries marked None and
+        skipped.  Each entry is then one convolution of the numerators and,
+        unless it is zero, one reduction by _int_red_rows (rows scaled by
+        dm) and one normalization of the sum over D_x D_y dm."""
+        k, zero = self.deg, self.zero
         dm = self._int_red_rows[0]
-        dx = math.lcm(*[x[k] for x in xs])
-        dy = math.lcm(*[y[k] for y in ys])
-        conv = [0] * (2 * k - 1)
-        for x, y in zip(xs, ys):
-            s = dx // x[k] * (dy // y[k])
-            y = y[:k]
-            for i in range(k):
-                xi = x[i]
-                if xi:
-                    xi *= s
-                    for j, yj in enumerate(y):
-                        conv[i + j] += xi * yj
-        return _qq_normal(self._int_reduce(conv), dx * dy * dm)
+
+        def over_lcm(xs):
+            d = math.lcm(*[x[k] for x in xs])
+            return [None if x == zero else x[:k] if x[k] == d
+                    else [c * (d // x[k]) for c in x[:k]] for x in xs], d
+
+        yss = [over_lcm(ys) for ys in yss]
+        table = []
+        for xs in xss:
+            xs, dx = over_lcm(xs)
+            xs = [(pos, x) for pos, x in enumerate(xs) if x is not None]
+            row = []
+            for ys, dy in yss:
+                conv = [0] * (2 * k - 1)
+                for pos, x in xs:
+                    y = ys[pos]
+                    if y is None:
+                        continue
+                    for i, xi in enumerate(x):
+                        if xi:
+                            for j, yj in enumerate(y):
+                                conv[i + j] += xi * yj
+                row.append(_qq_normal(self._int_reduce(conv), dx * dy * dm)
+                           if any(conv) else zero)
+            table.append(tuple(row))
+        return table
 
     def inv(self, a):
         """1 / a, fraction-free.  With a = n(t) / D, the columns of the

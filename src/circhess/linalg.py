@@ -212,15 +212,13 @@ class Matrix:
                 raise DimensionMismatchError(
                     f"{self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}"
                 )
-            dot = s.dot
-            cols = tuple(zip(*other.rows))
-            return Matrix(s, [tuple([dot(r, c) for c in cols]) for r in self.rows])
+            return Matrix(s, s.dots(self.rows, tuple(zip(*other.rows))))
         if isinstance(other, Vector):
             if s is not other.spec and s != other.spec:
                 raise MixedFieldsError("matrix and vector over different fields")
             if self.ncols != other.n:
                 raise DimensionMismatchError("matrix-vector size mismatch")
-            return Vector(s, [s.dot(r, other.payloads) for r in self.rows])
+            return Vector(s, s.dots((other.payloads,), self.rows)[0])
         # scalar
         mul = s.mul
         c = s.element(other).payload

@@ -526,11 +526,11 @@ def _check_idempotent_family(family: IdempotentFamily, labels, n: int) -> list:
     if len(labels) != n or len({lam.payload for lam in labels}) != n:
         raise CorruptIdempotentsError("need one distinct label per idempotent")
     s = family.spec
-    dot, zero = s.dot, s.zero
-    for i, (_, w, p) in enumerate(factors):
-        row = [zero] * n
-        row[i] = p
-        if s.is_zero(p) or [dot(w, u) for u, _, _ in factors] != row:
+    us, ws, ps = zip(*factors)
+    zero = s.zero
+    for i, (p, row) in enumerate(zip(ps, s.dots(ws, us))):
+        # row = delta_i p: p != 0 at i and zero at the other n - 1 places
+        if s.is_zero(p) or row[i] != p or row.count(zero) != n - 1:
             raise CorruptIdempotentsError("stored idempotents do not sum to I")
     return factors
 
@@ -562,10 +562,15 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     Every pattern product is decided exactly from the factors, by one
     matrix-vector product per j and one dot product per pair (see
     _zero_products), independent of the search probe.  No matrix is
-    built.  Sets the sticky `verified` flag when nothing fails.
+    built.  Sets the sticky `verified` flag when nothing fails.  A or A*
+    of any shape other than (d + 1) x (d + 1) raises DimensionMismatchError
+    first: a product would read only the leading d + 1 columns.
     """
-    factors = _check_idempotent_family(s.family, s.theta, s.d + 1)
-    factors_star = _check_idempotent_family(s.family_star, s.theta_star, s.d + 1)
+    n = s.d + 1
+    if not s.A.nrows == s.A.ncols == s.A_star.nrows == s.A_star.ncols == n:
+        raise DimensionMismatchError(f"A and A* must be {n} x {n}")
+    factors = _check_idempotent_family(s.family, s.theta, n)
+    factors_star = _check_idempotent_family(s.family_star, s.theta_star, n)
     failures = [("ii", j, j) for j in _non_members(factors, s.A, s.theta)]
     failures += [("iii", j, j)
                  for j in _non_members(factors_star, s.A_star, s.theta_star)]
@@ -581,10 +586,13 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
 
 def _non_members(factors, M: Matrix, labels) -> list:
     """The j with M u_j != labels_j u_j, for the rank-one factors
-    E_j = u_j w_j^T / p_j of a family: one matrix-vector product each."""
-    dot, mul = M.spec.dot, M.spec.mul
-    return [j for j, ((u, _, _), lam) in enumerate(zip(factors, labels))
-            if [dot(r, u) for r in M.rows] != [mul(lam.payload, x) for x in u]]
+    E_j = u_j w_j^T / p_j of a family: one matrix-vector product each, all
+    from one `dots` table."""
+    s = M.spec
+    mul = s.mul
+    us, _, _ = zip(*factors)
+    return [j for j, (u, image, lam) in enumerate(zip(us, s.dots(us, M.rows), labels))
+            if image != tuple([mul(lam.payload, x) for x in u])]
 
 
 def _zero_products(factors, M: Matrix, pairs) -> dict:
@@ -593,12 +601,15 @@ def _zero_products(factors, M: Matrix, pairs) -> dict:
 
     E_i M E_j = u_i (w_i . M u_j) w_j^T / (p_i p_j), and u_i, w_j are
     nonzero, so it is zero exactly when the scalar w_i . (M u_j) is.  That
-    is one matrix-vector product per j and one dot product per pair.
+    is one matrix-vector product per j, all from one `dots` table, and one
+    dot product per pair: the full w x image table would compute dots the
+    pattern does not ask for.
     """
     s = M.spec
     dot, is_zero = s.dot, s.is_zero
-    images = [[dot(r, u) for r in M.rows] for u, _, _ in factors]
-    return {(i, j): is_zero(dot(factors[i][1], images[j])) for i, j in pairs}
+    us, ws, _ = zip(*factors)
+    images = s.dots(us, M.rows)
+    return {(i, j): is_zero(dot(ws[i], images[j])) for i, j in pairs}
 
 
 def _proportionality(w: Vector, v: Vector) -> FieldElement:

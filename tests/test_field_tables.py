@@ -109,6 +109,31 @@ def _check_dots(spec, ref, payloads, rng):
     a, b = payloads[-1], payloads[-2]
     one, minus_one = ref.one, ref.neg(ref.one)
     assert spec.dot([a, a, b], [one, minus_one, one]) == b
+    _check_dot_tables(spec, ref, payloads, rng)
+
+
+def _check_dot_tables(spec, ref, payloads, rng):
+    """spec.dots against the reference's dot of each pair: zero entries,
+    all-zero vectors, cancelling sums and empty sides."""
+    zero = ref.zero
+
+    def vec(n):
+        return [rng.choice(payloads) if rng.randrange(3) else zero for _ in range(n)]
+
+    def pairwise(xss, yss):
+        return [tuple(ref.dot(xs, ys) for ys in yss) for xs in xss]
+
+    for _ in range(30):
+        n = rng.randrange(7)
+        xss = [vec(n) for _ in range(rng.randrange(5))] + [[zero] * n]
+        yss = [vec(n) for _ in range(rng.randrange(5))]
+        assert spec.dots(xss, yss) == pairwise(xss, yss)
+    a, b = payloads[-1], payloads[-2]
+    one, minus_one = ref.one, ref.neg(ref.one)
+    xss = [[a, a, b], [a, a, zero]]
+    yss = [[one, minus_one, one], [minus_one, one, zero]]
+    assert spec.dots(xss, yss) == [(b, zero), (zero, zero)] == pairwise(xss, yss)
+    assert spec.dots([], yss) == [] and spec.dots(xss, []) == [(), ()]
 
 
 FULL_PAIR_FIELDS = {
@@ -197,6 +222,19 @@ def test_short_computation_in_a_large_field_builds_no_tables():
     assert 0 < vars(spec)["_coeff_ops"] < spec.order - 1
 
 
+def test_dots_before_the_tables_are_built():
+    """Before GF(9)'s eighth operation dots takes the coefficient path, one
+    dot per entry, each counted towards the build."""
+    spec = field_from_string("ext:gf:3:1,0,1")  # q = 9
+    ref = Schoolbook(spec)
+    payloads = list(spec.element_payloads())
+    xss, yss = [payloads[8:5:-1], payloads[1:4]], [payloads[2:5], payloads[4:7]]
+    assert spec.dots(xss, yss) == [tuple(ref.dot(x, y) for y in yss) for x in xss]
+    assert "_tables" not in vars(spec) and vars(spec)["_coeff_ops"] == 4
+    assert spec.dots([[spec.zero] * 3], [payloads[1:4]]) == [(spec.zero,)]
+    assert "_tables" not in vars(spec) and vars(spec)["_coeff_ops"] == 5
+
+
 def test_cyclotomic_field_never_builds_tables():
     spec = field_from_string("cyclo:4")
     t = spec.generator()
@@ -220,6 +258,7 @@ def test_field_above_budget_stays_on_coefficient_path():
         _check_pair(spec, ref, draw(), draw())
     xs, ys = [draw() for _ in range(6)], [draw() for _ in range(6)]
     assert spec.dot(xs, ys) == ref.dot(xs, ys)
+    _check_dot_tables(spec, ref, [draw() for _ in range(20)], rng)
     assert vars(spec)["_tables"] is None
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import functools
 import io
 import itertools
 import json
@@ -910,3 +911,51 @@ def test_rational_mul_equals_the_dot_of_one_pair():
         for _ in range(100):
             a, b = payload(), payload()
             assert spec.mul(a, b) == spec.dot((a,), (b,))
+
+
+DOT_TABLE_FIELDS = {
+    "gf:7": lambda: field_from_string("gf:7"),
+    "rat": lambda: field_from_string("rat"),
+    "cyclo:4": lambda: cyclotomic_field(4),
+    "cyclo:5": lambda: cyclotomic_field(5),
+    "cyclo:12": lambda: cyclotomic_field(12),
+    # reduction rows with denominator 2
+    "QQ[t]/(t^2 - 1/2)": lambda: quotient_extension(rationals(), [Fraction(-1, 2), 0, 1]),
+    "QQ[t]/(t^3 - 2)": lambda: quotient_extension(rationals(), [-2, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("make", DOT_TABLE_FIELDS.values(), ids=DOT_TABLE_FIELDS.keys())
+def test_dots_equal_the_dot_of_each_pair(make):
+    """spec.dots(xss, yss) is the table of spec.dot(xs, ys), one tuple per
+    xs, and each entry is the sum of the products by mul and add, on seeded
+    vectors whose entries have mixed denominators, with zero entries, an
+    all-zero vector, a cancelling sum and empty sides.  (Over an extension
+    of QQ dot is dots of one pair, so mul and add are the reference.)"""
+    spec = make()
+    rng = random.Random(39)
+
+    def entry():
+        def c():
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 6)) * rng.randint(0, 1)
+        if isinstance(spec, RationalExtension):
+            return spec.from_coefficients([c() for _ in range(spec.deg)])
+        return spec.element(c()).payload
+
+    def pairwise(xss, yss):
+        table = [tuple([spec.dot(xs, ys) for ys in yss]) for xs in xss]
+        assert table == [tuple([functools.reduce(spec.add, map(spec.mul, xs, ys), spec.zero)
+                                for ys in yss]) for xs in xss]
+        return table
+
+    for _ in range(40):
+        n = rng.randrange(6)
+        xss = [[entry() for _ in range(n)] for _ in range(rng.randrange(4))]
+        yss = [[entry() for _ in range(n)] for _ in range(rng.randrange(4))]
+        yss.append([spec.zero] * n)
+        assert spec.dots(xss, yss) == pairwise(xss, yss)
+    a = spec.element(Fraction(5, 3)).payload
+    one, minus_one = spec.one, spec.neg(spec.one)
+    xss, yss = [[a, a, a]], [[one, minus_one, one], [one, minus_one, spec.zero]]
+    assert spec.dots(xss, yss) == [(a, spec.zero)] == pairwise(xss, yss)
+    assert spec.dots([], yss) == [] and spec.dots(xss, []) == [()]

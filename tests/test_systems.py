@@ -507,6 +507,21 @@ def test_family_of_wrong_count_or_size_raises(w5_array, gf5, side):
         assert not s.verified
 
 
+@pytest.mark.parametrize("side", ["A", "A_star"])
+def test_matrix_of_wrong_shape_raises(w5_array, gf5, side):
+    """A or A* of W5 with a column of ones appended (4 x 5) or a row of
+    ones appended (5 x 4) raises DimensionMismatchError.  A product with
+    the 4 x 5 one reads only its leading columns, so it was reported CH."""
+    m = getattr(split_form_build(w5_array), side)
+    for bad in (Matrix(gf5, [r + (1,) for r in m.rows]),
+                Matrix(gf5, m.rows + ((1,) * 4,))):
+        s = split_form_build(w5_array)
+        setattr(s, side, bad)
+        with pytest.raises(DimensionMismatchError):
+            verify_ch_axioms(s)
+        assert not s.verified
+
+
 def test_oracle_builds_no_matrix(monkeypatch, w5_array):
     """verify_ch_axioms on a prebuilt W5 system constructs no Matrix: the
     family checks, membership and the pattern all work on the factors."""
