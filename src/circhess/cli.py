@@ -31,7 +31,7 @@ from .families import (
     family_generate,
     vartheta_combination,
 )
-from .fields import FieldSpec, QuotientExtension, field_from_string
+from .fields import FieldSpec, QuotientExtension, dump_json, field_from_string
 from .linalg import Matrix
 from .recurrence import recurrence_status
 from .search import (
@@ -75,7 +75,7 @@ def _parse_scalar(spec: FieldSpec, text: str):
 
 
 def _emit(payload: dict, out_path: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = dump_json(payload)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -23,12 +23,14 @@ is structural equality of canonical payloads.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -490,6 +492,10 @@ class QuotientExtension(FieldSpec):
         }
 
 
+# each certified finite extension -> its Zech tables, or None until built
+_FINITE_FIELDS: dict = {}
+
+
 class FiniteExtension(QuotientExtension):
     """base[x]/(m) over a finite base: GF(q) with q = |base|^deg(m), towers
     included.  A payload is the tuple of its deg(m) coefficients, low to
@@ -510,6 +516,14 @@ class FiniteExtension(QuotientExtension):
     250 bytes per element, 44 MB at q = 3^11.  A field with more than
     ZECH_TABLE_CAP elements never builds them, which caps the tables at
     about 50 MB.
+
+    Equal fields (the same base, modulus and generator, however often
+    parsed) share one certificate and one table build through the module
+    memo `_FINITE_FIELDS`: a modulus that passes Rabin's test is recorded,
+    and the first instance to reach its (q - 1)-th operation builds the
+    tables that every equal instance then takes on its own (q - 1)-th
+    operation.  A refused modulus is not recorded.  The memo holds at most
+    one table per distinct field value, each capped by ZECH_TABLE_CAP.
     """
 
     @property
@@ -536,7 +550,8 @@ class FiniteExtension(QuotientExtension):
 
         None is fixed at once for q > ZECH_TABLE_CAP.  Otherwise each
         lookup is one operation about to run on the coefficient path, and
-        the (q - 1)-th builds the tables.  The build is q - 1 table rows,
+        the (q - 1)-th fixes the tables, built unless an equal field has
+        built them (`_FINITE_FIELDS`).  The build is q - 1 table rows,
         each (from q of a few hundred up) cheaper than one coefficient
         product, so a field pays for its tables only after it has spent
         about as much without them, and a short computation in a large
@@ -555,7 +570,10 @@ class FiniteExtension(QuotientExtension):
             d["_coeff_ops"] = used
             return None
         d["_tables"] = None  # the build's own operations take the coefficient path
-        t = d["_tables"] = self._build_tables()
+        t = _FINITE_FIELDS.get(self)
+        if t is None:
+            t = _FINITE_FIELDS[self] = self._build_tables()
+        d["_tables"] = t
         return t
 
     def _build_tables(self) -> _ZechTables:
@@ -746,7 +764,10 @@ class FiniteExtension(QuotientExtension):
     def _check_irreducible(self):
         """Rabin's test, with q = |base| and k = deg(m): m is irreducible iff
         x^(q^k) = x mod m and gcd(m, x^(q^(k/r)) - x) = 1 for each prime r
-        dividing k.  Each x^(q^j) is the q-th power of the one before."""
+        dividing k.  Each x^(q^j) is the q-th power of the one before.
+        An equal field certified before is not tested again."""
+        if self in _FINITE_FIELDS:
+            return
         b, m, k = self.base, list(self.modulus), self.deg
         frobenius = [[b.zero, b.one]]
         for _ in range(k):
@@ -758,6 +779,7 @@ class FiniteExtension(QuotientExtension):
             raise ReducibleModulusError(
                 f"modulus {self._modulus_str()} is reducible (Rabin's test)"
             )
+        _FINITE_FIELDS[self] = None
 
 
 class RationalExtension(QuotientExtension):
@@ -1246,6 +1268,65 @@ def _json_value(x):
     if isinstance(x, (list, tuple)):
         return [_json_value(v) for v in x]
     return x.to_json() if hasattr(x, "to_json") else x
+
+
+def dump_json(doc) -> str:
+    """What `json.dumps` writes with an indent of 2 and sorted keys, byte
+    for byte, for a document with str keys; the one indented writer in
+    circhess.  CPython's json leaves its C encoder whenever an indent is
+    set; this writer types each value in json's own order, escapes strings
+    with json's C escaper and writes a list of strings only (a matrix row)
+    in one join.  A non-str key, or a value of any other type, is a
+    TypeError."""
+    out: list[str] = []
+    _dump(doc, out, "\n")
+    return "".join(out)
+
+
+def _dump(o, out: list, nl: str):
+    # nl is the newline and indent that close o's own level
+    if isinstance(o, str):
+        out.append(_escape(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(json.dumps(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        for x in o:
+            if not isinstance(x, str):
+                break
+        else:  # strings only
+            out.append("[" + inner + ("," + inner).join(map(_escape, o)) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _dump(x, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            out.append(sep + _escape(k) + ": ")  # TypeError unless k is a str
+            _dump(o[k], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 # --- constructors and roots of unity -----------------------------------------

@@ -11,6 +11,7 @@ as the roots of its characteristic polynomial.
 from __future__ import annotations
 
 import functools
+import itertools
 from enum import Enum
 
 from .errors import (
@@ -257,11 +258,15 @@ class Matrix:
 
     # --- JSON -----------------------------------------------------------------
     def to_json(self) -> dict:
+        # each distinct payload is rendered once: most displayed matrices
+        # (diagonal, bidiagonal, circular, triangular) are mostly zeros
+        render = self.spec.render
+        text = {x: render(x) for x in set(itertools.chain.from_iterable(self.rows))}
         return {
             "field": self.spec.to_json(),
             "rows": self.nrows,
             "cols": self.ncols,
-            "entries": [[self.spec.render(x) for x in r] for r in self.rows],
+            "entries": [list(map(text.__getitem__, r)) for r in self.rows],
         }
 
     @classmethod

@@ -15,6 +15,7 @@ root in the field.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -39,6 +40,7 @@ from .fields import (
     Rationals,
     _cyclotomic_index,
     _poly_roots,
+    _prime_divisors,
     quotient_extension,
 )
 from .linalg import Matrix, Vector, commutator, matrix_inverse
@@ -225,8 +227,10 @@ def solve_unit_root(spec: FieldSpec, beta):
     fields._poly_roots, so no field is too large; over the rationals the
     discriminant is tested for being a perfect square; over an extension of
     the rationals the roots are sought among powers of the generator (the
-    case that arises for cyclotomic data), and over a quadratic one the
-    discriminant's square roots are then solved for exactly.  When no root
+    case that arises for cyclotomic data); then, over a quadratic one, the
+    discriminant's square roots are solved for exactly, and over QQ(zeta_m)
+    a rational discriminant's square roots are built from roots of unity
+    (_cyclotomic_sqrts).  Every candidate root is checked.  When no root
     exists in the field, the quadratic extension by x^2 - beta x + 1 itself
     is built.
     """
@@ -245,17 +249,18 @@ def solve_unit_root(spec: FieldSpec, beta):
             return q, spec, False
     elif isinstance(spec, QuotientExtension):
         g = spec.generator()
-        bound = _cyclotomic_index(spec.modulus) or 4 * spec.deg + 8
+        m = _cyclotomic_index(spec.modulus)
         cand = spec.one_element()
-        for _ in range(bound):
+        for _ in range(m or 4 * spec.deg + 8):
             for e in (cand, -cand):
                 if is_root(e):
                     return e, spec, False
             cand = cand * g
-        if spec.deg == 2 and isinstance(spec.base, Rationals):
-            for y in _quadratic_sqrts(spec, beta * beta - 4):
-                if is_root(q := (beta + y) / 2):
-                    return q, spec, False
+        delta = beta * beta - 4
+        quadratic = _quadratic_sqrts(spec, delta) if spec.deg == 2 else ()
+        for y in itertools.chain(quadratic, _cyclotomic_sqrts(spec, m, delta)):
+            if is_root(q := (beta + y) / 2):
+                return q, spec, False
     try:
         ext = quotient_extension(spec, [spec.one_element(), -beta, spec.one_element()],
                                  gen="r")
@@ -291,6 +296,40 @@ def _quadratic_sqrts(spec: QuotientExtension, x):
         if a is not None and b is not None:
             for sb in (b, -b):
                 yield FieldElement(spec, spec.from_coefficients((a + sb * h, sb)))
+
+
+def _cyclotomic_sqrts(spec: QuotientExtension, m: int | None, x):
+    """Candidates for the square roots of x in QQ[t]/(Phi_m) when x is
+    rational, every square root among them.  The quadratic subfields of
+    QQ(zeta_m) are QQ(sqrt(D0)) for D0 = +-2^e prod p, e <= 1 and p odd
+    primes dividing m, so x must be D0 r^2 for a rational r, and sqrt(D0)
+    is a product of known roots: the Gauss sum sum_a zeta_p^(a^2), with
+    zeta_p = t^(m/p), squares to p* = +-p; sqrt(-1) = t^(m/4) when 4 | m;
+    and with zeta_8 = t^(m/8), sqrt(2) = zeta_8 + zeta_8^7 and
+    sqrt(-2) = zeta_8 + zeta_8^3 when 8 | m.  A D0 whose roots the field
+    lacks is skipped; r = 1, D0 = 1 gives the rational roots."""
+    x0, *rest = spec.coefficients(x.payload)
+    if not m or any(rest):
+        return
+    t, one = spec.generator(), spec.one_element()
+    units = {1: one}  # c -> sqrt(c), c in {+-1, +-2}
+    if m % 4 == 0:
+        units[-1] = t ** (m // 4)
+    if m % 8 == 0:
+        z8 = t ** (m // 8)
+        units[2], units[-2] = z8 + z8 ** 7, z8 + z8 ** 3
+    odd = [p for p in _prime_divisors(m) if p % 2]
+    for k in range(len(odd) + 1):
+        for ps in itertools.combinations(odd, k):
+            root, pstar = one, 1
+            for p in ps:
+                zp = t ** (m // p)
+                root *= sum((zp ** (a * a % p) for a in range(1, p)), one)
+                pstar *= p if p % 4 == 1 else -p
+            for c, u in units.items():
+                r = _qq_sqrt(x0 / (c * pstar))
+                if r is not None:
+                    yield root * u * spec.element(r)
 
 
 def _binom2_mod4(i: int) -> int:

@@ -48,7 +48,7 @@ from .errors import (
     UnknownSearchModeError,
     UnsupportedFieldError,
 )
-from .fields import FieldSpec, JsonFields, PrimeField, field_to_string
+from .fields import FieldSpec, JsonFields, PrimeField, dump_json, field_to_string
 from .recurrence import recurrence_status, td_witness, vartheta_from_array
 from .systems import (
     _MEMO_SIZE,
@@ -99,7 +99,7 @@ class SearchReport(JsonFields):
     counterexamples: list = field(default_factory=list)
 
     def to_bytes(self) -> bytes:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2).encode()
+        return dump_json(self.to_json()).encode()
 
 
 def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
@@ -577,9 +577,7 @@ def search(cfg: SearchConfig) -> SearchReport:
                 report.counterexamples.append(entry)
                 if cfg.report_path:
                     path = Path(cfg.report_path).with_suffix(".counterexamples.json")
-                    path.write_text(
-                        json.dumps(report.counterexamples, sort_keys=True, indent=2)
-                    )
+                    path.write_text(dump_json(report.counterexamples))
     report.beta_histogram = dict(sorted(histogram.items()))
     if cfg.report_path:
         Path(cfg.report_path).write_bytes(report.to_bytes())

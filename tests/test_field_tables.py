@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from circhess import field_from_string, prime_field, quotient_extension, rationals
-from circhess.errors import DivisionByZeroError, MixedFieldsError
+from circhess.errors import DivisionByZeroError, MixedFieldsError, ReducibleModulusError
 from circhess.fields import ZECH_TABLE_CAP, FieldElement, PrimeField, Rationals
 
 
@@ -440,3 +440,59 @@ def test_rational_extension_arithmetic_builds_no_fraction(make):
         Fraction.__new__ = original
     assert built == []
     assert Fraction(2, 4) == Fraction(1, 2)
+
+
+def _run_ops(spec, n):
+    for _ in range(n):
+        spec.mul(spec.one, spec.one)
+
+
+def test_equal_fields_share_one_table_build():
+    """Two separately parsed GF(9) instances end up holding the same
+    tables object, and the second still reaches it only on its own
+    (q - 1)-th operation."""
+    f, g = field_from_string("ext:gf:3:1,0,1"), field_from_string("ext:gf:3:1,0,1")
+    assert f is not g and f == g
+    _run_ops(f, 8)
+    tables = vars(f)["_tables"]
+    assert tables is not None
+    _run_ops(g, 7)
+    assert "_tables" not in vars(g) and vars(g)["_coeff_ops"] == 7
+    _run_ops(g, 1)
+    assert vars(g)["_tables"] is tables
+
+
+def test_fields_with_different_moduli_keep_separate_tables():
+    """GF(9) by x^2 + 1 and by x^2 + x + 2 (one generator name, one base)
+    build their own tables, and each agrees with the schoolbook
+    arithmetic on every pair."""
+    specs = [field_from_string("ext:gf:3:1,0,1"), field_from_string("ext:gf:3:2,1,1")]
+    for spec in specs:
+        _run_ops(spec, spec.order - 1)
+    assert vars(specs[0])["_tables"] is not vars(specs[1])["_tables"]
+    for spec in specs:
+        ref = Schoolbook(spec)
+        payloads = list(spec.element_payloads())
+        for a, b in itertools.product(payloads, repeat=2):
+            _check_pair(spec, ref, a, b)
+        assert vars(spec)["_tables"] is not None
+
+
+def test_certificate_is_shared_and_refusal_is_not(monkeypatch):
+    """An equal field parsed again runs no Rabin test; a reducible modulus
+    is refused each time, even after a field over the same base with the
+    same generator name was certified."""
+    from circhess import fields
+
+    calls = []
+    powmod = fields._poly_powmod
+    monkeypatch.setattr(fields, "_poly_powmod",
+                        lambda *a: calls.append(a) or powmod(*a))
+    field_from_string("ext:gf:3:1,0,1")
+    calls.clear()
+    field_from_string("ext:gf:3:1,0,1")
+    assert calls == []
+    for _ in range(2):  # x^2 - 1 = (x - 1)(x + 1)
+        with pytest.raises(ReducibleModulusError):
+            quotient_extension(prime_field(3), [2, 0, 1], gen="w")
+    assert calls

@@ -30,6 +30,7 @@ from circhess import (
     quotient_extension,
     rationals,
 )
+from circhess.fields import dump_json
 from circhess.errors import (
     DivisionByZeroError,
     MixedFieldsError,
@@ -959,3 +960,108 @@ def test_dots_equal_the_dot_of_each_pair(make):
     xss, yss = [[a, a, a]], [[one, minus_one, one], [one, minus_one, spec.zero]]
     assert spec.dots(xss, yss) == [(a, spec.zero)] == pairwise(xss, yss)
     assert spec.dots([], yss) == [] and spec.dots(xss, []) == [()]
+
+
+# --- the indented JSON writer ------------------------------------------------
+
+def _indented(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+_CLI_ARRAYS = {
+    "W5": ("gf:5", "F1", "--q", "2"),
+    "GF(9)": ("ext:gf:3:1,0,1", "F1"),
+    "GF(4)": ("ext:gf:2:1,1,1", "F4", "--c", "w", "--cstar", "w", "--z", "1"),
+    "cyclo:4": ("cyclo:4", "F1"),
+}
+
+
+@pytest.mark.parametrize("args", _CLI_ARRAYS.values(), ids=_CLI_ARRAYS.keys())
+def test_dump_json_is_json_dumps_on_every_cli_document(tmp_path, capsys, monkeypatch, args):
+    """Every document that gen, verify, raw-pair verify (finite fields
+    only: ingest needs one), classify, bases --check-all and replay write,
+    to stdout and to --out, is json.dumps with an indent of 2 and sorted
+    keys, byte for byte."""
+    from circhess import cli
+
+    written = []
+    monkeypatch.setattr(cli, "dump_json", lambda doc: written.append(
+        (doc, dump_json(doc))) or written[-1][1])
+    field, family, *extra = args
+    src = tmp_path / "gen.json"
+    assert cli.main(["gen", "--family", family, "--field", field, "--d", "3",
+                     "--b", "1", "--bstar", "1", "--y", "1", *extra,
+                     "--out", str(src)]) == 0
+    pair = tmp_path / "pair.json"
+    gen_doc = json.loads(src.read_text())
+    pair.write_text(json.dumps({"A": gen_doc["A"], "A_star": gen_doc["A_star"]}))
+    commands = [("verify", src), ("classify", src), ("bases", src, "--check-all"),
+                ("replay", src)] + [("verify", pair)] * (field != "cyclo:4")
+    capsys.readouterr()
+    for k, (cmd, infile, *flags) in enumerate(commands):
+        out = tmp_path / f"{k}.json"
+        assert cli.main([cmd, "--in", str(infile), *flags, "--out", str(out)]) == 0
+        assert out.read_text() == written[-1][1] + "\n"
+        assert cli.main([cmd, "--in", str(infile), *flags]) == 0
+        assert capsys.readouterr().out == written[-1][1] + "\n"
+    assert len(written) == 1 + 2 * len(commands)
+    for doc, text in written:
+        assert text == _indented(doc)
+
+
+def test_dump_json_is_json_dumps_on_search_reports(tmp_path, monkeypatch):
+    """SearchReport bytes, and the counterexamples file, which the search
+    writes after each non-recurrent hit (every hit is made one here)."""
+    import importlib
+    import types
+
+    from circhess import SearchConfig, search
+
+    search_mod = importlib.import_module("circhess.search")
+
+    for field, mode in (("gf:5", "random"), ("ext:gf:2:1,1,1", "random")):
+        report = search(SearchConfig(field_from_string(field), 3, mode, seed=1, trials=400))
+        assert report.ch_systems_found > 0
+        assert report.to_bytes() == _indented(report.to_json()).encode()
+    monkeypatch.setattr(search_mod, "recurrence_status",
+                        lambda params: types.SimpleNamespace(recurrent=False, betas=()))
+    path = tmp_path / "rep.json"
+    report = search(SearchConfig(field_from_string("gf:5"), 3, "random", seed=1,
+                                 trials=400, report_path=str(path)))
+    assert report.counterexamples
+    assert path.read_bytes() == _indented(report.to_json()).encode()
+    found = path.with_suffix(".counterexamples.json").read_text()
+    assert found == _indented(report.counterexamples)
+
+
+def test_dump_json_is_json_dumps_on_the_golden_documents():
+    text = (Path(__file__).parent / "golden" / "result_json.json").read_text()
+    golden = json.loads(text)
+    assert dump_json(golden) == _indented(golden)
+    for value in golden.values():
+        doc = json.loads(value)
+        assert dump_json(doc) == _indented(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), "", 0, None, True, 1.5,
+    {"a": {}, "b": [], "c": [[], [{}], {"d": ()}], "": {"": []}},
+    (1, (2, ("x", "y")), []),
+    ["é", "☃", "\U0001f600", '"', "\\", "\x00\x01\x1f\x7f", "\n\t\r\b\f", "/"],
+    {"é": "ü", '"q"': "\\", "\x02": ["\x03"]},
+    [-1, -(10 ** 39) - 7, 10 ** 40, 0, -0],
+    [True, 1, False, 0, None, "true", "1"],
+    {"t": True, "one": 1, "f": False, "zero": 0, "n": None},
+    [float("nan"), float("inf"), -float("inf"), -0.0, 0.1, 1e300, 2.5e-320],
+    {"b": 1, "a": 2, "B": 3, "_": 4, "aa": 5, "a ": 6, "á": 7},
+    [["1", "0"], ["0", "1"], ["x", 1], ["y", None]],
+], ids=lambda doc: repr(doc)[:40])
+def test_dump_json_is_json_dumps_on_edge_cases(doc):
+    assert dump_json(doc) == _indented(doc)
+
+
+@pytest.mark.parametrize("doc", [{1, 2}, object(), {1: "a"}, {"a": {2: "b"}},
+                                 [Fraction(1, 2)], {"a": b"x"}])
+def test_dump_json_refuses_what_it_cannot_write(doc):
+    with pytest.raises(TypeError):
+        dump_json(doc)

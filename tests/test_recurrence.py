@@ -546,3 +546,63 @@ def test_unit_root_in_qq_quadratic_field_through_square_roots(make):
         assert spec == k and not lifted
         assert root in (q, q.inverse())
         assert (root * root - beta * root + 1).is_zero()
+
+
+def _gauss_sqrt5(k):
+    """sqrt(5) = 1 + 2(t + t^4) in QQ(zeta_5)."""
+    t = k.generator()
+    return 1 + 2 * (t + t**4)
+
+
+# (m, beta as a function of the field): beta^2 - 4 is rational in each,
+# and its square roots lie in QQ(zeta_m) but are no +-t^k
+_CYCLOTOMIC_ROOTS = {
+    "cyclo:5 beta=3": (5, lambda k: k.element(3)),  # sqrt(5)
+    "cyclo:5 beta=5/2": (5, lambda k: k.element(Fraction(5, 2))),  # q = 2
+    "cyclo:12 beta=5/2": (12, lambda k: k.element(Fraction(5, 2))),
+    "cyclo:12 delta=3*2^2": (12, lambda k: k.element(4)),  # sqrt(-1) sqrt(-3)
+    "cyclo:8 delta=2*4^2": (8, lambda k: k.element(6)),  # zeta_8 + zeta_8^7
+    "cyclo:8 delta=-2*(4/3)^2": (8, lambda k: k.element(Fraction(2, 3))),
+    "cyclo:7 delta=-7/4": (7, lambda k: k.element(Fraction(3, 2))),  # Gauss sum
+    "cyclo:15 beta=3": (15, lambda k: k.element(3)),
+    "cyclo:24 delta=6*4^2": (24, lambda k: k.element(10)),  # sqrt(-2) sqrt(-3)
+    # an irrational beta = 13 sqrt(3)/6 with beta^2 - 4 = 3 (11/6)^2
+    "cyclo:12 beta=13sqrt(3)/6": (12, lambda k: (
+        (2 * k.generator()**4 + 1) * k.generator()**3 * k.element(Fraction(13, 6)))),
+}
+
+
+@pytest.mark.parametrize("m, make_beta", _CYCLOTOMIC_ROOTS.values(),
+                         ids=_CYCLOTOMIC_ROOTS.keys())
+def test_unit_root_in_cyclotomic_field_from_a_rational_discriminant(m, make_beta):
+    k = cyclotomic_field(m)
+    beta = make_beta(k)
+    q, spec, lifted = solve_unit_root(k, beta)
+    assert spec is k and not lifted
+    assert (q * q - beta * q + 1).is_zero()
+
+
+@pytest.mark.parametrize("m, beta", [(5, 4), (12, 6), (4, 3), (7, Fraction(7, 2))],
+                         ids=["sqrt3 in cyclo:5", "sqrt2 in cyclo:12",
+                              "sqrt5 in cyclo:4", "sqrt33 in cyclo:7"])
+def test_unit_root_absent_from_cyclotomic_field_is_refused(m, beta):
+    from circhess.errors import NoSuchRootError
+
+    k = cyclotomic_field(m)
+    with pytest.raises(NoSuchRootError):
+        solve_unit_root(k, k.element(beta))
+
+
+def test_fit_3_recurrent_sequence_over_cyclo5():
+    """theta_i = 1 + q^i + 2 q^-i with q = (3 + sqrt 5)/2 is 3-recurrent
+    over QQ(zeta_5); the fit and the quotient identity run in the field
+    itself."""
+    k = cyclotomic_field(5)
+    q = (3 + _gauss_sqrt5(k)) / 2
+    assert q * q - 3 * q + 1 == 0
+    seq = [1 + q**i + 2 * q**-i for i in range(6)]
+    fit = fit_closed_form(seq, k.element(3))
+    assert fit.spec is k and not fit.lifted
+    assert [fit.evaluate(i) for i in range(6)] == seq
+    lhs = recurrent_quotient(seq, k.element(3), 3, 0, 2, 1)
+    assert lhs == (seq[3] - seq[0]) / (seq[2] - seq[1])
