@@ -2,17 +2,23 @@
 
 The search space is parameter-array data (distinct eigenvalue tuples plus a
 nonzero split tuple): every system has a split form, so this space is
-complete up to isomorphism.  Candidates are screened by an exact
-division-free probe (_pattern_probe) that reads the one circular Hessenberg
-pattern (the CIRCULAR_HESSENBERG table of linalg._shape_pattern) the axiom
-oracle reads; each entry it tests is a linear form in theta* and phi, read
-off the eigenvectors of the split form's A.  Exhaustive mode solves for phi
-per (theta, theta*) pair (_solve_pair), from tables memoized per eigenvalue
-sequence (_theta_forms).  Random mode draws the candidates of
-random.Random(seed).sample and choice (_random_candidates).  Over a field
-whose perm(q, d + 1) eigenvalue sequences fit the memo it draws their codes
-instead (_random_codes) and reads tables built once per (field, d)
-(_code_tables); otherwise it evaluates the forms lazily (_probe_forms).
+complete up to isomorphism.  A candidate is a probe hit when it passes an
+exact division-free probe (_pattern_probe) that reads the one circular
+Hessenberg pattern (the CIRCULAR_HESSENBERG table of
+linalg._shape_pattern) the axiom oracle reads; each entry it tests is a linear form in theta* and phi, read
+off the eigenvectors of the split form's A.  Over small fields both modes
+read one table of probe hits per set of eigenvalue sequences (_pair_hits):
+the affine maps theta -> a theta + b, theta* -> a* theta* + b* with
+phi -> a a* phi keep every pattern entry zero or nonzero, so the hits of
+every (theta, theta*) pair are those of one normalized pair (theta_0 =
+theta*_0 = 0, theta_1 = theta*_1 = 1), rescaled, and phi is solved for
+(_solve_pair) once per normalized pair.  Exhaustive mode reads the table
+of every pair.  Random mode draws the candidates of random.Random(seed)
+.sample and choice (_random_candidates).  Over a field whose perm(q, d + 1)
+eigenvalue sequences fit the memo it draws their codes instead
+(_random_codes) and looks each one up in the table, built once per
+(field, d) (_code_tables); otherwise it probes each candidate, evaluating
+the forms lazily (_probe_forms).
 Each mode is one generator of units, (candidates examined, probe hits
 among them), in the mode table _UNITS: SEARCH_MODES (the CLI's --mode
 choices) and search()'s dispatch both read it.  Every probe hit, in either
@@ -115,14 +121,14 @@ def _split_pattern_probe(spec, theta, theta_star, phi, d) -> bool:
     E*_i to the dual's E_i (both belong to theta*_i).  Conjugation keeps
     every product zero or nonzero, so the two patterns agree entry by entry.
     """
-    return _pattern_probe(spec, functools.partial(_probe_forms, spec, d=d))(
-        theta, theta_star, phi)
+    return _pattern_probe(spec, d)(theta, theta_star, phi)
 
 
-def _pattern_probe(spec, forms):
+def _pattern_probe(spec, d):
     """The probe of _split_pattern_probe as a function of one candidate
-    (theta, theta*, phi), reading each sequence's forms from forms(theta)
-    in pattern order, E side first, stopping at the first violated entry.
+    (theta, theta*, phi), reading each sequence's forms lazily
+    (_probe_forms) in pattern order, E side first, stopping at the first
+    violated entry.
     Each entry costs one dot product and one zero test: form . (theta* ||
     phi) on the E side, from theta's forms, and dual_form . (theta || phi)
     on the E* side, from theta*'s."""
@@ -131,11 +137,11 @@ def _pattern_probe(spec, forms):
 
     def probe(th, ths, ph):
         point = ths + ph
-        for must_zero, form, _ in forms(th):
+        for must_zero, form, _ in _probe_forms(spec, th, d):
             if (dot(form, point) == zero) != must_zero:
                 return False
         point = th + ph
-        for must_zero, _, dual_form in forms(ths):
+        for must_zero, _, dual_form in _probe_forms(spec, ths, d):
             if (dot(dual_form, point) == zero) != must_zero:
                 return False
         return True
@@ -170,13 +176,11 @@ def _probe_forms(spec, theta, d):
     v[t + 1] = (l_k - l_t) v[t] and u[t - 1] = (l_k - l_t) u[t] run here
     per entry, because the probe stops at the first violated entry, so
     most vectors are never needed; _theta_forms reads the same vectors off
-    the memoized table, payload for payload.  Exhaustive mode meets each
-    theta in many pairs and reads every entry, so it reads _theta_forms.
-    Random mode reads it when all perm(q, d + 1) thetas of the field fit
-    the memo (_random_units decides once per search, and _code_tables builds
-    the tables once per (field, d)); otherwise almost every candidate
-    brings a new theta, whose whole table costs many times the entries the
-    probe reads.  CHANGES.md records the measurements behind both choices.
+    the memoized unit-chain table, payload for payload.  The solver reads
+    every entry, so it reads _theta_forms.  The probe runs only on random
+    mode's lazy path, over fields whose perm(q, d + 1) thetas do not fit
+    the memo: there almost every candidate brings a new theta, whose whole
+    table costs many times the entries the probe reads.
     """
     sub, mul, one, zero = spec.sub, spec.mul, spec.one, spec.zero
     for i, j, must_zero in _upper_pattern(d + 1):
@@ -200,20 +204,15 @@ def _upper_pattern(n: int) -> tuple:
                  if e[1] > e[0])
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _theta_forms(spec, theta: tuple) -> tuple:
     """All the (must_zero, form, dual_form) entries of _probe_forms for
-    theta, as one table, read off the unit-chain table of A's diagonal
-    (theta reversed): entry (i, j) takes the left row v_{d-i} and the
-    right column u_{d-j}.  Those are _probe_forms's v and u, so the forms
-    are its payloads, and the oracle's builds of every array with this
-    theta read the same memoized table.
-
-    Memoized by (field, theta payloads), keeping the _MEMO_SIZE most
-    recently used thetas: a search over a field of q elements meets
-    perm(q, d + 1), so a search within the default cap keeps every table
-    it builds.  Exhaustive mode reads it, and random mode when the field's
-    perm(q, d + 1) thetas all fit the memo (see _probe_forms).
+    theta, as one table, read off the memoized unit-chain table of A's
+    diagonal (theta reversed): entry (i, j) takes the left row v_{d-i} and
+    the right column u_{d-j}.  Those are _probe_forms's v and u, so the
+    forms are its payloads, and the oracle's builds of every array with
+    this theta read the same unit-chain table.  Only the solver reads it
+    (_solve_pair), twice per pair, and _pair_hits solves only normalized
+    pairs, so a search reads it on perm(q - 2, d - 1) sequences at most.
     """
     table, forms = _unit_chain_eigenvectors(spec, theta[::-1])[::-1], []
     for i, j, must_zero in _upper_pattern(len(theta)):
@@ -228,8 +227,8 @@ def _solve_pair(spec, theta, theta_star, d, nonzero) -> list:
     the order of phi's indices in `nonzero`, without enumerating phi.
 
     Both sides' forms are affine in phi, so the zero entries of the
-    pattern are linear equations.  They are read off the memoized per-theta
-    tables (_theta_forms), the probe's own: the E side's from theta's
+    pattern are linear equations.  They are read off the per-theta tables
+    (_theta_forms), the probe's own: the E side's from theta's
     form, tested against theta* || phi, and the E* side's from theta*'s
     dual_form, tested against theta || phi.  Either way the constant is
     form[:d + 1] . other, where other is the other sequence, and the
@@ -267,6 +266,49 @@ def _solve_pair(spec, theta, theta_star, d, nonzero) -> list:
             hits.append(tuple(phi))
     hits.sort(key=lambda phi: [nonzero.index(v) for v in phi])
     return hits
+
+
+def _pair_hits(spec, d, thetas) -> tuple:
+    """(phis, hits): phis is product(nonzero, repeat=d), and hits[c n + c*],
+    with n = len(thetas), is the sorted tuple of the codes f for which
+    (thetas[c], thetas[c*], phis[f]) is a probe hit.
+
+    The affine maps theta -> a theta + b and theta* -> a* theta* + b*
+    (a, a* nonzero), with phi -> a a* phi, keep every E_i A* E_j and
+    E*_i A E*_j zero or nonzero.  a A + b is lower bidiagonal with
+    a theta + b reversed on its diagonal and a below it, and a* A* + b* is
+    upper bidiagonal with a* theta* + b* on its diagonal and a* phi above
+    it.  Conjugating both by diag(a^i) turns the a below into ones and the
+    a* phi above into a a* phi: it gives the split form of the mapped
+    array.  An affine map keeps each primitive idempotent, now belonging to
+    the mapped eigenvalue, so the orderings agree, and conjugation keeps
+    every product zero or nonzero.  With a = 1 / (theta_1 - theta_0) and
+    b = -a theta_0, each theta maps to one normalized sequence, with
+    theta_0 = 0 and theta_1 = 1.  So the hits of (theta, theta*) are those
+    of its normalized pair, each phi' divided by a a*, that is multiplied
+    by (theta_1 - theta_0)(theta*_1 - theta*_0).  _solve_pair runs once
+    per normalized pair, perm(q - 2, d - 1)^2 times when thetas holds
+    every sequence of a field of q elements, and only the pairs whose
+    normalized pair has hits are filled.
+    """
+    mul, sub, nonzero, n = spec.mul, spec.sub, _elements(spec)[1], len(thetas)
+    phis = tuple(itertools.product(nonzero, repeat=d))
+    code = {ph: f for f, ph in enumerate(phis)}
+    groups = {}  # normalized sequence -> [(c, theta_1 - theta_0)]
+    for c, th in enumerate(thetas):
+        w = sub(th[1], th[0])
+        groups.setdefault(tuple(spec.div(sub(t, th[0]), w) for t in th), []).append((c, w))
+    hits = [()] * (n * n)
+    for norm, members in groups.items():
+        for norm_star, members_star in groups.items():
+            solved = _solve_pair(spec, norm, norm_star, d, nonzero)
+            if not solved:
+                continue
+            for (c, w), (cs, ws) in itertools.product(members, members_star):
+                s = mul(w, ws)
+                hits[c * n + cs] = tuple(sorted(
+                    code[tuple(mul(s, x) for x in ph)] for ph in solved))
+    return phis, hits
 
 
 def _elements(spec) -> tuple:
@@ -310,18 +352,22 @@ class _IndexedPayloads(Sequence):
 def _exhaustive_units(cfg: SearchConfig):
     """Exhaustive mode's units of the search, (candidates examined, probe
     hits among them): one per (theta, theta*) pair, in lexicographic
-    (theta, theta*, phi) order.  The space of perm(q, d + 1)^2 (q - 1)^d
-    candidates is refused above the cap before the field is enumerated, so
-    a field too large to list is refused at once."""
+    (theta, theta*, phi) order, read off _pair_hits's table.  The space of
+    perm(q, d + 1)^2 (q - 1)^d candidates is refused above the cap before
+    the field is enumerated, so a field too large to list is refused at
+    once, and an empty space (q < d + 1) lists nothing."""
     spec, d, q = cfg.spec, cfg.d, cfg.spec.order
     per_pair = (q - 1) ** d
     count = math.perm(q, d + 1) ** 2 * per_pair
     if count > cfg.exhaustive_cap:
         raise BudgetExceededError(f"exhaustive count {count} exceeds cap {cfg.exhaustive_cap}")
-    elems, nonzero = _elements(spec)
-    for th in itertools.permutations(elems, d + 1):
-        for ths in itertools.permutations(elems, d + 1):
-            yield per_pair, [(th, ths, ph) for ph in _solve_pair(spec, th, ths, d, nonzero)]
+    if q < d + 1:
+        return
+    thetas = tuple(itertools.permutations(_elements(spec)[0], d + 1))
+    phis, hits = _pair_hits(spec, d, thetas)
+    for c, th in enumerate(thetas):
+        for cs, ths in enumerate(thetas):
+            yield per_pair, [(th, ths, phis[f]) for f in hits[c * len(thetas) + cs]]
 
 
 def _random_units(cfg: SearchConfig):
@@ -330,29 +376,27 @@ def _random_units(cfg: SearchConfig):
     the loop over candidates is left only at a hit, which still reaches
     the oracle (and, if it is a counterexample, the report file) before
     the next draw.  Where the field's perm(q, d + 1) eigenvalue sequences
-    fit the memo, it draws codes (_random_codes) and reads its tables with
-    one lookup (_code_tables), and only the candidates whose first pattern
-    entry passes the screen on both sides are built and probed.  Otherwise
-    it reads only the drawn indices of the field's elements, so it indexes
-    them (_indexed_elements) and never lists the field."""
-    spec, d = cfg.spec, cfg.d
-    if spec.order < d + 1:
+    fit the memo, it draws codes (_random_codes) and looks each candidate
+    up in _pair_hits's table (_code_tables), so it builds and probes
+    nothing but the hits.  Otherwise it probes every candidate, and reads
+    only the drawn indices of the field's elements, so it indexes them
+    (_indexed_elements) and never lists the field."""
+    spec, d, q = cfg.spec, cfg.d, cfg.spec.order
+    if q < d + 1:
         return  # no d + 1 distinct eigenvalues exist: the space is empty
-    if math.perm(spec.order, d + 1) <= _MEMO_SIZE:
-        samples, phis, rev, forms, screens = _code_tables(spec, d)
-        probe = _pattern_probe(spec, forms.__getitem__)
-        q = spec.order
-        passed = ((i, (samples[c], samples[cs], phis[f])) for i, c, cs, f in _random_codes(
-            cfg.seed, q, q - 1, d, cfg.trials, screens, rev))
+    if math.perm(q, d + 1) <= _MEMO_SIZE:
+        samples, phis, hits = _code_tables(spec, d)
+        found = ((i, (samples[c], samples[cs], phis[f])) for i, c, cs, f in _random_codes(
+            cfg.seed, q, q - 1, d, cfg.trials, hits))
     else:
         elems, nonzero = _indexed_elements(spec)
-        probe = _pattern_probe(spec, functools.partial(_probe_forms, spec, d=d))
-        passed = enumerate(_random_candidates(cfg.seed, elems, nonzero, d, cfg.trials), 1)
+        probe = _pattern_probe(spec, d)
+        found = ((i, c) for i, c in enumerate(
+            _random_candidates(cfg.seed, elems, nonzero, d, cfg.trials), 1) if probe(*c))
     last = 0
-    for i, c in passed:
-        if probe(*c):
-            yield i - last, [c]
-            last = i
+    for i, c in found:
+        yield i - last, [c]
+        last = i
     yield max(cfg.trials, 0) - last, ()
 
 
@@ -382,9 +426,9 @@ def _pool_sample(elems, bounds, draw) -> tuple:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _code_tables(spec, d: int) -> tuple:
-    """(samples, phis, rev, forms, screens): random mode's tables over a
-    field whose perm(q, d + 1) eigenvalue sequences fit the memo, built on
-    first use, once per (field, d) while the memo keeps them.
+    """(samples, phis, hits): random mode's tables over a field whose
+    perm(q, d + 1) eigenvalue sequences fit the memo, built on first use,
+    once per (field, d) while the memo keeps them.
 
     samples and phis hold every sample of d + 1 elements and every phi at
     the mixed-radix code of its draws (see _random_candidates and
@@ -396,71 +440,27 @@ def _code_tables(spec, d: int) -> tuple:
     method's bijection onto the perm(n, k) sequences.  phi's d accepted
     choice draws, each below m nonzero elements, fold into ((j_1 m + j_2) m
     + ...) m + j_d, and phis is product(nonzero, repeat=d), whose code-th
-    tuple is (nonzero[j_1], ..., nonzero[j_d]).  rev[f] is the code of
-    phis[f] reversed.  forms maps each sequence to its _theta_forms table,
-    in a dict, because the lru key (spec, theta) hashes the frozen field
-    spec in Python; screens[c] is samples[c]'s first-entry screen
-    (_theta_screen)."""
-    elems, nonzero = _elements(spec)
+    tuple is (nonzero[j_1], ..., nonzero[j_d]).  phis and hits are
+    _pair_hits's over samples, so the candidate of codes (c, c*, f) is a
+    probe hit exactly when f is in hits[c len(samples) + c*]."""
+    elems = _elements(spec)[0]
     bounds = _sample_bounds(len(elems), d + 1)
     samples = tuple(_pool_sample(elems, bounds, lambda width, it=iter(js): next(it))
                     for js in itertools.product(*(range(b) for b, _ in bounds)))
-    phis = tuple(itertools.product(nonzero, repeat=d))
-    code = {ph: f for f, ph in enumerate(phis)}
-    forms = {th: _theta_forms(spec, th) for th in samples}
-    tails = {}  # the distinct last three entries, indexed by first sight
-    tail_of = [tails.setdefault(th[d - 2:], len(tails)) for th in samples]
-    screens = tuple(_theta_screen(spec, forms[th][0][1], tuple(tails), tail_of, nonzero)
-                    for th in samples)
-    return samples, phis, tuple(code[ph[::-1]] for ph in phis), forms, screens
+    return (samples, *_pair_hits(spec, d, samples))
 
 
-def _theta_screen(spec, form, tails, tail_of, nonzero) -> tuple:
-    """The first entry of a theta's forms, (0, 2), which must be zero for
-    every d >= 3, from its form = vu || coeffs, tabulated over the code
-    lists of _code_tables as (consts, lins): consts[c] = vu . samples[c]
-    and lins[f] = -(coeffs . phis[f]), the constant/coefficient split of
-    _solve_pair.  So the entry of (theta, samples[c], phis[f]) is zero
-    exactly when consts[c] == lins[f] (payloads are canonical), and a
-    candidate that fails this equality fails the probe.  The same table
-    screens the E* side: the dual_form of theta's first entry is vu ||
-    reversed(coeffs), so for a candidate (samples[c'], theta, phis[f]) its
-    dual_form . (samples[c'] || phis[f]) is zero exactly when consts[c'] ==
-    lins[rev[f]].
-
-    u, the right column of theta_2, vanishes before position d - 2 (see
-    _probe_forms), so vu = v (.) u does too, and coeffs[t] = v[t] u[t + 1]
-    before d - 3.  So consts[c] is the dot of vu's last three entries with
-    samples[c]'s, tails[tail_of[c]]: one dot per distinct tail, perm(n, 3)
-    of them, not one per sample.  And lins[f] depends only on phis[f]'s
-    last three entries, the last three digits of f: it is summed over
-    those coordinate by coordinate in code order, from one row of products
-    -(coeffs[t] x) per position (m + m^2 + m^3 additions over m nonzero
-    elements), and repeated once per value of the leading digits."""
-    d = len(form) // 2
-    vu, coeffs = form[d - 2:d + 1], form[2 * d - 2:]
-    consts = [spec.dot(vu, t) for t in tails]
-    lins = [spec.zero]
-    for a in coeffs:
-        row = [spec.neg(spec.mul(a, x)) for x in nonzero]
-        lins = [spec.add(s, r) for s in lins for r in row]
-    return tuple(map(consts.__getitem__, tail_of)), tuple(lins * len(nonzero) ** (d - 3))
-
-
-def _random_codes(seed, n, m, d, trials, screens, rev):
+def _random_codes(seed, n, m, d, trials, hits):
     """The codes (c, c*, f) of random mode's candidates (samples[c],
     samples[c*], phis[f]) over a field of n elements, m nonzero, whose
     perm(n, d + 1) sequences fit the memo, drawn on the getrandbits stream
     of _random_candidates: each accepted digit j below its bound b (the
     pool method's for theta and theta*, m for each phi_t) folds into its
     code as code * b + j.  Yields (trial number from 1, c, c*, f) for each
-    candidate whose first pattern entry passes the screen on both sides:
-    on the E side in theta's screen, screens[c] = (consts, lins) with
-    consts[c*] == lins[f], then on the E* side in theta*'s, with
-    consts[c] == lins[rev[f]] (see _code_tables and _theta_screen).
-    The rest build nothing."""
+    candidate that is a probe hit, f in hits[c perm(n, d + 1) + c*] (see
+    _code_tables); the rest build nothing."""
     getrandbits = random.Random(seed).getrandbits
-    bounds, width = _sample_bounds(n, d + 1), m.bit_length()
+    bounds, width, stride = _sample_bounds(n, d + 1), m.bit_length(), math.perm(n, d + 1)
     for i in range(1, trials + 1):
         c = cs = f = 0
         for b, w in bounds:
@@ -478,11 +478,8 @@ def _random_codes(seed, n, m, d, trials, screens, rev):
             while j >= m:
                 j = getrandbits(width)
             f = f * m + j
-        consts, lins = screens[c]
-        if consts[cs] == lins[f]:
-            consts, lins = screens[cs]
-            if consts[c] == lins[rev[f]]:
-                yield i, c, cs, f
+        if f in hits[c * stride + cs]:
+            yield i, c, cs, f
 
 
 def _random_candidates(seed, elems, nonzero, d, trials):

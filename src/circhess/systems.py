@@ -28,7 +28,7 @@ used), _unit_chain_eigenvectors: the division-free eigenvectors of the
 bidiagonal matrix with that diagonal and a unit chain, which is A itself;
 A*'s are that table scaled entrywise by prefix and suffix products of its
 chain phi.  The search solver reads its forms off the same table
-(search._theta_forms).
+(search._theta_forms), for the normalized sequences it solves.
 The matrices are formed once, on first read, for the consumers that want
 them (bases, replay, the isomorphism witness); matrices that come from
 outside (ingest_pair's Lagrange idempotents, an assignment s.E = ...) are
@@ -70,13 +70,15 @@ from .linalg import (
     rank,
 )
 
-# Entries kept by each per-sequence memo (_unit_chain_eigenvectors here, and
-# search._theta_forms, which reads it), least recently used out first.  An
-# exhaustive search within the default cap meets at most perm(5, 5) = 120
-# sequences, so its tables all stay; a larger one rebuilds the tables it
-# evicts.  A table takes about 1 KB over GF(5), d = 3 and up to 15 KB over
-# cyclo:5, d = 6, so a process that builds many systems (random mode, the
-# CLI, replay, library use over QQ) holds a few MB at most.
+# Entries kept by the per-sequence memo of _unit_chain_eigenvectors, least
+# recently used out first.  An exhaustive search within the default cap
+# meets at most perm(5, 5) = 120 sequences, so its tables all stay; a larger
+# one rebuilds the tables it evicts.  A table takes about 1 KB over GF(5),
+# d = 3 and up to 15 KB over cyclo:5, d = 6, so a process that builds many
+# systems (random mode, the CLI, replay, library use over QQ) holds a few MB
+# at most.  Random mode builds its hit table (search._code_tables, which
+# keeps as many (field, d) entries) only over fields whose perm(q, d + 1)
+# sequences number at most this many.
 _MEMO_SIZE = 256
 
 
@@ -129,7 +131,7 @@ class ParameterArray:
         """The array of payload tuples that are already certified: payloads
         of spec, theta and theta* each mutually distinct, every phi_t
         nonzero, len(theta) >= 4 (a search hit, drawn from the field and
-        screened by the probe or solved by _solve_pair).  Builds its
+        accepted by the probe or listed by search._pair_hits).  Builds its
         elements and skips the checks of public construction."""
         array = object.__new__(cls)
         array.__dict__.update(
@@ -397,8 +399,9 @@ def _unit_chain_eigenvectors(spec: FieldSpec, diag: tuple) -> tuple:
     and no inverse.
 
     Every split_form_build call reads two diagonals (A's is theta
-    reversed, A*'s theta*), and search._theta_forms reads theta reversed,
-    so a process meets one per distinct eigenvalue sequence it builds or
+    reversed, A*'s theta*), and search._theta_forms reads theta reversed
+    for each normalized sequence that the search solver solves for, so a
+    process meets one per distinct eigenvalue sequence it builds or
     solves for: perm(q, d + 1) for an exhaustive search over a field of q
     elements, but without limit over QQ or in long random runs.  The memo
     is therefore bounded: it keeps the _MEMO_SIZE most recently used

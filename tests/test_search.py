@@ -39,10 +39,12 @@ from circhess.errors import (
     UnsupportedFieldError,
 )
 from circhess.search import (
+    SEARCH_MODES,
     _code_tables,
     _elements,
     _exhaustive_units,
     _indexed_elements,
+    _pair_hits,
     _probe_forms,
     _random_candidates,
     _random_codes,
@@ -257,8 +259,8 @@ def test_samples_by_index_are_the_pool_rule(monkeypatch, field, d):
     once each, and each equals what CPython's sample makes of the same
     digits; phi runs through product(nonzero, repeat=d) once each, in that
     order, and each equals d of CPython's choice on the same digits.  The
-    digits go through _random_codes, with a screen every candidate passes,
-    and are read off the lists of _code_tables."""
+    digits go through _random_codes, with a hit table in which every
+    candidate is a hit, and are read off the lists of _code_tables."""
     spec = field_from_string(field)
     elems = list(spec.element_payloads())
     nonzero = [e for e in elems if not spec.is_zero(e)]
@@ -275,11 +277,10 @@ def test_samples_by_index_are_the_pool_rule(monkeypatch, field, d):
     search_mod = importlib.import_module("circhess.search")
     monkeypatch.setattr(search_mod, "random", SimpleNamespace(
         Random=lambda seed: _ScriptedRandom(script)))
-    samples, phi_list, rev, _, _ = _code_tables(spec, d)
-    # the screen of zeros, which every candidate passes
-    passing = [((0,) * len(samples), (0,) * len(phi_list))] * len(samples)
+    samples, phi_list, _ = _code_tables(spec, d)
+    every = [range(len(phi_list))] * len(samples) ** 2
     got = [(samples[c], samples[cs], phi_list[f]) for _, c, cs, f in _random_codes(
-        0, n, len(nonzero), d, trials, passing, rev)]
+        0, n, len(nonzero), d, trials, every)]
     thetas = [th for th, _, _ in got[:len(codes)]]
     assert thetas == [tuple(_ScriptedRandom(digits).sample(elems, k)) for digits in codes]
     assert set(thetas) == set(itertools.permutations(elems, k))
@@ -308,8 +309,8 @@ class _RecordingRandom(random.Random):
 @pytest.mark.parametrize("field, d, hits", [("gf:5", 4, 3), ("gf:7", 3, 25)])
 def test_random_hits_reach_oracle_before_next_draw(monkeypatch, field, d, hits):
     """Random mode hands each probe hit to the oracle as soon as it is
-    drawn, on the table path (GF(5), d = 4, which draws codes and screens
-    them) and on the lazy one (GF(7), d = 3), recorded at the getrandbits
+    drawn, on the table path (GF(5), d = 4, which draws codes and looks
+    them up) and on the lazy one (GF(7), d = 3), recorded at the getrandbits
     level: split_form_build sees each hit once the last word of its trial
     is drawn and before the next word, and the search draws exactly the
     words of rng.sample and rng.choice."""
@@ -626,22 +627,36 @@ def test_trusted_hit_arrays_equal_validated_ones(gf4):
     assert count == 2304
 
 
-def test_exhaustive_search_builds_each_table_once(gf4):
-    """One GF(4), d = 3 exhaustive search meets perm(4, 4) = 24 eigenvalue
-    sequences and builds each one's solver table once and its unit-chain
-    eigenvector table once, across 576 (theta, theta*) pairs and 2,304
-    hits: the solver reads theta reversed, which runs over all 24
-    sequences, and the oracle's builds read tables already there.  Both
-    memos are bounded, and hold a whole search within the default cap (at
-    most perm(5, 5) sequences)."""
-    assert (_theta_forms.cache_info().maxsize
-            == _unit_chain_eigenvectors.cache_info().maxsize
-            == _MEMO_SIZE >= math.perm(5, 5))
-    _theta_forms.cache_clear()
+def _recorded_solves(monkeypatch):
+    """Record the (theta, theta*) pair of every _solve_pair call that the
+    search module makes, in a list, which is returned."""
+    search_mod = importlib.import_module("circhess.search")
+    calls = []
+
+    def solve(spec, theta, theta_star, d, nonzero):
+        calls.append((theta, theta_star))
+        return _solve_pair(spec, theta, theta_star, d, nonzero)
+
+    monkeypatch.setattr(search_mod, "_solve_pair", solve)
+    return calls
+
+
+def test_exhaustive_search_builds_each_table_once(monkeypatch, gf4):
+    """One GF(4), d = 3 exhaustive search solves only its perm(2, 2)^2 = 4
+    normalized pairs (theta_0 = theta*_0 = 0, theta_1 = theta*_1 = 1), not
+    its 576 (theta, theta*) pairs, and builds the unit-chain eigenvector
+    table of each of its perm(4, 4) = 24 eigenvalue sequences once, across
+    2,304 hits: the oracle's builds read theta reversed, which runs over
+    all 24 sequences, and the solver's reads tables already there or kept
+    for them.  The memo is bounded, and holds a whole search within the
+    default cap (at most perm(5, 5) sequences)."""
+    assert _unit_chain_eigenvectors.cache_info().maxsize == _MEMO_SIZE >= math.perm(5, 5)
+    solves = _recorded_solves(monkeypatch)
     _unit_chain_eigenvectors.cache_clear()
     rep = search(SearchConfig(gf4, 3, "exhaustive"))
     assert rep.ch_systems_found == 2_304
-    assert _theta_forms.cache_info().misses == math.perm(4, 4)
+    assert len(solves) == len(set(solves)) == math.perm(2, 2) ** 2
+    assert all(seq[:2] == (gf4.zero, gf4.one) for pair in solves for seq in pair)
     assert _unit_chain_eigenvectors.cache_info().misses == math.perm(4, 4)
 
 
@@ -726,32 +741,68 @@ def test_random_report_bytes_match_reference_loop(monkeypatch, field, d):
         assert ref.candidates_examined == 500
 
 
-@pytest.mark.parametrize("field, d, sample", [
-    ("ext:gf:2:1,1,1", 3, None), ("gf:5", 3, 20_000), ("gf:5", 4, 20_000),
+def _zero_profile(spec, th, ths, ph, d) -> list:
+    """Which of the probe's scalars are zero for (th, ths, ph): every
+    entry of the E side, then every entry of the E* side, from the lazy
+    _probe_forms."""
+    return ([spec.is_zero(spec.dot(form, ths + ph))
+             for _, form, _ in _probe_forms(spec, th, d)]
+            + [spec.is_zero(spec.dot(dual_form, th + ph))
+               for _, _, dual_form in _probe_forms(spec, ths, d)])
+
+
+@pytest.mark.parametrize("field, d, families", [
+    ("gf:7", 4, 0), ("gf:7", 5, 4), ("ext:gf:3:1,0,1", 3, 4),
 ])
-def test_first_entry_screen_is_exact(field, d, sample):
-    """The screen of random mode's table path rejects a candidate exactly
-    when the first pattern entry, (0, 2), which must be zero, fails in the
-    lazy _probe_forms (which shares no table code with the screen), and
-    no rejected candidate is a _split_pattern_probe hit: over every code
-    triple of GF(4), d = 3 (24 x 24 x 27), and a seeded sample of the
-    GF(5), d = 3 and d = 4 triples."""
+def test_affine_maps_keep_the_probe_verdict(field, d, families):
+    """The lemma behind _pair_hits: theta -> a theta + b and theta* ->
+    a* theta* + b*, with phi -> a a* phi (a, a* nonzero), keep every
+    scalar of the probe zero or nonzero, and so its verdict.  Checked
+    under seeded maps on seeded candidates, which are non-hits, and on the
+    arrays of F1 systems and the solver's hits on their pairs, which are
+    hits.  GF(7), d = 4 has no CH system, so it checks non-hits only."""
     spec = field_from_string(field)
-    elems = list(spec.element_payloads())
-    nonzero = [e for e in elems if not spec.is_zero(e)]
-    samples, phis, _, _, screens = _code_tables(spec, d)
-    assert _upper_pattern(d + 1)[0] == (0, 2, True)
-    triples = _code_triples(f"screen/{field}/{d}", len(samples), len(phis), sample)
-    outcomes = set()
-    for c, cs, f in triples:
-        th, ths, ph = samples[c], samples[cs], phis[f]
-        consts, lins = screens[c]
-        passes = consts[cs] == lins[f]
-        _, form, _ = next(_probe_forms(spec, th, d))
-        assert passes == spec.is_zero(spec.dot(form, ths + ph))
-        assert passes or not _split_pattern_probe(spec, th, ths, ph, d)
-        outcomes.add(passes)
-    assert outcomes == {True, False}
+    elems, nonzero = _elements(spec)
+    rng = random.Random(f"affine/{field}/{d}")
+    candidates = [(tuple(rng.sample(elems, d + 1)), tuple(rng.sample(elems, d + 1)),
+                   tuple(rng.choice(nonzero) for _ in range(d))) for _ in range(200)]
+    if families:
+        for fp in iter_family_instances(Family("F1"), spec, d, families):
+            p = family_generate(fp)
+            th, ths = (tuple(e.payload for e in seq) for seq in (p.theta, p.theta_star))
+            candidates += [(th, ths, ph) for ph in _solve_pair(spec, th, ths, d, nonzero)]
+    verdicts = set()
+    for th, ths, ph in candidates:
+        a, b, a_star, b_star = (rng.choice(pool) for pool in (nonzero, elems, nonzero, elems))
+        mapped = (tuple(spec.add(spec.mul(a, t), b) for t in th),
+                  tuple(spec.add(spec.mul(a_star, t), b_star) for t in ths),
+                  tuple(spec.mul(spec.mul(a, a_star), x) for x in ph))
+        assert _zero_profile(spec, *mapped, d) == _zero_profile(spec, th, ths, ph, d)
+        verdict = _split_pattern_probe(spec, th, ths, ph, d)
+        assert _split_pattern_probe(spec, *mapped, d) == verdict
+        verdicts.add(verdict)
+    assert verdicts == ({True, False} if families else {False})
+
+
+@pytest.mark.parametrize("field, d", [("ext:gf:2:1,1,1", 3), ("gf:5", 4)])
+def test_pair_hits_equal_the_solver_on_every_pair(field, d):
+    """The hit table, solved once per normalized pair and transported,
+    lists for every (theta, theta*) pair the hits that _solve_pair finds
+    on that pair, in its order: over every pair of GF(4), d = 3, and of
+    GF(5), d = 4, whose 1,600 hits all have beta = 2 and so check the
+    transport past d = 3."""
+    spec = field_from_string(field)
+    elems, nonzero = _elements(spec)
+    thetas = list(itertools.permutations(elems, d + 1))
+    phis, hits = _pair_hits(spec, d, thetas)
+    assert phis == tuple(itertools.product(nonzero, repeat=d))
+    assert len(hits) == len(thetas) ** 2
+    total = 0
+    for (c, th), (cs, ths) in itertools.product(enumerate(thetas), repeat=2):
+        want = _solve_pair(spec, th, ths, d, nonzero)
+        assert [phis[f] for f in hits[c * len(thetas) + cs]] == want
+        total += len(want)
+    assert total == {"ext:gf:2:1,1,1": 2_304, "gf:5": 1_600}[field]
 
 
 def _code_triples(tag, samples, phis, sample):
@@ -767,120 +818,90 @@ def _code_triples(tag, samples, phis, sample):
 @pytest.mark.parametrize("field, d, sample", [
     ("ext:gf:2:1,1,1", 3, None), ("gf:5", 3, 20_000), ("gf:5", 4, 20_000),
 ])
-def test_dual_first_entry_lookup_is_exact(field, d, sample):
-    """The second lookup of random mode's table path, in theta*'s screen at
-    theta's code and at reversed phi's code, passes exactly when the E*
-    side's first entry, dual_form . (theta || phi) from the lazy
-    _probe_forms(spec, theta*, d), is zero, and no candidate that either
-    lookup rejects is a _split_pattern_probe hit: over every code triple of
-    GF(4), d = 3, and a seeded sample of the GF(5), d = 3 and d = 4
-    triples.  rev maps each phi's code to its reversal's, and is an
-    involution."""
+def test_pair_hits_are_the_probe_hits(field, d, sample):
+    """Random mode's table lists a code triple (c, c*, f) in hits[c n + c*]
+    exactly when (samples[c], samples[c*], phis[f]) is a
+    _split_pattern_probe hit (the lazy probe, which shares no table code
+    with _pair_hits): over every code triple of GF(4), d = 3
+    (24 x 24 x 27), and over a seeded sample of the GF(5), d = 3 and
+    d = 4 triples together with every triple the table lists."""
     spec = field_from_string(field)
-    elems = list(spec.element_payloads())
-    nonzero = [e for e in elems if not spec.is_zero(e)]
-    samples, phis, rev, _, screens = _code_tables(spec, d)
-    assert all(phis[rev[f]] == phis[f][::-1] for f in range(len(phis)))
-    assert all(rev[rev[f]] == f for f in range(len(phis)))
+    samples, phis, hits = _code_tables(spec, d)
+    n = len(samples)
+    triples = list(_code_triples(f"pair-hits/{field}/{d}", n, len(phis), sample))
+    if sample is not None:
+        triples += [(k // n, k % n, f) for k, fs in enumerate(hits) for f in fs]
     outcomes = set()
-    for c, cs, f in _code_triples(f"dual-screen/{field}/{d}", len(samples), len(phis), sample):
-        th, ths, ph = samples[c], samples[cs], phis[f]
-        consts, lins = screens[cs]
-        passes = consts[c] == lins[rev[f]]
-        _, _, dual_form = next(_probe_forms(spec, ths, d))
-        assert passes == spec.is_zero(spec.dot(dual_form, th + ph))
-        consts, lins = screens[c]
-        if not (passes and consts[cs] == lins[f]):
-            assert not _split_pattern_probe(spec, th, ths, ph, d)
-        outcomes.add(passes)
+    for c, cs, f in triples:
+        hit = f in hits[c * n + cs]
+        assert hit == _split_pattern_probe(spec, samples[c], samples[cs], phis[f], d)
+        outcomes.add(hit)
     assert outcomes == {True, False}
-
-
-@pytest.mark.parametrize("field, d", [("ext:gf:2:1,1,1", 3), ("gf:5", 3), ("gf:5", 4)])
-def test_theta_screen_equals_dot_definition(field, d):
-    """For every theta of the field, the screen's tables equal their dot
-    product definition: consts[c] = vu . samples[c] and lins[f] =
-    -(coeffs . phis[f]), with (vu, coeffs) the first entry's form, although
-    lins is summed coordinate by coordinate."""
-    spec = field_from_string(field)
-    elems = list(spec.element_payloads())
-    nonzero = [e for e in elems if not spec.is_zero(e)]
-    samples, phis, _, _, screens = _code_tables(spec, d)
-    for th, screen in zip(samples, screens):
-        _, form, _ = next(_probe_forms(spec, th, d))
-        vu, coeffs = form[:d + 1], form[d + 1:]
-        assert screen == (
-            tuple(spec.dot(vu, s) for s in samples),
-            tuple(spec.neg(spec.dot(coeffs, ph)) for ph in phis))
 
 
 @pytest.mark.parametrize("field, d", [("gf:5", 4), ("ext:gf:2:1,1,1", 3)])
 def test_random_codes_yield_the_screened_candidates(field, d):
     """Over a field whose sequences fit the memo, the codes random mode
-    draws with the real screens are the trials of _random_candidates
-    (the reference draw) whose first E-side entry and first E*-side entry
-    are both zero, with their trial numbers."""
+    draws with the real hit table are the trials of _random_candidates
+    (the reference draw) that the lazy probe accepts, with their trial
+    numbers."""
     spec = field_from_string(field)
-    elems = list(spec.element_payloads())
-    nonzero = [e for e in elems if not spec.is_zero(e)]
-    samples, phis, rev, _, screens = _code_tables(spec, d)
+    elems, nonzero = _elements(spec)
+    samples, phis, hits = _code_tables(spec, d)
+    total = 0
     for seed in range(5):
         got = [(i, (samples[c], samples[cs], phis[f])) for i, c, cs, f in _random_codes(
-            seed, len(elems), len(nonzero), d, 500, screens, rev)]
-        want = [(i, (th, ths, ph)) for i, (th, ths, ph) in enumerate(
-            _random_candidates(seed, elems, nonzero, d, 500), 1)
-            if spec.is_zero(spec.dot(next(_probe_forms(spec, th, d))[1], ths + ph))
-            and spec.is_zero(spec.dot(next(_probe_forms(spec, ths, d))[2], th + ph))]
-        assert got == want and 0 < len(got) < 500
+            seed, len(elems), len(nonzero), d, 3000, hits)]
+        want = [(i, c) for i, c in enumerate(
+            _random_candidates(seed, elems, nonzero, d, 3000), 1)
+            if _split_pattern_probe(spec, *c, d)]
+        assert got == want
+        total += len(got)
+    assert 0 < total < 5 * 3000
 
 
-def test_random_search_reads_tables_when_theta_space_fits(gf5, gf7):
-    """Random mode reads its tables from one memo per (field, d) exactly
+def test_random_search_reads_tables_when_theta_space_fits(monkeypatch, gf5, gf7):
+    """Random mode reads its table from one memo per (field, d) exactly
     when every eigenvalue sequence of the field fits the memo: a GF(5),
-    d = 4 search builds the perm(5, 5) = 120 per-theta tables and one set
-    of code tables, and a repeat builds none, nor does a GF(7), d = 4
-    search (perm(7, 5) = 2,520 > _MEMO_SIZE), which keeps the lazy forms.
-    Importing the module builds no tables."""
+    d = 4 search builds one set of code tables, solving its
+    perm(3, 3)^2 = 36 normalized pairs, and a repeat builds and solves
+    nothing, nor does a GF(7), d = 4 search (perm(7, 5) = 2,520 >
+    _MEMO_SIZE), which probes lazily.  Importing the module builds no
+    tables."""
     assert math.perm(5, 5) <= _MEMO_SIZE < math.perm(7, 5)
-    assert _code_tables.cache_info().maxsize == _theta_forms.cache_info().maxsize == _MEMO_SIZE
-    _theta_forms.cache_clear()
+    assert _code_tables.cache_info().maxsize == _MEMO_SIZE
+    solves = _recorded_solves(monkeypatch)
     _code_tables.cache_clear()
 
-    def misses():
-        return _theta_forms.cache_info().misses, _code_tables.cache_info().misses
+    def builds():
+        return len(solves), _code_tables.cache_info().misses
 
     cfg = SearchConfig(gf5, 4, "random", seed=3, trials=2000)
     search(cfg)
-    assert misses() == (math.perm(5, 5), 1)
+    assert builds() == (math.perm(3, 3) ** 2, 1)
     search(cfg)
     search(SearchConfig(gf7, 4, "random", seed=3, trials=2000))
-    assert misses() == (math.perm(5, 5), 1)
+    assert builds() == (math.perm(3, 3) ** 2, 1)
     src = Path(importlib.import_module("circhess").__file__).parents[1]
     out = subprocess.run(
         [sys.executable, "-c", "import importlib; s = importlib.import_module("
-         "'circhess.search'); print(s._code_tables.cache_info().currsize, "
-         "s._theta_forms.cache_info().currsize)"],
+         "'circhess.search'); print(s._code_tables.cache_info().currsize)"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0"]
 
 
-def test_code_tables_outlive_theta_forms_eviction(gf5, gf7):
-    """The code tables hold their per-theta forms: once 300 GF(7), d = 3
-    sequences have passed through _theta_forms, which keeps the _MEMO_SIZE
-    = 256 most recent, no GF(5) table is left there, and a GF(5), d = 4
-    search still gives the report bytes it gave before, building
-    nothing."""
-    cfg = SearchConfig(gf5, 4, "random", seed=2, trials=4000)
-    before = search(cfg)
-    assert before.ch_systems_found == 3
-    for th in itertools.islice(itertools.permutations(range(7), 4), 300):
-        _theta_forms(gf7, th)
-    misses = _theta_forms.cache_info().misses, _code_tables.cache_info().misses
-    assert search(cfg).to_bytes() == before.to_bytes()
-    assert (_theta_forms.cache_info().misses, _code_tables.cache_info().misses) == misses
-    for th in _code_tables(gf5, 4)[0]:
-        _theta_forms(gf5, th)
-    assert _theta_forms.cache_info().misses == misses[0] + math.perm(5, 5)
+@pytest.mark.parametrize("mode", SEARCH_MODES)
+def test_empty_space_returns_before_building_anything(monkeypatch, mode):
+    """Over GF(3) with d = 40 there are no d + 1 distinct eigenvalues, so
+    both modes give an empty report at once: neither lists the field nor
+    builds a hit table, whose (q - 1)^d = 2^40 values of phi could not be
+    listed."""
+    search_mod = importlib.import_module("circhess.search")
+    for name in ("_elements", "_pair_hits", "_code_tables"):
+        monkeypatch.setattr(search_mod, name,
+                            lambda *args, name=name: pytest.fail(f"{name} called"))
+    rep = search(SearchConfig(prime_field(3), 40, mode, seed=1, trials=10))
+    assert (rep.candidates_examined, rep.ch_systems_found, rep.counterexamples) == (0, 0, [])
 
 
 def test_exhaustive_gf5_full():

@@ -23,20 +23,21 @@ on a seeded F1 (d = 4) and F4 (d = 3) array over the tower
 GF(16) = GF(4)[s]/(s^2 + s + w), whose base is itself an extension, also
 written with the field as JSON, and verify on each of those two systems as
 a raw pair (conjugated by a seeded invertible matrix) and swapped, whose
-eigenvalues come from root splitting in characteristic 2.  Then it records the report bytes of the
-GF(5) and GF(4), d = 3 exhaustive searches, and the report bytes of
-seeded random searches (seeds 1 and 2) on both of the random probe's
-paths.  On the table path, where the field's eigenvalue sequences all
-fit the per-sequence memo, and whose code lists, screens and per-sequence
-tables are built once per field and d: GF(5), d = 3 and 4, and GF(4),
-d = 3, with 4,000 trials, and GF(5), d = 4
+eigenvalues come from root splitting in characteristic 2.  Then it
+records the report bytes of the GF(5) and GF(4), d = 3 exhaustive
+searches and of the GF(5), d = 4 one,
+whose 1,600 hits all have beta = 2, and the report bytes of seeded
+random searches (seeds 1 and 2) on both of random mode's paths.  On the
+table path, where the field's eigenvalue sequences all fit the memo, and
+whose code lists and hit table are built once per field and d: GF(5),
+d = 3 and 4, and GF(4), d = 3, with 4,000 trials, and GF(5), d = 4
 with 40,000 trials, whose seeds reach 15 and 18 hits (at 4,000 trials
 they reach 0 and 3).  On the lazy path, where they do not: GF(7), d = 3
 (31 and 25 hits) and GF(7), d = 4 (no CH system exists), with 4,000
 trials.  Temporary paths, and the check times that end bases
 --check-all's PASS and FAIL lines on stderr, are masked before hashing.
 
-Prints one SHA-256 digest per tree, with the two exhaustive report
+Prints one SHA-256 digest per tree, with the three exhaustive report
 prefixes, and the first record that differs.  Exits 0 when every record
 is equal, 1 otherwise.
 """
@@ -67,7 +68,7 @@ QQ_F1 = (("cyclo:3", 5, -1, 1), ("cyclo:5", 4, 1, 1), ("cyclo:12", 3, 1, 3))
 QQ_JSON_ONLY = (((Fraction(-1, 2), 0, 1), 3), ((-2, 0, 0, 1), 4))
 # families and d of the arrays over the GF(16) tower
 TOWER = (("F1", 4), ("F4", 3))
-EXHAUSTIVE = (("gf:5", 3), ("ext:gf:2:1,1,1", 3))
+EXHAUSTIVE = (("gf:5", 3), ("ext:gf:2:1,1,1", 3), ("gf:5", 4))
 # (field, d, trials) of the seeded random reports
 RANDOM = (("gf:5", 3, 4000), ("gf:5", 4, 4000), ("gf:5", 4, 40000),
           ("ext:gf:2:1,1,1", 3, 4000), ("gf:7", 3, 4000), ("gf:7", 4, 4000))
