@@ -18,33 +18,35 @@ ParameterArray.dual() is the array of the pair (A*, A).
 
 Primitive idempotents have rank one, and a system holds each family as
 its members' factors (u_k, w_k, p_k), E_k = u_k w_k^T / p_k (see
-IdempotentFamily).  split_form_build hands over the right and left
-eigenvectors (r_k, s_k) and the scalars p_k = s_k . r_k that
-_bidiagonal_eigenvectors gives in closed form for the bidiagonal A and A*,
-and forms no idempotent matrix and no field inverse; bases reads the
-standard <-> inv_split transitions off the same vectors.  Those vectors
-come from one table memoized per diagonal (the _MEMO_SIZE most recently
-used), _unit_chain_eigenvectors: the division-free eigenvectors of the
-bidiagonal matrix with that diagonal and a unit chain, which is A itself;
-A*'s are that table scaled entrywise by prefix and suffix products of its
-chain phi.  The search solver reads its forms off the same table
+IdempotentFamily).  split_form_build forms the rows of A and A* and both
+families straight from the array's payloads, with no idempotent matrix
+and no field inverse: E is the table _unit_chain_eigenvectors memoizes
+per diagonal (the _MEMO_SIZE most recently used), the division-free
+right and left eigenvectors (r_k, s_k) and scalars p_k = s_k . r_k of
+the bidiagonal matrix with that diagonal and a unit chain, which is A
+itself for theta reversed; E* is theta*'s table scaled entrywise by
+prefix and suffix products of phi (_scaled_eigenvectors, which
+_bidiagonal_eigenvectors also calls, for bases' standard <-> inv_split
+transitions).  The search solver reads its forms off the same table
 (search._theta_forms), for the normalized sequences it solves.
 The matrices are formed once, on first read, for the consumers that want
 them (bases, replay, the isomorphism witness); matrices that come from
 outside (ingest_pair's Lagrange idempotents, an assignment s.E = ...) are
 factored once, on first use.  verify_ch_axioms, the one judge, trusts none
-of it: it checks the families' algebra (d + 1 members of length d + 1,
-and sum E_i = I as w_i . u_j = delta_ij p_i with p_i != 0) and membership
-(A u_i = theta_i u_i) on the factors, and decides each constrained
-E_i A* E_j as the scalar w_i . (A* u_j): O(d^2) field operations per
-idempotent, and no matrix built.
+of it.  Per family it makes two `dots` tables on the factors, the images
+A u_j || A* u_j and the scalars w_i . u_j || w_i . (A* u_j) (for E*, A and
+A* swapped), and reads off them the families' algebra (d + 1 members of
+length d + 1, and sum E_i = I as w_i . u_j = delta_ij p_i with p_i != 0),
+membership (A u_i = theta_i u_i) and each constrained E_i A* E_j as the
+scalar w_i . (A* u_j): O(d^2) field operations per idempotent, and no
+matrix built.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 
 from .errors import (
     CorruptIdempotentsError,
@@ -214,7 +216,7 @@ class IdempotentFamily:
     forms the outer products, and factors() factors each matrix by
     _rank_one_factors, raising CorruptIdempotentsError for a zero member
     or one of higher rank.  Nothing else is checked here; see
-    _check_idempotent_family.
+    _family_tables.
     """
 
     __slots__ = ("spec", "_matrices", "_factors")
@@ -316,23 +318,28 @@ def split_form_build(p: ParameterArray) -> CHSystem:
     Both families are handed over as rank-one factors, the eigenvector
     triples (r_k, s_k, p_k) of _bidiagonal_eigenvectors, with
     s_k . r_k = p_k: E_k = r_k s_k^T / p_k for A, and E*_k = s_k r_k^T / p_k
-    for the triples of the lower bidiagonal A*^T (read off A*), the
-    transposes of A*^T's projectors.  No idempotent matrix is formed and no
-    field element inverted; only A and A* are built.  The eigenvector work
-    is memoized per diagonal (see _bidiagonal_eigenvectors), so a search
-    builds each eigenvalue sequence's table once, while every call still
-    builds its own system.
+    for the triples of the lower bidiagonal A*^T, the transposes of
+    A*^T's projectors.  Everything is formed from the array's payloads:
+    the rows of A and A*, E from the memoized unit-chain table of theta
+    reversed (A's diagonal, with a unit chain), and E* from theta*'s
+    table scaled by the prefix and suffix products of phi
+    (_scaled_eigenvectors).  No idempotent matrix is formed, no field
+    element inverted, and nothing is read back off A or A*; only A and A*
+    are built.  A search thus builds each eigenvalue sequence's table
+    once, while every call still builds its own system.
 
     The builder checks nothing: the returned system is unverified; run
     verify_ch_axioms on it, which also checks that E and E* belong to A, A*.
     """
-    A, A_star = _split_form(p)
     spec = p.spec
-    E = _bidiagonal_eigenvectors(A)[::-1]
-    E_star = [(s, r, n) for r, s, n in _bidiagonal_eigenvectors(A_star)]
-    return CHSystem(spec, p.d, A, A_star, IdempotentFamily(spec, factors=E),
-                    IdempotentFamily(spec, factors=E_star), p.theta, p.theta_star,
-                    params=p)
+    A, A_star = _split_form(p)
+    table = _unit_chain_eigenvectors(spec, tuple([e.payload for e in p.theta[::-1]]))
+    triples = _scaled_eigenvectors(
+        spec, _unit_chain_eigenvectors(spec, tuple([e.payload for e in p.theta_star])),
+        [e.payload for e in p.phi])
+    E = IdempotentFamily(spec, factors=list(table[::-1]))
+    E_star = IdempotentFamily(spec, factors=[(s, r, n) for r, s, n in triples])
+    return CHSystem(spec, p.d, A, A_star, E, E_star, p.theta, p.theta_star, params=p)
 
 
 def _bidiagonal_eigenvectors(matrix: Matrix) -> list[tuple]:
@@ -341,15 +348,24 @@ def _bidiagonal_eigenvectors(matrix: Matrix) -> list[tuple]:
     whose entries c_i = low[i][i - 1] are nonzero: a right column and a
     left row of l_k, as payload tuples, and the payload p_k != 0, with
     s_k . r_j = delta_kj p_k.  low is `matrix` when that is lower
-    bidiagonal and its transpose when it is upper bidiagonal, so A*'s
-    triples are read off A* without forming A*^T (c_i is read as
-    matrix[i][i - 1] + matrix[i - 1][i], of which one term is zero).  Each
-    call returns a fresh list.  No field element is inverted.
+    bidiagonal and its transpose when it is upper bidiagonal (c_i is read
+    as matrix[i][i - 1] + matrix[i - 1][i], of which one term is zero).
+    These are _scaled_eigenvectors of low's diagonal and chain; each call
+    returns a fresh list, and no field element is inverted.
+    """
+    s = matrix.spec
+    n, rows = matrix.nrows, matrix.rows
+    return _scaled_eigenvectors(
+        s, _unit_chain_eigenvectors(s, tuple([rows[i][i] for i in range(n)])),
+        [s.add(rows[i][i - 1], rows[i - 1][i]) for i in range(1, n)])
 
-    The triples are those of the unit chain L (low's diagonal, every
-    c_i = 1), which _unit_chain_eigenvectors gives as (u_k, v_k, D_k),
-    scaled.  With the prefix products P_i = c_1 ... c_i (P_0 = 1), the
-    suffix products Q_i = c_{i+1} ... c_d (Q_d = 1) and G = diag(Q_i),
+
+def _scaled_eigenvectors(s: FieldSpec, table, c) -> list[tuple]:
+    """The triples (r_k, s_k, p_k) of the lower-bidiagonal matrix low with
+    the unit chain L's diagonal and the nonzero chain c_1..c_d below it,
+    from L's triples `table` = (u_k, v_k, D_k) (_unit_chain_eigenvectors),
+    as a fresh list.  With the prefix products P_i = c_1 ... c_i (P_0 = 1),
+    the suffix products Q_i = c_{i+1} ... c_d (Q_d = 1) and G = diag(Q_i),
 
         r_k[i] = u_k[i] P_i,    s_k[j] = v_k[j] Q_j,    p_k = D_k P_d.
 
@@ -359,13 +375,8 @@ def _bidiagonal_eigenvectors(matrix: Matrix) -> list[tuple]:
     l_k r_k, s_k low = v_k L G = l_k s_k, and s_k . r_j = P_d v_k . u_j =
     delta_kj D_k P_d.  p_k is a product of the nonzero differences
     l_k - l_m and the nonzero c_i, so it is nonzero, and no quotient is
-    ever formed.  For the split form's A every c_i is 1, and the table is
-    the answer.
+    ever formed.  When every c_i is 1 the table is the answer.
     """
-    s = matrix.spec
-    n, rows = matrix.nrows, matrix.rows
-    table = _unit_chain_eigenvectors(s, tuple([rows[i][i] for i in range(n)]))
-    c = [s.add(rows[i][i - 1], rows[i - 1][i]) for i in range(1, n)]
     one = s.one
     if all(x == one for x in c):
         return list(table)
@@ -422,18 +433,14 @@ def _unit_chain_eigenvectors(spec: FieldSpec, diag: tuple) -> tuple:
 def _split_form(p: ParameterArray) -> tuple[Matrix, Matrix]:
     """The bidiagonal pair (A, A*) that split_form_build realizes; it is
     also what both operators are in the split basis of any system with
-    array p."""
-    s = p.spec
-    d = p.d
-    n = d + 1
-    a_rows = [[s.zero] * n for _ in range(n)]
-    b_rows = [[s.zero] * n for _ in range(n)]
-    for i in range(n):
-        a_rows[i][i] = p.theta[d - i].payload
-        b_rows[i][i] = p.theta_star[i].payload
-    for i in range(d):
-        a_rows[i + 1][i] = s.one
-        b_rows[i][i + 1] = p.phi[i].payload
+    array p.  Each row is built as a tuple from the array's payloads."""
+    s, d = p.spec, p.d
+    z, one = (s.zero,) * d, s.one
+    theta, theta_star, phi = p.theta, p.theta_star, p.phi
+    a_rows = [(theta[d].payload,) + z] + [
+        z[:i - 1] + (one, theta[d - i].payload) + z[i:] for i in range(1, d + 1)]
+    b_rows = [z[:i] + (theta_star[i].payload, phi[i].payload) + z[i + 1:]
+              for i in range(d)] + [z + (theta_star[d].payload,)]
     return Matrix(s, a_rows), Matrix(s, b_rows)
 
 
@@ -496,20 +503,23 @@ def _family_factors(E) -> list:
     return factors
 
 
-def _check_idempotent_family(family: IdempotentFamily, labels, n: int) -> list:
-    """Raise CorruptIdempotentsError unless the family's factors describe
-    n members E_0..E_{n-1} of size n x n with one distinct label each that
-    have rank one, sum to I and satisfy E_i E_j = delta_ij E_i; return the
-    factors (u_i, w_i, p_i), E_i = u_i w_i^T / p_i.
+def _family_tables(family: IdempotentFamily, labels, own: Matrix, other: Matrix):
+    """Check a family E_0..E_{n-1} of the n x n matrix `own` and decide it
+    against `other`, from two `dots` tables on its factors
+    (u_i, w_i, p_i), E_i = u_i w_i^T / p_i: the images
+    own u_j || other u_j, and the scalars w_i . u_j || w_i . (other u_j).
+    Return (the j with own u_j != labels_j u_j, the scalar table).
 
-    Nothing the factors' source says is trusted, and no product of two
-    members, and no matrix, is formed.  Let U be the n x n matrix with
-    columns u_i and W the one with columns w_i / p_i.  Then
-    sum_i E_i = U W^T.  The check is w_i . u_j = delta_ij p_i with every
-    p_i != 0, i.e. W^T U = I; then u_i and w_i are nonzero, so E_i has rank
-    one.  U and W are square, and a square matrix with a left inverse is
-    invertible with that inverse also a right one, so W^T U = I holds
-    exactly when U W^T = I, i.e. sum_i E_i = I.  Hence also
+    Raise CorruptIdempotentsError unless there are n members of length n
+    with one distinct label each that have rank one, sum to I and satisfy
+    E_i E_j = delta_ij E_i.  Nothing the factors' source says is trusted,
+    and no product of two members, and no matrix, is formed.  Let U be the
+    n x n matrix with columns u_i and W the one with columns w_i / p_i.
+    Then sum_i E_i = U W^T.  The check is w_i . u_j = delta_ij p_i with
+    every p_i != 0, i.e. W^T U = I; then u_i and w_i are nonzero, so E_i
+    has rank one.  U and W are square, and a square matrix with a left
+    inverse is invertible with that inverse also a right one, so W^T U = I
+    holds exactly when U W^T = I, i.e. sum_i E_i = I.  Hence also
 
         E_i E_j = u_i (w_i . u_j / p_i) w_j^T / p_j = delta_ij E_i.
 
@@ -519,10 +529,12 @@ def _check_idempotent_family(family: IdempotentFamily, labels, n: int) -> list:
     exactly the valid families: n nonzero orthogonal idempotents summing
     to I give V = E_0 V (+) ... (+) E_{n-1} V, and n nonzero dimensions
     summing to n are all one.  A zero member or one of higher rank, which
-    has no factors, is therefore rejected without loss.  Here the labels
-    are only required to be distinct; verify_ch_axioms then reads them as
-    the eigenvalues of the family's matrix (see _non_members).
+    has no factors, is therefore rejected without loss.
+
+    Then E_i other E_j = u_i (w_i . other u_j) w_j^T / (p_i p_j), with u_i
+    and w_j nonzero, is zero exactly when the scalar w_i . (other u_j) is.
     """
+    n = own.nrows
     factors = family.factors()
     if len(factors) != n or any(len(u) != n or len(w) != n for u, w, _ in factors):
         raise CorruptIdempotentsError(f"need {n} idempotents of size {n} x {n}")
@@ -530,12 +542,15 @@ def _check_idempotent_family(family: IdempotentFamily, labels, n: int) -> list:
         raise CorruptIdempotentsError("need one distinct label per idempotent")
     s = family.spec
     us, ws, ps = zip(*factors)
-    zero = s.zero
-    for i, (p, row) in enumerate(zip(ps, s.dots(ws, us))):
-        # row = delta_i p: p != 0 at i and zero at the other n - 1 places
-        if s.is_zero(p) or row[i] != p or row.count(zero) != n - 1:
+    images = s.dots(us, own.rows + other.rows)
+    table = s.dots(ws, us + tuple([image[n:] for image in images]))
+    zero, mul = s.zero, s.mul
+    for i, (p, row) in enumerate(zip(ps, table)):
+        # row[:n] = delta_i p: p != 0 at i and zero at the other n - 1 places
+        if p == zero or row[i] != p or row[:n].count(zero) != n - 1:
             raise CorruptIdempotentsError("stored idempotents do not sum to I")
-    return factors
+    return [j for j, (u, image, lam) in enumerate(zip(us, images, labels))
+            if image[:n] != tuple([mul(lam.payload, x) for x in u])], table
 
 
 def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
@@ -550,69 +565,41 @@ def verify_ch_axioms(s: CHSystem) -> VerificationOutcome:
     superdiagonal (j = i + 1) free, so those products are not decided; for
     d >= 3 the corner (0, d) is never one of them.
 
-    First checks both stored families on their factors, which may come
-    from anywhere: d + 1 members of size (d + 1) x (d + 1), each of rank
-    one, the labels theta and theta* distinct, and the members summing to
-    I, which with rank-one members is the whole idempotent algebra (see
-    _check_idempotent_family); this is the one place it is checked (see
-    primitive_idempotents).  A family given as matrices is factored first,
-    and a zero member or one of higher rank raises.  The check returns
-    each member's factors E_j = u_j w_j^T / p_j.  Each j with
-    A u_j != theta_j u_j is the failure ("ii", j, j), and ("iii", j, j) for
-    A* and E*_j.  None fails exactly when A = sum theta_j E_j: then A E_j = theta_j E_j by the
-    algebra, so (A u_j - theta_j u_j) w_j^T = 0 with w_j != 0; conversely,
+    Each family is checked and decided from two `dots` tables on its
+    factors, which may come from anywhere (see _family_tables): E, then
+    E*, each d + 1 members of size (d + 1) x (d + 1) of rank one with
+    distinct labels theta (theta*) summing to I, which with rank-one
+    members is the whole idempotent algebra; this is the one place it is
+    checked (see primitive_idempotents).  A family given as matrices is
+    factored first, and a zero member or one of higher rank raises.  Each
+    j with A u_j != theta_j u_j is the failure ("ii", j, j), and
+    ("iii", j, j) for A* and E*_j.  None fails exactly when
+    A = sum theta_j E_j: then A E_j = theta_j E_j by the algebra, so
+    (A u_j - theta_j u_j) w_j^T = 0 with w_j != 0; conversely,
     A E_j = theta_j E_j for all j gives A = A sum E_j = sum theta_j E_j.
-    Every pattern product is decided exactly from the factors, by one
-    matrix-vector product per j and one dot product per pair (see
-    _zero_products), independent of the search probe.  No matrix is
-    built.  Sets the sticky `verified` flag when nothing fails.  A or A*
-    of any shape other than (d + 1) x (d + 1) raises DimensionMismatchError
-    first: a product would read only the leading d + 1 columns.
+    Every pattern product E_i A* E_j is decided exactly as the scalar
+    w_i . (A* u_j) of E's table (E*_i A E*_j from E*'s), independent of
+    the search probe: four `dots` calls in all, and no matrix built.  Sets
+    the sticky `verified` flag when nothing fails.  A or A* of any shape
+    other than (d + 1) x (d + 1) raises DimensionMismatchError first: a
+    product would read only the leading d + 1 columns.
     """
     n = s.d + 1
-    if not s.A.nrows == s.A.ncols == s.A_star.nrows == s.A_star.ncols == n:
+    A, A_star = s.A, s.A_star
+    if not A.nrows == A.ncols == A_star.nrows == A_star.ncols == n:
         raise DimensionMismatchError(f"A and A* must be {n} x {n}")
-    factors = _check_idempotent_family(s.family, s.theta, n)
-    factors_star = _check_idempotent_family(s.family_star, s.theta_star, n)
-    failures = [("ii", j, j) for j in _non_members(factors, s.A, s.theta)]
-    failures += [("iii", j, j)
-                 for j in _non_members(factors_star, s.A_star, s.theta_star)]
-    pattern = _shape_pattern(ShapeClass.CIRCULAR_HESSENBERG, s.d + 1)
-    for cond, family, middle in (("iv", factors, s.A_star), ("v", factors_star, s.A)):
-        zeros = _zero_products(family, middle, [(i, j) for i, j, _ in pattern])
-        failures += [(cond, i, j) for i, j, zero in pattern if zeros[i, j] != zero]
+    bad, table = _family_tables(s.family, s.theta, A, A_star)
+    bad_star, table_star = _family_tables(s.family_star, s.theta_star, A_star, A)
+    failures = [("ii", j, j) for j in bad] + [("iii", j, j) for j in bad_star]
+    pattern = _shape_pattern(ShapeClass.CIRCULAR_HESSENBERG, n)
+    zero = s.spec.zero
+    for cond, rows in (("iv", table), ("v", table_star)):
+        failures += [(cond, i, j) for i, j, must in pattern
+                     if (rows[i][n + j] == zero) != must]
     outcome = VerificationOutcome(not failures, failures)
     if outcome.is_ch:
         s.verified = True
     return outcome
-
-
-def _non_members(factors, M: Matrix, labels) -> list:
-    """The j with M u_j != labels_j u_j, for the rank-one factors
-    E_j = u_j w_j^T / p_j of a family: one matrix-vector product each, all
-    from one `dots` table."""
-    s = M.spec
-    mul = s.mul
-    us, _, _ = zip(*factors)
-    return [j for j, (u, image, lam) in enumerate(zip(us, s.dots(us, M.rows), labels))
-            if image != tuple([mul(lam.payload, x) for x in u])]
-
-
-def _zero_products(factors, M: Matrix, pairs) -> dict:
-    """{(i, j): whether E_i M E_j = 0} over `pairs`, for the rank-one
-    factors E_i = u_i w_i^T / p_i of a family (see _rank_one_factors).
-
-    E_i M E_j = u_i (w_i . M u_j) w_j^T / (p_i p_j), and u_i, w_j are
-    nonzero, so it is zero exactly when the scalar w_i . (M u_j) is.  That
-    is one matrix-vector product per j, all from one `dots` table, and one
-    dot product per pair: the full w x image table would compute dots the
-    pattern does not ask for.
-    """
-    s = M.spec
-    dot, is_zero = s.dot, s.is_zero
-    us, ws, _ = zip(*factors)
-    images = s.dots(us, M.rows)
-    return {(i, j): is_zero(dot(ws[i], images[j])) for i, j in pairs}
 
 
 def _proportionality(w: Vector, v: Vector) -> FieldElement:
@@ -776,15 +763,19 @@ def _find_ordering(M: Matrix, evs, other: Matrix):
     """An ordering of M's eigenvalues and idempotents making `other` act in
     circular Hessenberg fashion, as (theta, IdempotentFamily) in that
     order, or None.  The idempotents are factored once, here, and the
-    family carries both the matrices and their factors."""
-    n = len(evs)
+    family carries both the matrices and their factors.  The zero table
+    is read off two `dots` tables, as in _family_tables: the images
+    other u_j, then the scalars w_i . (other u_j)."""
+    n, s = len(evs), M.spec
     E = primitive_idempotents(M, evs)  # rank one each: M is multiplicity-free
     factors = _family_factors(E)
-    o = _ordering(_zero_products(factors, other, product(range(n), repeat=2)), n)
+    us, ws, _ = zip(*factors)
+    o = _ordering({(i, j): x == s.zero for i, row in enumerate(
+        s.dots(ws, s.dots(us, other.rows))) for j, x in enumerate(row)}, n)
     if o is None:
         return None
     return tuple(evs[k] for k in o), IdempotentFamily(
-        M.spec, [E[k] for k in o], [factors[k] for k in o])
+        s, [E[k] for k in o], [factors[k] for k in o])
 
 
 def _ordering(zeros, n: int):

@@ -805,6 +805,35 @@ def test_pair_hits_equal_the_solver_on_every_pair(field, d):
     assert total == {"ext:gf:2:1,1,1": 2_304, "gf:5": 1_600}[field]
 
 
+def test_pair_hits_transport_scale_past_d3():
+    """The transport scale (theta_1 - theta_0)(theta*_1 - theta*_0), checked
+    where the hit sets do not hide it: over GF(7) with d = 5 the normalized
+    pair theta' = (0,1,4,6,5,2), theta*' = (0,1,6,3,2,4) has 22 hits, and
+    no scaling by s != 1 maps that set onto itself (GF(5), d = 4's hits
+    are closed under every scaling).  _pair_hits over the 84 member
+    sequences a theta' + b of both normalized sequences lists, for a
+    seeded sample of member pairs, the hits _solve_pair finds on them."""
+    spec = field_from_string("gf:7")
+    d, (_, nonzero) = 5, _elements(spec)
+    norms = [(0, 1, 4, 6, 5, 2), (0, 1, 6, 3, 2, 4)]
+    solved = _solve_pair(spec, *norms, d, nonzero)
+    assert len(solved) == 22
+    for s in nonzero[1:]:
+        assert sorted(tuple(spec.mul(s, x) for x in ph) for ph in solved) != solved
+    thetas = [tuple(spec.add(spec.mul(a, t), b) for t in th)
+              for th in norms for a in nonzero for b in range(7)]
+    assert len(set(thetas)) == 84
+    phis, hits = _pair_hits(spec, d, thetas)
+    rng = random.Random("transport/gf:7/5")
+    total = 0
+    for k in rng.sample(range(len(thetas) ** 2), 300):
+        c, cs = divmod(k, len(thetas))
+        want = _solve_pair(spec, thetas[c], thetas[cs], d, nonzero)
+        assert [phis[f] for f in hits[k]] == want
+        total += len(want)
+    assert total > 3_000
+
+
 def _code_triples(tag, samples, phis, sample):
     """Every code triple (c, c*, f) below (samples, samples, phis), or
     `sample` of them drawn by a Random seeded with `tag`."""

@@ -50,7 +50,7 @@ from circhess.errors import (
 from circhess.linalg import ShapeClass, _shape_pattern, rank
 from circhess.systems import (
     IdempotentFamily,
-    _check_idempotent_family,
+    _family_tables,
     _ordering,
     _rank_one_factors,
 )
@@ -539,6 +539,49 @@ def test_oracle_builds_no_matrix(monkeypatch, w5_array):
     assert count == 0
 
 
+def test_oracle_kernel_calls(monkeypatch, w5_array, gf5):
+    """One W5 verify_ch_axioms makes 4 `dots` calls, two tables per family,
+    and no `dot` call.  Ingest's ordering search builds each side's zero
+    table with `dots` alone: past the Lagrange idempotents, 2 `dots` calls
+    per side and no `dot`."""
+    from circhess import systems
+    from circhess.fields import PrimeField
+
+    calls = []
+    for name in ("dot", "dots"):
+        kernel = getattr(PrimeField, name)
+        monkeypatch.setattr(PrimeField, name, lambda self, *args, _k=kernel, _n=name:
+                            calls.append(_n) or _k(self, *args))
+    s = split_form_build(w5_array)
+    calls.clear()
+    assert verify_ch_axioms(s).is_ch
+    assert calls == ["dots"] * 4
+
+    idempotents, find, sides = systems.primitive_idempotents, systems._find_ordering, []
+
+    def lagrange(*args):
+        mark = len(calls)
+        out = idempotents(*args)
+        del calls[mark:]
+        return out
+
+    def ordering(*args):
+        mark = len(calls)
+        out = find(*args)
+        sides.append(calls[mark:])
+        return out
+
+    monkeypatch.setattr(systems, "primitive_idempotents", lagrange)
+    monkeypatch.setattr(systems, "_find_ordering", ordering)
+    sigma = Matrix.from_elements(
+        gf5, [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, 4], [1, 0, 0, 1]]
+    )
+    sigma_inv = matrix_inverse(sigma)
+    got = ingest_pair(sigma * s.A * sigma_inv, sigma * s.A_star * sigma_inv)
+    assert got is not None and got.verified and isomorphic(got.params, w5_array)
+    assert sides == [["dots", "dots"]] * 2
+
+
 def _count_matrix_inits(monkeypatch) -> list:
     """Wrap Matrix.__init__; the returned one-item list holds the count."""
     init = Matrix.__init__
@@ -694,8 +737,7 @@ def _pairwise_family_ok(E, ident) -> bool:
 
 def _spectral_family_ok(E, labels, ident) -> bool:
     try:
-        _check_idempotent_family(IdempotentFamily(ident.spec, matrices=E), labels,
-                                 ident.nrows)
+        _family_tables(IdempotentFamily(ident.spec, matrices=E), labels, ident, ident)
     except CorruptIdempotentsError:
         return False
     return True
@@ -840,22 +882,19 @@ def _all_products_failures(s):
 
 
 @pytest.mark.parametrize(
-    "field, d", _cases(("gf:5", "gf:7", "ext:gf:2:1,1,1"), (3, 4, 5))
+    "field, d",
+    _cases(("gf:5", "gf:7", "ext:gf:2:1,1,1", "cyclo:4", "rat"), (3, 4, 5)),
 )
 def test_failures_match_all_products_reference(field, d):
-    """Skipping the pairs the pattern leaves free changes no failure list."""
+    """Skipping the pairs the pattern leaves free changes no failure list.
+    The fields run every `dots` kernel: GF(p)'s, the Zech tables', the
+    integer one of QQ(i) and the generic one of QQ, the last two on arrays
+    drawn from a small element pool."""
     spec = field_from_string(field)
-    elems = list(spec.element_payloads())
-    nonzero = [e for e in elems if not spec.is_zero(e)]
     rng = random.Random(f"{field}/{d}")
     non_ch = 0
     for _ in range(6):
-        p = ParameterArray(
-            spec, d,
-            tuple(FieldElement(spec, x) for x in rng.sample(elems, d + 1)),
-            tuple(FieldElement(spec, x) for x in rng.sample(elems, d + 1)),
-            tuple(FieldElement(spec, rng.choice(nonzero)) for _ in range(d)),
-        )
+        p = _random_array(spec, d, rng)
         s = split_form_build(p)
         out = verify_ch_axioms(s)
         assert out.failures == _all_products_failures(s)
@@ -930,28 +969,31 @@ def test_closed_form_idempotents_match_lagrange(field, d):
 @pytest.mark.parametrize("corrupt", ["swap", "shift"])
 def test_corrupt_closed_form_rejected(monkeypatch, w5_array, call, corrupt):
     """Closed-form eigenvectors whose family does not belong to its matrix
-    (A on the first call, A*^T on the second) are built without complaint
-    and rejected by verify_ch_axioms.  Two (r, s, p) triples swapped leave
-    a valid family with two members under each other's labels: items (ii)
-    or (iii) fail at exactly those two indices.  r_0 replaced by r_0 + r_1
-    leaves a family that does not sum to I."""
+    are built without complaint and rejected by verify_ch_axioms.  The
+    builder takes E from the unit-chain table of A's diagonal (call 0) and
+    E* from the scaled triples of A*^T (call 1), so those are corrupted.
+    Two (r, s, p) triples swapped leave a valid family with two members
+    under each other's labels: items (ii) or (iii) fail at exactly those
+    two indices.  r_0 replaced by r_0 + r_1 leaves a family that does not
+    sum to I."""
     from circhess import systems
 
-    helper = systems._bidiagonal_eigenvectors
+    name = ("_unit_chain_eigenvectors", "_scaled_eigenvectors")[call]
+    helper = getattr(systems, name)
     calls = []
 
-    def corrupted(low):
-        pairs = helper(low)
-        if len(calls) == call:
+    def corrupted(spec, *args):
+        pairs = list(helper(spec, *args))
+        if not calls:
             if corrupt == "swap":
                 pairs[0], pairs[1] = pairs[1], pairs[0]
             else:
                 (r0, s0, p0), (r1, _, _) = pairs[0], pairs[1]
-                pairs[0] = ([low.spec.add(x, y) for x, y in zip(r0, r1)], s0, p0)
-        calls.append(low)
+                pairs[0] = ([spec.add(x, y) for x, y in zip(r0, r1)], s0, p0)
+        calls.append(args)
         return pairs
 
-    monkeypatch.setattr(systems, "_bidiagonal_eigenvectors", corrupted)
+    monkeypatch.setattr(systems, name, corrupted)
     s = split_form_build(w5_array)
     if corrupt == "shift":
         with pytest.raises(CorruptIdempotentsError):
